@@ -45,10 +45,10 @@ Outcome run(std::size_t groups, std::size_t caches_per_group,
   cdn::TrafficRouter::Config config;
   config.cdn_domain = dns::DnsName::must_parse("cdn.test");
   config.answer_ttl = 0;
-  cdn::TrafficRouter router(net, router_node, "router",
+  cdn::TrafficRouter router(net.runtime(router_node), "router",
                             simnet::LatencyModel::constant(
                                 simnet::SimTime::millis(1.0)),
-                            config, router_addr);
+                            config, dns::kDnsPort, router_addr);
 
   // Group g sits at (100*g, 0) km; the client is at the origin, so group 0
   // is the true nearest. Each group's caches get addresses 10.g.0.x.
@@ -89,7 +89,7 @@ Outcome run(std::size_t groups, std::size_t caches_per_group,
     router.geo() = std::move(db);
   }
 
-  dns::StubResolver stub(net, client,
+  dns::StubResolver stub(net.runtime(client),
                          simnet::Endpoint{router_addr, dns::kDnsPort});
   const dns::DnsName qname = dns::DnsName::must_parse("video.cdn.test");
 

@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const HysteresisRun& run = storm_outcomes[i].value;
-    char label[32];
+    char label[48];  // "hysteresis(" + any size_t + ")"
     if (windows[i] == 0) {
       std::snprintf(label, sizeof label, "stateless");
     } else {

@@ -50,20 +50,20 @@ int main() {
   cdn::TrafficRouter::Config trc;
   trc.cdn_domain = dns::DnsName::root();  // scope: whatever is deployed here
   trc.answer_ttl = 0;
-  cdn::TrafficRouter router(net, tr_node, "mec-cdns",
+  cdn::TrafficRouter router(net.runtime(tr_node), "mec-cdns",
                             simnet::LatencyModel::normal(
                                 simnet::SimTime::millis(2.6),
                                 simnet::SimTime::micros(300),
                                 simnet::SimTime::millis(1)),
-                            trc, tr_dep.cluster_ip);
+                            trc, dns::kDnsPort, tr_dep.cluster_ip);
   router.coverage().set_default_group("mec-edge");
 
   const simnet::NodeId cache_node =
       orchestrator.cluster().add_worker("cache-0");
   const mec::Deployment cache_dep =
       orchestrator.deploy("edge-cache-0", "cdn", cache_node, 20);
-  cdn::CacheServer cache(net, cache_node, "edge-cache-0", {},
-                         cache_dep.cluster_ip);
+  cdn::CacheServer cache(net.runtime(cache_node), "edge-cache-0", {},
+                         cdn::kContentPort, cache_dep.cluster_ip);
   router.add_cache("mec-edge",
                    cdn::CacheInfo{"edge-cache-0", cache_dep.cluster_ip, true});
   for (const auto& entry : workload::table1_domains()) {
@@ -77,12 +77,12 @@ int main() {
   const simnet::NodeId dns_node = orchestrator.cluster().add_worker("infra");
   const mec::Deployment dns_dep =
       orchestrator.deploy("kube-dns", "kube-system", dns_node, 10);
-  dns::PluginChainServer ldns(net, dns_node, "mec-coredns",
+  dns::PluginChainServer ldns(net.runtime(dns_node), "mec-coredns",
                               simnet::LatencyModel::normal(
                                   simnet::SimTime::millis(2.4),
                                   simnet::SimTime::micros(300),
                                   simnet::SimTime::millis(1)),
-                              dns_dep.cluster_ip);
+                              dns::kDnsPort, dns_dep.cluster_ip);
   dns::PluginChain& internal = ldns.add_view(
       "internal", {orchestrator.cluster().config().node_cidr,
                    orchestrator.cluster().config().service_cidr});

@@ -202,7 +202,7 @@ JobResult run_scenario(const std::string& name, bool robust,
     mc.rounds = static_cast<std::size_t>(
         (horizon - t0).to_millis() / mc.probe_interval.to_millis());
     monitor = std::make_unique<cdn::TrafficMonitor>(
-        net, vantage, testbed.active_router(), mc);
+        net.runtime(vantage), testbed.active_router(), mc);
     cdn::Url probe;
     probe.host = testbed.content_name();
     probe.path = "/index.m3u8";
@@ -219,7 +219,8 @@ JobResult run_scenario(const std::string& name, bool robust,
     mec::LdnsFailover::Config fc;
     fc.primary = testbed.site().ldns_endpoint();
     fc.fallback = testbed.provider_endpoint();
-    ldns_failover = std::make_unique<mec::LdnsFailover>(net, vantage, fc);
+    ldns_failover =
+        std::make_unique<mec::LdnsFailover>(net.runtime(vantage), fc);
     ldns_failover->set_on_switch(
         [&testbed](const simnet::Endpoint& target, bool /*to_fallback*/) {
           testbed.ue().resolver().set_server(target);

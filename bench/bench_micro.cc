@@ -93,8 +93,9 @@ void BM_ZoneLookup(benchmark::State& state) {
                               dns::DnsName::must_parse("ns1.example.com"), 1,
                               300, 3600));
   for (int i = 0; i < 512; ++i) {
+    const std::string n = std::to_string(i);
     zone.must_add(dns::make_a(
-        dns::DnsName::must_parse("h" + std::to_string(i) + ".example.com"),
+        dns::DnsName::must_parse("h" + n + ".example.com"),
         simnet::Ipv4Address(0xc0000200u + i), 60));
   }
   const auto qname = dns::DnsName::must_parse("h300.example.com");

@@ -4,18 +4,17 @@
 
 namespace mecdns::cdn {
 
-CacheServer::CacheServer(simnet::Network& net, simnet::NodeId node,
-                         std::string name, Config config,
+CacheServer::CacheServer(netio::Runtime& runtime, std::string name,
+                         Config config, std::uint16_t port,
                          simnet::Ipv4Address addr)
-    : net_(net), name_(std::move(name)), config_(std::move(config)),
-      rng_(0x8f1bbcdc ^ (static_cast<std::uint64_t>(node) << 21)) {
-  socket_ = net_.open_socket(
-      node, kContentPort,
-      [this](const simnet::Packet& packet) { on_packet(packet); }, addr);
+    : rt_(runtime), name_(std::move(name)), config_(std::move(config)),
+      rng_(0x8f1bbcdc ^ (runtime.rng_stream() << 21)) {
+  socket_ = rt_.open_socket(
+      port, [this](const simnet::Packet& packet) { on_packet(packet); }, addr);
   // Separate ephemeral socket for parent fetches so parent responses are
   // not confused with client requests.
-  parent_socket_ = net_.open_socket(
-      node, 0, [this](const simnet::Packet& packet) {
+  parent_socket_ = rt_.open_socket(
+      0, [this](const simnet::Packet& packet) {
         auto response = decode_response(packet.payload);
         if (!response.ok()) return;
         const auto it = pending_.find(response.value().id);
@@ -40,8 +39,8 @@ CacheServer::CacheServer(simnet::Network& net, simnet::NodeId node,
 
 CacheServer::~CacheServer() {
   *alive_ = false;
-  net_.close_socket(socket_);
-  net_.close_socket(parent_socket_);
+  rt_.close_socket(socket_);
+  rt_.close_socket(parent_socket_);
 }
 
 void CacheServer::warm(const ContentObject& object) { insert(object); }
@@ -62,7 +61,7 @@ void CacheServer::on_packet(const simnet::Packet& packet) {
   obs::AmbientSpanGuard ambient(span);
   const simnet::SimTime service =
       config_.service_time.sample(rng_) + extra_service_;
-  net_.simulator().schedule_after(
+  rt_.schedule_after(
       service, [this, alive = alive_, request = std::move(request.value()),
                 client = packet.src] {
         if (!*alive) return;
@@ -97,10 +96,9 @@ void CacheServer::serve(const ContentRequest& request,
   obs::AmbientSpanGuard ambient(pending.span);
   pending_.emplace(fetch_id, std::move(pending));
   ContentRequest upstream{fetch_id, request.url};
-  parent_socket_->send_to(*config_.parent, encode(upstream));
-  net_.simulator().schedule_after(config_.parent_timeout, [this,
-                                                           alive = alive_,
-                                                           fetch_id] {
+  parent_socket_->send(*config_.parent, encode(upstream));
+  rt_.schedule_after(config_.parent_timeout, [this, alive = alive_,
+                                              fetch_id] {
     if (!*alive) return;
     const auto pending_it = pending_.find(fetch_id);
     if (pending_it == pending_.end()) return;
@@ -128,8 +126,7 @@ void CacheServer::respond(const ContentRequest& request,
   if (status == 200) stats_.bytes_served += size;
   // The response stands in for the whole object: bandwidth-limited links
   // charge its full transfer size.
-  socket_->send_to(client, encode(response),
-                   static_cast<std::size_t>(size));
+  socket_->send(client, encode(response), static_cast<std::size_t>(size));
   // The ambient span here is this request's serve span (restored by the
   // parent-fetch paths); close it once the reply is on the wire.
   obs::SpanRef span = obs::ambient_span();
@@ -163,26 +160,25 @@ void CacheServer::insert(const ContentObject& object) {
   used_bytes_ += object.size_bytes;
 }
 
-OriginServer::OriginServer(simnet::Network& net, simnet::NodeId node,
-                           std::string name, ContentCatalog catalog,
+OriginServer::OriginServer(netio::Runtime& runtime, std::string name,
+                           ContentCatalog catalog,
                            simnet::LatencyModel service_time,
-                           simnet::Ipv4Address addr)
-    : net_(net), name_(std::move(name)), catalog_(std::move(catalog)),
+                           std::uint16_t port, simnet::Ipv4Address addr)
+    : rt_(runtime), name_(std::move(name)), catalog_(std::move(catalog)),
       service_time_(std::move(service_time)),
-      rng_(0xca62c1d6 ^ (static_cast<std::uint64_t>(node) << 13)) {
-  socket_ = net_.open_socket(
-      node, kContentPort,
-      [this](const simnet::Packet& packet) { on_packet(packet); }, addr);
+      rng_(0xca62c1d6 ^ (runtime.rng_stream() << 13)) {
+  socket_ = rt_.open_socket(
+      port, [this](const simnet::Packet& packet) { on_packet(packet); }, addr);
 }
 
-OriginServer::~OriginServer() { net_.close_socket(socket_); }
+OriginServer::~OriginServer() { rt_.close_socket(socket_); }
 
 void OriginServer::on_packet(const simnet::Packet& packet) {
   auto request = decode_request(packet.payload);
   if (!request.ok()) return;
   ++requests_;
   const simnet::SimTime service = service_time_.sample(rng_);
-  net_.simulator().schedule_after(
+  rt_.schedule_after(
       service, [this, request = std::move(request.value()),
                 client = packet.src] {
         const auto object = catalog_.find(request.url);
@@ -195,35 +191,33 @@ void OriginServer::on_packet(const simnet::Packet& packet) {
         } else {
           response.status = 404;
         }
-        socket_->send_to(client, encode(response),
-                         static_cast<std::size_t>(response.size_bytes));
+        socket_->send(client, encode(response),
+                      static_cast<std::size_t>(response.size_bytes));
       });
 }
 
-ContentClient::ContentClient(simnet::Network& net, simnet::NodeId node)
-    : net_(net) {
-  socket_ = net_.open_socket(node, 0, [this](const simnet::Packet& packet) {
+ContentClient::ContentClient(netio::Runtime& runtime) : rt_(runtime) {
+  socket_ = rt_.open_socket(0, [this](const simnet::Packet& packet) {
     on_packet(packet);
   });
 }
 
 ContentClient::~ContentClient() {
   *alive_ = false;
-  net_.close_socket(socket_);
+  rt_.close_socket(socket_);
 }
 
 void ContentClient::get(const simnet::Endpoint& server, const Url& url,
                         Callback callback, simnet::SimTime timeout) {
   const std::uint64_t id = next_id_++;
   const std::uint64_t generation = next_generation_++;
-  Pending pending{std::move(callback), net_.now(), generation,
+  Pending pending{std::move(callback), rt_.now(), generation,
                   obs::begin_span("content", "get " + url.to_string()),
                   simnet::current_trace_token()};
   obs::AmbientSpanGuard ambient(pending.span);
   pending_.emplace(id, std::move(pending));
-  socket_->send_to(server, encode(ContentRequest{id, url}));
-  net_.simulator().schedule_after(timeout, [this, alive = alive_, id,
-                                            generation] {
+  socket_->send(server, encode(ContentRequest{id, url}));
+  rt_.schedule_after(timeout, [this, alive = alive_, id, generation] {
     if (!*alive) return;
     const auto it = pending_.find(id);
     if (it == pending_.end() || it->second.generation != generation) return;
@@ -233,7 +227,7 @@ void ContentClient::get(const simnet::Endpoint& server, const Url& url,
     pending.span.end();
     simnet::TraceTokenGuard context(pending.caller);
     pending.callback(util::Err("content fetch timed out"),
-                     net_.now() - pending.sent);
+                     rt_.now() - pending.sent);
   });
 }
 
@@ -249,7 +243,7 @@ void ContentClient::on_packet(const simnet::Packet& packet) {
                    response.value().served_from_cache ? "true" : "false");
   pending.span.end();
   simnet::TraceTokenGuard context(pending.caller);
-  pending.callback(std::move(response), net_.now() - pending.sent);
+  pending.callback(std::move(response), rt_.now() - pending.sent);
 }
 
 }  // namespace mecdns::cdn

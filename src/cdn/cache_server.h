@@ -12,10 +12,10 @@
 #include <string>
 
 #include "cdn/content.h"
+#include "netio/runtime.h"
 #include "obs/trace.h"
 #include "simnet/context.h"
 #include "simnet/latency.h"
-#include "simnet/network.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
 
@@ -50,8 +50,10 @@ class CacheServer {
     simnet::SimTime parent_timeout = simnet::SimTime::millis(2000);
   };
 
-  CacheServer(simnet::Network& net, simnet::NodeId node, std::string name,
-              Config config, simnet::Ipv4Address addr = simnet::Ipv4Address());
+  /// Serves `port` (0 = ephemeral) at `addr` on `runtime`.
+  CacheServer(netio::Runtime& runtime, std::string name, Config config,
+              std::uint16_t port = kContentPort,
+              simnet::Ipv4Address addr = simnet::Ipv4Address());
   ~CacheServer();
   CacheServer(const CacheServer&) = delete;
   CacheServer& operator=(const CacheServer&) = delete;
@@ -87,11 +89,11 @@ class CacheServer {
   void touch(const Url& url);
   void insert(const ContentObject& object);
 
-  simnet::Network& net_;
+  netio::Runtime& rt_;
   std::string name_;
   Config config_;
-  simnet::UdpSocket* socket_;
-  simnet::UdpSocket* parent_socket_;
+  netio::DatagramSocket* socket_;
+  netio::DatagramSocket* parent_socket_;
   util::Rng rng_;
   /// Disarms scheduled service/timeout events after destruction.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
@@ -127,10 +129,11 @@ class CacheServer {
 /// Origin server: owns a catalog, never misses (the content's home).
 class OriginServer {
  public:
-  OriginServer(simnet::Network& net, simnet::NodeId node, std::string name,
+  OriginServer(netio::Runtime& runtime, std::string name,
                ContentCatalog catalog,
                simnet::LatencyModel service_time =
                    simnet::LatencyModel::constant(simnet::SimTime::millis(2)),
+               std::uint16_t port = kContentPort,
                simnet::Ipv4Address addr = simnet::Ipv4Address());
   ~OriginServer();
   OriginServer(const OriginServer&) = delete;
@@ -143,11 +146,11 @@ class OriginServer {
  private:
   void on_packet(const simnet::Packet& packet);
 
-  simnet::Network& net_;
+  netio::Runtime& rt_;
   std::string name_;
   ContentCatalog catalog_;
   simnet::LatencyModel service_time_;
-  simnet::UdpSocket* socket_;
+  netio::DatagramSocket* socket_;
   util::Rng rng_;
   std::uint64_t requests_ = 0;
 };
@@ -158,7 +161,7 @@ class ContentClient {
   using Callback = std::function<void(util::Result<ContentResponse>,
                                       simnet::SimTime latency)>;
 
-  ContentClient(simnet::Network& net, simnet::NodeId node);
+  explicit ContentClient(netio::Runtime& runtime);
   ~ContentClient();
   ContentClient(const ContentClient&) = delete;
   ContentClient& operator=(const ContentClient&) = delete;
@@ -169,8 +172,8 @@ class ContentClient {
  private:
   void on_packet(const simnet::Packet& packet);
 
-  simnet::Network& net_;
-  simnet::UdpSocket* socket_;
+  netio::Runtime& rt_;
+  netio::DatagramSocket* socket_;
   /// Disarms scheduled timeout events once this client is destroyed.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   struct Pending {

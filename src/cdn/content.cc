@@ -43,7 +43,7 @@ void ContentCatalog::add_series(const dns::DnsName& host,
                                 const std::string& prefix, std::size_t count,
                                 std::uint64_t size_bytes) {
   for (std::size_t i = 0; i < count; ++i) {
-    char buf[16];
+    char buf[24];  // any size_t in decimal
     std::snprintf(buf, sizeof(buf), "%04zu", i);
     Url url;
     url.host = host;

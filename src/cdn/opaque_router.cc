@@ -4,13 +4,12 @@
 
 namespace mecdns::cdn {
 
-OpaqueCdnRouter::OpaqueCdnRouter(simnet::Network& net, simnet::NodeId node,
-                                 std::string name,
+OpaqueCdnRouter::OpaqueCdnRouter(netio::Runtime& runtime, std::string name,
                                  simnet::LatencyModel processing_delay,
                                  dns::DnsName domain, std::uint64_t seed,
                                  simnet::Ipv4Address addr)
-    : dns::DnsServer(net, node, std::move(name), std::move(processing_delay),
-                     addr),
+    : dns::DnsServer(runtime, std::move(name), std::move(processing_delay),
+                     dns::kDnsPort, addr),
       domain_(std::move(domain)), rng_(seed) {}
 
 std::size_t OpaqueCdnRouter::add_pool(std::string provider,

@@ -29,7 +29,7 @@ class OpaqueCdnRouter : public dns::DnsServer {
     simnet::Cidr range;    ///< e.g. 23.55.124.0/24
   };
 
-  OpaqueCdnRouter(simnet::Network& net, simnet::NodeId node, std::string name,
+  OpaqueCdnRouter(netio::Runtime& runtime, std::string name,
                   simnet::LatencyModel processing_delay, dns::DnsName domain,
                   std::uint64_t seed,
                   simnet::Ipv4Address addr = simnet::Ipv4Address());

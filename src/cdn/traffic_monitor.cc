@@ -4,10 +4,10 @@
 
 namespace mecdns::cdn {
 
-TrafficMonitor::TrafficMonitor(simnet::Network& net, simnet::NodeId node,
-                               TrafficRouter& router, Config config)
-    : net_(net), router_(router), config_(config) {
-  client_ = std::make_unique<ContentClient>(net, node);
+TrafficMonitor::TrafficMonitor(netio::Runtime& runtime, TrafficRouter& router,
+                               Config config)
+    : rt_(runtime), router_(router), config_(config) {
+  client_ = std::make_unique<ContentClient>(runtime);
 }
 
 void TrafficMonitor::watch(const std::string& group,
@@ -41,11 +41,10 @@ void TrafficMonitor::probe_all() {
         },
         config_.probe_timeout);
   }
-  net_.simulator().schedule_after(config_.probe_interval,
-                                  [this, alive = alive_] {
-                                    if (!*alive) return;
-                                    probe_all();
-                                  });
+  rt_.schedule_after(config_.probe_interval, [this, alive = alive_] {
+    if (!*alive) return;
+    probe_all();
+  });
 }
 
 void TrafficMonitor::on_result(std::size_t index, bool success) {
@@ -57,7 +56,7 @@ void TrafficMonitor::on_result(std::size_t index, bool success) {
       cache.successes = 0;
       ++transitions_;
       if (journal_ != nullptr) {
-        journal_->record(net_.now(), obs::JournalKind::kCacheReadmit,
+        journal_->record(rt_.now(), obs::JournalKind::kCacheReadmit,
                          journal_cell_, cache.name.c_str());
       }
       MECDNS_LOG(kInfo, "monitor") << cache.name << " is healthy again";
@@ -70,7 +69,7 @@ void TrafficMonitor::on_result(std::size_t index, bool success) {
       cache.failures = 0;
       ++transitions_;
       if (journal_ != nullptr) {
-        journal_->record(net_.now(), obs::JournalKind::kCacheDrain,
+        journal_->record(rt_.now(), obs::JournalKind::kCacheDrain,
                          journal_cell_, cache.name.c_str(),
                          static_cast<std::uint64_t>(config_.down_threshold));
       }

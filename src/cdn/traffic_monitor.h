@@ -34,9 +34,9 @@ class TrafficMonitor {
     std::size_t rounds = 0;
   };
 
-  /// Probes run from `node`; health transitions are pushed to `router`.
-  TrafficMonitor(simnet::Network& net, simnet::NodeId node,
-                 TrafficRouter& router, Config config);
+  /// Probes run on `runtime`; health transitions are pushed to `router`.
+  TrafficMonitor(netio::Runtime& runtime, TrafficRouter& router,
+                 Config config);
 
   /// Registers a cache to watch. `probe_url` should be cheap and always
   /// present (a health object warmed on every cache).
@@ -88,7 +88,7 @@ class TrafficMonitor {
   void probe_all();
   void on_result(std::size_t index, bool success);
 
-  simnet::Network& net_;
+  netio::Runtime& rt_;
   TrafficRouter& router_;
   Config config_;
   std::unique_ptr<ContentClient> client_;

@@ -8,12 +8,12 @@
 
 namespace mecdns::cdn {
 
-TrafficRouter::TrafficRouter(simnet::Network& net, simnet::NodeId node,
-                             std::string name,
+TrafficRouter::TrafficRouter(netio::Runtime& runtime, std::string name,
                              simnet::LatencyModel processing_delay,
-                             Config config, simnet::Ipv4Address addr)
-    : dns::DnsServer(net, node, std::move(name), std::move(processing_delay),
-                     addr),
+                             Config config, std::uint16_t port,
+                             simnet::Ipv4Address addr)
+    : dns::DnsServer(runtime, std::move(name), std::move(processing_delay),
+                     port, addr),
       config_(std::move(config)) {}
 
 void TrafficRouter::add_cache_group(const std::string& group) {

@@ -78,8 +78,9 @@ class TrafficRouter : public dns::DnsServer {
     simnet::SimTime capacity_window = simnet::SimTime::seconds(1);
   };
 
-  TrafficRouter(simnet::Network& net, simnet::NodeId node, std::string name,
+  TrafficRouter(netio::Runtime& runtime, std::string name,
                 simnet::LatencyModel processing_delay, Config config,
+                std::uint16_t port = dns::kDnsPort,
                 simnet::Ipv4Address addr = simnet::Ipv4Address());
 
   // --- topology management (what Traffic Ops feeds the router) -----------

@@ -93,7 +93,7 @@ void Fig5Testbed::build() {
   const auto origin_addr = Ipv4Address::must_parse("198.51.100.10");
   const simnet::NodeId origin_node = net_->add_node("cloud-origin", origin_addr);
   net_->add_link(origin_node, backbone_, ran::wan_link(25.0));
-  origin_ = std::make_unique<cdn::OriginServer>(*net_, origin_node,
+  origin_ = std::make_unique<cdn::OriginServer>(net_->runtime(origin_node),
                                                 "cloud-origin", catalog);
 
   cloud_cache_addr_ = Ipv4Address::must_parse("198.51.100.20");
@@ -103,7 +103,8 @@ void Fig5Testbed::build() {
   cdn::CacheServer::Config ccc;
   ccc.parent = simnet::Endpoint{origin_addr, cdn::kContentPort};
   cloud_cache_ = std::make_unique<cdn::CacheServer>(
-      *net_, cloud_cache_node, "cloud-cache", ccc, cloud_cache_addr_);
+      net_->runtime(cloud_cache_node), "cloud-cache", ccc, cdn::kContentPort,
+      cloud_cache_addr_);
   for (const auto& [url, object] : catalog.objects()) {
     cloud_cache_->warm(object);
   }
@@ -124,8 +125,8 @@ void Fig5Testbed::build() {
     wc.answer_ttl = config_.answer_ttl;
     wc.use_ecs = config_.enable_ecs;
     wan_cdns_ = std::make_unique<cdn::TrafficRouter>(
-        *net_, wan_cdns_node, "wan-cdns", server_processing(2.6),
-        std::move(wc), wan_cdns_addr);
+        net_->runtime(wan_cdns_node), "wan-cdns", server_processing(2.6),
+        std::move(wc), dns::kDnsPort, wan_cdns_addr);
   }
   hierarchy_->delegate_to(cdn_domain,
                           dns::DnsName::must_parse("ns1.mycdn.ciab.test"),
@@ -180,8 +181,8 @@ void Fig5Testbed::build() {
     lc.answer_ttl = config_.answer_ttl;
     lc.use_ecs = config_.enable_ecs;
     lan_cdns_ = std::make_unique<cdn::TrafficRouter>(
-        *net_, lan_cdns_node, "lan-cdns", server_processing(2.6),
-        std::move(lc), lan_cdns_addr);
+        net_->runtime(lan_cdns_node), "lan-cdns", server_processing(2.6),
+        std::move(lc), dns::kDnsPort, lan_cdns_addr);
     lan_cdns_->coverage().set_default_group(kEdgeGroup);
   }
 
@@ -229,7 +230,8 @@ void Fig5Testbed::build() {
     pgw_provider_link_ = net_->add_link(ran_->pgw(), node,
                                         ran::wan_link(config_.provider_ldns_ms));
     provider_ldns_ = std::make_unique<dns::RecursiveResolver>(
-        *net_, node, "provider-ldns", server_processing(0.8), rcfg, addr);
+        net_->runtime(node), "provider-ldns", server_processing(0.8), rcfg,
+        addr);
   }
   if (config_.provider_fallback) {
     // A regular web CDN domain, reachable only via the provider path —
@@ -253,8 +255,8 @@ void Fig5Testbed::build() {
     mc.cdn_domain = dns::DnsName::must_parse("cdn-parent.test");
     mc.answer_ttl = 0;
     mid_cdns_ = std::make_unique<cdn::TrafficRouter>(
-        *net_, mid_node, "mid-cdns", server_processing(2.6), std::move(mc),
-        mid_addr);
+        net_->runtime(mid_node), "mid-cdns", server_processing(2.6),
+        std::move(mc), dns::kDnsPort, mid_addr);
     mid_cdns_->add_cache(kCloudGroup, cdn::CacheInfo{
         "cloud-cache", cloud_cache_addr_, true});
     mid_cdns_->coverage().set_default_group(kCloudGroup);
@@ -290,7 +292,8 @@ void Fig5Testbed::build() {
       pgw_provider_link_ = net_->add_link(
           ran_->pgw(), node, ran::wan_link(config_.provider_ldns_ms));
       provider_ldns_ = std::make_unique<dns::RecursiveResolver>(
-          *net_, node, "provider-ldns", server_processing(0.8), rcfg, addr);
+          net_->runtime(node), "provider-ldns", server_processing(0.8), rcfg,
+          addr);
       break;
     }
     case Fig5Deployment::kGoogleDns: {
@@ -300,7 +303,8 @@ void Fig5Testbed::build() {
       const simnet::NodeId node = net_->add_node("google-dns", addr);
       net_->add_link(backbone_, node, ran::wan_link(config_.google_ms));
       public_resolver_ = std::make_unique<dns::RecursiveResolver>(
-          *net_, node, "google-dns", server_processing(0.8), rcfg, addr);
+          net_->runtime(node), "google-dns", server_processing(0.8), rcfg,
+          addr);
       break;
     }
     case Fig5Deployment::kCloudflareDns: {
@@ -310,7 +314,8 @@ void Fig5Testbed::build() {
       const simnet::NodeId node = net_->add_node("cloudflare-dns", addr);
       net_->add_link(backbone_, node, ran::wan_link(config_.cloudflare_ms));
       public_resolver_ = std::make_unique<dns::RecursiveResolver>(
-          *net_, node, "cloudflare-dns", server_processing(0.8), rcfg, addr);
+          net_->runtime(node), "cloudflare-dns", server_processing(0.8), rcfg,
+          addr);
       break;
     }
     default:
@@ -339,7 +344,7 @@ void Fig5Testbed::build() {
 }
 
 simnet::NodeId Fig5Testbed::mec_ldns_node() const {
-  return const_cast<MecCdnSite&>(*site_).ldns().node();
+  return site_->ldns_node();
 }
 
 cdn::TrafficRouter& Fig5Testbed::active_router() {

@@ -22,9 +22,9 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
   mec::MecCluster& cluster = orchestrator_->cluster();
 
   // --- CoreDNS (MEC L-DNS) -------------------------------------------------
-  const simnet::NodeId infra = cluster.add_worker("infra");
+  ldns_node_ = cluster.add_worker("infra");
   const mec::Deployment coredns = orchestrator_->deploy(
-      "kube-dns", "kube-system", infra, kCoreDnsServiceHost);
+      "kube-dns", "kube-system", ldns_node_, kCoreDnsServiceHost);
   ldns_ip_ = coredns.cluster_ip;
 
   // --- C-DNS (Traffic Router) ----------------------------------------------
@@ -45,8 +45,8 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
     rc.cache_capacity_per_window = config_.cache_selection_capacity;
     rc.capacity_window = config_.cache_selection_window;
     router_ = std::make_unique<cdn::TrafficRouter>(
-        net_, router_node, "mec-cdns", config_.cdns_processing, std::move(rc),
-        cdns_ip_);
+        net_.runtime(router_node), "mec-cdns", config_.cdns_processing,
+        std::move(rc), dns::kDnsPort, cdns_ip_);
     router_->add_cache_group(kEdgeGroup);
     // The edge router's scope is only this site: everything it is asked
     // about resolves to the MEC cache group.
@@ -67,7 +67,8 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
     cc.capacity_bytes = config_.cache_capacity_bytes;
     cc.parent = config_.origin;
     caches_.push_back(std::make_unique<cdn::CacheServer>(
-        net_, worker, cache_name, std::move(cc), dep.cluster_ip));
+        net_.runtime(worker), cache_name, std::move(cc), cdn::kContentPort,
+        dep.cluster_ip));
     cache_active_.push_back(true);
     if (router_ != nullptr) {
       router_->add_cache(kEdgeGroup,
@@ -77,7 +78,8 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
 
   // --- split-namespace L-DNS -------------------------------------------------
   ldns_ = std::make_unique<dns::PluginChainServer>(
-      net_, infra, "mec-coredns", config_.ldns_processing, ldns_ip_);
+      net_.runtime(ldns_node_), "mec-coredns", config_.ldns_processing,
+      dns::kDnsPort, ldns_ip_);
   if (config_.ldns_workers > 0) {
     ldns_->set_service_capacity(config_.ldns_workers, config_.ldns_max_queue);
   }
@@ -192,7 +194,8 @@ cdn::CacheServer* MecCdnSite::add_edge_cache() {
   cc.capacity_bytes = config_.cache_capacity_bytes;
   cc.parent = config_.origin;
   caches_.push_back(std::make_unique<cdn::CacheServer>(
-      net_, worker, cache_name, std::move(cc), dep.cluster_ip));
+      net_.runtime(worker), cache_name, std::move(cc), cdn::kContentPort,
+      dep.cluster_ip));
   cache_active_.push_back(true);
   cdn::CacheServer* cache = caches_.back().get();
   for (const auto& catalog : warmed_catalogs_) {

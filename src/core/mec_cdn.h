@@ -130,6 +130,8 @@ class MecCdnSite {
   // --- component access ----------------------------------------------------
   mec::Orchestrator& orchestrator() { return *orchestrator_; }
   dns::PluginChainServer& ldns() { return *ldns_; }
+  /// The cluster worker the L-DNS runs on.
+  simnet::NodeId ldns_node() const { return ldns_node_; }
   /// Null when Config::external_cdns is set.
   cdn::TrafficRouter* router() { return router_.get(); }
   std::vector<cdn::CacheServer*> caches();
@@ -177,6 +179,7 @@ class MecCdnSite {
   std::shared_ptr<dns::DnsCache> public_cache_;
   mec::OverloadGuardPlugin* guard_ = nullptr;
   dns::ForwardPlugin* cdn_forward_ = nullptr;
+  simnet::NodeId ldns_node_ = simnet::kInvalidNode;
   simnet::Ipv4Address ldns_ip_;
   simnet::Ipv4Address cdns_ip_;
 };

@@ -96,7 +96,7 @@ void MobilityTestbed::build() {
   const auto origin_addr = Ipv4Address::must_parse("198.51.100.10");
   const simnet::NodeId origin_node = net_->add_node("cloud-origin", origin_addr);
   net_->add_link(origin_node, backbone_, ran::wan_link(25.0));
-  origin_ = std::make_unique<cdn::OriginServer>(*net_, origin_node,
+  origin_ = std::make_unique<cdn::OriginServer>(net_->runtime(origin_node),
                                                 "cloud-origin", catalog);
 
   const auto cloud_cache_addr = Ipv4Address::must_parse("198.51.100.20");
@@ -106,7 +106,8 @@ void MobilityTestbed::build() {
   cdn::CacheServer::Config ccc;
   ccc.parent = simnet::Endpoint{origin_addr, cdn::kContentPort};
   cloud_cache_ = std::make_unique<cdn::CacheServer>(
-      *net_, cloud_cache_node, "cloud-cache", ccc, cloud_cache_addr);
+      net_->runtime(cloud_cache_node), "cloud-cache", ccc, cdn::kContentPort,
+      cloud_cache_addr);
   for (const auto& [url, object] : catalog.objects()) {
     cloud_cache_->warm(object);
   }
@@ -126,7 +127,8 @@ void MobilityTestbed::build() {
     wc.cdn_domain = cdn_domain;
     wc.answer_ttl = 0;
     wan_cdns_ = std::make_unique<cdn::TrafficRouter>(
-        *net_, node, "wan-cdns", server_processing(2.6), std::move(wc), addr);
+        net_->runtime(node), "wan-cdns", server_processing(2.6), std::move(wc),
+        dns::kDnsPort, addr);
     wan_cdns_->add_cache(kCloudGroup,
                          cdn::CacheInfo{"cloud-cache", cloud_cache_addr, true});
     wan_cdns_->coverage().set_default_group(kCloudGroup);
@@ -148,7 +150,8 @@ void MobilityTestbed::build() {
     mc.cdn_domain = parent_domain;
     mc.answer_ttl = 0;
     mid_cdns_ = std::make_unique<cdn::TrafficRouter>(
-        *net_, node, "mid-cdns", server_processing(2.6), std::move(mc), addr);
+        net_->runtime(node), "mid-cdns", server_processing(2.6), std::move(mc),
+        dns::kDnsPort, addr);
     mid_cdns_->add_cache(kCloudGroup,
                          cdn::CacheInfo{"cloud-cache", cloud_cache_addr, true});
     mid_cdns_->coverage().set_default_group(kCloudGroup);
@@ -173,7 +176,8 @@ void MobilityTestbed::build() {
     dns::RecursiveResolver::Config rcfg;
     rcfg.root_servers = hierarchy_->root_hints();
     provider_ldns_ = std::make_unique<dns::RecursiveResolver>(
-        *net_, node, "provider-ldns", server_processing(0.8), rcfg, ep.addr);
+        net_->runtime(node), "provider-ldns", server_processing(0.8), rcfg,
+        ep.addr);
   }
 
   for (auto& site : sites_) {

@@ -54,8 +54,8 @@ void MeasurementStudy::build() {
     net_->add_link(node, backbone_, ran::wan_link(profile.cdns_wan_ms));
 
     auto router = std::make_unique<cdn::OpaqueCdnRouter>(
-        *net_, node, "cdns-" + profile.website, resolver_processing(1.2),
-        dns::DnsName::must_parse(profile.cdn_domain),
+        net_->runtime(node), "cdns-" + profile.website,
+        resolver_processing(1.2), dns::DnsName::must_parse(profile.cdn_domain),
         config_.seed * 131 + i, addr);
     router->set_answer_ttl(0);  // per-query routing, like the measured CDNs
     for (const auto& pool : profile.pools) {
@@ -95,7 +95,7 @@ void MeasurementStudy::build() {
     net_->add_link(gw, ldns_node,
                    LatencyModel::constant(SimTime::micros(200)));
     campus_ldns_ = std::make_unique<dns::RecursiveResolver>(
-        *net_, ldns_node, "campus-ldns", resolver_processing(0.8), rcfg,
+        net_->runtime(ldns_node), "campus-ldns", resolver_processing(0.8), rcfg,
         campus_ldns_addr);
 
     const simnet::NodeId client =
@@ -103,7 +103,8 @@ void MeasurementStudy::build() {
     const ran::AccessProfile access = ran::wired_campus();
     net_->add_link(client, gw, access.uplink, access.downlink);
     campus_client_ = std::make_unique<dns::StubResolver>(
-        *net_, client, simnet::Endpoint{campus_ldns_addr, dns::kDnsPort});
+        net_->runtime(client),
+        simnet::Endpoint{campus_ldns_addr, dns::kDnsPort});
   }
 
   // --- home Wi-Fi --------------------------------------------------------------
@@ -118,7 +119,7 @@ void MeasurementStudy::build() {
     net_->add_link(isp_gw, ldns_node,
                    LatencyModel::constant(SimTime::micros(300)));
     isp_ldns_ = std::make_unique<dns::RecursiveResolver>(
-        *net_, ldns_node, "isp-ldns", resolver_processing(1.0), rcfg,
+        net_->runtime(ldns_node), "isp-ldns", resolver_processing(1.0), rcfg,
         isp_ldns_addr);
 
     const simnet::NodeId client =
@@ -126,7 +127,7 @@ void MeasurementStudy::build() {
     const ran::AccessProfile access = ran::wifi_home();
     net_->add_link(client, home_router, access.uplink, access.downlink);
     home_client_ = std::make_unique<dns::StubResolver>(
-        *net_, client, simnet::Endpoint{isp_ldns_addr, dns::kDnsPort});
+        net_->runtime(client), simnet::Endpoint{isp_ldns_addr, dns::kDnsPort});
   }
 
   // --- cellular hotspot ---------------------------------------------------------
@@ -146,8 +147,8 @@ void MeasurementStudy::build() {
     // Cellular L-DNS sits deep behind the core — the paper's observation 1.
     net_->add_link(ran_->pgw(), ldns_node, ran::wan_link(9.0));
     carrier_ldns_ = std::make_unique<dns::RecursiveResolver>(
-        *net_, ldns_node, "carrier-ldns", resolver_processing(2.0), rcfg,
-        carrier_ldns_addr);
+        net_->runtime(ldns_node), "carrier-ldns", resolver_processing(2.0),
+        rcfg, carrier_ldns_addr);
 
     mobile_ue_ = std::make_unique<ran::UserEquipment>(
         *net_, *ran_, "hotspot-ue", Ipv4Address::must_parse("10.45.0.2"),

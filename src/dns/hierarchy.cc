@@ -18,7 +18,7 @@ PublicDnsHierarchy::PublicDnsHierarchy(simnet::Network& net,
     : net_(net), backbone_(backbone), processing_(server_processing) {
   const simnet::NodeId node = net_.add_node("dns-root", root_addr);
   net_.add_link(backbone_, node, std::move(root_link));
-  root_ = std::make_unique<AuthoritativeServer>(net_, node, "dns-root",
+  root_ = std::make_unique<AuthoritativeServer>(net_.runtime(node), "dns-root",
                                                 processing_);
   Zone& zone = root_->add_zone(DnsName::root());
   zone.must_add(make_soa(DnsName::root(),
@@ -35,7 +35,7 @@ void PublicDnsHierarchy::ensure_tld(const std::string& tld,
 
   const simnet::NodeId node = net_.add_node("dns-tld-" + tld, addr);
   net_.add_link(backbone_, node, std::move(link));
-  auto server = std::make_unique<AuthoritativeServer>(net_, node,
+  auto server = std::make_unique<AuthoritativeServer>(net_.runtime(node),
                                                       "dns-tld-" + tld,
                                                       processing_);
   Zone& zone = server->add_zone(origin);
@@ -69,7 +69,7 @@ AuthoritativeServer& PublicDnsHierarchy::add_authoritative(
       net_.add_node("dns-auth-" + zone_origin.to_string(), addr);
   net_.add_link(backbone_, node, std::move(link));
   auto server = std::make_unique<AuthoritativeServer>(
-      net_, node, "dns-auth-" + zone_origin.to_string(), processing_);
+      net_.runtime(node), "dns-auth-" + zone_origin.to_string(), processing_);
   Zone& zone = server->add_zone(zone_origin);
   zone.must_add(make_soa(zone_origin, ns_name, 1, 300, 3600));
   zone.must_add(make_ns(zone_origin, ns_name, kInfraTtl));

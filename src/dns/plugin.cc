@@ -312,22 +312,13 @@ void PluginChain::run_from(std::size_t index, const PluginContext& ctx,
 
 // --- PluginChainServer -------------------------------------------------------
 
-PluginChainServer::PluginChainServer(simnet::Network& net,
-                                     simnet::NodeId node, std::string name,
-                                     simnet::LatencyModel processing_delay,
-                                     simnet::Ipv4Address addr)
-    : DnsServer(net, node, std::move(name), std::move(processing_delay),
-                addr) {
-  transport_ = std::make_unique<DnsTransport>(net, node);
-}
-
 PluginChainServer::PluginChainServer(netio::Runtime& runtime, std::string name,
                                      simnet::LatencyModel processing_delay,
-                                     std::uint16_t port, std::uint64_t seed,
+                                     std::uint16_t port,
                                      simnet::Ipv4Address addr)
     : DnsServer(runtime, std::move(name), std::move(processing_delay), port,
-                seed, addr) {
-  transport_ = std::make_unique<DnsTransport>(runtime, seed);
+                addr) {
+  transport_ = std::make_unique<DnsTransport>(runtime);
 }
 
 PluginChain& PluginChainServer::add_view(

@@ -261,15 +261,11 @@ class PluginChain {
 /// split-namespace mechanism of §3 P1.
 class PluginChainServer : public DnsServer {
  public:
-  PluginChainServer(simnet::Network& net, simnet::NodeId node,
-                    std::string name, simnet::LatencyModel processing_delay,
-                    simnet::Ipv4Address addr = simnet::Ipv4Address());
-
-  /// Live-wire constructor: the same split-horizon MEC L-DNS, served from
-  /// a real UDP port (with its forward transport on the same runtime).
+  /// The forward plugins' transport shares `runtime`, so the MEC L-DNS
+  /// runs the same on a simulated node and on a live UDP port.
   PluginChainServer(netio::Runtime& runtime, std::string name,
                     simnet::LatencyModel processing_delay,
-                    std::uint16_t port = kDnsPort, std::uint64_t seed = 1,
+                    std::uint16_t port = kDnsPort,
                     simnet::Ipv4Address addr = simnet::Ipv4Address());
 
   /// Adds a view matching clients whose source address is inside any of

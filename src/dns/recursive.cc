@@ -6,13 +6,14 @@
 
 namespace mecdns::dns {
 
-RecursiveResolver::RecursiveResolver(simnet::Network& net,
-                                     simnet::NodeId node, std::string name,
+RecursiveResolver::RecursiveResolver(netio::Runtime& runtime,
+                                     std::string name,
                                      simnet::LatencyModel processing_delay,
                                      Config config, simnet::Ipv4Address addr)
-    : DnsServer(net, node, std::move(name), std::move(processing_delay), addr),
+    : DnsServer(runtime, std::move(name), std::move(processing_delay),
+                kDnsPort, addr),
       config_(std::move(config)), cache_(config_.cache_entries) {
-  transport_ = std::make_unique<DnsTransport>(net, node);
+  transport_ = std::make_unique<DnsTransport>(runtime);
 }
 
 std::optional<ClientSubnet> RecursiveResolver::make_ecs(

@@ -39,9 +39,8 @@ class RecursiveResolver : public DnsServer {
     std::uint8_t ecs_prefix = 24;  ///< synthesized SOURCE PREFIX-LENGTH
   };
 
-  RecursiveResolver(simnet::Network& net, simnet::NodeId node,
-                    std::string name, simnet::LatencyModel processing_delay,
-                    Config config,
+  RecursiveResolver(netio::Runtime& runtime, std::string name,
+                    simnet::LatencyModel processing_delay, Config config,
                     simnet::Ipv4Address addr = simnet::Ipv4Address());
 
   DnsCache& cache() { return cache_; }

@@ -48,11 +48,11 @@ std::string ResourceRecord::to_string() const {
   std::string out = name.to_string() + " " + std::to_string(ttl) + " " +
                     dns::to_string(cls) + " " + dns::to_string(type);
   if (const auto* a = std::get_if<ARecord>(&rdata)) {
-    out += " " + a->address.to_string();
+    out.append(" ").append(a->address.to_string());
   } else if (const auto* cname = std::get_if<CnameRecord>(&rdata)) {
-    out += " " + cname->target.to_string();
+    out.append(" ").append(cname->target.to_string());
   } else if (const auto* ns = std::get_if<NsRecord>(&rdata)) {
-    out += " " + ns->nameserver.to_string();
+    out.append(" ").append(ns->nameserver.to_string());
   } else if (const auto* txt = std::get_if<TxtRecord>(&rdata)) {
     for (const auto& s : txt->strings) out += " \"" + s + "\"";
   }

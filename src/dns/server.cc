@@ -2,37 +2,24 @@
 
 #include <algorithm>
 
-#include "netio/sim_runtime.h"
 #include "util/log.h"
 #include "util/perfcount.h"
 
 namespace mecdns::dns {
 
-DnsServer::DnsServer(simnet::Network& net, simnet::NodeId node,
-                     std::string name, simnet::LatencyModel processing_delay,
-                     simnet::Ipv4Address addr)
-    : owned_runtime_(std::make_unique<netio::SimRuntime>(net, node)),
-      rt_(owned_runtime_.get()), node_(node), name_(std::move(name)),
-      processing_delay_(std::move(processing_delay)),
-      rng_(0xd5a79147930aa725ULL ^ (static_cast<std::uint64_t>(node) << 17)) {
-  socket_ = rt_->open_socket(
-      kDnsPort, [this](const simnet::Packet& packet) { on_packet(packet); },
-      addr);
-}
-
 DnsServer::DnsServer(netio::Runtime& runtime, std::string name,
                      simnet::LatencyModel processing_delay, std::uint16_t port,
-                     std::uint64_t seed, simnet::Ipv4Address addr)
-    : rt_(&runtime), name_(std::move(name)),
+                     simnet::Ipv4Address addr)
+    : rt_(runtime), name_(std::move(name)),
       processing_delay_(std::move(processing_delay)),
-      rng_(0xd5a79147930aa725ULL ^ (seed << 17)) {
-  socket_ = rt_->open_socket(
+      rng_(0xd5a79147930aa725ULL ^ (runtime.rng_stream() << 17)) {
+  socket_ = rt_.open_socket(
       port, [this](const simnet::Packet& packet) { on_packet(packet); }, addr);
 }
 
 DnsServer::~DnsServer() {
   *alive_ = false;
-  rt_->close_socket(socket_);
+  rt_.close_socket(socket_);
 }
 
 void DnsServer::on_packet(const simnet::Packet& packet) {
@@ -47,7 +34,7 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
 
   QueryContext ctx;
   ctx.client = packet.src;
-  ctx.received = rt_->now();
+  ctx.received = rt_.now();
 
   // When the delivering packet carries a trace (the client's transport
   // span is ambient), open a serve span under it: one slice per query,
@@ -97,7 +84,7 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
   if (workers_ == 0) {
     // Idealized server: every query gets its own processing slot.
     obs::AmbientSpanGuard ambient(span);
-    rt_->schedule_after(
+    rt_.schedule_after(
         delay, [this, alive = alive_, query = std::move(decoded.value()), ctx,
                 respond = std::move(respond)]() mutable {
           if (!*alive) return;
@@ -140,7 +127,7 @@ void DnsServer::pump() {
     // pump() runs under whatever event freed the worker; restore the
     // queued query's own serve span before scheduling its processing.
     obs::AmbientSpanGuard ambient(work.span);
-    rt_->schedule_after(
+    rt_.schedule_after(
         delay, [this, alive = alive_, work = std::move(work)]() mutable {
           if (!*alive) return;
           // The worker is released when processing ends; any wait for
@@ -152,20 +139,13 @@ void DnsServer::pump() {
   }
 }
 
-AuthoritativeServer::AuthoritativeServer(simnet::Network& net,
-                                         simnet::NodeId node, std::string name,
-                                         simnet::LatencyModel processing_delay,
-                                         simnet::Ipv4Address addr)
-    : DnsServer(net, node, std::move(name), std::move(processing_delay),
-                addr) {}
-
 AuthoritativeServer::AuthoritativeServer(netio::Runtime& runtime,
                                          std::string name,
                                          simnet::LatencyModel processing_delay,
-                                         std::uint16_t port, std::uint64_t seed,
+                                         std::uint16_t port,
                                          simnet::Ipv4Address addr)
     : DnsServer(runtime, std::move(name), std::move(processing_delay), port,
-                seed, addr) {}
+                addr) {}
 
 Zone& AuthoritativeServer::add_zone(DnsName origin) {
   zones_.emplace_back(std::move(origin));

@@ -49,18 +49,12 @@ class DnsServer {
  public:
   using Responder = std::function<void(Message)>;
 
-  /// Binds port 53 at `addr` on `node` of the simulated network (default:
-  /// node's first address). Wraps the network in an owned SimRuntime.
-  DnsServer(simnet::Network& net, simnet::NodeId node, std::string name,
-            simnet::LatencyModel processing_delay,
-            simnet::Ipv4Address addr = simnet::Ipv4Address());
-
-  /// Binds `port` (0 = ephemeral, useful for tests) on `runtime` — the
-  /// live-wire constructor. `seed` keeps the processing-delay RNG
-  /// deterministic per server.
+  /// Binds `port` (0 = ephemeral, useful for tests) at `addr` on
+  /// `runtime`: a simulated node's (simnet::Network::runtime) or a live
+  /// epoll loop. The processing-delay RNG is seeded from the runtime.
   DnsServer(netio::Runtime& runtime, std::string name,
             simnet::LatencyModel processing_delay,
-            std::uint16_t port = kDnsPort, std::uint64_t seed = 1,
+            std::uint16_t port = kDnsPort,
             simnet::Ipv4Address addr = simnet::Ipv4Address());
 
   virtual ~DnsServer();
@@ -69,8 +63,6 @@ class DnsServer {
 
   const std::string& name() const { return name_; }
   simnet::Endpoint endpoint() const { return socket_->endpoint(); }
-  /// The simulated node (sim constructor only; kInvalidNode on live wire).
-  simnet::NodeId node() const { return node_; }
   const ServerStats& stats() const { return stats_; }
 
   /// Bounds service concurrency: at most `workers` queries are in their
@@ -102,10 +94,10 @@ class DnsServer {
 
   util::Rng& rng() { return rng_; }
   /// The server's clock (simulated or wall), for cache TTL math etc.
-  simnet::SimTime now() const { return rt_->now(); }
+  simnet::SimTime now() const { return rt_.now(); }
   /// The runtime this server is bound to, for subclasses that open their
   /// own upstream transports.
-  netio::Runtime& runtime() { return *rt_; }
+  netio::Runtime& runtime() { return rt_; }
 
  private:
   struct Work {
@@ -119,10 +111,7 @@ class DnsServer {
   void enqueue(Work work);
   void pump();
 
-  /// Owned by the sim-compat constructor (null otherwise); rt_ always set.
-  std::unique_ptr<netio::Runtime> owned_runtime_;
-  netio::Runtime* rt_;
-  simnet::NodeId node_ = simnet::kInvalidNode;
+  netio::Runtime& rt_;
   std::string name_;
   simnet::LatencyModel processing_delay_;
   netio::DatagramSocket* socket_;
@@ -143,15 +132,16 @@ class DnsServer {
 /// emits referrals at zone cuts.
 class AuthoritativeServer : public DnsServer {
  public:
-  AuthoritativeServer(simnet::Network& net, simnet::NodeId node,
-                      std::string name, simnet::LatencyModel processing_delay,
-                      simnet::Ipv4Address addr = simnet::Ipv4Address());
-
-  /// Live-wire constructor: serve zones on a real (or test) runtime port.
   AuthoritativeServer(netio::Runtime& runtime, std::string name,
                       simnet::LatencyModel processing_delay,
-                      std::uint16_t port = kDnsPort, std::uint64_t seed = 1,
+                      std::uint16_t port = kDnsPort,
                       simnet::Ipv4Address addr = simnet::Ipv4Address());
+
+  /// Sim-node shorthand; perfbench/tests.cc is its only caller.
+  AuthoritativeServer(simnet::Network& net, simnet::NodeId node,
+                      std::string name, simnet::LatencyModel processing_delay)
+      : AuthoritativeServer(net.runtime(node), std::move(name),
+                            std::move(processing_delay)) {}
 
   /// Adds a zone. Zones must not be nested within each other's origins
   /// except via explicit delegation records.

@@ -19,13 +19,6 @@ StubResult result_from_response(const Message& response, simnet::SimTime rtt,
 }
 }  // namespace
 
-StubResolver::StubResolver(simnet::Network& net, simnet::NodeId node,
-                           simnet::Endpoint server,
-                           DnsTransport::Options options)
-    : server_(server), options_(options) {
-  transport_ = std::make_unique<DnsTransport>(net, node);
-}
-
 StubResolver::StubResolver(netio::Runtime& runtime, simnet::Endpoint server,
                            DnsTransport::Options options)
     : server_(server), options_(options) {

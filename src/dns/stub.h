@@ -37,14 +37,15 @@ class StubResolver {
  public:
   using Callback = std::function<void(const StubResult&)>;
 
-  StubResolver(simnet::Network& net, simnet::NodeId node,
-               simnet::Endpoint server,
-               DnsTransport::Options options = {});
-
-  /// Live-wire constructor: what a real client process runs — the same
-  /// resolver over an EpollRuntime (or any other Runtime).
+  /// A client on `runtime`: a simulated UE's node or a real process's
+  /// EpollRuntime.
   StubResolver(netio::Runtime& runtime, simnet::Endpoint server,
                DnsTransport::Options options = {});
+
+  /// Sim-node shorthand; perfbench/tests.cc is its only caller.
+  StubResolver(simnet::Network& net, simnet::NodeId node,
+               simnet::Endpoint server)
+      : StubResolver(net.runtime(node), server) {}
 
   /// Re-targets the primary DNS server (cellular handoff / MEC attach).
   /// With retarget-in-flight enabled, transactions still pending against

@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "netio/sim_runtime.h"
 #include "util/log.h"
 #include "util/perfcount.h"
 
@@ -37,22 +36,11 @@ bool exact_equal(const DnsName& a, const DnsName& b) {
 }
 }  // namespace
 
-DnsTransport::DnsTransport(simnet::Network& net, simnet::NodeId node,
-                           std::uint64_t id_seed)
-    : owned_runtime_(std::make_unique<netio::SimRuntime>(net, node)),
-      rt_(owned_runtime_.get()),
-      rng_(0x20202020u ^ (static_cast<std::uint64_t>(node) << 24) ^ id_seed),
-      next_id_(static_cast<std::uint16_t>(id_seed * 40503u % 65535u + 1)) {
-  socket_ = rt_->open_socket(0, [this](const simnet::Packet& packet) {
-    on_packet(packet);
-  });
-}
-
 DnsTransport::DnsTransport(netio::Runtime& runtime, std::uint64_t id_seed)
-    : rt_(&runtime),
-      rng_(0x20202020u ^ (0x11feULL << 24) ^ id_seed),
+    : rt_(runtime),
+      rng_(0x20202020u ^ (runtime.rng_stream() << 24) ^ id_seed),
       next_id_(static_cast<std::uint16_t>(id_seed * 40503u % 65535u + 1)) {
-  socket_ = rt_->open_socket(0, [this](const simnet::Packet& packet) {
+  socket_ = rt_.open_socket(0, [this](const simnet::Packet& packet) {
     on_packet(packet);
   });
 }
@@ -63,8 +51,8 @@ DnsTransport::~DnsTransport() {
   // really cancelled where the runtime supports it; the alive flag disarms
   // the rest.
   *alive_ = false;
-  for (auto& [id, p] : pending_) rt_->cancel(p.timer);
-  rt_->close_socket(socket_);
+  for (auto& [id, p] : pending_) rt_.cancel(p.timer);
+  rt_.close_socket(socket_);
 }
 
 void DnsTransport::query(const simnet::Endpoint& server, Message query,
@@ -74,7 +62,7 @@ void DnsTransport::query(const simnet::Endpoint& server, Message query,
   // "callback exactly once, never re-entrantly" contract.
   if (pending_.size() >= 0xFFFF) {
     ++id_exhausted_;
-    rt_->schedule_after(
+    rt_.schedule_after(
         simnet::SimTime::zero(),
         [alive = alive_, callback = std::move(callback),
          caller = simnet::current_trace_token()]() mutable {
@@ -101,7 +89,7 @@ void DnsTransport::query(const simnet::Endpoint& server, Message query,
   pending.query = std::move(query);
   pending.options = options;
   pending.callback = std::move(callback);
-  pending.first_sent = rt_->now();
+  pending.first_sent = rt_.now();
   pending.generation = next_generation_++;
   pending.span = obs::begin_span(
       "transport",
@@ -121,7 +109,7 @@ void DnsTransport::send_attempt(std::uint16_t id) {
   // what keeps a retargeted/failed-over transaction from waking the live
   // event loop for a server it no longer talks to (sim: no-op, the
   // generation bump below already neutralizes it).
-  rt_->cancel(p.timer);
+  rt_.cancel(p.timer);
   // Saturate instead of wrapping: with max_retries near INT_MAX a busy
   // transaction could overflow `attempts` into UB; a saturated counter
   // keeps retrying (the configured budget really is that large) and keeps
@@ -209,7 +197,7 @@ std::size_t DnsTransport::retarget_pending(const simnet::Endpoint& from,
   if (!moved.empty()) {
     ++retarget_batches_;
     if (journal_ != nullptr) {
-      journal_->record(rt_->now(), obs::JournalKind::kRetarget,
+      journal_->record(rt_.now(), obs::JournalKind::kRetarget,
                        journal_cell_, to.to_string().c_str(), moved.size());
     }
   }
@@ -230,7 +218,7 @@ std::size_t DnsTransport::retarget_pending(const simnet::Endpoint& from,
 }
 
 void DnsTransport::arm_timeout(std::uint16_t id, std::uint64_t generation) {
-  pending_.at(id).timer = rt_->schedule_after(
+  pending_.at(id).timer = rt_.schedule_after(
       retry_interval(pending_.at(id)),
       [this, alive = alive_, id, generation] {
         if (!*alive) return;
@@ -256,7 +244,7 @@ void DnsTransport::arm_timeout(std::uint16_t id, std::uint64_t generation) {
         simnet::TraceTokenGuard context(p.caller);
         p.callback(util::Err("query timed out after " +
                              std::to_string(p.attempts) + " attempt(s)"),
-                   rt_->now() - p.first_sent);
+                   rt_.now() - p.first_sent);
       });
 }
 
@@ -314,14 +302,14 @@ void DnsTransport::on_packet(const simnet::Packet& packet) {
   pending_.erase(it);
   // The transaction is complete; its retry timer must not wake the live
   // event loop (no-op in sim — the erase alone makes the firing stale).
-  rt_->cancel(done.timer);
+  rt_.cancel(done.timer);
   done.span.tag("rcode", to_string(response.header.rcode));
   if (done.attempts > 1) {
     done.span.tag("attempts", std::to_string(done.attempts));
   }
   done.span.end();
   simnet::TraceTokenGuard context(done.caller);
-  done.callback(std::move(decoded), rt_->now() - done.first_sent);
+  done.callback(std::move(decoded), rt_.now() - done.first_sent);
 }
 
 }  // namespace mecdns::dns

@@ -52,7 +52,7 @@ class DnsTransport {
     /// Servers tried in order after the current one fails — exhausts its
     /// retry budget, or answers SERVFAIL (see failover_on_servfail). Each
     /// server gets the full `1 + max_retries` attempt budget.
-    std::vector<simnet::Endpoint> fallback_servers;
+    std::vector<simnet::Endpoint> fallback_servers = {};
     /// Treat a SERVFAIL response as server failure: advance to the next
     /// fallback server instead of delivering the error (only meaningful
     /// when fallback_servers is non-empty).
@@ -64,13 +64,9 @@ class DnsTransport {
   using Callback =
       std::function<void(util::Result<Message>, simnet::SimTime rtt)>;
 
-  /// Opens an ephemeral UDP socket on `node` of the simulated network
-  /// (wraps the network in an internally owned SimRuntime).
-  DnsTransport(simnet::Network& net, simnet::NodeId node,
-               std::uint64_t id_seed = 1);
-
   /// Opens an ephemeral datagram socket on `runtime` — sim or live wire,
-  /// the transaction machinery is identical.
+  /// the transaction machinery is identical. The RNG is seeded from the
+  /// runtime and `id_seed`.
   explicit DnsTransport(netio::Runtime& runtime, std::uint64_t id_seed = 1);
 
   DnsTransport(const DnsTransport&) = delete;
@@ -86,7 +82,7 @@ class DnsTransport {
 
   /// Current runtime time (simulated or wall-clock), for callers (e.g.
   /// ForwardPlugin journaling) whose callbacks only receive an RTT.
-  simnet::SimTime now() const { return rt_->now(); }
+  simnet::SimTime now() const { return rt_.now(); }
 
   std::uint64_t timeouts() const { return timeouts_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
@@ -154,11 +150,7 @@ class DnsTransport {
   /// remains; false once the list is exhausted.
   bool fail_over(std::uint16_t id);
 
-  /// Set by the (Network, NodeId) compatibility constructor, which wraps
-  /// the simulated network in a SimRuntime it owns. Null when the caller
-  /// supplied the runtime.
-  std::unique_ptr<netio::Runtime> owned_runtime_;
-  netio::Runtime* rt_;
+  netio::Runtime& rt_;
   netio::DatagramSocket* socket_;
   util::Rng rng_;
   /// Guards scheduled timeouts against running after destruction: the

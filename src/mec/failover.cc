@@ -6,21 +6,19 @@
 
 namespace mecdns::mec {
 
-LdnsFailover::LdnsFailover(simnet::Network& net, simnet::NodeId node,
-                           Config config)
-    : net_(net),
+LdnsFailover::LdnsFailover(netio::Runtime& runtime, Config config)
+    : rt_(runtime),
       config_(std::move(config)),
-      transport_(net, node, /*id_seed=*/0x1d5f) {}
+      transport_(runtime, /*id_seed=*/0x1d5f) {}
 
 LdnsFailover::~LdnsFailover() { *alive_ = false; }
 
 void LdnsFailover::start(std::size_t rounds) {
   if (rounds == 0) return;
-  net_.simulator().schedule_after(config_.probe_interval,
-                                  [this, alive = alive_, rounds] {
-                                    if (!*alive) return;
-                                    probe(rounds - 1);
-                                  });
+  rt_.schedule_after(config_.probe_interval, [this, alive = alive_, rounds] {
+    if (!*alive) return;
+    probe(rounds - 1);
+  });
 }
 
 void LdnsFailover::probe(std::size_t remaining) {
@@ -36,11 +34,11 @@ void LdnsFailover::probe(std::size_t remaining) {
                      on_result(result.ok());
                    });
   if (remaining > 0) {
-    net_.simulator().schedule_after(config_.probe_interval,
-                                    [this, alive = alive_, remaining] {
-                                      if (!*alive) return;
-                                      probe(remaining - 1);
-                                    });
+    rt_.schedule_after(config_.probe_interval,
+                       [this, alive = alive_, remaining] {
+                         if (!*alive) return;
+                         probe(remaining - 1);
+                       });
   }
 }
 
@@ -51,9 +49,9 @@ void LdnsFailover::on_result(bool alive) {
     if (!on_fallback_ && ++fail_streak_ >= config_.down_threshold) {
       on_fallback_ = true;
       fail_streak_ = 0;
-      switches_.push_back(Switch{net_.now(), true});
+      switches_.push_back(Switch{rt_.now(), true});
       if (journal_ != nullptr) {
-        journal_->record(net_.now(), obs::JournalKind::kLdnsFailover,
+        journal_->record(rt_.now(), obs::JournalKind::kLdnsFailover,
                          journal_cell_, "primary dead, using fallback",
                          probe_failures_);
       }
@@ -67,9 +65,9 @@ void LdnsFailover::on_result(bool alive) {
   if (on_fallback_ && ++ok_streak_ >= config_.up_threshold) {
     on_fallback_ = false;
     ok_streak_ = 0;
-    switches_.push_back(Switch{net_.now(), false});
+    switches_.push_back(Switch{rt_.now(), false});
     if (journal_ != nullptr) {
-      journal_->record(net_.now(), obs::JournalKind::kLdnsRestore,
+      journal_->record(rt_.now(), obs::JournalKind::kLdnsRestore,
                        journal_cell_, "primary recovered",
                        probe_failures_);
     }

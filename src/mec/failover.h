@@ -22,7 +22,7 @@
 #include "dns/message.h"
 #include "dns/transport.h"
 #include "obs/journal.h"
-#include "simnet/network.h"
+#include "netio/runtime.h"
 #include "simnet/time.h"
 
 namespace mecdns::mec {
@@ -53,8 +53,8 @@ class LdnsFailover {
   using SwitchHandler =
       std::function<void(const simnet::Endpoint& target, bool to_fallback)>;
 
-  /// Probes are sent from `node` (the orchestrator's vantage point).
-  LdnsFailover(simnet::Network& net, simnet::NodeId node, Config config);
+  /// Probes are sent from `runtime` (the orchestrator's vantage point).
+  LdnsFailover(netio::Runtime& runtime, Config config);
   ~LdnsFailover();
   LdnsFailover(const LdnsFailover&) = delete;
   LdnsFailover& operator=(const LdnsFailover&) = delete;
@@ -83,7 +83,7 @@ class LdnsFailover {
   void probe(std::size_t remaining);
   void on_result(bool alive);
 
-  simnet::Network& net_;
+  netio::Runtime& rt_;
   Config config_;
   dns::DnsTransport transport_;
   SwitchHandler on_switch_;

@@ -37,6 +37,7 @@ class EpollRuntime final : public Runtime {
       std::uint16_t port, DatagramSocket::ReceiveHandler handler,
       simnet::Ipv4Address addr = simnet::Ipv4Address()) override;
   void close_socket(DatagramSocket* socket) override;
+  std::uint64_t rng_stream() const override { return 1; }
 
   /// Runs the loop until stop() is called (checked at least every 250 ms,
   /// so a signal handler that sets a flag polled by a timer works).

@@ -8,16 +8,17 @@
 // datagrams (`open_socket` → DatagramSocket). Two implementations provide
 // them:
 //
-//   * SimRuntime (sim_runtime.h) adapts the existing discrete-event
-//     simulator + simulated Network, so every sim-mode artifact stays
-//     byte-identical to the pre-abstraction code.
+//   * simnet::SimRuntime (simnet/sim_runtime.h) adapts the discrete-event
+//     simulator + simulated Network, one per node via Network::runtime(),
+//     so every sim-mode artifact stays byte-identical to the
+//     pre-abstraction code.
 //   * EpollRuntime (epoll_runtime.h) is an epoll event loop with
 //     CLOCK_MONOTONIC wall-clock timers and real UDP sockets, turning the
 //     identical resolver/server code into a live prototype `dig` can query.
 //
 // The interface deliberately reuses simnet's value types (SimTime as a
 // nanosecond duration since the runtime's epoch, Endpoint, Packet) so
-// porting a component is a constructor change, not a rewrite.
+// one component class serves both modes.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,7 @@
 #include <span>
 
 #include "simnet/ip.h"
-#include "simnet/network.h"
+#include "simnet/packet.h"
 #include "simnet/simulator.h"
 #include "simnet/time.h"
 
@@ -89,6 +90,10 @@ class Runtime {
                                           simnet::Ipv4Address()) = 0;
 
   virtual void close_socket(DatagramSocket* socket) = 0;
+
+  /// Mixed into the RNG seed of every component built on this runtime:
+  /// a simulated node's id (each node draws its own stream), 1 live.
+  virtual std::uint64_t rng_stream() const = 0;
 };
 
 }  // namespace mecdns::netio

@@ -20,29 +20,33 @@ void DnsTap::observe(const simnet::Packet& packet, simnet::SimTime at) {
   auto decoded = dns::decode(packet.payload);
   if (!decoded.ok() || decoded.value().questions.empty()) return;
   const dns::Message& msg = decoded.value();
-  const auto key = std::make_pair(msg.header.id,
-                                  msg.question().name.to_string());
-  Crossing& crossing = crossings_[key];
+  Slot& slot = slots_[msg.header.id];
+  const bool same = slot.crossing.has_query &&
+                    slot.qname.equals_exact(msg.question().name);
   if (msg.header.qr) {
-    crossing.response_seen = at;
-    crossing.has_response = true;
     ++observed_responses_;
+    if (!same) return;  // its query was never seen, or was replaced
+    slot.crossing.response_seen = at;
+    slot.crossing.has_response = true;
+    // A truncated answer is followed by a retry on the same id.
+    slot.finished = !msg.header.tc;
   } else {
-    if (!crossing.has_query) {
-      crossing.query_seen = at;
-      crossing.has_query = true;
-    }
     ++observed_queries_;
+    if (same && !slot.finished) return;  // retransmission
+    slot.qname = msg.question().name;
+    slot.crossing = Crossing{at, simnet::SimTime::zero(), true, false};
+    slot.finished = false;
   }
 }
 
 std::optional<DnsTap::Crossing> DnsTap::crossing(
     std::uint16_t dns_id, const std::string& qname) const {
-  const auto it = crossings_.find({dns_id, qname});
-  if (it == crossings_.end()) return std::nullopt;
-  return it->second;
+  const auto it = slots_.find(dns_id);
+  if (it == slots_.end() || !it->second.crossing.has_query ||
+      it->second.qname.to_string() != qname) {
+    return std::nullopt;
+  }
+  return it->second.crossing;
 }
-
-void DnsTap::clear() { crossings_.clear(); }
 
 }  // namespace mecdns::ran

@@ -10,11 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
-#include "dns/wire.h"
+#include "dns/name.h"
 #include "simnet/network.h"
 
 namespace mecdns::ran {
@@ -36,20 +37,29 @@ class DnsTap {
   /// Installs a tap on `node` (typically the P-GW).
   DnsTap(simnet::Network& net, simnet::NodeId node, Filter filter = nullptr);
 
-  /// Crossing times for the transaction (id, qname), if observed.
+  /// Crossing times for the transaction (id, qname), if it is the latest
+  /// one observed on that id.
   std::optional<Crossing> crossing(std::uint16_t dns_id,
                                    const std::string& qname) const;
 
   std::uint64_t observed_queries() const { return observed_queries_; }
   std::uint64_t observed_responses() const { return observed_responses_; }
 
-  void clear();
-
  private:
+  /// The latest transaction seen on one 16-bit id. A query for another
+  /// name, or one after the final (untruncated) response, starts a new
+  /// transaction in the slot; a retransmission keeps the first-seen time.
+  struct Slot {
+    dns::DnsName qname;
+    Crossing crossing;
+    bool finished = false;
+  };
+
   void observe(const simnet::Packet& packet, simnet::SimTime at);
 
   Filter filter_;
-  std::map<std::pair<std::uint16_t, std::string>, Crossing> crossings_;
+  /// One slot per transaction id seen, so at most 65536.
+  std::unordered_map<std::uint16_t, Slot> slots_;
   std::uint64_t observed_queries_ = 0;
   std::uint64_t observed_responses_ = 0;
 };

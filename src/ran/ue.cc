@@ -8,9 +8,9 @@ UserEquipment::UserEquipment(simnet::Network& net, RanSegment& segment,
                              dns::DnsTransport::Options dns_options)
     : net_(net), name_(std::move(name)), addr_(addr) {
   node_ = segment.attach_ue(name_, addr);
-  resolver_ = std::make_unique<dns::StubResolver>(net_, node_, dns_server,
-                                                  dns_options);
-  content_ = std::make_unique<cdn::ContentClient>(net_, node_);
+  resolver_ = std::make_unique<dns::StubResolver>(net_.runtime(node_),
+                                                  dns_server, dns_options);
+  content_ = std::make_unique<cdn::ContentClient>(net_.runtime(node_));
 }
 
 void UserEquipment::resolve_and_fetch(const cdn::Url& url,

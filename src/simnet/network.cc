@@ -5,7 +5,14 @@
 #include <queue>
 #include <stdexcept>
 
+#include "simnet/sim_runtime.h"
+
 namespace mecdns::simnet {
+
+Network::Network(Simulator& sim, util::Rng rng)
+    : sim_(sim), rng_(std::move(rng)) {}
+
+Network::~Network() = default;
 
 void UdpSocket::send_to(const Endpoint& dst, std::vector<std::uint8_t> payload,
                         std::size_t virtual_size) {
@@ -134,6 +141,14 @@ UdpSocket* Network::open_socket(NodeId node, std::uint16_t port,
 void Network::close_socket(UdpSocket* socket) {
   if (socket == nullptr) return;
   sockets_.erase({socket->node_, socket->port_});
+}
+
+netio::Runtime& Network::runtime(NodeId node) {
+  if (node >= nodes_.size()) throw std::out_of_range("bad node id");
+  if (runtimes_.size() <= node) runtimes_.resize(nodes_.size());
+  auto& runtime = runtimes_[node];
+  if (!runtime) runtime = std::make_unique<SimRuntime>(*this, node);
+  return *runtime;
 }
 
 void Network::set_transit_hook(NodeId node, TransitHook hook) {

@@ -16,47 +16,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "netio/runtime.h"
 #include "simnet/ip.h"
 #include "simnet/latency.h"
+#include "simnet/packet.h"
 #include "simnet/simulator.h"
 #include "simnet/time.h"
 #include "util/rng.h"
-#include "util/small_vector.h"
 
 namespace mecdns::simnet {
 
-using NodeId = std::uint32_t;
 using LinkId = std::uint32_t;
-
-inline constexpr NodeId kInvalidNode = ~NodeId{0};
-
-/// One recorded traversal point of a packet (used for latency breakdowns).
-struct Hop {
-  NodeId node = kInvalidNode;
-  SimTime at;
-};
-
-/// A UDP-style datagram. `payload` carries real wire bytes (the dns library
-/// encodes/decodes RFC 1035 messages into it).
-struct Packet {
-  std::uint64_t id = 0;
-  Endpoint src;
-  Endpoint dst;
-  std::vector<std::uint8_t> payload;
-  /// Size used for transmission-delay purposes on bandwidth-limited links.
-  /// Defaults to the payload size; protocols that *stand for* a larger
-  /// transfer (a content response representing megabytes of data) set it
-  /// to the represented size so transfer time scales with object size.
-  std::size_t virtual_size = 0;
-  /// Typical paths in the MEC topologies traverse <= 4 nodes, so the hop
-  /// trail stays inline with the packet.
-  util::SmallVector<Hop, 4> hops;
-  int ttl = 64;
-
-  std::size_t wire_size() const {
-    return virtual_size != 0 ? virtual_size : payload.size();
-  }
-};
 
 /// What a transit hook decided about a packet.
 enum class TransitAction {
@@ -78,16 +48,15 @@ struct NetworkStats {
 };
 
 class Network;
+class SimRuntime;
 
 /// A bound UDP socket. Owned by the Network; obtained via open_socket().
-class UdpSocket {
+class UdpSocket final : public netio::DatagramSocket {
  public:
-  using ReceiveHandler = std::function<void(const Packet&)>;
-
   NodeId node() const { return node_; }
   std::uint16_t port() const { return port_; }
   Ipv4Address address() const { return addr_; }
-  Endpoint endpoint() const { return Endpoint{addr_, port_}; }
+  Endpoint endpoint() const override { return Endpoint{addr_, port_}; }
 
   /// Sends a datagram to `dst`. The source endpoint is this socket's
   /// address/port. `virtual_size` (0 = actual payload size) is the size
@@ -100,7 +69,7 @@ class UdpSocket {
   /// This is how the dns hot path ships the encoder's arena bytes without
   /// the per-send take() copy into a fresh vector.
   void send(const Endpoint& dst, std::span<const std::uint8_t> payload,
-            std::size_t virtual_size = 0);
+            std::size_t virtual_size = 0) override;
 
   void set_handler(ReceiveHandler handler) { handler_ = std::move(handler); }
 
@@ -118,7 +87,8 @@ class UdpSocket {
 /// state changes.
 class Network {
  public:
-  Network(Simulator& sim, util::Rng rng) : sim_(sim), rng_(std::move(rng)) {}
+  Network(Simulator& sim, util::Rng rng);
+  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -168,6 +138,11 @@ class Network {
                          Ipv4Address addr = Ipv4Address());
 
   void close_socket(UdpSocket* socket);
+
+  /// The runtime every protocol component on `node` is built on (a
+  /// SimRuntime, see simnet/sim_runtime.h). Created on first use and owned
+  /// by this Network; components close the sockets they open through it.
+  netio::Runtime& runtime(NodeId node);
 
   // --- middlebox hooks ----------------------------------------------------
 
@@ -243,6 +218,8 @@ class Network {
   std::vector<std::int64_t> route_cost_ns_;
   NetworkStats stats_;
   std::vector<std::vector<std::uint8_t>> payload_pool_;
+  /// Indexed by node; declared last so the adapters go before the sockets.
+  std::vector<std::unique_ptr<SimRuntime>> runtimes_;
 };
 
 }  // namespace mecdns::simnet

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cdn/cache_server.h"
+#include "simnet/network.h"
 
 namespace mecdns::cdn {
 namespace {
@@ -24,7 +25,7 @@ class CacheServerTest : public ::testing::Test {
     ContentCatalog catalog;
     catalog.add_series(dns::DnsName::must_parse("v.test"), "seg", 16, 1000);
     origin_ = std::make_unique<OriginServer>(
-        net_, origin_node_, "origin", catalog,
+        net_.runtime(origin_node_), "origin", catalog,
         LatencyModel::constant(SimTime::millis(2)));
 
     CacheServer::Config config;
@@ -32,8 +33,9 @@ class CacheServerTest : public ::testing::Test {
     config.parent = Endpoint{Ipv4Address::must_parse("10.0.0.3"),
                              kContentPort};
     config.service_time = LatencyModel::constant(SimTime::micros(200));
-    cache_ = std::make_unique<CacheServer>(net_, cache_node_, "edge", config);
-    client_ = std::make_unique<ContentClient>(net_, client_node_);
+    cache_ = std::make_unique<CacheServer>(net_.runtime(cache_node_), "edge",
+                                           config);
+    client_ = std::make_unique<ContentClient>(net_.runtime(client_node_));
   }
 
   ContentResponse get(const std::string& url, SimTime* latency = nullptr) {
@@ -138,7 +140,7 @@ TEST_F(CacheServerTest, ParentTimeoutAnswers404) {
                 LatencyModel::constant(SimTime::millis(1)));
   net_.add_link(node2, origin_node_,
                 LatencyModel::constant(SimTime::millis(5)));
-  CacheServer isolated(net_, node2, "edge2", config);
+  CacheServer isolated(net_.runtime(node2), "edge2", config);
 
   ContentResponse out;
   client_->get(Endpoint{Ipv4Address::must_parse("10.0.0.4"), kContentPort},

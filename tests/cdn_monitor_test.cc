@@ -39,8 +39,8 @@ class MonitorTest : public ::testing::Test {
     config.cdn_domain = dns::DnsName::must_parse("cdn.test");
     config.answer_ttl = 0;
     router_ = std::make_unique<TrafficRouter>(
-        net_, router_node_, "router",
-        LatencyModel::constant(SimTime::micros(300)), config,
+        net_.runtime(router_node_), "router",
+        LatencyModel::constant(SimTime::micros(300)), config, dns::kDnsPort,
         Ipv4Address::must_parse("10.240.0.53"));
     router_->coverage().set_default_group("edge");
     router_->add_delivery_service(DeliveryService{
@@ -51,7 +51,8 @@ class MonitorTest : public ::testing::Test {
                                const char* addr) {
       CacheServer::Config cc;
       auto cache = std::make_unique<CacheServer>(
-          net_, node, name, cc, Ipv4Address::must_parse(addr));
+          net_.runtime(node), name, cc, cdn::kContentPort,
+          Ipv4Address::must_parse(addr));
       cache->warm(ContentObject{health, 64});
       cache->warm(ContentObject{Url::must_parse("vod.cdn.test/movie"), 1000});
       router_->add_cache("edge", CacheInfo{
@@ -64,7 +65,7 @@ class MonitorTest : public ::testing::Test {
     TrafficMonitor::Config mc;
     mc.probe_interval = SimTime::millis(500);
     mc.probe_timeout = SimTime::millis(100);
-    monitor_ = std::make_unique<TrafficMonitor>(net_, monitor_node_,
+    monitor_ = std::make_unique<TrafficMonitor>(net_.runtime(monitor_node_),
                                                 *router_, mc);
     monitor_->watch("edge", "cache-a",
                     Endpoint{Ipv4Address::must_parse("10.240.0.11"),
@@ -78,7 +79,7 @@ class MonitorTest : public ::testing::Test {
 
   Ipv4Address routed_answer_for(const std::string& name) {
     dns::StubResolver stub(
-        net_, client_node_,
+        net_.runtime(client_node_),
         Endpoint{Ipv4Address::must_parse("10.240.0.53"), dns::kDnsPort});
     Ipv4Address answer;
     stub.resolve(dns::DnsName::must_parse(name), dns::RecordType::kA,
@@ -148,7 +149,7 @@ TEST_F(MonitorTest, BoundedRoundsDrainNaturally) {
   TrafficMonitor::Config mc;
   mc.probe_interval = SimTime::millis(100);
   mc.rounds = 5;
-  TrafficMonitor bounded(net_, monitor_node_, *router_, mc);
+  TrafficMonitor bounded(net_.runtime(monitor_node_), *router_, mc);
   bounded.watch("edge", "cache-a",
                 Endpoint{Ipv4Address::must_parse("10.240.0.11"),
                          kContentPort},
@@ -200,8 +201,8 @@ TEST_F(MonitorTest, RouterNeverRoutesToDrainedCache) {
   sim_.run_until(sim_.now() + SimTime::seconds(3));
   ASSERT_FALSE(monitor_->healthy("cache-a"));
   for (int i = 0; i < 16; ++i) {
-    const Ipv4Address answer =
-        routed_answer_for("m" + std::to_string(i) + ".vod.cdn.test");
+    const std::string n = std::to_string(i);
+    const Ipv4Address answer = routed_answer_for("m" + n + ".vod.cdn.test");
     EXPECT_NE(answer, Ipv4Address::must_parse("10.240.0.11"));
     EXPECT_EQ(answer, Ipv4Address::must_parse("10.240.0.12"));
   }

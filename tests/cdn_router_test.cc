@@ -32,7 +32,7 @@ class RouterTest : public ::testing::Test {
     config.answer_ttl = 30;
     config.parent_domain = dns::DnsName::must_parse("mid.cdn.example");
     router_ = std::make_unique<TrafficRouter>(
-        net_, router_node_, "router",
+        net_.runtime(router_node_), "router",
         LatencyModel::constant(SimTime::micros(500)), config);
 
     router_->add_cache("mec-edge",
@@ -55,7 +55,7 @@ class RouterTest : public ::testing::Test {
   dns::StubResult resolve_from(simnet::NodeId node, const std::string& name,
                                dns::RecordType type = dns::RecordType::kA) {
     dns::StubResolver stub(
-        net_, node,
+        net_.runtime(node),
         Endpoint{Ipv4Address::must_parse("198.51.100.53"), dns::kDnsPort});
     dns::StubResult out;
     stub.resolve(dns::DnsName::must_parse(name), type,
@@ -144,10 +144,10 @@ TEST_F(RouterTest, NoParentMeansNxDomainForUnknownService) {
       net_.add_node("router2", Ipv4Address::must_parse("198.51.100.54"));
   net_.add_link(edge_client_, node,
                 LatencyModel::constant(SimTime::millis(1)));
-  TrafficRouter bare(net_, node, "router2",
+  TrafficRouter bare(net_.runtime(node), "router2",
                      LatencyModel::constant(SimTime::micros(500)), config);
   dns::StubResolver stub(
-      net_, edge_client_,
+      net_.runtime(edge_client_),
       Endpoint{Ipv4Address::must_parse("198.51.100.54"), dns::kDnsPort});
   dns::StubResult out;
   stub.resolve(dns::DnsName::must_parse("x.mycdn.test"), dns::RecordType::kA,
@@ -173,7 +173,7 @@ TEST_F(RouterTest, EcsOverridesResolverLocalization) {
   router_->set_use_ecs(true);
   // Far resolver forwards an edge client's subnet: answer must be edge.
   dns::StubResolver stub(
-      net_, far_client_,
+      net_.runtime(far_client_),
       Endpoint{Ipv4Address::must_parse("198.51.100.53"), dns::kDnsPort});
   dns::ClientSubnet ecs;
   ecs.address = Ipv4Address::must_parse("10.240.0.0");
@@ -194,7 +194,7 @@ TEST_F(RouterTest, EcsOverridesResolverLocalization) {
 TEST_F(RouterTest, EcsIgnoredWhenDisabled) {
   router_->set_use_ecs(false);
   dns::StubResolver stub(
-      net_, far_client_,
+      net_.runtime(far_client_),
       Endpoint{Ipv4Address::must_parse("198.51.100.53"), dns::kDnsPort});
   dns::ClientSubnet ecs;
   ecs.address = Ipv4Address::must_parse("10.240.0.0");
@@ -227,7 +227,7 @@ TEST_F(RouterTest, GeoFallbackPicksNearestGroup) {
   const simnet::NodeId node =
       net_.add_node("router3", Ipv4Address::must_parse("198.51.100.55"));
   net_.add_link(far_client_, node, LatencyModel::constant(SimTime::millis(1)));
-  TrafficRouter geo_router(net_, node, "router3",
+  TrafficRouter geo_router(net_.runtime(node), "router3",
                            LatencyModel::constant(SimTime::micros(500)),
                            config);
   geo_router.add_cache("near", CacheInfo{"n0",
@@ -244,7 +244,7 @@ TEST_F(RouterTest, GeoFallbackPicksNearestGroup) {
       "vid", dns::DnsName::must_parse("vid.geo.test"), {"near", "far"}});
 
   dns::StubResolver stub(
-      net_, far_client_,
+      net_.runtime(far_client_),
       Endpoint{Ipv4Address::must_parse("198.51.100.55"), dns::kDnsPort});
   dns::StubResult out;
   stub.resolve(dns::DnsName::must_parse("x.vid.geo.test"), dns::RecordType::kA,
@@ -269,7 +269,7 @@ class OpaqueTest : public ::testing::Test {
     net_.add_link(carrier_, router_node_,
                   LatencyModel::constant(SimTime::millis(1)));
     router_ = std::make_unique<OpaqueCdnRouter>(
-        net_, router_node_, "cdns",
+        net_.runtime(router_node_), "cdns",
         LatencyModel::constant(SimTime::micros(500)),
         dns::DnsName::must_parse("a0.muscache.com"), 5);
     router_->add_pool("Akamai", simnet::Cidr::must_parse("23.55.124.0/24"));
@@ -284,7 +284,7 @@ class OpaqueTest : public ::testing::Test {
 
   double share_akamai(simnet::NodeId from, int queries) {
     dns::StubResolver stub(
-        net_, from,
+        net_.runtime(from),
         Endpoint{Ipv4Address::must_parse("198.51.100.60"), dns::kDnsPort});
     int akamai = 0;
     int total = 0;
@@ -324,7 +324,7 @@ TEST_F(OpaqueTest, PerResolverClassWeightsApplied) {
 
 TEST_F(OpaqueTest, AnswersAreInsidePoolCidrs) {
   dns::StubResolver stub(
-      net_, campus_,
+      net_.runtime(campus_),
       Endpoint{Ipv4Address::must_parse("198.51.100.60"), dns::kDnsPort});
   for (int i = 0; i < 50; ++i) {
     stub.resolve(dns::DnsName::must_parse("a0.muscache.com"),
@@ -343,7 +343,7 @@ TEST_F(OpaqueTest, AnswersAreInsidePoolCidrs) {
 
 TEST_F(OpaqueTest, OutOfDomainRefused) {
   dns::StubResolver stub(
-      net_, campus_,
+      net_.runtime(campus_),
       Endpoint{Ipv4Address::must_parse("198.51.100.60"), dns::kDnsPort});
   dns::StubResult out;
   stub.resolve(dns::DnsName::must_parse("other.example.com"),

@@ -53,13 +53,13 @@ class QueryRunnerTest : public ::testing::Test {
     net_.add_link(client_node_, server_node,
                   LatencyModel::constant(SimTime::millis(2)));
     server_ = std::make_unique<dns::AuthoritativeServer>(
-        net_, server_node, "auth",
+        net_.runtime(server_node), "auth",
         LatencyModel::constant(SimTime::micros(100)));
     dns::Zone& zone = server_->add_zone(dns::DnsName::must_parse("x.test"));
     zone.must_add(dns::make_a(dns::DnsName::must_parse("www.x.test"),
                               Ipv4Address::must_parse("198.18.0.1"), 0));
     stub_ = std::make_unique<dns::StubResolver>(
-        net_, client_node_,
+        net_.runtime(client_node_),
         Endpoint{Ipv4Address::must_parse("10.0.0.2"), dns::kDnsPort});
   }
 

@@ -31,7 +31,7 @@ class MecCdnSiteTest : public ::testing::Test {
   }
 
   dns::StubResult resolve_as(simnet::NodeId node, const std::string& name) {
-    dns::StubResolver stub(net_, node, site_->ldns_endpoint(),
+    dns::StubResolver stub(net_.runtime(node), site_->ldns_endpoint(),
                            dns::DnsTransport::Options{SimTime::millis(500),
                                                       0});
     dns::StubResult out;

@@ -47,13 +47,13 @@ TEST(Stress, ConcurrentMixedClientsThroughOneLdns) {
     net.add_link(node, gateway, LatencyModel::uniform(SimTime::micros(300),
                                                       SimTime::millis(3)));
     stubs.push_back(std::make_unique<dns::StubResolver>(
-        net, node, site.ldns_endpoint()));
+        net.runtime(node), site.ldns_endpoint()));
   }
   for (int i = 0; i < kInternal; ++i) {
     const simnet::NodeId node =
         site.orchestrator().cluster().add_worker("vnf-" + std::to_string(i));
     stubs.push_back(std::make_unique<dns::StubResolver>(
-        net, node, site.ldns_endpoint()));
+        net.runtime(node), site.ldns_endpoint()));
   }
 
   const auto& service_cidr =

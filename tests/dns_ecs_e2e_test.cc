@@ -37,8 +37,9 @@ class EcsEndToEndTest : public ::testing::Test {
     rc.answer_ttl = 300;  // long TTL: caching WOULD leak without scoping
     rc.use_ecs = true;
     router_ = std::make_unique<cdn::TrafficRouter>(
-        net_, router_node, "cdns",
-        LatencyModel::constant(SimTime::micros(500)), rc, router_addr);
+        net_.runtime(router_node), "cdns",
+        LatencyModel::constant(SimTime::micros(500)), rc, dns::kDnsPort,
+        router_addr);
     router_->add_cache("east", cdn::CacheInfo{
         "east-0", Ipv4Address::must_parse("198.18.1.1"), true});
     router_->add_cache("west", cdn::CacheInfo{
@@ -61,7 +62,7 @@ class EcsEndToEndTest : public ::testing::Test {
     config.root_servers = hierarchy_->root_hints();
     config.ecs_mode = EcsMode::kForward;
     resolver_ = std::make_unique<RecursiveResolver>(
-        net_, resolver_node, "resolver",
+        net_.runtime(resolver_node), "resolver",
         LatencyModel::constant(SimTime::micros(300)), config);
 
     east_client_ = net_.add_node("east-client",
@@ -75,7 +76,7 @@ class EcsEndToEndTest : public ::testing::Test {
   }
 
   StubResult resolve_from(simnet::NodeId client) {
-    StubResolver stub(net_, client,
+    StubResolver stub(net_.runtime(client),
                       Endpoint{Ipv4Address::must_parse("10.53.0.53"),
                                kDnsPort});
     StubResult out;
@@ -134,7 +135,7 @@ TEST_F(EcsEndToEndTest, ClientSuppliedEcsIsForwardedAndEchoed) {
   // forwards it verbatim upstream and echoes it in the answer. Note a
   // client that sends no EDNS gets no EDNS back — the synthesized upstream
   // option stays between resolver and authoritative.
-  StubResolver stub(net_, west_client_,
+  StubResolver stub(net_.runtime(west_client_),
                     Endpoint{Ipv4Address::must_parse("10.53.0.53"),
                              kDnsPort});
   ClientSubnet ecs;

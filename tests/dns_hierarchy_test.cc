@@ -75,7 +75,7 @@ TEST_F(HierarchyTest, FullChainResolvesThroughResolver) {
                 LatencyModel::constant(SimTime::millis(1)));
   RecursiveResolver::Config config;
   config.root_servers = hierarchy_->root_hints();
-  RecursiveResolver resolver(net_, resolver_node, "resolver",
+  RecursiveResolver resolver(net_.runtime(resolver_node), "resolver",
                              LatencyModel::constant(SimTime::micros(300)),
                              config);
 
@@ -83,7 +83,7 @@ TEST_F(HierarchyTest, FullChainResolvesThroughResolver) {
       net_.add_node("client", Ipv4Address::must_parse("10.0.0.1"));
   net_.add_link(client, resolver_node,
                 LatencyModel::constant(SimTime::millis(1)));
-  StubResolver stub(net_, client,
+  StubResolver stub(net_.runtime(client),
                     Endpoint{Ipv4Address::must_parse("10.53.0.1"), kDnsPort});
   StubResult out;
   stub.resolve(DnsName::must_parse("www.site.test"), RecordType::kA,

@@ -32,7 +32,7 @@ class PluginTest : public ::testing::Test {
 
     // Upstream: plain authoritative for the CDN domain.
     upstream_ = std::make_unique<AuthoritativeServer>(
-        net_, upstream_node_, "upstream",
+        net_.runtime(upstream_node_), "upstream",
         LatencyModel::constant(SimTime::micros(300)));
     Zone& up_zone = upstream_->add_zone(DnsName::must_parse("mycdn.test"));
     up_zone.must_add(make_soa(DnsName::must_parse("mycdn.test"),
@@ -42,7 +42,7 @@ class PluginTest : public ::testing::Test {
                             Ipv4Address::must_parse("198.18.5.5"), 30));
 
     server_ = std::make_unique<PluginChainServer>(
-        net_, server_node_, "coredns",
+        net_.runtime(server_node_), "coredns",
         LatencyModel::constant(SimTime::micros(400)));
 
     internal_zone_ = std::make_shared<Zone>(DnsName::must_parse("cluster.local"));
@@ -73,7 +73,7 @@ class PluginTest : public ::testing::Test {
   }
 
   StubResult resolve_from(simnet::NodeId node, const std::string& name) {
-    StubResolver stub(net_, node,
+    StubResolver stub(net_.runtime(node),
                       Endpoint{Ipv4Address::must_parse("10.240.0.2"),
                                kDnsPort});
     StubResult out;
@@ -216,7 +216,7 @@ TEST_F(PluginTest, DropPluginNeverAnswers) {
   DropPlugin* drop_ptr = drop.get();
   pub.add(std::move(drop));
 
-  StubResolver stub(net_, external_client_,
+  StubResolver stub(net_.runtime(external_client_),
                     Endpoint{Ipv4Address::must_parse("10.240.0.2"), kDnsPort},
                     DnsTransport::Options{SimTime::millis(50), 0});
   bool timed_out = false;

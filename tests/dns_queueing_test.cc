@@ -22,12 +22,12 @@ class QueueingTest : public ::testing::Test {
                   LatencyModel::constant(SimTime::millis(1)));
     // Deterministic 10ms service time.
     server_ = std::make_unique<AuthoritativeServer>(
-        net_, server_node, "auth",
+        net_.runtime(server_node), "auth",
         LatencyModel::constant(SimTime::millis(10)));
     Zone& zone = server_->add_zone(DnsName::must_parse("q.test"));
     zone.must_add(make_a(DnsName::must_parse("www.q.test"),
                          Ipv4Address::must_parse("198.18.0.1"), 30));
-    transport_ = std::make_unique<DnsTransport>(net_, client_node_);
+    transport_ = std::make_unique<DnsTransport>(net_.runtime(client_node_));
   }
 
   /// Fires `n` queries at t=0 and returns each response's completion time.

@@ -55,14 +55,14 @@ class ResolverTest : public ::testing::Test {
     RecursiveResolver::Config config;
     config.root_servers = hierarchy_->root_hints();
     resolver_ = std::make_unique<RecursiveResolver>(
-        net_, resolver_node_, "resolver",
+        net_.runtime(resolver_node_), "resolver",
         LatencyModel::constant(SimTime::micros(800)), config);
 
     client_node_ = net_.add_node("client", Ipv4Address::must_parse("10.0.0.1"));
     net_.add_link(client_node_, resolver_node_,
                   LatencyModel::constant(SimTime::millis(1)));
     stub_ = std::make_unique<StubResolver>(
-        net_, client_node_,
+        net_.runtime(client_node_),
         Endpoint{Ipv4Address::must_parse("10.53.0.53"), kDnsPort});
   }
 
@@ -163,7 +163,7 @@ TEST_F(ResolverTest, GluelessNameserverResolvedOutOfBand) {
       "glueless-auth", Ipv4Address::must_parse("198.51.100.8"));
   net_.add_link(node, backbone_, LatencyModel::constant(SimTime::millis(8)));
   auto auth = std::make_unique<AuthoritativeServer>(
-      net_, node, "glueless-auth",
+      net_.runtime(node), "glueless-auth",
       LatencyModel::constant(SimTime::micros(500)));
   Zone& zone = auth->add_zone(DnsName::must_parse("glueless.com"));
   zone.must_add(make_soa(DnsName::must_parse("glueless.com"),
@@ -189,9 +189,9 @@ TEST_F(ResolverTest, QueryBudgetBoundsWork) {
       net_.add_node("tight-resolver", Ipv4Address::must_parse("10.53.0.54"));
   net_.add_link(node, backbone_, LatencyModel::constant(SimTime::millis(2)));
   RecursiveResolver tight_resolver(
-      net_, node, "tight", LatencyModel::constant(SimTime::micros(500)),
+      net_.runtime(node), "tight", LatencyModel::constant(SimTime::micros(500)),
       tight);
-  StubResolver stub(net_, client_node_,
+  StubResolver stub(net_.runtime(client_node_),
                     Endpoint{Ipv4Address::must_parse("10.53.0.54"), kDnsPort});
   net_.add_link(client_node_, node,
                 LatencyModel::constant(SimTime::millis(1)));

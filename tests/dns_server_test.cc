@@ -20,7 +20,7 @@ class AuthServerTest : public ::testing::Test {
     net_.add_link(client_node_, server_node_,
                   LatencyModel::constant(SimTime::millis(1)));
     server_ = std::make_unique<AuthoritativeServer>(
-        net_, server_node_, "auth",
+        net_.runtime(server_node_), "auth",
         LatencyModel::constant(SimTime::micros(500)));
     Zone& zone = server_->add_zone(DnsName::must_parse("example.com"));
     zone.must_add(make_soa(DnsName::must_parse("example.com"),
@@ -41,8 +41,8 @@ class AuthServerTest : public ::testing::Test {
     zone.must_add(make_cname(DnsName::must_parse("away.example.com"),
                              DnsName::must_parse("elsewhere.net"), 60));
     stub_ = std::make_unique<StubResolver>(
-        net_, client_node_, Endpoint{Ipv4Address::must_parse("10.0.0.2"),
-                                     kDnsPort});
+        net_.runtime(client_node_),
+        Endpoint{Ipv4Address::must_parse("10.0.0.2"), kDnsPort});
   }
 
   StubResult resolve(const std::string& name,

@@ -22,7 +22,7 @@ class StubTest : public ::testing::Test {
     net_.add_link(client_, fast_node_,
                   LatencyModel::constant(SimTime::millis(1)));
     fast_ = std::make_unique<AuthoritativeServer>(
-        net_, fast_node_, "fast",
+        net_.runtime(fast_node_), "fast",
         LatencyModel::constant(SimTime::micros(100)));
     Zone& fast_zone = fast_->add_zone(DnsName::must_parse("fast.test"));
     fast_zone.must_add(make_a(DnsName::must_parse("www.fast.test"),
@@ -36,7 +36,7 @@ class StubTest : public ::testing::Test {
     net_.add_link(client_, slow_node_,
                   LatencyModel::constant(SimTime::millis(20)));
     slow_ = std::make_unique<AuthoritativeServer>(
-        net_, slow_node_, "slow",
+        net_.runtime(slow_node_), "slow",
         LatencyModel::constant(SimTime::micros(100)));
     Zone& slow_fast_zone = slow_->add_zone(DnsName::must_parse("fast.test"));
     slow_fast_zone.must_add(make_a(DnsName::must_parse("www.fast.test"),
@@ -47,7 +47,7 @@ class StubTest : public ::testing::Test {
                               Ipv4Address::must_parse("198.18.3.3"), 30));
 
     stub_ = std::make_unique<StubResolver>(
-        net_, client_, Endpoint{Ipv4Address::must_parse("10.0.0.2"),
+        net_.runtime(client_), Endpoint{Ipv4Address::must_parse("10.0.0.2"),
                                 kDnsPort});
   }
 
@@ -101,7 +101,7 @@ TEST_F(StubTest, MulticastBothRefuseReportsRefusal) {
 
 TEST_F(StubTest, MulticastSurvivesDeadPrimary) {
   net_.set_node_up(fast_node_, false);
-  StubResolver stub(net_, client_,
+  StubResolver stub(net_.runtime(client_),
                     Endpoint{Ipv4Address::must_parse("10.0.0.2"), kDnsPort},
                     DnsTransport::Options{SimTime::millis(200), 0});
   stub.set_secondary(Endpoint{Ipv4Address::must_parse("10.0.0.3"), kDnsPort});

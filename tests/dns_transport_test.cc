@@ -71,7 +71,7 @@ class TransportTest : public ::testing::Test {
     net_.add_link(client_node_, server_node_,
                   LatencyModel::constant(SimTime::millis(2)));
     server_ = std::make_unique<ScriptedServer>(net_, server_node_);
-    transport_ = std::make_unique<DnsTransport>(net_, client_node_);
+    transport_ = std::make_unique<DnsTransport>(net_.runtime(client_node_));
   }
 
   Endpoint server_endpoint() const {
@@ -209,9 +209,10 @@ TEST_F(TransportTest, RejectsSpoofedSource) {
 TEST_F(TransportTest, ConcurrentQueriesGetDistinctIds) {
   int answered = 0;
   for (int i = 0; i < 20; ++i) {
+    const std::string n = std::to_string(i);
     transport_->query(
         server_endpoint(),
-        make_query(0, DnsName::must_parse("q" + std::to_string(i) + ".test"),
+        make_query(0, DnsName::must_parse("q" + n + ".test"),
                    RecordType::kA),
         {},
         [&](util::Result<Message> result, SimTime) {
@@ -284,7 +285,7 @@ TEST_F(TransportTest, DestroyedTransportDisarmsPendingTimeouts) {
   // when its timeout event later fires.
   server_->drop_first(100);
   {
-    DnsTransport ephemeral(net_, client_node_);
+    DnsTransport ephemeral(net_.runtime(client_node_));
     DnsTransport::Options options;
     options.timeout = SimTime::millis(500);
     ephemeral.query(server_endpoint(),

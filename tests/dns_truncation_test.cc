@@ -21,7 +21,7 @@ class TruncationTest : public ::testing::Test {
     net_.add_link(client_node_, server_node,
                   LatencyModel::constant(SimTime::millis(1)));
     server_ = std::make_unique<AuthoritativeServer>(
-        net_, server_node, "auth",
+        net_.runtime(server_node), "auth",
         LatencyModel::constant(SimTime::micros(100)));
     Zone& zone = server_->add_zone(DnsName::must_parse("big.test"));
     zone.must_add(make_soa(DnsName::must_parse("big.test"),
@@ -34,7 +34,7 @@ class TruncationTest : public ::testing::Test {
     }
     zone.must_add(make_a(DnsName::must_parse("small.big.test"),
                          Ipv4Address::must_parse("198.18.0.1"), 300));
-    transport_ = std::make_unique<DnsTransport>(net_, client_node_);
+    transport_ = std::make_unique<DnsTransport>(net_.runtime(client_node_));
   }
 
   util::Result<Message> query(const std::string& name,

@@ -124,7 +124,7 @@ TEST_F(EndToEndTest, WirelessLossRecoversWithRetransmission) {
   lossy.network().set_link_loss(air, 0.25);
 
   dns::StubResolver stub(
-      lossy.network(), lossy.ue().node(), lossy.site().ldns_endpoint(),
+      lossy.network().runtime(lossy.ue().node()), lossy.site().ldns_endpoint(),
       dns::DnsTransport::Options{SimTime::millis(300), 6});
   int successes = 0;
   const int attempts = 30;

@@ -288,7 +288,7 @@ TEST(LdnsFailover, SwitchesToFallbackOnCrashAndBackOnRestart) {
   LdnsFailover::Config config;
   config.primary = {Ipv4Address::must_parse("10.7.0.53"), dns::kDnsPort};
   config.fallback = {Ipv4Address::must_parse("10.201.0.53"), dns::kDnsPort};
-  LdnsFailover failover(net, vantage, config);
+  LdnsFailover failover(net.runtime(vantage), config);
 
   std::vector<std::pair<SimTime, bool>> switches_seen;
   failover.set_on_switch(
@@ -337,7 +337,7 @@ TEST(LdnsFailover, SingleMissedProbeDoesNotSwitch) {
   LdnsFailover::Config config;
   config.primary = {Ipv4Address::must_parse("10.7.0.53"), dns::kDnsPort};
   config.fallback = {Ipv4Address::must_parse("10.201.0.53"), dns::kDnsPort};
-  LdnsFailover failover(net, vantage, config);
+  LdnsFailover failover(net.runtime(vantage), config);
   int switches = 0;
   failover.set_on_switch(
       [&](const simnet::Endpoint&, bool) { ++switches; });

@@ -1,5 +1,6 @@
 // Clock/IO abstraction tests: the epoll runtime's timers and real UDP
-// sockets, and the same DNS stack running unchanged over either runtime.
+// sockets, and the same DNS and CDN components running unchanged over
+// either runtime.
 //
 // The loopback round-trip here is the in-tree half of the live-wire story:
 // an AuthoritativeServer bound to a real 127.0.0.1 port answers a
@@ -9,13 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <vector>
 
+#include "cdn/cache_server.h"
+#include "cdn/traffic_router.h"
+#include "dns/plugin.h"
 #include "dns/server.h"
 #include "dns/stub.h"
 #include "dns/transport.h"
 #include "netio/epoll_runtime.h"
-#include "netio/sim_runtime.h"
 
 namespace mecdns::netio {
 namespace {
@@ -182,19 +186,89 @@ TEST(EpollRuntimeTest, WallClockRetransmissionTimeoutFires) {
   rt.close_socket(silent);
 }
 
-/// The same stack the epoll round-trip runs — live-wire constructors and
-/// all — works identically over the simulated runtime, which is the whole
-/// point of the abstraction.
-TEST(SimRuntimeTest, SameDnsStackRunsOverSimulatedRuntime) {
-  simnet::Simulator sim;
-  simnet::Network net(sim, util::Rng(7));
-  const simnet::NodeId node =
-      net.add_node("edge", Ipv4Address::must_parse("10.0.0.1"));
-  SimRuntime rt(net, node);
+/// The CDN half of the paper's P2 chain runs live too: an edge cache
+/// fetches its miss from the origin over loopback UDP on one epoll loop.
+TEST(EpollRuntimeTest, ContentFetchThroughEdgeCacheOverLoopback) {
+  EpollRuntime rt;
+  {
+    const cdn::Url url = cdn::Url::must_parse("video.mec.test/seg-0001");
+    cdn::ContentCatalog catalog;
+    catalog.add(url, 4096);
+    const LatencyModel instant = LatencyModel::constant(SimTime::zero());
+    cdn::OriginServer origin(rt, "origin", catalog, instant, /*port=*/0);
+    cdn::CacheServer::Config cache_config;
+    cache_config.service_time = instant;
+    cache_config.parent = origin.endpoint();
+    cdn::CacheServer cache(rt, "edge-cache", cache_config, /*port=*/0);
+    cdn::ContentClient client(rt);
 
+    std::optional<cdn::ContentResponse> got;
+    client.get(cache.endpoint(), url,
+               [&](util::Result<cdn::ContentResponse> response, SimTime) {
+                 if (response.ok()) got = response.value();
+                 rt.stop();
+               });
+    rt.run_until(rt.now() + SimTime::millis(5000));
+    ASSERT_TRUE(got.has_value()) << "no content response within 5 s";
+    EXPECT_EQ(got->status, 200);
+    EXPECT_EQ(got->size_bytes, 4096u);
+    EXPECT_FALSE(got->served_from_cache);
+    EXPECT_EQ(cache.stats().parent_fetches, 1u);
+    EXPECT_EQ(origin.requests(), 1u);
+    EXPECT_TRUE(cache.cached(url));
+  }
+  EXPECT_EQ(rt.open_sockets(), 0u);
+}
+
+/// ...and the C-DNS routes a real stub to its edge cache.
+TEST(EpollRuntimeTest, TrafficRouterAnswersStubOverLoopback) {
+  EpollRuntime rt;
+  {
+    cdn::TrafficRouter::Config config;
+    config.cdn_domain = DnsName::must_parse("mycdn.test");
+    cdn::TrafficRouter router(rt, "c-dns",
+                              LatencyModel::constant(SimTime::zero()), config,
+                              /*port=*/0);
+    router.add_cache("edge", cdn::CacheInfo{
+                                 "edge-0", Ipv4Address::must_parse("10.96.1.1"),
+                                 true});
+    router.add_delivery_service(cdn::DeliveryService{
+        "demo1", DnsName::must_parse("demo1.mycdn.test"), {"edge"}});
+    router.coverage().set_default_group("edge");
+
+    dns::StubResolver stub(rt, router.endpoint());
+    dns::StubResult result;
+    stub.resolve(DnsName::must_parse("video.demo1.mycdn.test"), RecordType::kA,
+                 [&](const dns::StubResult& r) {
+                   result = r;
+                   rt.stop();
+                 });
+    rt.run_until(rt.now() + SimTime::millis(5000));
+    ASSERT_TRUE(result.ok) << result.error;
+    ASSERT_TRUE(result.address.has_value());
+    EXPECT_EQ(*result.address, Ipv4Address::must_parse("10.96.1.1"));
+    EXPECT_EQ(router.router_stats().routed, 1u);
+  }
+  EXPECT_EQ(rt.open_sockets(), 0u);
+}
+
+class SimRuntimeTest : public ::testing::Test {
+ protected:
+  SimRuntimeTest() : net_(sim_, util::Rng(7)) {
+    node_ = net_.add_node("edge", Ipv4Address::must_parse("10.0.0.1"));
+  }
+
+  simnet::Simulator sim_;
+  simnet::Network net_;
+  simnet::NodeId node_;
+};
+
+/// The same stack the epoll round-trip runs works identically over the
+/// simulated runtime, which is the whole point of the abstraction.
+TEST_F(SimRuntimeTest, SameDnsStackRunsOverSimulatedRuntime) {
+  Runtime& rt = net_.runtime(node_);
   dns::AuthoritativeServer server(rt, "edge-auth",
-                                  LatencyModel::constant(SimTime::micros(500)),
-                                  dns::kDnsPort);
+                                  LatencyModel::constant(SimTime::micros(500)));
   dns::Zone& zone = server.add_zone(DnsName::must_parse("mec.test"));
   zone.must_add(dns::make_a(DnsName::must_parse("video.mec.test"),
                             Ipv4Address::must_parse("192.0.2.7"), 60));
@@ -207,11 +281,35 @@ TEST(SimRuntimeTest, SameDnsStackRunsOverSimulatedRuntime) {
                  result = r;
                  done = true;
                });
-  sim.run();
+  sim_.run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok);
   ASSERT_TRUE(result.address.has_value());
   EXPECT_EQ(*result.address, Ipv4Address::must_parse("192.0.2.7"));
+}
+
+/// Components on one node share the Network-owned runtime, so each must
+/// close what it opened: once they are gone, every port binds again.
+TEST_F(SimRuntimeTest, ComponentsOnOneNodeShareItsRuntimeAndFreeTheirPorts) {
+  EXPECT_EQ(&net_.runtime(node_), &net_.runtime(node_));
+  std::vector<std::uint16_t> ports;
+  {
+    const LatencyModel instant = LatencyModel::constant(SimTime::zero());
+    dns::AuthoritativeServer auth(net_.runtime(node_), "auth", instant);
+    dns::PluginChainServer ldns(net_.runtime(node_), "ldns", instant, 5300);
+    dns::StubResolver stub(net_.runtime(node_), auth.endpoint());
+    ports = {auth.endpoint().port, ldns.endpoint().port,
+             ldns.transport().local_endpoint().port,
+             stub.transport().local_endpoint().port};
+    EXPECT_NE(ports[2], ports[3]);  // two ephemeral ports, one per owner
+  }
+  for (const std::uint16_t port : ports) {
+    simnet::UdpSocket* socket = nullptr;
+    EXPECT_NO_THROW(
+        socket = net_.open_socket(node_, port, [](const simnet::Packet&) {}))
+        << "port " << port << " still bound";
+    net_.close_socket(socket);
+  }
 }
 
 }  // namespace

@@ -92,8 +92,9 @@ TEST(CriticalPathTest, SlowestExemplarsSortedWithStableTies) {
   std::vector<SpanInfo> spans;
   const double durations[] = {10.0, 50.0, 30.0, 50.0, 20.0};
   for (std::size_t i = 0; i < 5; ++i) {
-    spans.push_back(span(static_cast<SpanId>(i + 1), 0, "stub",
-                         "q" + std::to_string(i), i * 100.0, durations[i]));
+    const std::string n = std::to_string(i);
+    spans.push_back(span(static_cast<SpanId>(i + 1), 0, "stub", "q" + n,
+                         i * 100.0, durations[i]));
   }
   const CriticalPathReport report = critical_path(spans, 3);
   ASSERT_EQ(report.slowest.size(), 3u);

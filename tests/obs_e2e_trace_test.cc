@@ -39,7 +39,7 @@ class ObsE2eTest : public ::testing::Test {
   }
 
   dns::StubResult traced_resolve(const std::string& name) {
-    dns::StubResolver stub(net_, client_, site_->ldns_endpoint(),
+    dns::StubResolver stub(net_.runtime(client_), site_->ldns_endpoint(),
                            dns::DnsTransport::Options{SimTime::millis(500),
                                                       0});
     stub.set_trace(&sink_);
@@ -116,7 +116,7 @@ TEST_F(ObsE2eTest, TracedContentFetchReachesAnEdgeCache) {
   ASSERT_TRUE(result.ok);
   sink_.clear();
 
-  cdn::ContentClient content(net_, client_);
+  cdn::ContentClient content(net_.runtime(client_));
   obs::SpanRef fetch = obs::begin_root_span(&sink_, "client", "fetch");
   bool fetched = false;
   {
@@ -147,7 +147,7 @@ TEST_F(ObsE2eTest, TracedContentFetchReachesAnEdgeCache) {
 }
 
 TEST_F(ObsE2eTest, MetricsAgreeWithComponentCounters) {
-  dns::StubResolver stub(net_, client_, site_->ldns_endpoint(),
+  dns::StubResolver stub(net_.runtime(client_), site_->ldns_endpoint(),
                          dns::DnsTransport::Options{SimTime::millis(500), 0});
   QueryRunner runner(net_, stub);
   obs::Registry registry;

@@ -26,7 +26,8 @@ TraceSink::SamplingConfig sampled(double rate, std::uint64_t seed) {
 /// the names that survived.
 std::set<std::string> kept_roots(TraceSink& sink, int n) {
   for (int i = 0; i < n; ++i) {
-    const SpanId id = sink.begin(0, "stub", "q" + std::to_string(i));
+    const std::string k = std::to_string(i);
+    const SpanId id = sink.begin(0, "stub", "q" + k);
     sink.end(id);
   }
   std::set<std::string> kept;
@@ -70,7 +71,8 @@ TEST(TraceSamplingTest, RateOneIsByteIdenticalToUnsampled) {
 
   for (TraceSink* sink : {&plain, &full}) {
     for (int i = 0; i < 20; ++i) {
-      const SpanId root = sink->begin(0, "stub", "q" + std::to_string(i));
+      const std::string n = std::to_string(i);
+      const SpanId root = sink->begin(0, "stub", "q" + n);
       const SpanId child = sink->begin(root, "transport", "rpc");
       sink->add_tag(child, "server", "10.0.0.1");
       sink->end(child);
@@ -132,7 +134,8 @@ TEST(TraceSamplingTest, DroppedSubtreesReleaseTheirSlots) {
   sink.set_sampling(sampled(0.0, 1));
 
   for (int i = 0; i < 1000; ++i) {
-    const SpanId root = sink.begin(0, "stub", "q" + std::to_string(i));
+    const std::string n = std::to_string(i);
+    const SpanId root = sink.begin(0, "stub", "q" + n);
     const SpanId child = sink.begin(root, "transport", "rpc");
     sink.end(child);
     sink.end(root);

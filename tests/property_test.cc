@@ -184,7 +184,8 @@ TEST_P(CacheModelProperty, MatchesReferenceModel) {
   simnet::SimTime now = simnet::SimTime::zero();
   for (int op = 0; op < 2000; ++op) {
     now += simnet::SimTime::seconds(static_cast<double>(rng.uniform_int(5u)));
-    const std::string host = "h" + std::to_string(rng.uniform_int(40u));
+    const std::string n = std::to_string(rng.uniform_int(40u));
+    const std::string host = "h" + n;
     const auto name = dns::DnsName::must_parse(host + ".example.com");
 
     if (rng.bernoulli(0.5)) {
@@ -221,7 +222,8 @@ TEST_P(HashRingProperty, PickAlwaysReturnsALiveMember) {
   cdn::ConsistentHashRing ring(32);
   std::map<std::string, bool> live;
   for (int op = 0; op < 500; ++op) {
-    const std::string member = "m" + std::to_string(rng.uniform_int(12u));
+    const std::string n = std::to_string(rng.uniform_int(12u));
+    const std::string member = "m" + n;
     switch (rng.uniform_int(3u)) {
       case 0:
         ring.add(member);

@@ -20,6 +20,7 @@
 #include "ran/segment.h"
 #include "ran/ue.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace mecdns {
 namespace {
@@ -159,6 +160,44 @@ TEST(HandoffInFlightTest, QuietHandoffRetargetsNothing) {
   world.sim.run();
   EXPECT_TRUE(observed.ok) << observed.error;
   EXPECT_LT(observed.latency.to_millis(), 100.0);
+}
+
+// The handoff's other half: a move that does not re-point the resolver
+// leaves the UE on the old cell's L-DNS. With a backhaul between the cells
+// its lookups still resolve, but every one pays the detour and comes back
+// with the old site's caches.
+TEST(HandoffInFlightTest, StickyResolverDegradesAfterMove) {
+  const auto after_move = [](bool retarget_dns) {
+    IsolatedCells world(/*retarget_in_flight=*/false);
+    world.net->add_link(world.cell_a->pgw(), world.cell_b->pgw(),
+                        ran::wan_link(8.0));
+    world.handoff->attach(1, retarget_dns);
+    util::SampleSet latency_ms;
+    int on_site_b = 0;
+    for (int i = 0; i < 10; ++i) {
+      world.ue->resolver().resolve(
+          dns::DnsName::must_parse("video.demo1.mycdn.ciab.test"),
+          dns::RecordType::kA, [&](const dns::StubResult& result) {
+            EXPECT_TRUE(result.ok) << result.error;
+            if (!result.ok) return;
+            latency_ms.add(result.latency.to_millis());
+            for (std::size_t c = 0; c < world.site_b->site_config().edge_caches;
+                 ++c) {
+              on_site_b += world.site_b->cache_address(c) == *result.address;
+            }
+          });
+      world.sim.run();
+    }
+    EXPECT_EQ(latency_ms.size(), 10u);
+    return std::make_pair(latency_ms.mean(), on_site_b);
+  };
+
+  const auto [retarget_ms, retarget_on_b] = after_move(true);
+  const auto [sticky_ms, sticky_on_b] = after_move(false);
+  EXPECT_EQ(retarget_on_b, 10);
+  EXPECT_EQ(sticky_on_b, 0);
+  // Two 8 ms backhaul crossings per lookup.
+  EXPECT_GT(sticky_ms, retarget_ms + 10.0);
 }
 
 }  // namespace

@@ -145,12 +145,13 @@ TEST_F(SegmentTest, DnsTapRecordsCrossings) {
 
   // A DNS server beyond the P-GW.
   auto server = std::make_unique<dns::AuthoritativeServer>(
-      net_, server_node_, "auth", LatencyModel::constant(SimTime::millis(5)));
+      net_.runtime(server_node_), "auth",
+      LatencyModel::constant(SimTime::millis(5)));
   dns::Zone& zone = server->add_zone(dns::DnsName::must_parse("example.com"));
   zone.must_add(dns::make_a(dns::DnsName::must_parse("www.example.com"),
                             Ipv4Address::must_parse("198.18.0.1"), 60));
 
-  dns::StubResolver stub(net_, ue,
+  dns::StubResolver stub(net_.runtime(ue),
                          Endpoint{Ipv4Address::must_parse("198.51.100.1"),
                                   dns::kDnsPort});
   dns::StubResult out;
@@ -174,6 +175,27 @@ TEST_F(SegmentTest, DnsTapRecordsCrossings) {
   EXPECT_NEAR(out.latency.to_millis() - beyond_ms, 21.2, 1.0);
   EXPECT_EQ(tap.observed_queries(), 1u);
   EXPECT_EQ(tap.observed_responses(), 1u);
+
+  // The tap keeps one transaction per id: reusing the id for another name
+  // replaces the finished one, and the new one reports its own times.
+  zone.must_add(dns::make_a(dns::DnsName::must_parse("mail.example.com"),
+                            Ipv4Address::must_parse("198.18.0.2"), 60));
+  const std::uint16_t id = out.response.header.id;
+  const simnet::SimTime second_start = sim_.now();
+  stub.transport().set_next_id(id);
+  stub.resolve(dns::DnsName::must_parse("mail.example.com"),
+               dns::RecordType::kA,
+               [&](const dns::StubResult& result) { out = result; });
+  sim_.run();
+  ASSERT_TRUE(out.ok);
+  ASSERT_EQ(out.response.header.id, id);
+  EXPECT_FALSE(tap.crossing(id, "www.example.com").has_value());
+  const auto reused = tap.crossing(id, "mail.example.com");
+  ASSERT_TRUE(reused.has_value());
+  ASSERT_TRUE(reused->has_response);
+  EXPECT_GT(reused->query_seen, second_start);
+  EXPECT_NEAR((reused->response_seen - reused->query_seen).to_millis(), 7.0,
+              0.5);
 }
 
 TEST_F(SegmentTest, DnsTapFilterExcludesTraffic) {
@@ -182,7 +204,7 @@ TEST_F(SegmentTest, DnsTapFilterExcludesTraffic) {
   DnsTap tap(net_, segment_->pgw(),
              [](const simnet::Packet&) { return false; });
   dns::StubResolver stub(
-      net_, ue,
+      net_.runtime(ue),
       Endpoint{Ipv4Address::must_parse("198.51.100.1"), dns::kDnsPort},
       dns::DnsTransport::Options{SimTime::millis(50), 0});
   stub.resolve(dns::DnsName::must_parse("www.example.com"),

@@ -79,12 +79,12 @@ TEST_F(BandwidthTest, ContentFetchTimeScalesWithObjectSize) {
   net.set_link_bandwidth(access, 16'000'000);
 
   cdn::CacheServer::Config config;
-  cdn::CacheServer cache(net, edge, "edge", config);
+  cdn::CacheServer cache(net.runtime(edge), "edge", config);
   cache.warm(cdn::ContentObject{cdn::Url::must_parse("v.test/big"),
                                 2 * 1024 * 1024});
   cache.warm(cdn::ContentObject{cdn::Url::must_parse("v.test/small"), 4096});
 
-  cdn::ContentClient fetcher(net, client);
+  cdn::ContentClient fetcher(net.runtime(client));
   SimTime big_time;
   SimTime small_time;
   fetcher.get(Endpoint{Ipv4Address::must_parse("10.1.0.2"),
@@ -130,7 +130,7 @@ TEST(ForwardFailover, SecondUpstreamAnswersWhenFirstIsDead) {
   const auto make_auth = [&](simnet::NodeId node, const char* name,
                              const char* answer) {
     auto server = std::make_unique<dns::AuthoritativeServer>(
-        net, node, name, LatencyModel::constant(SimTime::micros(100)));
+        net.runtime(node), name, LatencyModel::constant(SimTime::micros(100)));
     dns::Zone& zone = server->add_zone(dns::DnsName::must_parse("f.test"));
     zone.must_add(dns::make_a(dns::DnsName::must_parse("www.f.test"),
                               Ipv4Address::must_parse(answer), 30));
@@ -140,7 +140,7 @@ TEST(ForwardFailover, SecondUpstreamAnswersWhenFirstIsDead) {
   auto auth2 = make_auth(up2, "up2", "198.18.0.2");
   net.set_node_up(up1, false);  // primary upstream is down
 
-  dns::PluginChainServer server(net, proxy, "proxy",
+  dns::PluginChainServer server(net.runtime(proxy), "proxy",
                                 LatencyModel::constant(SimTime::micros(200)));
   dns::PluginChain& chain = server.add_default_view("default");
   dns::DnsTransport::Options options;
@@ -154,7 +154,7 @@ TEST(ForwardFailover, SecondUpstreamAnswersWhenFirstIsDead) {
   dns::ForwardPlugin* forward_ptr = forward.get();
   chain.add(std::move(forward));
 
-  dns::StubResolver stub(net, client,
+  dns::StubResolver stub(net.runtime(client),
                          Endpoint{Ipv4Address::must_parse("10.0.0.2"),
                                   dns::kDnsPort},
                          dns::DnsTransport::Options{SimTime::seconds(2), 0});
@@ -187,7 +187,7 @@ TEST(ForwardFailover, RoundRobinPolicySpreadsQueries) {
 
   const auto make_auth = [&](simnet::NodeId node, const char* name) {
     auto server = std::make_unique<dns::AuthoritativeServer>(
-        net, node, name, LatencyModel::constant(SimTime::micros(100)));
+        net.runtime(node), name, LatencyModel::constant(SimTime::micros(100)));
     dns::Zone& zone = server->add_zone(dns::DnsName::must_parse("rr.test"));
     zone.must_add(dns::make_a(dns::DnsName::must_parse("www.rr.test"),
                               Ipv4Address::must_parse("198.18.0.1"), 30));
@@ -196,7 +196,7 @@ TEST(ForwardFailover, RoundRobinPolicySpreadsQueries) {
   auto auth1 = make_auth(up1, "up1");
   auto auth2 = make_auth(up2, "up2");
 
-  dns::PluginChainServer server(net, proxy, "proxy",
+  dns::PluginChainServer server(net.runtime(proxy), "proxy",
                                 LatencyModel::constant(SimTime::micros(200)));
   dns::PluginChain& chain = server.add_default_view("default");
   auto forward = std::make_unique<dns::ForwardPlugin>(
@@ -208,7 +208,7 @@ TEST(ForwardFailover, RoundRobinPolicySpreadsQueries) {
   forward->set_policy(dns::ForwardPolicy::kRoundRobin);
   chain.add(std::move(forward));
 
-  dns::StubResolver stub(net, client,
+  dns::StubResolver stub(net.runtime(client),
                          Endpoint{Ipv4Address::must_parse("10.0.0.2"),
                                   dns::kDnsPort});
   for (int i = 0; i < 10; ++i) {

@@ -24,8 +24,9 @@ RandomTopology make_topology(std::uint64_t seed, std::size_t n,
   topo.net = std::make_unique<Network>(*topo.sim, util::Rng(seed * 31 + 1));
   util::Rng rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
+    const std::string k = std::to_string(i);
     topo.nodes.push_back(topo.net->add_node(
-        "n" + std::to_string(i),
+        "n" + k,
         Ipv4Address(static_cast<std::uint32_t>(0x0a000001 + i))));
   }
   const auto random_delay = [&rng] {
@@ -56,7 +57,9 @@ TEST_P(TopologyProperty, EveryPairIsRoutable) {
     for (std::size_t j = 0; j < topo.nodes.size(); j += 3) {
       const auto cost = topo.net->route_cost(topo.nodes[i], topo.nodes[j]);
       ASSERT_TRUE(cost.has_value()) << i << "->" << j;
-      if (i == j) EXPECT_EQ(*cost, SimTime::zero());
+      if (i == j) {
+        EXPECT_EQ(*cost, SimTime::zero());
+      }
     }
   }
 }

@@ -51,10 +51,14 @@ TEST(SmallVector, StaysInlineUpToCapacity) {
 
 TEST(SmallVector, GrowthPreservesElementsAcrossManyDoublings) {
   SmallVector<std::string, 2> v;
-  for (int i = 0; i < 100; ++i) v.push_back("s" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    const std::string n = std::to_string(i);
+    v.push_back("s" + n);
+  }
   ASSERT_EQ(v.size(), 100u);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(v[static_cast<std::size_t>(i)], "s" + std::to_string(i));
+    const std::string n = std::to_string(i);
+    EXPECT_EQ(v[static_cast<std::size_t>(i)], "s" + n);
   }
 }
 

@@ -4,7 +4,8 @@
 #   2. Fault-matrix smoke: every chaos scenario once, fixed seed, under the
 #      sanitizers (bench_fault_availability drives the whole failure-handling
 #      stack end to end).
-#   3. Plain Release build (what the benches/figures run as), all tests.
+#   3. Release build (what the benches/figures run as) with -Werror, all
+#      tests.
 #   4. Observability gate: fig2 with trace/metrics/timeseries outputs,
 #      mecdns_report over each artifact, and a self-diff of two identical
 #      runs (any nonzero diff means the bench lost determinism).
@@ -59,8 +60,8 @@ for scenario in mec-ldns-crash edge-cache-partition wan-loss-burst \
       --json-out "$smoke_dir/fault_$scenario.json"
 done
 
-echo "=== 3/9: Release build + tests (build/) ==="
-run cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+echo "=== 3/9: Release build (warnings are errors) + tests (build/) ==="
+run cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 run cmake --build build -j "$jobs"
 run ctest --test-dir build --output-on-failure -j "$jobs" --timeout 120
 
