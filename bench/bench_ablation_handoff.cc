@@ -11,12 +11,8 @@
 #include <memory>
 
 #include "core/experiment.h"
-#include "core/mec_cdn.h"
 #include "core/parallel.h"
-#include "ran/handoff.h"
-#include "ran/profiles.h"
-#include "ran/segment.h"
-#include "ran/ue.h"
+#include "core/topology.h"
 #include "util/args.h"
 
 using namespace mecdns;
@@ -26,75 +22,22 @@ namespace {
 struct TwoCellWorld {
   simnet::Simulator sim;
   std::unique_ptr<simnet::Network> net;
-  std::unique_ptr<ran::RanSegment> cell_a;
-  std::unique_ptr<ran::RanSegment> cell_b;
-  std::unique_ptr<core::MecCdnSite> site_a;
-  std::unique_ptr<core::MecCdnSite> site_b;
-  std::unique_ptr<ran::UserEquipment> ue;
-  std::unique_ptr<ran::HandoffManager> handoff;
+  std::vector<core::topology::Cell> cells;
+  core::topology::RoamingUe ue;
 
   explicit TwoCellWorld(std::uint64_t seed) {
     net = std::make_unique<simnet::Network>(sim, util::Rng(seed));
-    const simnet::NodeId backbone = net->add_node(
-        "backbone", simnet::Ipv4Address::must_parse("192.0.2.1"));
-
-    const auto make_cell = [&](const std::string& name,
-                               const std::string& pgw_ip,
-                               const std::string& prefix)
-        -> std::pair<std::unique_ptr<ran::RanSegment>,
-                     std::unique_ptr<core::MecCdnSite>> {
-      ran::RanSegment::Config rc;
-      rc.name = name;
-      rc.enb_addr = simnet::Ipv4Address::must_parse(prefix + ".0.1");
-      rc.sgw_addr = simnet::Ipv4Address::must_parse(prefix + ".0.2");
-      rc.pgw_addr = simnet::Ipv4Address::must_parse(pgw_ip);
-      rc.ue_subnet = simnet::Cidr::must_parse("10.45.0.0/16");
-      rc.access = ran::lte();
-      auto segment = std::make_unique<ran::RanSegment>(*net, rc);
-      net->add_link(segment->pgw(), backbone, ran::wan_link(4.0));
-
-      core::MecCdnSite::Config sc;
-      sc.orchestrator.cluster.name = name + "-mec";
-      // Distinct node/service CIDRs per site.
-      sc.orchestrator.cluster.node_cidr =
-          simnet::Cidr::must_parse(prefix + ".64.0/24");
-      sc.orchestrator.cluster.service_cidr =
-          simnet::Cidr::must_parse(prefix + ".128.0/20");
-      sc.answer_ttl = 0;
-      auto site = std::make_unique<core::MecCdnSite>(*net, sc);
-      net->add_link(segment->pgw(), site->orchestrator().cluster().gateway(),
-                    simnet::LatencyModel::constant(
-                        simnet::SimTime::millis(0.5)));
-      return {std::move(segment), std::move(site)};
-    };
-
-    std::tie(cell_a, site_a) = make_cell("cell-a", "203.0.113.1", "10.101");
-    std::tie(cell_b, site_b) = make_cell("cell-b", "203.0.114.1", "10.102");
+    const simnet::NodeId backbone = core::topology::add_backbone(*net);
+    cells.push_back(core::topology::add_cell(*net, 0, backbone));
+    cells.push_back(core::topology::add_cell(*net, 1, backbone));
     // Inter-site backhaul (the sticky path rides this).
-    net->add_link(cell_a->pgw(), cell_b->pgw(), ran::wan_link(8.0));
-
-    cdn::ContentCatalog catalog;
-    catalog.add_series(
-        dns::DnsName::must_parse("video.demo1.mycdn.ciab.test"), "seg", 8,
-        1 << 20);
-    site_a->add_delivery_service("demo1", catalog);
-    site_b->add_delivery_service("demo1", catalog);
-
-    ue = std::make_unique<ran::UserEquipment>(
-        *net, *cell_a, "ue", simnet::Ipv4Address::must_parse("10.45.0.2"),
-        site_a->ldns_endpoint());
-    // Pre-create the air link to cell B (down until handoff).
-    const simnet::LinkId link_b = net->add_link(
-        ue->node(), cell_b->enb(), ran::lte().uplink, ran::lte().downlink);
-    net->set_link_up(link_b, false);
-
-    handoff = std::make_unique<ran::HandoffManager>(*net, *ue);
-    handoff->add_cell(ran::HandoffManager::Cell{
-        "cell-a", cell_a.get(), cell_a->ue_link(ue->node()),
-        site_a->ldns_endpoint()});
-    handoff->add_cell(ran::HandoffManager::Cell{
-        "cell-b", cell_b.get(), link_b, site_b->ldns_endpoint()});
-    handoff->attach(0);
+    net->add_link(cells[0].ran->pgw(), cells[1].ran->pgw(),
+                  ran::wan_link(8.0));
+    for (auto& cell : cells) {
+      cell.site->add_delivery_service("demo1", core::topology::demo_catalog());
+    }
+    ue = core::topology::add_roaming_ue(*net, cells, "ue",
+                                        core::topology::ue_address());
   }
 };
 
@@ -104,22 +47,17 @@ struct Phase {
 };
 
 Phase measure(TwoCellWorld& world, core::MecCdnSite& local_site) {
-  core::QueryRunner runner(*world.net, world.ue->resolver(), nullptr);
+  core::QueryRunner runner(*world.net, world.ue.ue->resolver(), nullptr);
   core::QueryRunner::Options options;
   options.queries = 30;
   options.warmup = 1;
   options.spacing = simnet::SimTime::millis(500);
   const core::SeriesResult result = runner.run(
-      dns::DnsName::must_parse("video.demo1.mycdn.ciab.test"),
-      dns::RecordType::kA, options);
+      core::topology::content_name(), dns::RecordType::kA, options);
   Phase phase;
   phase.mean_ms = result.totals().mean();
-  phase.local_share = result.answer_share([&](simnet::Ipv4Address a) {
-    for (std::size_t i = 0; i < local_site.site_config().edge_caches; ++i) {
-      if (local_site.cache_address(i) == a) return true;
-    }
-    return false;
-  });
+  phase.local_share = result.answer_share(
+      [&](simnet::Ipv4Address a) { return local_site.is_edge_cache(a); });
   return phase;
 }
 
@@ -133,9 +71,9 @@ struct HandoffResult {
 HandoffResult run_world(bool retarget, std::uint64_t seed) {
   TwoCellWorld world(seed);
   HandoffResult result;
-  result.before = measure(world, *world.site_a);
-  world.handoff->attach(1, retarget);
-  result.after = measure(world, *world.site_b);
+  result.before = measure(world, *world.cells[0].site);
+  world.ue.handoff->attach(1, retarget);
+  result.after = measure(world, *world.cells[1].site);
   return result;
 }
 

@@ -11,11 +11,9 @@
 
 #include "cdn/traffic_router.h"
 #include "core/study.h"
+#include "core/topology.h"
 #include "dns/plugin.h"
 #include "mec/orchestrator.h"
-#include "ran/profiles.h"
-#include "ran/segment.h"
-#include "ran/ue.h"
 #include "workload/domains.h"
 
 using namespace mecdns;
@@ -29,18 +27,12 @@ int main() {
   // --- the MEC world ----------------------------------------------------------
   simnet::Simulator sim;
   simnet::Network net(sim, util::Rng(31337));
-  ran::RanSegment::Config rc;
-  rc.name = "lte";
-  rc.enb_addr = simnet::Ipv4Address::must_parse("10.100.0.1");
-  rc.sgw_addr = simnet::Ipv4Address::must_parse("10.100.0.2");
-  rc.pgw_addr = simnet::Ipv4Address::must_parse("203.0.113.1");
-  rc.ue_subnet = simnet::Cidr::must_parse("10.45.0.0/16");
-  rc.access = ran::lte();
-  ran::RanSegment lte(net, rc);
+  const auto lte = core::topology::add_ran(net, "lte", ran::lte());
 
   mec::Orchestrator orchestrator(net, {});
-  net.add_link(lte.pgw(), orchestrator.cluster().gateway(),
-               simnet::LatencyModel::constant(simnet::SimTime::millis(0.5)));
+  net.add_link(lte->pgw(), orchestrator.cluster().gateway(),
+               simnet::LatencyModel::constant(
+                   simnet::SimTime::millis(core::topology::kPgwToMecMs)));
 
   // C-DNS authoritative for *all* of the sites' CDN domains: one router,
   // delivery services rooted at the real (unchanged) domain names.
@@ -95,8 +87,7 @@ int main() {
       std::vector<simnet::Endpoint>{{tr_dep.cluster_ip, dns::kDnsPort}},
       ldns.transport()));
 
-  ran::UserEquipment ue(net, lte, "ue",
-                        simnet::Ipv4Address::must_parse("10.45.0.2"),
+  ran::UserEquipment ue(net, *lte, "ue", core::topology::ue_address(),
                         simnet::Endpoint{dns_dep.cluster_ip, dns::kDnsPort});
 
   std::printf("=== E1: Table 1 domains served from the MEC (paper: no "

@@ -31,6 +31,7 @@
 #include "core/fault_scenarios.h"
 #include "core/fig5.h"
 #include "core/parallel.h"
+#include "core/topology.h"
 #include "mec/failover.h"
 #include "obs/incident.h"
 #include "obs/journal.h"
@@ -82,13 +83,6 @@ struct Sample {
   std::string error;
 };
 
-/// The provider L-DNS address is fixed by the testbed (10.201.0.53), so a
-/// fallback-server list can be configured before the testbed is built.
-simnet::Endpoint provider_endpoint() {
-  return simnet::Endpoint{simnet::Ipv4Address::must_parse("10.201.0.53"),
-                          dns::kDnsPort};
-}
-
 /// "series.json" + "node-down/robust" -> "series.node-down.robust.json".
 std::string with_slug(const std::string& path, std::string name) {
   for (char& c : name) {
@@ -132,7 +126,8 @@ JobResult run_scenario(const std::string& name, bool robust,
     config.ue_dns_options.max_retries = 1;
     config.ue_dns_options.backoff_factor = 2.0;
     config.ue_dns_options.max_backoff = simnet::SimTime::seconds(8);
-    config.ue_dns_options.fallback_servers = {provider_endpoint()};
+    config.ue_dns_options.fallback_servers = {
+        core::topology::provider_endpoint()};
   }
   core::Fig5Testbed testbed(config);
   simnet::Network& net = testbed.network();

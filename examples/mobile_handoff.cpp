@@ -6,83 +6,31 @@
 #include <cstdlib>
 #include <memory>
 
-#include "core/mec_cdn.h"
-#include "ran/handoff.h"
-#include "ran/profiles.h"
-#include "ran/segment.h"
-#include "ran/ue.h"
+#include "core/topology.h"
 
 using namespace mecdns;
-
-namespace {
-
-struct Site {
-  std::unique_ptr<ran::RanSegment> segment;
-  std::unique_ptr<core::MecCdnSite> mec;
-};
-
-Site make_site(simnet::Network& net, simnet::NodeId backbone,
-               const std::string& name, const std::string& prefix,
-               const std::string& pgw_ip) {
-  Site site;
-  ran::RanSegment::Config rc;
-  rc.name = name;
-  rc.enb_addr = simnet::Ipv4Address::must_parse(prefix + ".0.1");
-  rc.sgw_addr = simnet::Ipv4Address::must_parse(prefix + ".0.2");
-  rc.pgw_addr = simnet::Ipv4Address::must_parse(pgw_ip);
-  rc.ue_subnet = simnet::Cidr::must_parse("10.45.0.0/16");
-  rc.access = ran::lte();
-  site.segment = std::make_unique<ran::RanSegment>(net, rc);
-  net.add_link(site.segment->pgw(), backbone, ran::wan_link(4.0));
-
-  core::MecCdnSite::Config sc;
-  sc.orchestrator.cluster.name = name + "-mec";
-  sc.orchestrator.cluster.node_cidr =
-      simnet::Cidr::must_parse(prefix + ".64.0/24");
-  sc.orchestrator.cluster.service_cidr =
-      simnet::Cidr::must_parse(prefix + ".128.0/20");
-  sc.answer_ttl = 0;
-  site.mec = std::make_unique<core::MecCdnSite>(net, sc);
-  net.add_link(site.segment->pgw(), site.mec->orchestrator().cluster().gateway(),
-               simnet::LatencyModel::constant(simnet::SimTime::millis(0.5)));
-  return site;
-}
-
-}  // namespace
+namespace topology = core::topology;
 
 int main() {
   const bool sticky = std::getenv("MECDNS_STICKY") != nullptr;
   simnet::Simulator sim;
   simnet::Network net(sim, util::Rng(404));
-  const simnet::NodeId backbone =
-      net.add_node("backbone", simnet::Ipv4Address::must_parse("192.0.2.1"));
+  const simnet::NodeId backbone = topology::add_backbone(net);
 
-  Site cell_a = make_site(net, backbone, "cell-a", "10.101", "203.0.113.1");
-  Site cell_b = make_site(net, backbone, "cell-b", "10.102", "203.0.114.1");
-  net.add_link(cell_a.segment->pgw(), cell_b.segment->pgw(),
+  std::vector<topology::Cell> cells;
+  cells.push_back(topology::add_cell(net, 0, backbone));
+  cells.push_back(topology::add_cell(net, 1, backbone));
+  net.add_link(cells[0].ran->pgw(), cells[1].ran->pgw(),
                ran::wan_link(8.0));  // inter-site backhaul
+  for (auto& cell : cells) {
+    cell.site->add_delivery_service("demo1", topology::demo_catalog());
+  }
 
-  cdn::ContentCatalog catalog;
-  catalog.add_series(dns::DnsName::must_parse("video.demo1.mycdn.ciab.test"),
-                     "segment", 8, 1 << 20);
-  cell_a.mec->add_delivery_service("demo1", catalog);
-  cell_b.mec->add_delivery_service("demo1", catalog);
-
-  ran::UserEquipment ue(net, *cell_a.segment, "car-ue",
-                        simnet::Ipv4Address::must_parse("10.45.0.2"),
-                        cell_a.mec->ldns_endpoint());
-  const simnet::LinkId link_b =
-      net.add_link(ue.node(), cell_b.segment->enb(), ran::lte().uplink,
-                   ran::lte().downlink);
-  net.set_link_up(link_b, false);
-
-  ran::HandoffManager handoff(net, ue);
-  handoff.add_cell({"cell-a", cell_a.segment.get(),
-                    cell_a.segment->ue_link(ue.node()),
-                    cell_a.mec->ldns_endpoint()});
-  handoff.add_cell({"cell-b", cell_b.segment.get(), link_b,
-                    cell_b.mec->ldns_endpoint()});
-  handoff.attach(0);
+  // The car starts on cell A (cell 0) with its DNS on cell A's MEC L-DNS.
+  topology::RoamingUe car =
+      topology::add_roaming_ue(net, cells, "car-ue", topology::ue_address());
+  ran::UserEquipment& ue = *car.ue;
+  ran::HandoffManager& handoff = *car.handoff;
 
   std::printf("mode: %s (set MECDNS_STICKY=1 for the no-retarget case)\n\n",
               sticky ? "sticky L-DNS" : "re-target DNS on handoff");
@@ -100,19 +48,17 @@ int main() {
                     sticky ? " (DNS still points at cell-a)" : "");
       }
       cdn::Url url;
-      url.host = dns::DnsName::must_parse("video.demo1.mycdn.ciab.test");
+      url.host = topology::content_name();
       url.path = "/segment000" + std::to_string(i % 8);
       ue.resolve_and_fetch(
           url, [&, at](const ran::UserEquipment::FetchOutcome& outcome) {
             const char* where = "?";
-            const auto is_site = [&](core::MecCdnSite& site) {
-              for (std::size_t c = 0; c < site.site_config().edge_caches; ++c) {
-                if (site.cache_address(c) == outcome.server) return true;
-              }
-              return false;
-            };
-            if (is_site(*cell_a.mec)) where = "cell-a edge cache";
-            if (is_site(*cell_b.mec)) where = "cell-b edge cache";
+            if (cells[0].site->is_edge_cache(outcome.server)) {
+              where = "cell-a edge cache";
+            }
+            if (cells[1].site->is_edge_cache(outcome.server)) {
+              where = "cell-b edge cache";
+            }
             std::printf("%8.1f %-10s %12.1f %-22s\n", at.to_seconds(),
                         handoff.active_cell() == 0 ? "cell-a" : "cell-b",
                         outcome.total.to_millis(), where);

@@ -12,13 +12,11 @@
 //   5. one resolve+fetch, with the latency breakdown printed.
 #include <cstdio>
 
-#include "core/mec_cdn.h"
-#include "ran/profiles.h"
-#include "ran/segment.h"
-#include "ran/ue.h"
+#include "core/topology.h"
 #include "util/log.h"
 
 using namespace mecdns;
+namespace topology = core::topology;
 
 int main() {
   // Narrate what the components do, each line stamped with simulated time.
@@ -27,45 +25,27 @@ int main() {
   // --- 1. network + RAN ------------------------------------------------------
   simnet::Simulator sim;
   simnet::Network net(sim, util::Rng(/*seed=*/2026));
+  const auto ran_segment = topology::add_ran(net, "lte", ran::lte());
 
-  ran::RanSegment::Config ran_config;
-  ran_config.name = "lte";
-  ran_config.enb_addr = simnet::Ipv4Address::must_parse("10.100.0.1");
-  ran_config.sgw_addr = simnet::Ipv4Address::must_parse("10.100.0.2");
-  ran_config.pgw_addr = simnet::Ipv4Address::must_parse("203.0.113.1");
-  ran_config.ue_subnet = simnet::Cidr::must_parse("10.45.0.0/16");
-  ran_config.access = ran::lte();
-  ran::RanSegment ran_segment(net, ran_config);
-
-  // --- 2. the MEC-CDN site ----------------------------------------------------
-  core::MecCdnSite::Config site_config;
-  site_config.cdn_domain = dns::DnsName::must_parse("mycdn.ciab.test");
-  site_config.answer_ttl = 0;  // per-query routing, like the paper's testbed
-  core::MecCdnSite site(net, site_config);
-
-  // Collocate the cluster with the P-GW (one short hop).
-  net.add_link(ran_segment.pgw(), site.orchestrator().cluster().gateway(),
-               simnet::LatencyModel::constant(simnet::SimTime::millis(0.5)));
+  // --- 2. the MEC-CDN site, collocated with the P-GW (one short hop) ---------
+  // Per-query routing (answer TTL 0), like the paper's testbed.
+  const auto site = topology::add_site(net, *ran_segment);
 
   // --- 3. deploy a delivery service -------------------------------------------
-  cdn::ContentCatalog catalog;
-  catalog.add_series(dns::DnsName::must_parse("video.demo1.mycdn.ciab.test"),
-                     "segment", 16, 2 * 1024 * 1024);
-  site.add_delivery_service("demo1", catalog);
+  site->add_delivery_service("demo1", topology::demo_catalog());
 
   std::printf("MEC L-DNS cluster IP : %s\n",
-              site.ldns_endpoint().to_string().c_str());
+              site->ldns_endpoint().to_string().c_str());
   std::printf("C-DNS cluster IP     : %s\n",
-              site.cdns_endpoint().to_string().c_str());
-  for (std::size_t i = 0; i < site.site_config().edge_caches; ++i) {
+              site->cdns_endpoint().to_string().c_str());
+  for (std::size_t i = 0; i < site->site_config().edge_caches; ++i) {
     std::printf("edge cache %zu         : %s\n", i,
-                site.cache_address(i).to_string().c_str());
+                site->cache_address(i).to_string().c_str());
   }
 
   // --- 4. a UE attached to the cell, DNS switched to the MEC L-DNS ------------
-  ran::UserEquipment ue(net, ran_segment, "ue",
-                        simnet::Ipv4Address::must_parse("10.45.0.2"),
-                        site.ldns_endpoint());
+  ran::UserEquipment ue(net, *ran_segment, "ue", topology::ue_address(),
+                        site->ldns_endpoint());
 
   // --- 5. resolve + fetch -------------------------------------------------------
   ue.resolve_and_fetch(

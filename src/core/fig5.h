@@ -81,16 +81,6 @@ class Fig5Testbed {
     /// provider_fallback). The provider resolves the CDN domain through
     /// the public hierarchy to the WAN C-DNS — the degraded-but-up path.
     bool cdns_fallback_to_provider = false;
-
-    // --- calibration knobs (defaults reproduce Figure 5's shape) --------
-    double pgw_to_mec_ms = 0.5;      ///< P-GW <-> cluster gateway, one way
-    double lan_cdns_ms = 3.3;        ///< MEC <-> LAN C-DNS, one way
-    double pgw_to_internet_ms = 4.0; ///< operator core <-> backbone
-    double wan_cdns_ms = 11.7;       ///< backbone <-> CDN cloud site
-    double provider_ldns_ms = 14.55; ///< P-GW <-> provider L-DNS
-    double google_ms = 14.0;         ///< backbone <-> Google (anycast: near)
-    double cloudflare_ms = 57.3;     ///< backbone <-> Cloudflare (the far,
-                                     ///< slow path the paper measured)
   };
 
   explicit Fig5Testbed(Config config);
@@ -131,16 +121,15 @@ class Fig5Testbed {
   /// provider_fallback.
   const dns::DnsName& tier2_name() const { return tier2_name_; }
 
-  /// The provider L-DNS endpoint (when built).
-  simnet::Endpoint provider_endpoint() const {
-    return provider_ldns_->endpoint();
-  }
+  /// The provider L-DNS endpoint (fixed by the addressing plan, so it is
+  /// known whether or not this deployment builds the provider).
+  simnet::Endpoint provider_endpoint() const;
 
   /// True if `addr` is one of the MEC edge caches' cluster IPs.
   bool is_mec_cache(simnet::Ipv4Address addr) const;
   /// True if `addr` is the cloud cache.
   bool is_cloud_cache(simnet::Ipv4Address addr) const {
-    return addr == cloud_cache_addr_;
+    return addr == cloud_cache_->endpoint().addr;
   }
 
   simnet::Network& network() { return *net_; }
@@ -148,24 +137,15 @@ class Fig5Testbed {
   ran::UserEquipment& ue() { return *ue_; }
   ran::RanSegment& ran() { return *ran_; }
   MecCdnSite& site() { return *site_; }
-  ran::DnsTap& tap() { return *tap_; }
-  const Config& config() const { return config_; }
 
   // --- fault-injection handles (chaos scenarios) --------------------------
   /// Node hosting the MEC L-DNS (the cluster "infra" worker).
   simnet::NodeId mec_ldns_node() const;
   /// The provider L-DNS node (kInvalidNode when not built).
-  simnet::NodeId provider_ldns_node() const { return provider_node_; }
+  simnet::NodeId provider_ldns_node() const;
   /// P-GW <-> internet backbone (the WAN exit).
   simnet::LinkId pgw_backbone_link() const { return pgw_backbone_link_; }
-  /// P-GW <-> MEC cluster gateway.
-  simnet::LinkId pgw_mec_link() const { return pgw_mec_link_; }
-  /// Cluster gateway <-> LAN C-DNS node.
-  simnet::LinkId mec_lan_link() const { return mec_lan_link_; }
-  /// P-GW <-> provider L-DNS (only meaningful when the provider is built).
-  simnet::LinkId pgw_provider_link() const { return pgw_provider_link_; }
   dns::RecursiveResolver* provider_ldns() { return provider_ldns_.get(); }
-  cdn::CacheServer* cloud_cache() { return cloud_cache_.get(); }
   /// The C-DNS the active scenario resolves through (for ECS toggling and
   /// answer-correctness checks). The in-cluster router for scenario 1,
   /// the LAN or WAN router otherwise.
@@ -192,13 +172,7 @@ class Fig5Testbed {
   std::unique_ptr<dns::RecursiveResolver> public_resolver_;
   std::unique_ptr<cdn::OriginServer> origin_;
   std::unique_ptr<cdn::CacheServer> cloud_cache_;
-  simnet::NodeId backbone_ = simnet::kInvalidNode;
-  simnet::NodeId provider_node_ = simnet::kInvalidNode;
   simnet::LinkId pgw_backbone_link_ = 0;
-  simnet::LinkId pgw_mec_link_ = 0;
-  simnet::LinkId mec_lan_link_ = 0;
-  simnet::LinkId pgw_provider_link_ = 0;
-  simnet::Ipv4Address cloud_cache_addr_;
   obs::TraceSink* trace_sink_ = nullptr;
   obs::Registry* metrics_ = nullptr;
   obs::TimeSeries* timeseries_ = nullptr;

@@ -18,6 +18,7 @@
 // §5 highlights.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -145,6 +146,11 @@ class MecCdnSite {
   /// The cluster-IP address of edge cache `i` (what the C-DNS answers).
   simnet::Ipv4Address cache_address(std::size_t i) const {
     return cache_ips_.at(i);
+  }
+  /// True if `addr` is one of this site's edge caches.
+  bool is_edge_cache(simnet::Ipv4Address addr) const {
+    return std::find(cache_ips_.begin(), cache_ips_.end(), addr) !=
+           cache_ips_.end();
   }
 
   // --- elastic edge capacity (what an AutoScaler drives) -------------------

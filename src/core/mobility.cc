@@ -5,42 +5,12 @@
 
 #include "cdn/content.h"
 #include "obs/timeseries.h"
-#include "ran/profiles.h"
 #include "workload/loadgen.h"
 
 namespace mecdns::core {
 
 using simnet::Ipv4Address;
-using simnet::LatencyModel;
 using simnet::SimTime;
-
-namespace {
-
-constexpr const char* kCloudGroup = "cloud";
-
-/// Fixed by the testbed so client fallback lists and site stub-domain
-/// forwards can be configured before the resolver node exists.
-simnet::Endpoint fixed_provider_endpoint() {
-  return simnet::Endpoint{Ipv4Address::must_parse("10.201.0.53"),
-                          dns::kDnsPort};
-}
-
-LatencyModel server_processing(double mean_ms) {
-  return LatencyModel::normal(SimTime::millis(mean_ms),
-                              SimTime::millis(mean_ms * 0.12),
-                              SimTime::millis(mean_ms * 0.4));
-}
-
-cdn::ContentCatalog demo_catalog(const dns::DnsName& content_host) {
-  cdn::ContentCatalog catalog;
-  // Small objects: the experiment stresses lookup/allocation churn, not
-  // transfer time, and every logical UE's fetch goes through one of these.
-  catalog.add_series(content_host, "seg", MobilityTestbed::kCatalogObjects,
-                     64 * 1024);
-  return catalog;
-}
-
-}  // namespace
 
 const char* mobility_mode_label(MobilityMode mode) {
   switch (mode) {
@@ -54,16 +24,11 @@ const char* mobility_mode_label(MobilityMode mode) {
 }
 
 MobilityTestbed::MobilityTestbed(Config config)
-    : config_(std::move(config)),
-      content_name_(dns::DnsName::must_parse("video.demo1.mycdn.ciab.test")) {
+    : config_(std::move(config)), content_name_(topology::content_name()) {
   if (config_.knobs.cells == 0 || config_.knobs.cells > 8) {
     throw std::invalid_argument("MobilityTestbed supports 1..8 cells");
   }
   build();
-}
-
-simnet::Endpoint MobilityTestbed::provider_endpoint() const {
-  return fixed_provider_endpoint();
 }
 
 dns::DnsTransport::Options MobilityTestbed::client_options() const {
@@ -72,7 +37,7 @@ dns::DnsTransport::Options MobilityTestbed::client_options() const {
     options.max_retries = 1;
     options.backoff_factor = 2.0;
     options.max_backoff = SimTime::seconds(8);
-    options.fallback_servers = {fixed_provider_endpoint()};
+    options.fallback_servers = {topology::provider_endpoint()};
     // failover_on_servfail defaults true: a guard SERVFAIL moves the
     // transaction to the provider within one RTT.
   }
@@ -85,112 +50,41 @@ void MobilityTestbed::build() {
   const MobilityKnobs& k = config_.knobs;
   sim_ = std::make_unique<simnet::Simulator>();
   net_ = std::make_unique<simnet::Network>(*sim_, util::Rng(config_.seed));
-  backbone_ =
-      net_->add_node("internet-backbone", Ipv4Address::must_parse("192.0.2.1"));
+  const simnet::NodeId backbone = topology::add_backbone(*net_);
+  const cdn::ContentCatalog catalog = topology::churn_catalog();
 
-  const dns::DnsName cdn_domain = dns::DnsName::must_parse("mycdn.ciab.test");
-  const dns::DnsName parent_domain = dns::DnsName::must_parse("cdn-parent.test");
-  const cdn::ContentCatalog catalog = demo_catalog(content_name_);
+  // --- shared cloud tier ----------------------------------------------------
+  origin_ = topology::add_origin(*net_, backbone, catalog);
+  cloud_cache_ = topology::add_cloud_cache(*net_, backbone, catalog);
+  hierarchy_ = topology::add_public_dns(*net_, backbone);
+  // The provider path ends at the WAN C-DNS, which answers with the cloud
+  // cache: degraded but up.
+  wan_cdns_ = topology::add_wan_cdns(*net_, backbone, *hierarchy_,
+                                     /*answer_ttl=*/0, /*use_ecs=*/false);
+  topology::serve_from_cloud(*wan_cdns_, topology::cdn_domain(), {"demo1"});
+  // A bounded-load-exhausted edge C-DNS refers demo1 queries here.
+  mid_cdns_ =
+      topology::add_mid_cdns(*net_, backbone, *hierarchy_, {"demo1"});
 
-  // --- shared cloud tier: origin, cloud cache, public DNS ----------------
-  const auto origin_addr = Ipv4Address::must_parse("198.51.100.10");
-  const simnet::NodeId origin_node = net_->add_node("cloud-origin", origin_addr);
-  net_->add_link(origin_node, backbone_, ran::wan_link(25.0));
-  origin_ = std::make_unique<cdn::OriginServer>(net_->runtime(origin_node),
-                                                "cloud-origin", catalog);
-
-  const auto cloud_cache_addr = Ipv4Address::must_parse("198.51.100.20");
-  const simnet::NodeId cloud_cache_node =
-      net_->add_node("cloud-cache", cloud_cache_addr);
-  net_->add_link(cloud_cache_node, backbone_, ran::wan_link(24.0));
-  cdn::CacheServer::Config ccc;
-  ccc.parent = simnet::Endpoint{origin_addr, cdn::kContentPort};
-  cloud_cache_ = std::make_unique<cdn::CacheServer>(
-      net_->runtime(cloud_cache_node), "cloud-cache", ccc, cdn::kContentPort,
-      cloud_cache_addr);
-  for (const auto& [url, object] : catalog.objects()) {
-    cloud_cache_->warm(object);
+  // --- the cells and the provider L-DNS every P-GW reaches ------------------
+  std::vector<simnet::NodeId> pgws;
+  for (std::uint16_t cell = 0; cell < k.cells; ++cell) {
+    cells_.push_back(topology::add_cell(
+        *net_, cell, backbone, topology::churn_site(config_.mode, k)));
+    pgws.push_back(cells_.back().ran->pgw());
   }
-
-  hierarchy_ = std::make_unique<dns::PublicDnsHierarchy>(
-      *net_, backbone_, ran::wan_link(15.0), server_processing(0.5));
-  hierarchy_->ensure_tld("test", Ipv4Address::must_parse("199.7.50.1"),
-                         ran::wan_link(15.0));
-
-  // WAN C-DNS: the CDN domain's public authority. The provider path ends
-  // here, and it answers with the cloud cache — degraded but up.
-  {
-    const auto addr = Ipv4Address::must_parse("198.51.100.53");
-    const simnet::NodeId node = net_->add_node("wan-cdns", addr);
-    net_->add_link(node, backbone_, ran::wan_link(11.7));
-    cdn::TrafficRouter::Config wc;
-    wc.cdn_domain = cdn_domain;
-    wc.answer_ttl = 0;
-    wan_cdns_ = std::make_unique<cdn::TrafficRouter>(
-        net_->runtime(node), "wan-cdns", server_processing(2.6), std::move(wc),
-        dns::kDnsPort, addr);
-    wan_cdns_->add_cache(kCloudGroup,
-                         cdn::CacheInfo{"cloud-cache", cloud_cache_addr, true});
-    wan_cdns_->coverage().set_default_group(kCloudGroup);
-    wan_cdns_->add_delivery_service(cdn::DeliveryService{
-        "demo1", dns::DnsName::must_parse("demo1.mycdn.ciab.test"),
-        {kCloudGroup}});
-    hierarchy_->delegate_to(cdn_domain,
-                            dns::DnsName::must_parse("ns1.mycdn.ciab.test"),
-                            addr);
-  }
-
-  // Parent CDN tier: where a bounded-load-exhausted edge C-DNS refers
-  // demo1 queries via a cascading CNAME.
-  {
-    const auto addr = Ipv4Address::must_parse("198.51.100.63");
-    const simnet::NodeId node = net_->add_node("mid-cdns", addr);
-    net_->add_link(node, backbone_, ran::wan_link(11.7));
-    cdn::TrafficRouter::Config mc;
-    mc.cdn_domain = parent_domain;
-    mc.answer_ttl = 0;
-    mid_cdns_ = std::make_unique<cdn::TrafficRouter>(
-        net_->runtime(node), "mid-cdns", server_processing(2.6), std::move(mc),
-        dns::kDnsPort, addr);
-    mid_cdns_->add_cache(kCloudGroup,
-                         cdn::CacheInfo{"cloud-cache", cloud_cache_addr, true});
-    mid_cdns_->coverage().set_default_group(kCloudGroup);
-    mid_cdns_->add_delivery_service(cdn::DeliveryService{
-        "demo1", dns::DnsName::must_parse("demo1.cdn-parent.test"),
-        {kCloudGroup}});
-    hierarchy_->delegate_to(parent_domain,
-                            dns::DnsName::must_parse("ns1.cdn-parent.test"),
-                            addr);
-  }
-
-  // --- the cells ----------------------------------------------------------
-  for (std::uint16_t cell = 0; cell < k.cells; ++cell) build_cell(cell);
-
-  // Provider L-DNS: one resolver, reachable from every cell's P-GW.
-  {
-    const simnet::Endpoint ep = fixed_provider_endpoint();
-    const simnet::NodeId node = net_->add_node("provider-ldns", ep.addr);
-    for (auto& segment : segments_) {
-      net_->add_link(segment->pgw(), node, ran::wan_link(14.55));
-    }
-    dns::RecursiveResolver::Config rcfg;
-    rcfg.root_servers = hierarchy_->root_hints();
-    provider_ldns_ = std::make_unique<dns::RecursiveResolver>(
-        net_->runtime(node), "provider-ldns", server_processing(0.8), rcfg,
-        ep.addr);
-  }
-
-  for (auto& site : sites_) {
-    site->add_delivery_service("demo1", catalog, /*warm_caches=*/true);
+  provider_ldns_ = topology::add_provider_ldns(*net_, *hierarchy_, pgws);
+  for (auto& cell : cells_) {
+    cell.site->add_delivery_service("demo1", catalog, /*warm_caches=*/true);
   }
 
   // --- clients ------------------------------------------------------------
   const bool robust_client = config_.mode == MobilityMode::kRobust;
   for (std::uint16_t cell = 0; cell < k.cells; ++cell) {
     auto ue = std::make_unique<ran::UserEquipment>(
-        *net_, *segments_[cell], "agg-ue-" + std::to_string(cell),
+        *net_, *cells_[cell].ran, "agg-ue-" + std::to_string(cell),
         Ipv4Address::must_parse("10.45.1." + std::to_string(cell + 1)),
-        sites_[cell]->ldns_endpoint(), client_options());
+        cells_[cell].site->ldns_endpoint(), client_options());
     if (robust_client) {
       ue->set_fetch_retries(2);
       ue->resolver().set_chase_cnames(true);
@@ -198,14 +92,12 @@ void MobilityTestbed::build() {
     aggregate_ues_.push_back(std::move(ue));
   }
 
-  const std::size_t cohort_n =
-      std::min<std::size_t>(k.cohort, k.ues);
+  const std::size_t cohort_n = std::min<std::size_t>(k.cohort, k.ues);
   for (std::size_t i = 0; i < cohort_n; ++i) {
-    CohortUe member;
-    member.ue = std::make_unique<ran::UserEquipment>(
-        *net_, *segments_[0], "cohort-ue-" + std::to_string(i),
+    topology::RoamingUe member = topology::add_roaming_ue(
+        *net_, cells_, "cohort-ue-" + std::to_string(i),
         Ipv4Address::must_parse("10.45.2." + std::to_string(i + 1)),
-        sites_[0]->ldns_endpoint(), client_options());
+        client_options());
     if (robust_client) {
       member.ue->set_fetch_retries(2);
       member.ue->resolver().set_chase_cnames(true);
@@ -213,68 +105,8 @@ void MobilityTestbed::build() {
       // cell's L-DNS follow the re-target instead of timing out.
       member.ue->resolver().set_retarget_in_flight(true);
     }
-    member.handoff = std::make_unique<ran::HandoffManager>(*net_, *member.ue);
-    member.handoff->add_cell(ran::HandoffManager::Cell{
-        "cell-0", segments_[0].get(), segments_[0]->ue_link(member.ue->node()),
-        sites_[0]->ldns_endpoint()});
-    for (std::uint16_t cell = 1; cell < k.cells; ++cell) {
-      const simnet::LinkId link =
-          net_->add_link(member.ue->node(), segments_[cell]->enb(),
-                         ran::lte().uplink, ran::lte().downlink);
-      net_->set_link_up(link, false);
-      member.handoff->add_cell(ran::HandoffManager::Cell{
-          "cell-" + std::to_string(cell), segments_[cell].get(), link,
-          sites_[cell]->ldns_endpoint()});
-    }
-    member.handoff->attach(0);
     cohort_.push_back(std::move(member));
   }
-}
-
-void MobilityTestbed::build_cell(std::uint16_t cell) {
-  const MobilityKnobs& k = config_.knobs;
-  const std::string prefix = "10.1" + std::string(1, '0' + 1 + cell % 9);
-  ran::RanSegment::Config rc;
-  rc.name = "cell-" + std::to_string(cell);
-  rc.enb_addr = Ipv4Address::must_parse(prefix + ".0.1");
-  rc.sgw_addr = Ipv4Address::must_parse(prefix + ".0.2");
-  rc.pgw_addr =
-      Ipv4Address::must_parse("203.0." + std::to_string(113 + cell) + ".1");
-  rc.ue_subnet = simnet::Cidr::must_parse("10.45.0.0/16");
-  rc.access = ran::lte();
-  auto segment = std::make_unique<ran::RanSegment>(*net_, rc);
-  net_->add_link(segment->pgw(), backbone_, ran::wan_link(4.0));
-
-  MecCdnSite::Config sc;
-  sc.orchestrator.cluster.name = "mec-" + std::to_string(cell);
-  sc.orchestrator.cluster.node_cidr =
-      simnet::Cidr::must_parse(prefix + ".64.0/24");
-  sc.orchestrator.cluster.service_cidr =
-      simnet::Cidr::must_parse(prefix + ".128.0/20");
-  sc.answer_ttl = 0;  // per-query routing: every lookup carries real load
-  sc.origin =
-      simnet::Endpoint{Ipv4Address::must_parse("198.51.100.10"),
-                       cdn::kContentPort};
-  sc.provider_ldns = fixed_provider_endpoint();
-  sc.parent_cdn_domain = dns::DnsName::must_parse("cdn-parent.test");
-  // The capacity constraint exists in every mode — robustness is in the
-  // handling, not in pretending the L-DNS is infinite.
-  sc.ldns_workers = k.ldns_workers;
-  sc.ldns_max_queue = k.ldns_max_queue;
-  if (config_.mode != MobilityMode::kFragile) {
-    sc.overload_threshold_qps = k.guard_threshold_qps;
-    sc.overload_recovery_windows = k.guard_recovery_windows;
-    sc.overload_action = mec::OverloadAction::kServFail;
-    sc.overload_queue_limit = k.queue_shed_limit;
-    sc.cache_selection_capacity = k.cache_selection_capacity;
-    sc.cache_selection_window = SimTime::seconds(1);
-    sc.cdns_fallback_to_provider = true;
-  }
-  auto site = std::make_unique<MecCdnSite>(*net_, sc);
-  net_->add_link(segment->pgw(), site->orchestrator().cluster().gateway(),
-                 LatencyModel::constant(SimTime::millis(0.5)));
-  segments_.push_back(std::move(segment));
-  sites_.push_back(std::move(site));
 }
 
 MobilityRunResult run_mobility_job(workload::MobilityScenario scenario,
@@ -363,7 +195,7 @@ MobilityRunResult run_mobility_job(workload::MobilityScenario scenario,
         char path[16];
         std::snprintf(path, sizeof(path), "/seg%04u",
                       ue % static_cast<std::uint32_t>(
-                               MobilityTestbed::kCatalogObjects));
+                               topology::kChurnCatalogObjects));
         cdn::Url url;
         url.host = bed.content_name();
         url.path = path;

@@ -38,17 +38,10 @@
 #include <string>
 #include <vector>
 
-#include "cdn/cache_server.h"
-#include "cdn/traffic_router.h"
-#include "core/mec_cdn.h"
-#include "dns/hierarchy.h"
-#include "dns/recursive.h"
+#include "core/topology.h"
 #include "mec/autoscaler.h"
 #include "obs/incident.h"
 #include "obs/slo.h"
-#include "ran/handoff.h"
-#include "ran/segment.h"
-#include "ran/ue.h"
 #include "util/stats.h"
 #include "workload/mobility.h"
 
@@ -118,9 +111,7 @@ class MobilityTestbed {
 
   simnet::Simulator& simulator() { return *sim_; }
   simnet::Network& network() { return *net_; }
-  std::uint16_t cells() const { return config_.knobs.cells; }
-  MecCdnSite& site(std::uint16_t cell) { return *sites_.at(cell); }
-  ran::RanSegment& segment(std::uint16_t cell) { return *segments_.at(cell); }
+  MecCdnSite& site(std::uint16_t cell) { return *cells_.at(cell).site; }
   /// The cell's mass-load client: one UE object standing in for every
   /// logical UE currently camped on the cell.
   ran::UserEquipment& aggregate_ue(std::uint16_t cell) {
@@ -132,31 +123,21 @@ class MobilityTestbed {
     return *cohort_.at(i).handoff;
   }
   const dns::DnsName& content_name() const { return content_name_; }
-  simnet::Endpoint provider_endpoint() const;
-  cdn::CacheServer& cloud_cache() { return *cloud_cache_; }
-  const Config& config() const { return config_; }
-  /// Number of objects in the demo catalog (issue paths cycle over them).
-  static constexpr std::size_t kCatalogObjects = 16;
+  simnet::Endpoint provider_endpoint() const {
+    return topology::provider_endpoint();
+  }
 
  private:
-  struct CohortUe {
-    std::unique_ptr<ran::UserEquipment> ue;
-    std::unique_ptr<ran::HandoffManager> handoff;
-  };
-
   void build();
-  void build_cell(std::uint16_t cell);
   dns::DnsTransport::Options client_options() const;
 
   Config config_;
   dns::DnsName content_name_;
   std::unique_ptr<simnet::Simulator> sim_;
   std::unique_ptr<simnet::Network> net_;
-  simnet::NodeId backbone_ = simnet::kInvalidNode;
-  std::vector<std::unique_ptr<ran::RanSegment>> segments_;
-  std::vector<std::unique_ptr<MecCdnSite>> sites_;
+  std::vector<topology::Cell> cells_;
   std::vector<std::unique_ptr<ran::UserEquipment>> aggregate_ues_;
-  std::vector<CohortUe> cohort_;
+  std::vector<topology::RoamingUe> cohort_;
   std::unique_ptr<dns::PublicDnsHierarchy> hierarchy_;
   std::unique_ptr<cdn::TrafficRouter> wan_cdns_;
   std::unique_ptr<cdn::TrafficRouter> mid_cdns_;

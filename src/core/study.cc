@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/parallel.h"
+#include "core/topology.h"
 #include "ran/profiles.h"
 
 namespace mecdns::core {
@@ -32,8 +33,7 @@ MeasurementStudy::MeasurementStudy(Config config)
 void MeasurementStudy::build() {
   sim_ = std::make_unique<simnet::Simulator>();
   net_ = std::make_unique<simnet::Network>(*sim_, util::Rng(config_.seed));
-  backbone_ =
-      net_->add_node("internet-backbone", Ipv4Address::must_parse("192.0.2.1"));
+  backbone_ = topology::add_backbone(*net_);
 
   hierarchy_ = std::make_unique<dns::PublicDnsHierarchy>(
       *net_, backbone_, ran::wan_link(15.0), resolver_processing(0.5));
@@ -132,15 +132,8 @@ void MeasurementStudy::build() {
 
   // --- cellular hotspot ---------------------------------------------------------
   {
-    ran::RanSegment::Config rc;
-    rc.name = "carrier";
-    rc.enb_addr = Ipv4Address::must_parse("10.100.0.1");
-    rc.sgw_addr = Ipv4Address::must_parse("10.100.0.2");
-    rc.pgw_addr = Ipv4Address::must_parse("203.0.113.1");
-    rc.ue_subnet = simnet::Cidr::must_parse("10.45.0.0/16");
-    rc.access = ran::lte();
-    ran_ = std::make_unique<ran::RanSegment>(*net_, rc);
-    net_->add_link(ran_->pgw(), backbone_, ran::wan_link(4.0));
+    ran_ = topology::add_ran(*net_, "carrier", ran::lte());
+    topology::link_to_backbone(*net_, *ran_, backbone_);
 
     const simnet::NodeId ldns_node =
         net_->add_node("carrier-ldns", carrier_ldns_addr);
@@ -151,7 +144,7 @@ void MeasurementStudy::build() {
         rcfg, carrier_ldns_addr);
 
     mobile_ue_ = std::make_unique<ran::UserEquipment>(
-        *net_, *ran_, "hotspot-ue", Ipv4Address::must_parse("10.45.0.2"),
+        *net_, *ran_, "hotspot-ue", topology::ue_address(),
         simnet::Endpoint{carrier_ldns_addr, dns::kDnsPort});
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fig5.h"
+#include "core/mobility.h"
 
 namespace mecdns::core {
 namespace {
@@ -187,6 +188,116 @@ TEST(Fig5, DifferentSeedsGiveDifferentSamplesSameShape) {
   const double mean_b = b.measure(25).totals().mean();
   EXPECT_NE(mean_a, mean_b);
   EXPECT_NEAR(mean_a, mean_b, 4.0);
+}
+
+// The topology pinned node by node. Node ids seed every component's RNG and
+// node names feed perfbench's layer map, so each testbed must create the
+// same nodes in the same order. Route costs (sums of mean link delays) pin
+// the calibration constants: UE -> resolver, then resolver -> the C-DNS the
+// scenario resolves through.
+std::string node_names(simnet::Network& net) {
+  std::string names;
+  for (simnet::NodeId id = 0; id < net.node_count(); ++id) {
+    if (id > 0) names += ' ';
+    names += net.node_name(id);
+  }
+  return names;
+}
+
+struct TopologyExpectation {
+  Fig5Deployment deployment;
+  std::string tail;           ///< node names after the shared head
+  std::string fallback_tail;  ///< the same with provider_fallback
+  std::int64_t ue_to_resolver_ns;
+  std::int64_t resolver_to_cdns_ns;
+};
+
+TEST(Fig5, TopologyIsPinnedNodeByNode) {
+  const std::string head =
+      "internet-backbone lte-enb lte-sgw lte-pgw cloud-origin cloud-cache "
+      "dns-root dns-tld-test wan-cdns lan-cdns mec-gw mec-infra ";
+  const std::string caches = "mec-edge-cache-0 mec-edge-cache-1 ";
+  const std::string tier = "dns-auth-webshop.test mid-cdns ";
+  const std::string router = "mec-router " + caches;
+  const std::vector<TopologyExpectation> expected = {
+      {Fig5Deployment::kMecLdnsMecCdns, router + "ue",
+       router + "provider-ldns " + tier + "ue", 11429483, 300000},
+      {Fig5Deployment::kMecLdnsLanCdns, caches + "ue",
+       caches + "provider-ldns " + tier + "ue", 11429483, 3450000},
+      {Fig5Deployment::kMecLdnsWanCdns, caches + "ue",
+       caches + "provider-ldns " + tier + "ue", 11429483, 16163390},
+      {Fig5Deployment::kProviderLdns, router + "provider-ldns ue",
+       router + tier + "provider-ldns ue", 25156542, 29890449},
+      {Fig5Deployment::kGoogleDns, router + "google-dns ue",
+       router + "provider-ldns " + tier + "google-dns ue", 28565535,
+       25394530},
+      {Fig5Deployment::kCloudflareDns, router + "cloudflare-dns ue",
+       router + "provider-ldns " + tier + "cloudflare-dns ue", 71350874,
+       68179869},
+  };
+  for (const TopologyExpectation& e : expected) {
+    for (const bool provider_fallback : {false, true}) {
+      SCOPED_TRACE(to_string(e.deployment) +
+                   (provider_fallback ? " + provider fallback" : ""));
+      Fig5Testbed::Config config;
+      config.deployment = e.deployment;
+      config.provider_fallback = provider_fallback;
+      Fig5Testbed testbed(config);
+      simnet::Network& net = testbed.network();
+      EXPECT_EQ(node_names(net),
+                head + (provider_fallback ? e.fallback_tail : e.tail));
+
+      const simnet::NodeId resolver =
+          net.find_node(testbed.ue().resolver().server().addr);
+      ASSERT_NE(resolver, simnet::kInvalidNode);
+      EXPECT_EQ(net.route_cost(testbed.ue().node(), resolver)->count_nanos(),
+                e.ue_to_resolver_ns);
+      const simnet::NodeId cdns =
+          net.find_node(testbed.active_router().endpoint().addr);
+      EXPECT_EQ(net.route_cost(resolver, cdns)->count_nanos(),
+                e.resolver_to_cdns_ns);
+    }
+  }
+}
+
+TEST(Fig5, MobilityTopologyIsPinnedNodeByNode) {
+  MobilityTestbed::Config config;
+  config.knobs.cells = 3;
+  MobilityTestbed testbed(config);
+  std::string names =
+      "internet-backbone cloud-origin cloud-cache dns-root dns-tld-test "
+      "wan-cdns mid-cdns";
+  for (int cell = 0; cell < 3; ++cell) {
+    const std::string c = "cell-" + std::to_string(cell);
+    const std::string m = "mec-" + std::to_string(cell);
+    names += " " + c + "-enb " + c + "-sgw " + c + "-pgw " + m + "-gw " + m +
+             "-infra " + m + "-router " + m + "-edge-cache-0 " + m +
+             "-edge-cache-1";
+  }
+  names += " provider-ldns agg-ue-0 agg-ue-1 agg-ue-2";
+  for (int i = 0; i < 8; ++i) names += " cohort-ue-" + std::to_string(i);
+  EXPECT_EQ(testbed.network().node_count(), 43u);
+  EXPECT_EQ(node_names(testbed.network()), names);
+}
+
+TEST(Fig5, ProviderEndpointIsTheBuiltProvider) {
+  Fig5Testbed::Config config;
+  config.provider_fallback = true;
+  Fig5Testbed testbed(config);
+  const simnet::NodeId node =
+      testbed.network().find_node(testbed.provider_endpoint().addr);
+  ASSERT_NE(node, simnet::kInvalidNode);
+  EXPECT_EQ(node, testbed.provider_ldns_node());
+  EXPECT_EQ(testbed.network().node_name(node), "provider-ldns");
+}
+
+// The provider address is fixed by the addressing plan, so a testbed that
+// never builds the provider still reports it (clients list it as a
+// fallback before the testbed exists).
+TEST(Fig5, ProviderEndpointNeedsNoProvider) {
+  Fig5Testbed testbed(Fig5Testbed::Config{});
+  EXPECT_EQ(testbed.provider_ldns(), nullptr);
+  EXPECT_EQ(testbed.provider_endpoint().to_string(), "10.201.0.53:53");
 }
 
 }  // namespace

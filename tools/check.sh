@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full pre-merge gauntlet:
-#   1. Debug build with ASan+UBSan, all tests under the sanitizers.
+#   1. Debug build with ASan+UBSan (warnings are errors), all tests under
+#      the sanitizers.
 #   2. Fault-matrix smoke: every chaos scenario once, fixed seed, under the
 #      sanitizers (bench_fault_availability drives the whole failure-handling
 #      stack end to end).
@@ -44,7 +45,7 @@ run() { echo "+ $*"; "$@"; }
 
 echo "=== 1/9: ASan/UBSan build + tests (build-asan/) ==="
 run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -Werror" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 run cmake --build build-asan -j "$jobs"
 run ctest --test-dir build-asan --output-on-failure -j "$jobs" --timeout 120
@@ -85,7 +86,7 @@ run ./build/tools/mecdns_report \
 
 echo "=== 5/9: TSan parallel-campaign determinism gate (build-tsan/) ==="
 run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -Werror" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 run cmake --build build-tsan -j "$jobs" \
     --target bench_fig5_deployments core_parallel_test mecdns_report
