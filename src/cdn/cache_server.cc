@@ -21,6 +21,7 @@ CacheServer::CacheServer(netio::Runtime& runtime, std::string name,
         if (it == pending_.end()) return;
         PendingFetch fetch = std::move(it->second);
         pending_.erase(it);
+        rt_.cancel(fetch.timeout);
         fetch.span.tag("status", std::to_string(response.value().status));
         fetch.span.end();
         // Answer the client under the serve span, not the fetch span.
@@ -39,6 +40,7 @@ CacheServer::CacheServer(netio::Runtime& runtime, std::string name,
 
 CacheServer::~CacheServer() {
   *alive_ = false;
+  for (auto& [id, fetch] : pending_) rt_.cancel(fetch.timeout);
   rt_.close_socket(socket_);
   rt_.close_socket(parent_socket_);
 }
@@ -90,28 +92,26 @@ void CacheServer::serve(const ContentRequest& request,
   }
   ++stats_.parent_fetches;
   const std::uint64_t fetch_id = next_fetch_id_++;
-  PendingFetch pending{request, client, fetch_id,
+  PendingFetch pending{request, client, netio::kNoTimer,
                        obs::begin_span(name_, "parent-fetch"),
                        simnet::current_trace_token()};
   obs::AmbientSpanGuard ambient(pending.span);
   pending_.emplace(fetch_id, std::move(pending));
   ContentRequest upstream{fetch_id, request.url};
   parent_socket_->send(*config_.parent, encode(upstream));
-  rt_.schedule_after(config_.parent_timeout, [this, alive = alive_,
-                                              fetch_id] {
-    if (!*alive) return;
-    const auto pending_it = pending_.find(fetch_id);
-    if (pending_it == pending_.end()) return;
-    PendingFetch fetch = std::move(pending_it->second);
-    pending_.erase(pending_it);
-    ++stats_.parent_failures;
-    MECDNS_LOG(kWarn, name_) << "parent fetch timed out for "
-                             << fetch.request.url.to_string();
-    fetch.span.tag("outcome", "timeout");
-    fetch.span.end();
-    simnet::TraceTokenGuard context(fetch.owner);
-    respond(fetch.request, fetch.client, 404, 0, false);
-  });
+  pending_.at(fetch_id).timeout =
+      rt_.schedule_after(config_.parent_timeout, [this, fetch_id] {
+        const auto pending_it = pending_.find(fetch_id);
+        PendingFetch fetch = std::move(pending_it->second);
+        pending_.erase(pending_it);
+        ++stats_.parent_failures;
+        MECDNS_LOG(kWarn, name_) << "parent fetch timed out for "
+                                 << fetch.request.url.to_string();
+        fetch.span.tag("outcome", "timeout");
+        fetch.span.end();
+        simnet::TraceTokenGuard context(fetch.owner);
+        respond(fetch.request, fetch.client, 404, 0, false);
+      });
 }
 
 void CacheServer::respond(const ContentRequest& request,
@@ -203,24 +203,21 @@ ContentClient::ContentClient(netio::Runtime& runtime) : rt_(runtime) {
 }
 
 ContentClient::~ContentClient() {
-  *alive_ = false;
+  for (auto& [id, pending] : pending_) rt_.cancel(pending.timeout);
   rt_.close_socket(socket_);
 }
 
 void ContentClient::get(const simnet::Endpoint& server, const Url& url,
                         Callback callback, simnet::SimTime timeout) {
   const std::uint64_t id = next_id_++;
-  const std::uint64_t generation = next_generation_++;
-  Pending pending{std::move(callback), rt_.now(), generation,
+  Pending pending{std::move(callback), rt_.now(), netio::kNoTimer,
                   obs::begin_span("content", "get " + url.to_string()),
                   simnet::current_trace_token()};
   obs::AmbientSpanGuard ambient(pending.span);
   pending_.emplace(id, std::move(pending));
   socket_->send(server, encode(ContentRequest{id, url}));
-  rt_.schedule_after(timeout, [this, alive = alive_, id, generation] {
-    if (!*alive) return;
+  pending_.at(id).timeout = rt_.schedule_after(timeout, [this, id] {
     const auto it = pending_.find(id);
-    if (it == pending_.end() || it->second.generation != generation) return;
     Pending pending = std::move(it->second);
     pending_.erase(it);
     pending.span.tag("outcome", "timeout");
@@ -238,6 +235,7 @@ void ContentClient::on_packet(const simnet::Packet& packet) {
   if (it == pending_.end()) return;
   Pending pending = std::move(it->second);
   pending_.erase(it);
+  rt_.cancel(pending.timeout);
   pending.span.tag("status", std::to_string(response.value().status));
   pending.span.tag("from_cache",
                    response.value().served_from_cache ? "true" : "false");

@@ -95,7 +95,8 @@ class CacheServer {
   netio::DatagramSocket* socket_;
   netio::DatagramSocket* parent_socket_;
   util::Rng rng_;
-  /// Disarms scheduled service/timeout events after destruction.
+  /// Disarms the fire-and-forget service-time events, one per request,
+  /// after destruction (parent-fetch timeouts are cancelled instead).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   struct UrlHash {
@@ -117,7 +118,7 @@ class CacheServer {
   struct PendingFetch {
     ContentRequest request;
     simnet::Endpoint client;
-    std::uint64_t generation;
+    netio::TimerId timeout = netio::kNoTimer;
     obs::SpanRef span;          ///< "parent-fetch" span (inert if untraced)
     simnet::TraceToken owner;   ///< serve span, restored for the response
   };
@@ -174,12 +175,10 @@ class ContentClient {
 
   netio::Runtime& rt_;
   netio::DatagramSocket* socket_;
-  /// Disarms scheduled timeout events once this client is destroyed.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   struct Pending {
     Callback callback;
     simnet::SimTime sent;
-    std::uint64_t generation;
+    netio::TimerId timeout = netio::kNoTimer;
     obs::SpanRef span;          ///< "content get" span (inert if untraced)
     simnet::TraceToken caller;  ///< restored around the callback
   };
@@ -191,7 +190,6 @@ class ContentClient {
   };
   util::FlatHashMap<std::uint64_t, Pending, U64Hash> pending_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t next_generation_ = 1;
 };
 
 }  // namespace mecdns::cdn

@@ -20,17 +20,11 @@ void TrafficMonitor::watch(const std::string& group,
 void TrafficMonitor::start() {
   if (started_) return;
   started_ = true;
-  running_ = true;
-  rounds_done_ = 0;
   probe_all();
 }
 
 void TrafficMonitor::probe_all() {
-  if (!running_) return;
-  if (config_.rounds != 0 && rounds_done_ >= config_.rounds) {
-    running_ = false;
-    return;
-  }
+  if (config_.rounds != 0 && rounds_done_ >= config_.rounds) return;
   ++rounds_done_;
   for (std::size_t i = 0; i < watched_.size(); ++i) {
     ++probes_sent_;
@@ -41,10 +35,8 @@ void TrafficMonitor::probe_all() {
         },
         config_.probe_timeout);
   }
-  rt_.schedule_after(config_.probe_interval, [this, alive = alive_] {
-    if (!*alive) return;
-    probe_all();
-  });
+  next_round_ =
+      rt_.schedule_after(config_.probe_interval, [this] { probe_all(); });
 }
 
 void TrafficMonitor::on_result(std::size_t index, bool success) {

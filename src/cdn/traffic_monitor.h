@@ -45,10 +45,10 @@ class TrafficMonitor {
 
   /// Starts the periodic probing loop.
   void start();
-  /// Stops scheduling further rounds (in-flight probes still complete).
-  void stop() { running_ = false; }
+  /// Cancels the next round (in-flight probes still complete).
+  void stop() { rt_.cancel(next_round_); }
 
-  ~TrafficMonitor() { *alive_ = false; }
+  ~TrafficMonitor() { stop(); }
 
   bool healthy(const std::string& cache_name) const;
   std::uint64_t transitions() const { return transitions_; }
@@ -94,9 +94,8 @@ class TrafficMonitor {
   std::unique_ptr<ContentClient> client_;
   std::vector<Watched> watched_;
   bool started_ = false;
-  bool running_ = false;
   std::size_t rounds_done_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  netio::TimerId next_round_ = netio::kNoTimer;
   std::uint64_t transitions_ = 0;
   std::uint64_t probes_sent_ = 0;
   obs::Journal* journal_ = nullptr;

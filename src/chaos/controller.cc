@@ -9,17 +9,16 @@ namespace mecdns::chaos {
 ChaosController::ChaosController(simnet::Network& net, std::string scenario)
     : net_(net), scenario_(std::move(scenario)) {}
 
-ChaosController::~ChaosController() { *alive_ = false; }
+ChaosController::~ChaosController() {
+  for (const simnet::EventId id : armed_) net_.simulator().cancel(id);
+}
 
 void ChaosController::arm(const FaultSchedule& schedule) {
   for (const FaultEvent& event : schedule.events()) {
     // Copying the action into the closure keeps the schedule free to die
-    // before the simulation runs; `alive_` guards the reverse order.
-    net_.simulator().schedule_at(
-        event.at, [this, alive = alive_, action = event.action] {
-          if (!*alive) return;
-          inject_now(action);
-        });
+    // before the simulation runs; the destructor handles the reverse order.
+    armed_.push_back(net_.simulator().schedule_at(
+        event.at, [this, action = event.action] { inject_now(action); }));
   }
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,8 +79,7 @@ class ChaosController {
   obs::TraceSink* trace_ = nullptr;
   obs::TimeSeries* timeseries_ = nullptr;
   obs::Journal* journal_ = nullptr;
-  /// Disarms scheduled fault events if the controller dies before they fire.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  std::vector<simnet::EventId> armed_;  ///< cancelled on destruction
   std::vector<InjectionRecord> injections_;
 };
 

@@ -47,9 +47,8 @@ DnsTransport::DnsTransport(netio::Runtime& runtime, std::uint64_t id_seed)
 
 DnsTransport::~DnsTransport() {
   // Sockets are owned by the runtime; closing detaches our handler so late
-  // packets cannot call into a destroyed object. Pending retry timers are
-  // really cancelled where the runtime supports it; the alive flag disarms
-  // the rest.
+  // packets cannot call into a destroyed object, and cancelling the retry
+  // timers does the same for timeouts.
   *alive_ = false;
   for (auto& [id, p] : pending_) rt_.cancel(p.timer);
   rt_.close_socket(socket_);
@@ -59,15 +58,14 @@ void DnsTransport::query(const simnet::Endpoint& server, Message query,
                          const Options& options, Callback callback) {
   // With every one of the 65535 usable ids in flight, the id-hunt below
   // would spin forever. Fail fast instead — asynchronously, preserving the
-  // "callback exactly once, never re-entrantly" contract.
+  // "callback exactly once, never re-entrantly" contract. The event runs
+  // under the caller's trace token, captured when it is scheduled.
   if (pending_.size() >= 0xFFFF) {
     ++id_exhausted_;
     rt_.schedule_after(
         simnet::SimTime::zero(),
-        [alive = alive_, callback = std::move(callback),
-         caller = simnet::current_trace_token()]() mutable {
+        [alive = alive_, callback = std::move(callback)]() mutable {
           if (!*alive) return;
-          simnet::TraceTokenGuard context(caller);
           callback(util::Err("transaction id space exhausted "
                              "(65535 queries in flight)"),
                    simnet::SimTime::zero());
@@ -90,7 +88,6 @@ void DnsTransport::query(const simnet::Endpoint& server, Message query,
   pending.options = options;
   pending.callback = std::move(callback);
   pending.first_sent = rt_.now();
-  pending.generation = next_generation_++;
   pending.span = obs::begin_span(
       "transport",
       "query " + (pending.query.questions.empty()
@@ -102,20 +99,14 @@ void DnsTransport::query(const simnet::Endpoint& server, Message query,
 }
 
 void DnsTransport::send_attempt(std::uint16_t id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  // Any previously armed timer is now for a superseded attempt. This is
-  // what keeps a retargeted/failed-over transaction from waking the live
-  // event loop for a server it no longer talks to (sim: no-op, the
-  // generation bump below already neutralizes it).
+  Pending& p = pending_.at(id);
+  // Any previously armed timer is now for a superseded attempt.
   rt_.cancel(p.timer);
   // Saturate instead of wrapping: with max_retries near INT_MAX a busy
   // transaction could overflow `attempts` into UB; a saturated counter
   // keeps retrying (the configured budget really is that large) and keeps
   // the backoff exponent finite.
   if (p.attempts < std::numeric_limits<int>::max()) ++p.attempts;
-  p.generation = next_generation_++;
   // Deliveries and the timeout timer nest under the transaction's span.
   obs::AmbientSpanGuard ambient(p.span);
   ++util::perf::counters().dns_queries_sent;
@@ -123,7 +114,8 @@ void DnsTransport::send_attempt(std::uint16_t id) {
   // socket copies them into a pooled buffer (sim) or onto the wire (live),
   // so no per-send vector is allocated.
   socket_->send(p.server, encode_view(p.query));
-  arm_timeout(id, p.generation);
+  p.timer =
+      rt_.schedule_after(retry_interval(p), [this, id] { on_timeout(id); });
 }
 
 simnet::SimTime DnsTransport::retry_interval(const Pending& pending) {
@@ -165,9 +157,7 @@ simnet::SimTime DnsTransport::retry_interval(const Pending& pending) {
 }
 
 bool DnsTransport::fail_over(std::uint16_t id) {
-  const auto it = pending_.find(id);
-  if (it == pending_.end()) return false;
-  Pending& p = it->second;
+  Pending& p = pending_.at(id);
   if (p.server_index >= p.options.fallback_servers.size()) return false;
   p.server = p.options.fallback_servers[p.server_index++];
   p.attempts = 0;
@@ -183,8 +173,8 @@ bool DnsTransport::fail_over(std::uint16_t id) {
 std::size_t DnsTransport::retarget_pending(const simnet::Endpoint& from,
                                            const simnet::Endpoint& to) {
   if (from == to) return 0;
-  // Collect first: send_attempt bumps generations and arms timers, so keep
-  // the scan over the flat map free of re-entrant sends.
+  // Collect first: send_attempt re-arms timers, so keep the scan over the
+  // flat map free of re-entrant sends.
   std::vector<std::uint16_t> moved;
   for (auto& [id, p] : pending_) {
     if (p.server == from) moved.push_back(id);
@@ -202,9 +192,7 @@ std::size_t DnsTransport::retarget_pending(const simnet::Endpoint& from,
     }
   }
   for (const std::uint16_t id : moved) {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) continue;
-    Pending& p = it->second;
+    Pending& p = pending_.at(id);
     p.server = to;
     p.attempts = 0;  // the new server gets the full retry budget
     ++retargets_;
@@ -217,35 +205,26 @@ std::size_t DnsTransport::retarget_pending(const simnet::Endpoint& from,
   return moved.size();
 }
 
-void DnsTransport::arm_timeout(std::uint16_t id, std::uint64_t generation) {
-  pending_.at(id).timer = rt_.schedule_after(
-      retry_interval(pending_.at(id)),
-      [this, alive = alive_, id, generation] {
-        if (!*alive) return;
-        const auto it = pending_.find(id);
-        if (it == pending_.end() || it->second.generation != generation) {
-          return;  // answered or retransmitted since this timer was armed
-        }
-        it->second.timer = netio::kNoTimer;  // this timer just fired
-        if (it->second.attempts <= it->second.options.max_retries) {
-          ++retransmissions_;
-          send_attempt(id);
-          return;
-        }
-        ++timeouts_;
-        if (fail_over(id)) return;
-        Pending p = std::move(it->second);
-        pending_.erase(it);
-        MECDNS_LOG(kDebug, "transport")
-            << "query timed out after " << p.attempts << " attempt(s)";
-        p.span.tag("outcome", "timeout");
-        p.span.tag("attempts", std::to_string(p.attempts));
-        p.span.end();
-        simnet::TraceTokenGuard context(p.caller);
-        p.callback(util::Err("query timed out after " +
-                             std::to_string(p.attempts) + " attempt(s)"),
-                   rt_.now() - p.first_sent);
-      });
+void DnsTransport::on_timeout(std::uint16_t id) {
+  Pending& p = pending_.at(id);
+  if (p.attempts <= p.options.max_retries) {
+    ++retransmissions_;
+    send_attempt(id);
+    return;
+  }
+  ++timeouts_;
+  if (fail_over(id)) return;
+  Pending done = std::move(p);
+  pending_.erase(id);
+  MECDNS_LOG(kDebug, "transport")
+      << "query timed out after " << done.attempts << " attempt(s)";
+  done.span.tag("outcome", "timeout");
+  done.span.tag("attempts", std::to_string(done.attempts));
+  done.span.end();
+  simnet::TraceTokenGuard context(done.caller);
+  done.callback(util::Err("query timed out after " +
+                          std::to_string(done.attempts) + " attempt(s)"),
+                rt_.now() - done.first_sent);
 }
 
 void DnsTransport::on_packet(const simnet::Packet& packet) {
@@ -300,9 +279,7 @@ void DnsTransport::on_packet(const simnet::Packet& packet) {
 
   Pending done = std::move(p);
   pending_.erase(it);
-  // The transaction is complete; its retry timer must not wake the live
-  // event loop (no-op in sim — the erase alone makes the firing stale).
-  rt_.cancel(done.timer);
+  rt_.cancel(done.timer);  // the transaction is complete
   done.span.tag("rcode", to_string(response.header.rcode));
   if (done.attempts > 1) {
     done.span.tag("attempts", std::to_string(done.attempts));

@@ -129,11 +129,8 @@ class DnsTransport {
     simnet::SimTime first_sent;
     int attempts = 0;
     std::size_t server_index = 0;  ///< next entry of fallback_servers
-    std::uint64_t generation = 0;  ///< guards stale timeout events
     /// The armed retry timer, cancelled whenever the transaction re-sends,
-    /// completes, or is destroyed. Real cancellation on the live wire; a
-    /// no-op under SimRuntime, where the generation guard above keeps stale
-    /// firings harmless (and part of the pinned event counts).
+    /// completes, or is destroyed — so a firing is never stale.
     netio::TimerId timer = netio::kNoTimer;
     obs::SpanRef span;             ///< transport span (inert if untraced)
     /// Ambient token at query() time, restored around the callback so
@@ -144,7 +141,7 @@ class DnsTransport {
 
   void on_packet(const simnet::Packet& packet);
   void send_attempt(std::uint16_t id);
-  void arm_timeout(std::uint16_t id, std::uint64_t generation);
+  void on_timeout(std::uint16_t id);
   simnet::SimTime retry_interval(const Pending& pending);
   /// Switches to the next fallback server (full retry budget) if one
   /// remains; false once the list is exhausted.
@@ -153,11 +150,10 @@ class DnsTransport {
   netio::Runtime& rt_;
   netio::DatagramSocket* socket_;
   util::Rng rng_;
-  /// Guards scheduled timeouts against running after destruction: the
-  /// timer lambdas hold a copy and bail out once the owner is gone.
+  /// Disarms the fire-and-forget id-exhausted errors, any number of which
+  /// may be pending, after destruction (retry timers are cancelled instead).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   std::uint16_t next_id_;
-  std::uint64_t next_generation_ = 1;
   std::uint64_t timeouts_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t tc_retries_ = 0;

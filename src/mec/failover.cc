@@ -11,14 +11,12 @@ LdnsFailover::LdnsFailover(netio::Runtime& runtime, Config config)
       config_(std::move(config)),
       transport_(runtime, /*id_seed=*/0x1d5f) {}
 
-LdnsFailover::~LdnsFailover() { *alive_ = false; }
+LdnsFailover::~LdnsFailover() { rt_.cancel(next_probe_); }
 
 void LdnsFailover::start(std::size_t rounds) {
   if (rounds == 0) return;
-  rt_.schedule_after(config_.probe_interval, [this, alive = alive_, rounds] {
-    if (!*alive) return;
-    probe(rounds - 1);
-  });
+  next_probe_ = rt_.schedule_after(config_.probe_interval,
+                                   [this, rounds] { probe(rounds - 1); });
 }
 
 void LdnsFailover::probe(std::size_t remaining) {
@@ -27,19 +25,13 @@ void LdnsFailover::probe(std::size_t remaining) {
   options.timeout = config_.probe_timeout;
   dns::Message query =
       dns::make_query(0, config_.probe_name, dns::RecordType::kA);
+  // The transport is a member: destroying it cancels its timers, so this
+  // callback never outlives `this`.
   transport_.query(config_.primary, std::move(query), options,
-                   [this, alive = alive_](util::Result<dns::Message> result,
-                                          simnet::SimTime) {
-                     if (!*alive) return;
+                   [this](util::Result<dns::Message> result, simnet::SimTime) {
                      on_result(result.ok());
                    });
-  if (remaining > 0) {
-    rt_.schedule_after(config_.probe_interval,
-                       [this, alive = alive_, remaining] {
-                         if (!*alive) return;
-                         probe(remaining - 1);
-                       });
-  }
+  start(remaining);
 }
 
 void LdnsFailover::on_result(bool alive) {

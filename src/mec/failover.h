@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "dns/message.h"
@@ -89,8 +88,7 @@ class LdnsFailover {
   SwitchHandler on_switch_;
   obs::Journal* journal_ = nullptr;
   int journal_cell_ = -1;
-  /// Disarms scheduled probe events after destruction.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  netio::TimerId next_probe_ = netio::kNoTimer;
   bool on_fallback_ = false;
   int fail_streak_ = 0;
   int ok_streak_ = 0;

@@ -101,22 +101,6 @@ simnet::SimTime EpollRuntime::now() const {
   return simnet::SimTime::nanos(monotonic_nanos() - epoch_ns_);
 }
 
-TimerId EpollRuntime::schedule_after(simnet::SimTime delay, Callback fn) {
-  const TimerId id = next_timer_id_++;
-  timer_heap_.push_back(
-      Timer{now() + delay, id, simnet::current_trace_token(), std::move(fn)});
-  std::push_heap(timer_heap_.begin(), timer_heap_.end(), TimerAfter{});
-  armed_.insert(id);
-  return id;
-}
-
-void EpollRuntime::cancel(TimerId timer) {
-  if (timer == kNoTimer) return;
-  if (armed_.erase(timer) == 0) return;  // already fired (or never existed)
-  cancelled_.insert(timer);
-  ++timers_cancelled_;
-}
-
 DatagramSocket* EpollRuntime::open_socket(std::uint16_t port,
                                           DatagramSocket::ReceiveHandler handler,
                                           simnet::Ipv4Address addr) {
@@ -165,38 +149,6 @@ void EpollRuntime::close_socket(DatagramSocket* socket) {
   sockets_.erase(it);  // destructor closes the fd
 }
 
-simnet::SimTime EpollRuntime::next_timer_deadline() {
-  // Purge cancelled tombstones at the head so a dead timer never shortens
-  // the epoll sleep.
-  while (!timer_heap_.empty() &&
-         cancelled_.count(timer_heap_.front().id) != 0) {
-    cancelled_.erase(timer_heap_.front().id);
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), TimerAfter{});
-    timer_heap_.pop_back();
-  }
-  if (timer_heap_.empty()) return simnet::SimTime::max();
-  return timer_heap_.front().at;
-}
-
-void EpollRuntime::fire_due_timers() {
-  while (!timer_heap_.empty()) {
-    if (cancelled_.count(timer_heap_.front().id) != 0) {
-      cancelled_.erase(timer_heap_.front().id);
-      std::pop_heap(timer_heap_.begin(), timer_heap_.end(), TimerAfter{});
-      timer_heap_.pop_back();
-      continue;
-    }
-    if (timer_heap_.front().at > now()) return;
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), TimerAfter{});
-    Timer timer = std::move(timer_heap_.back());
-    timer_heap_.pop_back();
-    armed_.erase(timer.id);
-    ++timers_fired_;
-    simnet::TraceTokenGuard context(timer.trace);
-    timer.fn();
-  }
-}
-
 void EpollRuntime::drain_socket(Socket& socket) {
   sockaddr_in src{};
   socklen_t src_len = sizeof(src);
@@ -219,8 +171,7 @@ void EpollRuntime::drain_socket(Socket& socket) {
 }
 
 void EpollRuntime::poll_once(simnet::SimTime wake_by) {
-  const simnet::SimTime next_timer = next_timer_deadline();
-  const simnet::SimTime wake = std::min(wake_by, next_timer);
+  const simnet::SimTime wake = std::min(wake_by, timers_.next_at());
   int timeout_ms = kMaxPollMs;
   if (wake != simnet::SimTime::max()) {
     const simnet::SimTime until = wake - now();
@@ -247,7 +198,12 @@ void EpollRuntime::poll_once(simnet::SimTime wake_by) {
         [socket](const std::unique_ptr<Socket>& s) { return s.get() == socket; });
     if (live) drain_socket(*socket);
   }
-  fire_due_timers();
+  while (timers_.next_at() <= now()) {
+    simnet::EventQueue::Event timer = timers_.pop();
+    ++timers_fired_;
+    simnet::TraceTokenGuard context(timer.trace);
+    timer.fn();
+  }
 }
 
 void EpollRuntime::run() {

@@ -3,9 +3,9 @@
 //
 // The live half of the clock/IO split. now() is CLOCK_MONOTONIC relative to
 // construction (a nanosecond duration, exactly like sim time), timers live
-// in a binary min-heap whose next deadline bounds the epoll_wait timeout,
-// and sockets are non-blocking AF_INET datagram sockets delivered to the
-// same `Packet` handler signature the simulated Network uses. Single
+// in the simulator's EventQueue, whose next deadline bounds the epoll_wait
+// timeout, and sockets are non-blocking AF_INET datagram sockets delivered
+// to the same `Packet` handler signature the simulated Network uses. Single
 // threaded by design: handlers and timer callbacks run on the thread that
 // calls run()/run_until(), so ported components need no locking — the same
 // property the simulator gave them.
@@ -13,11 +13,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "netio/runtime.h"
-#include "simnet/context.h"
+#include "simnet/event_queue.h"
 
 namespace mecdns::netio {
 
@@ -29,8 +28,12 @@ class EpollRuntime final : public Runtime {
   ~EpollRuntime() override;
 
   simnet::SimTime now() const override;
-  TimerId schedule_after(simnet::SimTime delay, Callback fn) override;
-  void cancel(TimerId timer) override;
+  TimerId schedule_after(simnet::SimTime delay, Callback fn) override {
+    return timers_.push(now() + delay, std::move(fn));
+  }
+  void cancel(TimerId timer) override {
+    if (timers_.cancel(timer)) ++timers_cancelled_;
+  }
   /// Binds a real UDP socket; default address is 127.0.0.1 (the loopback
   /// prototype case). Throws std::system_error on bind failure.
   DatagramSocket* open_socket(
@@ -57,6 +60,7 @@ class EpollRuntime final : public Runtime {
   std::size_t open_sockets() const { return sockets_.size(); }
 
   std::uint64_t timers_fired() const { return timers_fired_; }
+  /// Cancels that stopped an armed timer (no-op cancels do not count).
   std::uint64_t timers_cancelled() const { return timers_cancelled_; }
   std::uint64_t packets_received() const { return packets_received_; }
   std::uint64_t packets_sent() const { return packets_sent_; }
@@ -67,39 +71,15 @@ class EpollRuntime final : public Runtime {
  private:
   class Socket;
 
-  struct Timer {
-    simnet::SimTime at;
-    TimerId id = kNoTimer;
-    simnet::TraceToken trace;
-    Callback fn;
-  };
-  /// Min-heap order for std::push_heap/pop_heap: "greater" deadline sinks;
-  /// equal deadlines fire in schedule order (ids are monotonic), matching
-  /// the simulator's sequence tiebreak.
-  struct TimerAfter {
-    bool operator()(const Timer& a, const Timer& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-
   /// One epoll_wait + drain + fire-due-timers round, sleeping at most until
   /// `wake_by` (clamped to 250 ms so stop() stays responsive).
   void poll_once(simnet::SimTime wake_by);
-  void fire_due_timers();
-  /// Earliest live (non-cancelled) timer deadline, or SimTime::max().
-  simnet::SimTime next_timer_deadline();
   void drain_socket(Socket& socket);
 
   int epoll_fd_ = -1;
   std::int64_t epoch_ns_ = 0;
   std::vector<std::unique_ptr<Socket>> sockets_;
-  std::vector<Timer> timer_heap_;
-  /// Armed = scheduled and not yet fired; cancelled ids wait in the heap as
-  /// tombstones until popped (lazy deletion keeps cancel O(1)).
-  std::unordered_set<TimerId> armed_;
-  std::unordered_set<TimerId> cancelled_;
-  TimerId next_timer_id_ = 1;
+  simnet::EventQueue timers_;
   bool stopped_ = false;
   std::uint64_t timers_fired_ = 0;
   std::uint64_t timers_cancelled_ = 0;

@@ -27,16 +27,15 @@
 
 #include "simnet/ip.h"
 #include "simnet/packet.h"
-#include "simnet/simulator.h"
+#include "simnet/event_queue.h"
 #include "simnet/time.h"
 
 namespace mecdns::netio {
 
-/// Handle for a scheduled timer, usable with Runtime::cancel. kNoTimer is
-/// never returned for a live cancellable timer; implementations that cannot
-/// cancel (SimRuntime) return it from schedule_after.
-using TimerId = std::uint64_t;
-inline constexpr TimerId kNoTimer = 0;
+/// Handle for a scheduled timer, usable with Runtime::cancel. Never
+/// kNoTimer, so a component can keep "no timer armed" in the same field.
+using TimerId = simnet::EventId;
+inline constexpr TimerId kNoTimer = simnet::kNoEvent;
 
 /// A bound datagram endpoint. Owned by the Runtime; obtained via
 /// open_socket() and returned with close_socket().
@@ -61,7 +60,7 @@ class DatagramSocket {
 /// The clock + scheduler + datagram fabric a protocol component runs on.
 class Runtime {
  public:
-  using Callback = simnet::Simulator::Callback;
+  using Callback = simnet::EventQueue::Callback;
 
   virtual ~Runtime() = default;
 
@@ -74,11 +73,10 @@ class Runtime {
   /// cancel() until the timer fires.
   virtual TimerId schedule_after(simnet::SimTime delay, Callback fn) = 0;
 
-  /// Best-effort: a cancelled timer never runs. SimRuntime implements this
-  /// as a no-op (callers there carry generation guards, and firing stale
-  /// timers is part of the pinned deterministic event counts); EpollRuntime
-  /// really removes the timer so a live process does not wake up for work
-  /// that was superseded.
+  /// A cancelled timer never runs (both runtimes keep timers in one
+  /// simnet::EventQueue); cancelling kNoTimer or a fired, cancelled or
+  /// stale id is a no-op. Components cancel a timer once its work is
+  /// answered or superseded, or its owner dies — no staleness guards.
   virtual void cancel(TimerId timer) = 0;
 
   /// Binds a datagram socket (port 0 = ephemeral). `addr` selects the local

@@ -5,7 +5,7 @@
 // use and owns it, so every component on a node shares the same adapter.
 // The adapter is deliberately thin — every call forwards to the exact
 // Simulator/Network entry points the pre-abstraction code used, in the same
-// order, so sim-mode artifacts (event counts, ephemeral-port allocation,
+// order, so sim-mode artifacts (event order, ephemeral-port allocation,
 // RNG draws) stay byte-identical.
 #pragma once
 
@@ -24,16 +24,11 @@ class SimRuntime final : public netio::Runtime {
 
   SimTime now() const override { return net_.now(); }
 
-  /// Returns kNoTimer: simulator events are not individually cancellable
-  /// (see Runtime::cancel) — callers' generation guards make stale firings
-  /// harmless, and the firings themselves are part of the pinned
-  /// deterministic event counts.
   netio::TimerId schedule_after(SimTime delay, Callback fn) override {
-    net_.simulator().schedule_after(delay, std::move(fn));
-    return netio::kNoTimer;
+    return net_.simulator().schedule_after(delay, std::move(fn));
   }
 
-  void cancel(netio::TimerId) override {}
+  void cancel(netio::TimerId timer) override { net_.simulator().cancel(timer); }
 
   /// The Network's own UdpSocket: sends borrow the caller's bytes into a
   /// pooled payload vector, so steady-state sends allocate nothing.

@@ -1,6 +1,5 @@
 #include "simnet/simulator.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/log.h"
@@ -20,12 +19,12 @@ Simulator::Simulator() {
 
 Simulator::~Simulator() { util::clear_log_clock(this); }
 
-void Simulator::schedule_at(SimTime at, Callback fn) {
+EventId Simulator::schedule_at(SimTime at, Callback fn) {
   if (at < now_) at = now_;
-  queue_.push_back(Event{at, next_seq_++, current_trace_token(), std::move(fn)});
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  const EventId id = queue_.push(at, std::move(fn));
   if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
   ++util::perf::counters().events_scheduled;
+  return id;
 }
 
 std::size_t Simulator::run() {
@@ -36,7 +35,7 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::run_until(SimTime until) {
   std::size_t n = 0;
-  while (!queue_.empty() && queue_.front().at <= until) {
+  while (!queue_.empty() && queue_.next_at() <= until) {
     step();
     ++n;
   }
@@ -46,11 +45,7 @@ std::size_t Simulator::run_until(SimTime until) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  // pop_heap moves the earliest event (per Later) to the back, from where
-  // it can be *moved* out — which is what lets Callback be move-only.
-  std::pop_heap(queue_.begin(), queue_.end(), Later{});
-  Event ev = std::move(queue_.back());
-  queue_.pop_back();
+  EventQueue::Event ev = queue_.pop();
   now_ = ev.at;
   ++executed_;
   ++util::perf::counters().events_fired;

@@ -1,35 +1,26 @@
-// Discrete-event simulator core: a clock and an ordered event queue.
+// Discrete-event simulator core: a clock over the shared event queue.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "simnet/context.h"
+#include "simnet/event_queue.h"
 #include "simnet/time.h"
-#include "util/inline_function.h"
 
 namespace mecdns::simnet {
 
 /// Executes scheduled callbacks in timestamp order. Events scheduled for the
 /// same instant run in scheduling order (a monotonic sequence number breaks
-/// ties), so runs are fully deterministic.
+/// ties), so runs are fully deterministic — cancelling an event removes it
+/// and reorders nothing.
 ///
 /// Each event captures the ambient TraceToken at scheduling time and runs
 /// under it, so a trace context follows a request across packet deliveries
 /// and processing delays without any per-component plumbing. While a
 /// simulator exists it also registers itself as the util::log clock, so log
 /// lines carry the simulated time.
-///
-/// The callback type is a move-only inline function with a 192-byte buffer:
-/// the lambdas the dns/simnet layers schedule (a TraceToken, an alive-flag,
-/// a Packet or a couple of values) fit in place, so the steady-state event
-/// costs zero heap allocations where std::function allocated nearly every
-/// time. The queue itself is a binary heap over a plain vector, managed
-/// with push_heap/pop_heap so events can be *moved* out (std::priority_queue
-/// only exposes a const top(), which forces a copy).
 class Simulator {
  public:
-  using Callback = util::InlineFunction<void(), 192>;
+  using Callback = EventQueue::Callback;
 
   Simulator();
   ~Simulator();
@@ -40,12 +31,16 @@ class Simulator {
 
   /// Schedules `fn` to run at absolute time `at`. Scheduling in the past is
   /// clamped to "immediately after the current event".
-  void schedule_at(SimTime at, Callback fn);
+  EventId schedule_at(SimTime at, Callback fn);
 
   /// Schedules `fn` to run `delay` after the current time.
-  void schedule_after(SimTime delay, Callback fn) {
-    schedule_at(now_ + delay, std::move(fn));
+  EventId schedule_after(SimTime delay, Callback fn) {
+    return schedule_at(now_ + delay, std::move(fn));
   }
+
+  /// Drops a pending event; returns false (and does nothing) if `id` has
+  /// already fired or been cancelled.
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs until the queue drains. Returns the number of events executed.
   std::size_t run();
@@ -58,31 +53,17 @@ class Simulator {
   bool step();
 
   bool empty() const { return queue_.empty(); }
-  std::size_t pending() const { return queue_.size(); }
+  std::size_t pending() const { return queue_.size(); }  ///< live events
   std::size_t executed() const { return executed_; }
   /// Highest number of simultaneously pending events seen so far — the
   /// event-queue analogue of a server's queue-depth high-water mark.
   std::size_t max_queue_depth() const { return max_queue_depth_; }
 
  private:
-  struct Event {
-    SimTime at;
-    std::uint64_t seq;
-    TraceToken trace;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
   SimTime now_ = SimTime::zero();
-  std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;
   std::size_t max_queue_depth_ = 0;
-  std::vector<Event> queue_;  ///< binary heap ordered by Later
+  EventQueue queue_;
 };
 
 }  // namespace mecdns::simnet

@@ -173,5 +173,26 @@ TEST_F(CacheServerTest, BytesServedAccounted) {
   EXPECT_DOUBLE_EQ(cache_->stats().hit_rate(), 0.5);
 }
 
+TEST_F(CacheServerTest, AnsweredFetchesLeaveNoTimerBehind) {
+  // A miss exercises both timeouts: the cache's parent fetch and the
+  // client's request. Each is cancelled by its reply, so nothing is left
+  // pending once the client has its answer.
+  bool answered = false;
+  SimTime answered_at;
+  client_->get(Endpoint{Ipv4Address::must_parse("10.0.0.2"), kContentPort},
+               Url::must_parse("v.test/seg0000"),
+               [&](util::Result<ContentResponse> response, SimTime) {
+                 answered = response.ok();
+                 answered_at = sim_.now();
+               });
+  while (!answered && sim_.step()) {
+  }
+  ASSERT_TRUE(answered);
+  EXPECT_EQ(cache_->stats().parent_fetches, 1u);
+  EXPECT_EQ(sim_.pending(), 0u);
+  sim_.run();
+  EXPECT_EQ(sim_.now(), answered_at);
+}
+
 }  // namespace
 }  // namespace mecdns::cdn

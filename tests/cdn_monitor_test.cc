@@ -209,5 +209,15 @@ TEST_F(MonitorTest, RouterNeverRoutesToDrainedCache) {
   monitor_->stop();
 }
 
+TEST_F(MonitorTest, DestroyedMonitorLeavesNoTimerBehind) {
+  monitor_->start();  // unbounded rounds
+  sim_.run_until(SimTime::millis(1250));
+  EXPECT_EQ(sim_.pending(), 1u);  // the next round, at 1.5 s
+  monitor_.reset();
+  EXPECT_EQ(sim_.pending(), 0u);
+  sim_.run();
+  EXPECT_EQ(sim_.now(), SimTime::millis(1250));
+}
+
 }  // namespace
 }  // namespace mecdns::cdn

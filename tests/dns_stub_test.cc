@@ -140,5 +140,23 @@ TEST_F(StubTest, RetargetSwitchesServers) {
             Ipv4Address::must_parse("198.18.2.2"));
 }
 
+TEST_F(StubTest, AnsweredLookupLeavesNoTimerBehind) {
+  // The answer cancels the transport's retransmission timer, so the
+  // simulation ends with the answer, not one 2 s timeout later.
+  bool answered = false;
+  SimTime answered_at;
+  stub_->resolve(DnsName::must_parse("www.fast.test"), RecordType::kA,
+                 [&](const StubResult& result) {
+                   answered = result.ok;
+                   answered_at = sim_.now();
+                 });
+  while (!answered && sim_.step()) {
+  }
+  ASSERT_TRUE(answered);
+  EXPECT_EQ(sim_.pending(), 0u);
+  sim_.run();
+  EXPECT_EQ(sim_.now(), answered_at);
+}
+
 }  // namespace
 }  // namespace mecdns::dns

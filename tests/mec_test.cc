@@ -2,6 +2,8 @@
 // deployments and the ingress overload machinery.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "dns/wire.h"
 #include "mec/cluster.h"
 #include "mec/failover.h"
@@ -353,6 +355,39 @@ TEST(LdnsFailover, SingleMissedProbeDoesNotSwitch) {
   EXPECT_EQ(switches, 0);
   EXPECT_FALSE(failover.on_fallback());
   EXPECT_EQ(failover.probe_failures(), 1u);
+}
+
+TEST(LdnsFailover, DestroyedFailoverLeavesNoTimerBehind) {
+  simnet::Simulator sim;
+  simnet::Network net(sim, util::Rng(5));
+  const simnet::NodeId vantage =
+      net.add_node("orchestrator", Ipv4Address::must_parse("10.7.0.1"));
+  const simnet::NodeId primary_node =
+      net.add_node("mec-ldns", Ipv4Address::must_parse("10.7.0.53"));
+  net.add_link(vantage, primary_node,
+               simnet::LatencyModel::constant(SimTime::millis(1)));
+  simnet::UdpSocket* responder = nullptr;
+  responder = net.open_socket(
+      primary_node, dns::kDnsPort, [&](const simnet::Packet& p) {
+        auto query = dns::decode(p.payload);
+        ASSERT_TRUE(query.ok());
+        responder->send_to(p.src, dns::encode(dns::make_response(
+                                      query.value())));
+      });
+
+  LdnsFailover::Config config;
+  config.primary = {Ipv4Address::must_parse("10.7.0.53"), dns::kDnsPort};
+  config.fallback = {Ipv4Address::must_parse("10.201.0.53"), dns::kDnsPort};
+  auto failover = std::make_unique<LdnsFailover>(net.runtime(vantage), config);
+  failover->start(/*rounds=*/12);
+  // Probes at 0.5 s and 1.0 s are answered; the 1.5 s probe is armed.
+  sim.run_until(SimTime::millis(1250));
+  EXPECT_EQ(failover->probes_sent(), 2u);
+  EXPECT_EQ(sim.pending(), 1u);
+  failover.reset();
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run();
+  EXPECT_EQ(sim.now(), SimTime::millis(1250));
 }
 
 }  // namespace

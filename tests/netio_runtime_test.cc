@@ -11,6 +11,8 @@
 
 #include <chrono>
 #include <optional>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cdn/cache_server.h"
@@ -61,21 +63,85 @@ TEST(EpollRuntimeTest, EqualDeadlinesFireInScheduleOrder) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST(EpollRuntimeTest, CancelledTimerNeverFires) {
+/// Drives a runtime for a while: the simulator's per-node adapter, or a
+/// live epoll loop. The cancellation contract below must hold for both.
+struct SimHarness {
+  simnet::Simulator sim;
+  simnet::Network net{sim, util::Rng(7)};
+  simnet::NodeId node = net.add_node("n", Ipv4Address::must_parse("10.0.0.1"));
+  Runtime& runtime() { return net.runtime(node); }
+  void run_for(SimTime span) { sim.run_until(sim.now() + span); }
+};
+
+struct EpollHarness {
   EpollRuntime rt;
-  bool cancelled_fired = false;
-  bool kept_fired = false;
-  const TimerId doomed =
-      rt.schedule_after(SimTime::millis(10), [&] { cancelled_fired = true; });
-  rt.schedule_after(SimTime::millis(20), [&] { kept_fired = true; });
+  Runtime& runtime() { return rt; }
+  void run_for(SimTime span) { rt.run_until(rt.now() + span); }
+};
+
+template <typename Harness>
+class RuntimeCancelTest : public ::testing::Test {
+ protected:
+  Harness harness_;
+};
+using Harnesses = ::testing::Types<SimHarness, EpollHarness>;
+TYPED_TEST_SUITE(RuntimeCancelTest, Harnesses);
+
+TYPED_TEST(RuntimeCancelTest, CancelledTimerNeverFires) {
+  Runtime& rt = this->harness_.runtime();
+  std::vector<std::string> fired;
+  const auto mark = [&fired](const char* name) {
+    return [&fired, name] { fired.push_back(name); };
+  };
+
+  // A cancelled timer never runs; cancelling it again, or cancelling
+  // kNoTimer, is a no-op.
+  const TimerId doomed = rt.schedule_after(SimTime::millis(10), mark("doomed"));
   rt.cancel(doomed);
-  rt.cancel(doomed);  // double-cancel is harmless
+  rt.cancel(doomed);
   rt.cancel(kNoTimer);
-  rt.run_until(rt.now() + SimTime::millis(60));
-  EXPECT_FALSE(cancelled_fired);
-  EXPECT_TRUE(kept_fired);
-  EXPECT_EQ(rt.timers_cancelled(), 1u);
-  EXPECT_EQ(rt.timers_fired(), 1u);
+  // The next timer reuses the cancelled timer's slot: the stale id must
+  // not reach it.
+  const TimerId reuser = rt.schedule_after(SimTime::millis(10), mark("reuser"));
+  EXPECT_NE(reuser, doomed);
+  rt.cancel(doomed);
+
+  // A cancel issued from a callback at the same deadline takes effect.
+  TimerId victim = kNoTimer;
+  rt.schedule_after(SimTime::millis(20), [&] {
+    fired.push_back("canceller");
+    rt.cancel(victim);
+  });
+  victim = rt.schedule_after(SimTime::millis(20), mark("victim"));
+
+  // Equal deadlines fire in schedule order around cancelled timers.
+  std::vector<TimerId> batch;
+  for (const char* name : {"b0", "b1", "b2", "b3", "b4"}) {
+    batch.push_back(rt.schedule_after(SimTime::millis(30), mark(name)));
+  }
+  rt.cancel(batch[1]);
+  rt.cancel(batch[3]);
+  this->harness_.run_for(SimTime::millis(80));
+  EXPECT_EQ(fired, (std::vector<std::string>{"reuser", "canceller", "b0",
+                                              "b2", "b4"}));
+
+  // Cancelling a timer that already fired is a no-op, also once a later
+  // timer has taken over its slot.
+  rt.cancel(reuser);
+  rt.schedule_after(SimTime::millis(10), mark("after"));
+  rt.cancel(reuser);
+  rt.cancel(batch[0]);
+  this->harness_.run_for(SimTime::millis(60));
+  EXPECT_EQ(fired.back(), "after");
+  EXPECT_EQ(fired.size(), 6u);
+
+  if constexpr (std::is_same_v<TypeParam, EpollHarness>) {
+    // Only cancels that stopped an armed timer count.
+    EXPECT_EQ(this->harness_.rt.timers_cancelled(), 4u);
+    EXPECT_EQ(this->harness_.rt.timers_fired(), 6u);
+  } else {
+    EXPECT_EQ(this->harness_.sim.pending(), 0u);
+  }
 }
 
 TEST(EpollRuntimeTest, NowTracksWallClock) {

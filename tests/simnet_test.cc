@@ -81,6 +81,55 @@ TEST(Simulator, RunUntilStopsAndAdvancesClock) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
+TEST(Simulator, CancelledEventsLeaveTheQueue) {
+  Simulator sim;
+  bool cancelled_ran = false;
+  const EventId early =
+      sim.schedule_at(SimTime::millis(1), [&] { cancelled_ran = true; });
+  const EventId late = sim.schedule_at(SimTime::seconds(2), [] {});
+  EXPECT_NE(early, kNoEvent);
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_TRUE(sim.cancel(early));
+  EXPECT_FALSE(sim.cancel(early));
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_FALSE(sim.empty());
+  // Two live events again: the high-water mark counts live events only.
+  sim.schedule_at(SimTime::millis(3), [] {});
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.max_queue_depth(), 2u);
+  EXPECT_TRUE(sim.cancel(late));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_FALSE(cancelled_ran);
+  EXPECT_TRUE(sim.empty());
+  // The clock stops at the last live event, not at the cancelled one.
+  EXPECT_EQ(sim.now(), SimTime::millis(3));
+}
+
+TEST(Simulator, OrderSurvivesMassCancellation) {
+  // Cancelling most of a large queue sweeps its tombstones; the survivors
+  // must still run in (time, schedule order).
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(sim.schedule_at(SimTime::millis(i % 7),
+                                  [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 10 != 0) sim.cancel(ids[i]);
+  }
+  EXPECT_EQ(sim.pending(), 100u);
+  EXPECT_EQ(sim.max_queue_depth(), 1000u);
+  sim.run();
+  std::vector<int> expected;
+  for (int ms = 0; ms < 7; ++ms) {
+    for (int i = 0; i < 1000; i += 10) {
+      if (i % 7 == ms) expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(order, expected);
+}
+
 // --- IP addressing -----------------------------------------------------------------
 
 TEST(Ipv4, ParseAndFormat) {

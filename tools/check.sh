@@ -139,12 +139,19 @@ run ./build/tools/mecdns_report \
 # ~30 allocs and ~6.3 KB per query). The diffs above only catch drift
 # between the two runs of this script, so pin hard numbers: the gate trips
 # well below half the pre-arena cost (274 allocs, ~21 KB per query).
+# Event-queue ceilings: answered queries cancel their retry timers, so a
+# query costs 21 events and the queue holds only live work (104/356 peak
+# here); an uncancelled timer shows up as 23 events and a ~4k-deep queue.
 awk 'BEGIN { RS = "," }
   /"allocs_per_query"/ { split($0, kv, ":"); v = kv[2] + 0
       if (v > 100) { printf "allocs_per_query %s exceeds ceiling 100\n", v; bad = 1 } }
   /"alloc_bytes_per_query"/ { split($0, kv, ":"); v = kv[2] + 0
       if (v > 10000) { printf "alloc_bytes_per_query %s exceeds ceiling 10000\n", v; bad = 1 } }
-  END { if (bad) exit 1; print "+ allocation ceilings respected" }' \
+  /"events_per_query"/ { split($0, kv, ":"); v = kv[2] + 0
+      if (v > 21) { printf "events_per_query %s exceeds ceiling 21\n", v; bad = 1 } }
+  /"peak_queue_depth"/ { split($0, kv, ":"); v = kv[2] + 0
+      if (v > 1000) { printf "peak_queue_depth %s exceeds ceiling 1000\n", v; bad = 1 } }
+  END { if (bad) exit 1; print "+ allocation and event-queue ceilings respected" }' \
   "$perf_dir/tp_serial.json"
 # The gate must actually gate: inject a 10x allocs/query regression and
 # demand a nonzero exit.
