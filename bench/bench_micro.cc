@@ -4,7 +4,9 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "cdn/consistent_hash.h"
 #include "dns/cache.h"
@@ -87,23 +89,39 @@ void BM_ConsistentHashPick(benchmark::State& state) {
 }
 BENCHMARK(BM_ConsistentHashPick)->Arg(4)->Arg(64)->Arg(256);
 
+// Zone lookup by zone size (range 0) for a hit (range 1 = 0) and for a
+// random-subdomain NXDOMAIN (range 1 = 1), the per-query cost a
+// water-torture flood picks: both must stay flat as the zone grows.
 void BM_ZoneLookup(benchmark::State& state) {
+  const auto records = static_cast<std::uint32_t>(state.range(0));
+  const bool nxdomain = state.range(1) != 0;
   dns::Zone zone(dns::DnsName::must_parse("example.com"));
   zone.must_add(dns::make_soa(dns::DnsName::must_parse("example.com"),
                               dns::DnsName::must_parse("ns1.example.com"), 1,
                               300, 3600));
-  for (int i = 0; i < 512; ++i) {
+  for (std::uint32_t i = 0; i < records; ++i) {
     const std::string n = std::to_string(i);
     zone.must_add(dns::make_a(
         dns::DnsName::must_parse("h" + n + ".example.com"),
         simnet::Ipv4Address(0xc0000200u + i), 60));
   }
-  const auto qname = dns::DnsName::must_parse("h300.example.com");
+  std::vector<dns::DnsName> qnames;
+  if (nxdomain) {
+    util::Rng rng(7);
+    for (int i = 0; i < 1024; ++i) {
+      const std::string n = std::to_string(rng.next() % 1000000000);
+      qnames.push_back(dns::DnsName::must_parse("r" + n + ".example.com"));
+    }
+  } else {
+    qnames.push_back(dns::DnsName::must_parse("h300.example.com"));
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(zone.lookup(qname, dns::RecordType::kA));
+    benchmark::DoNotOptimize(zone.lookup(qnames[i], dns::RecordType::kA));
+    if (++i == qnames.size()) i = 0;
   }
 }
-BENCHMARK(BM_ZoneLookup);
+BENCHMARK(BM_ZoneLookup)->ArgsProduct({{512, 2000, 65536}, {0, 1}});
 
 void BM_SimulatorEvents(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,5 +1,6 @@
 #include "dns/name.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <stdexcept>
@@ -7,18 +8,26 @@
 namespace mecdns::dns {
 
 namespace {
-char fold(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
-
 // Case-folded bytewise comparison over wire-label bytes. Length prefixes
-// are 1..63, a range std::tolower never remaps, so folding the whole run
+// are 1..63, a range ascii_fold never remaps, so folding the whole run
 // (prefixes included) is equivalent to folding only the label characters.
 bool wire_equal_icase(const char* a, const char* b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    if (fold(a[i]) != fold(b[i])) return false;
+    if (ascii_fold(a[i]) != ascii_fold(b[i])) return false;
   }
   return true;
+}
+
+// A label takes at least two wire octets, so no name has more labels.
+constexpr std::size_t kMaxLabels = DnsName::kMaxData / 2;
+
+// Byte offset of every label of the wire run `d` (`count` labels).
+void label_offsets(const char* d, std::size_t count, std::uint8_t* out) {
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = static_cast<std::uint8_t>(at);
+    at += 1 + static_cast<unsigned char>(d[at]);
+  }
 }
 }  // namespace
 
@@ -290,19 +299,28 @@ bool DnsName::equals_exact(const DnsName& other) const {
 }
 
 bool operator<(const DnsName& a, const DnsName& b) {
-  // Compare right-to-left by label, case-folded.
+  // Compare right-to-left by label: one walk per name finds the label
+  // offsets, then each label pair is compared once.
+  std::uint8_t offs_a[kMaxLabels];
+  std::uint8_t offs_b[kMaxLabels];
+  const char* da = a.data_ptr();
+  const char* db = b.data_ptr();
+  label_offsets(da, a.count_, offs_a);
+  label_offsets(db, b.count_, offs_b);
   std::size_t ia = a.count_;
   std::size_t ib = b.count_;
   while (ia > 0 && ib > 0) {
-    const std::string_view la = a.label(ia - 1);
-    const std::string_view lb = b.label(ib - 1);
-    const std::size_t n = std::min(la.size(), lb.size());
+    const char* la = da + offs_a[ia - 1];
+    const char* lb = db + offs_b[ib - 1];
+    const std::size_t na = static_cast<unsigned char>(*la++);
+    const std::size_t nb = static_cast<unsigned char>(*lb++);
+    const std::size_t n = std::min(na, nb);
     for (std::size_t i = 0; i < n; ++i) {
-      const char ca = fold(la[i]);
-      const char cb = fold(lb[i]);
+      const auto ca = static_cast<unsigned char>(ascii_fold(la[i]));
+      const auto cb = static_cast<unsigned char>(ascii_fold(lb[i]));
       if (ca != cb) return ca < cb;
     }
-    if (la.size() != lb.size()) return la.size() < lb.size();
+    if (na != nb) return na < nb;
     --ia;
     --ib;
   }
@@ -316,7 +334,7 @@ std::size_t DnsName::hash() const {
   for (std::size_t i = 0; i < count_; ++i) {
     const std::size_t len = static_cast<unsigned char>(d[at]);
     for (std::size_t k = 0; k < len; ++k) {
-      h ^= static_cast<std::size_t>(fold(d[at + 1 + k]));
+      h ^= static_cast<std::size_t>(ascii_fold(d[at + 1 + k]));
       h *= 1099511628211ULL;
     }
     h ^= 0xff;  // label separator so {"ab","c"} != {"a","bc"}

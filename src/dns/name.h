@@ -1,8 +1,9 @@
 // DNS domain names (RFC 1035 §2.3 / §3.1).
 //
 // A DnsName is a sequence of labels; comparison is ASCII case-insensitive
-// per RFC 4343. Names are validated on construction: labels of 1..63
-// octets, total wire length <= 255.
+// per RFC 4343: only 'A'..'Z' fold, every other octet (0x80..0xff
+// included) compares as itself. Names are validated on construction:
+// labels of 1..63 octets, total wire length <= 255.
 //
 // Storage is a single wire-format buffer (length-prefixed labels, without
 // the terminating root byte): up to 54 data octets inline — covering every
@@ -22,6 +23,14 @@
 #include "util/result.h"
 
 namespace mecdns::dns {
+
+/// RFC 4343 case fold: 'A'..'Z' to 'a'..'z', every other octet unchanged.
+/// Identical to std::tolower in the C locale, without the locale lookup;
+/// every case-insensitive name comparison, hash and the wire compressor
+/// fold through this one function.
+constexpr char ascii_fold(char c) {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
 
 class DnsName {
  public:
@@ -107,11 +116,14 @@ class DnsName {
   /// needs; operator== folds case per RFC 4343.
   bool equals_exact(const DnsName& other) const;
 
-  /// Canonical ordering (case-folded, right-to-left by label) — the DNSSEC
-  /// canonical order, also handy for using DnsName as a map key.
+  /// RFC 4034 §6.1 canonical ordering: right-to-left by label, each label
+  /// compared as a case-folded string of unsigned octets (a shorter label
+  /// that is a prefix of a longer one sorts first). Linear in the names'
+  /// length; the ordered maps of the recursive resolver key on it.
   friend bool operator<(const DnsName& a, const DnsName& b);
 
-  /// Case-folded hash consistent with operator==.
+  /// Case-folded hash consistent with operator== (the key of every hashed
+  /// name index: DnsCache, Zone).
   std::size_t hash() const;
 
  private:

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "simnet/context.h"
 
 namespace mecdns::dns {
 
@@ -295,9 +296,11 @@ void PluginChain::run_from(std::size_t index, const PluginContext& ctx,
   // One span per traversed plugin, open until the answer bubbles back up
   // through this plugin's responder — so a forward plugin's span covers its
   // whole upstream round trip. Plugins that never respond (drop) leave the
-  // span unfinished, which the exporter marks.
-  obs::SpanRef span = obs::begin_span("plugin", plugins_[index]->name());
-  if (span.active()) {
+  // span unfinished, which the exporter marks. Untraced queries never call
+  // name(), which builds a string.
+  obs::SpanRef span;
+  if (simnet::current_trace_token().active()) {
+    span = obs::begin_span("plugin", plugins_[index]->name());
     respond = [span, respond = std::move(respond)](Message response) {
       span.end();
       respond(std::move(response));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "simnet/context.h"
 #include "util/log.h"
 #include "util/perfcount.h"
 
@@ -39,8 +40,12 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
   // When the delivering packet carries a trace (the client's transport
   // span is ambient), open a serve span under it: one slice per query,
   // named after this server, covering queueing + processing + upstreams.
-  obs::SpanRef span = obs::begin_span(
-      name_, "serve " + decoded.value().questions.front().name.to_string());
+  // Untraced queries skip building the span's name.
+  obs::SpanRef span;
+  if (simnet::current_trace_token().active()) {
+    span = obs::begin_span(
+        name_, "serve " + decoded.value().questions.front().name.to_string());
+  }
 
   // RFC 1035 §4.2.1 / RFC 6891: the client's receive buffer is 512 octets
   // unless it advertised more via EDNS.

@@ -1,6 +1,5 @@
 #include "dns/wire.h"
 
-#include <cctype>
 #include <string>
 
 #include "dns/edns.h"
@@ -16,10 +15,6 @@ namespace {
 
 constexpr std::uint8_t kPointerTag = 0xc0;
 constexpr std::size_t kMaxPointerChases = 32;
-
-char fold_char(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
 
 /// Tracks previously written names so later occurrences can point at them
 /// (RFC 1035 §4.1.4).
@@ -83,8 +78,8 @@ class NameCompressor {
       if (len != static_cast<std::uint8_t>(want[w])) return false;
       if (pos + 1 + len > size) return false;
       for (std::size_t k = 0; k < len; ++k) {
-        if (fold_char(static_cast<char>(buf[pos + 1 + k])) !=
-            fold_char(want[w + 1 + k])) {
+        if (ascii_fold(static_cast<char>(buf[pos + 1 + k])) !=
+            ascii_fold(want[w + 1 + k])) {
           return false;
         }
       }

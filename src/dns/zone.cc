@@ -1,5 +1,6 @@
 #include "dns/zone.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mecdns::dns {
@@ -16,24 +17,63 @@ std::string to_string(LookupStatus status) {
   return "?";
 }
 
+const std::vector<ResourceRecord>* Zone::Node::find(RecordType type) const {
+  for (const RRset& set : rrsets) {
+    if (set.type == type) return &set.records;
+  }
+  return nullptr;
+}
+
+const Zone::Node* Zone::node(const DnsName& name) const {
+  const auto it = nodes_.find(name);
+  return it == nodes_.end() ? nullptr : &it->second;
+}
+
+const std::vector<ResourceRecord>* Zone::rrset(const DnsName& name,
+                                               RecordType type) const {
+  const Node* n = node(name);
+  return n == nullptr ? nullptr : n->find(type);
+}
+
+void Zone::count_rrsets(const DnsName& owner, std::ptrdiff_t delta) {
+  DnsName at = owner;
+  while (true) {
+    Node& n = nodes_[at];
+    n.rrsets_below = static_cast<std::size_t>(
+        static_cast<std::ptrdiff_t>(n.rrsets_below) + delta);
+    if (n.rrsets_below == 0) nodes_.erase(at);
+    if (at.label_count() <= origin_.label_count()) return;
+    at = at.parent();
+  }
+}
+
 util::Result<void> Zone::add(ResourceRecord rr) {
   if (!rr.name.is_subdomain_of(origin_)) {
     return util::Err("record " + rr.name.to_string() + " outside zone " +
                      origin_.to_string());
   }
-  if (rr.type == RecordType::kCname) {
+  if (const Node* owner = node(rr.name); owner != nullptr) {
     // A CNAME must be the only data at its owner (SOA/NS checks included).
-    for (const auto& [key, rrs] : records_) {
-      if (key.first == rr.name) {
-        return util::Err("CNAME at " + rr.name.to_string() +
-                         " conflicts with existing " + to_string(key.second));
-      }
+    if (rr.type == RecordType::kCname && !owner->rrsets.empty()) {
+      return util::Err("CNAME at " + rr.name.to_string() +
+                       " conflicts with existing " +
+                       to_string(owner->rrsets.front().type));
     }
-  } else if (!find(rr.name, RecordType::kCname).empty()) {
-    return util::Err("data at " + rr.name.to_string() +
-                     " conflicts with existing CNAME");
+    if (rr.type != RecordType::kCname &&
+        owner->find(RecordType::kCname) != nullptr) {
+      return util::Err("data at " + rr.name.to_string() +
+                       " conflicts with existing CNAME");
+    }
   }
-  records_[{rr.name, rr.type}].push_back(std::move(rr));
+  if (rrset(rr.name, rr.type) == nullptr) count_rrsets(rr.name, 1);
+  std::vector<RRset>& sets = nodes_.at(rr.name).rrsets;
+  auto it = std::lower_bound(
+      sets.begin(), sets.end(), rr.type,
+      [](const RRset& set, RecordType type) { return set.type < type; });
+  if (it == sets.end() || it->type != rr.type) {
+    it = sets.insert(it, RRset{rr.type, {}});
+  }
+  it->records.push_back(std::move(rr));
   return util::Ok();
 }
 
@@ -43,57 +83,54 @@ void Zone::must_add(ResourceRecord rr) {
 }
 
 std::size_t Zone::remove(const DnsName& name, RecordType type) {
-  const auto it = records_.find({name, type});
-  if (it == records_.end()) return 0;
-  const std::size_t n = it->second.size();
-  records_.erase(it);
+  const auto found = nodes_.find(name);
+  if (found == nodes_.end()) return 0;
+  std::vector<RRset>& sets = found->second.rrsets;
+  const auto it = std::find_if(sets.begin(), sets.end(), [&](const RRset& set) {
+    return set.type == type;
+  });
+  if (it == sets.end()) return 0;
+  const std::size_t n = it->records.size();
+  sets.erase(it);
+  count_rrsets(name, -1);
   return n;
 }
 
 std::size_t Zone::remove_name(const DnsName& name) {
+  const auto found = nodes_.find(name);
+  if (found == nodes_.end()) return 0;
+  std::vector<RRset>& sets = found->second.rrsets;
   std::size_t n = 0;
-  for (auto it = records_.begin(); it != records_.end();) {
-    if (it->first.first == name) {
-      n += it->second.size();
-      it = records_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  for (const RRset& set : sets) n += set.records.size();
+  const auto removed = static_cast<std::ptrdiff_t>(sets.size());
+  sets.clear();
+  if (removed > 0) count_rrsets(name, -removed);
   return n;
 }
 
 std::vector<ResourceRecord> Zone::find(const DnsName& name,
                                        RecordType type) const {
-  const auto it = records_.find({name, type});
-  return it == records_.end() ? std::vector<ResourceRecord>{} : it->second;
-}
-
-bool Zone::name_exists(const DnsName& name) const {
-  // Records are ordered by (name, type); any key with matching name means
-  // the name exists. An empty non-terminal (a name that only exists as an
-  // ancestor of record owners) also "exists" per RFC 4592.
-  for (const auto& [key, rrs] : records_) {
-    if (key.first == name || key.first.is_subdomain_of(name)) return true;
-  }
-  return false;
+  const auto* records = rrset(name, type);
+  return records == nullptr ? std::vector<ResourceRecord>{} : *records;
 }
 
 const std::vector<ResourceRecord>* Zone::find_delegation(const DnsName& name,
                                                          DnsName* cut) const {
   // Walk from just below the apex down toward `name`, looking for NS RRsets
   // at intermediate names (zone cuts). NS at the apex is authoritative data,
-  // not a cut.
+  // not a cut. A name with no node has nothing at or below it, so the walk
+  // stops there.
   const std::size_t apex_labels = origin_.label_count();
   const std::size_t name_labels = name.label_count();
   if (name_labels <= apex_labels) return nullptr;
   for (std::size_t take = apex_labels + 1; take <= name_labels; ++take) {
     // Candidate = last `take` labels of `name`.
     DnsName candidate = name.suffix(take);
-    const auto it = records_.find({candidate, RecordType::kNs});
-    if (it != records_.end()) {
+    const Node* n = node(candidate);
+    if (n == nullptr) return nullptr;
+    if (const auto* ns = n->find(RecordType::kNs); ns != nullptr) {
       if (cut != nullptr) *cut = std::move(candidate);
-      return &it->second;
+      return ns;
     }
   }
   return nullptr;
@@ -123,37 +160,31 @@ LookupResult Zone::lookup(const DnsName& name, RecordType type) const {
 
   const auto answer_at = [&](const DnsName& owner,
                              bool wildcard) -> bool {
+    const Node* at = node(owner);
+    if (at == nullptr) return false;
     // CNAME indirection (unless the query is for the CNAME itself or ANY).
+    const std::vector<ResourceRecord>* cname = nullptr;
     if (type != RecordType::kCname && type != RecordType::kAny) {
-      auto cname = find(owner, RecordType::kCname);
-      if (!cname.empty()) {
-        result.status = LookupStatus::kCname;
-        result.records = std::move(cname);
-        if (wildcard) {
-          for (auto& rr : result.records) rr.name = name;
-          result.from_wildcard = true;
-        }
-        return true;
-      }
+      cname = at->find(RecordType::kCname);
     }
-    if (type == RecordType::kAny) {
-      for (const auto& [key, rrs] : records_) {
-        if (key.first == owner) {
-          result.records.insert(result.records.end(), rrs.begin(), rrs.end());
-        }
+    if (cname != nullptr) {
+      result.status = LookupStatus::kCname;
+      result.records = *cname;
+    } else if (type == RecordType::kAny) {
+      for (const RRset& set : at->rrsets) {
+        result.records.insert(result.records.end(), set.records.begin(),
+                              set.records.end());
       }
-    } else {
-      result.records = find(owner, type);
+    } else if (const auto* records = at->find(type); records != nullptr) {
+      result.records = *records;
     }
-    if (!result.records.empty()) {
-      result.status = LookupStatus::kSuccess;
-      if (wildcard) {
-        for (auto& rr : result.records) rr.name = name;
-        result.from_wildcard = true;
-      }
-      return true;
+    if (result.records.empty()) return false;
+    if (cname == nullptr) result.status = LookupStatus::kSuccess;
+    if (wildcard) {
+      for (auto& rr : result.records) rr.name = name;
+      result.from_wildcard = true;
     }
-    return false;
+    return true;
   };
 
   if (answer_at(name, /*wildcard=*/false)) return result;
@@ -184,14 +215,24 @@ LookupResult Zone::lookup(const DnsName& name, RecordType type) const {
 
 std::size_t Zone::record_count() const {
   std::size_t n = 0;
-  for (const auto& [key, rrs] : records_) n += rrs.size();
+  for (const auto& [name, node] : nodes_) {
+    for (const RRset& set : node.rrsets) n += set.records.size();
+  }
   return n;
 }
 
 std::vector<ResourceRecord> Zone::all() const {
+  std::vector<const std::pair<DnsName, Node>*> owners;
+  for (const auto& entry : nodes_) {
+    if (!entry.second.rrsets.empty()) owners.push_back(&entry);
+  }
+  std::sort(owners.begin(), owners.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
   std::vector<ResourceRecord> out;
-  for (const auto& [key, rrs] : records_) {
-    out.insert(out.end(), rrs.begin(), rrs.end());
+  for (const auto* owner : owners) {
+    for (const RRset& set : owner->second.rrsets) {
+      out.insert(out.end(), set.records.begin(), set.records.end());
+    }
   }
   return out;
 }

@@ -4,14 +4,22 @@
 // (delegations with glue) and negative answers with the zone SOA — enough to
 // faithfully host the public hierarchy (root, TLD, CDN authoritative zones)
 // and the MEC cluster namespaces.
+//
+// The zone is a hash index of names, so a lookup costs a few probes
+// whatever the zone's size. Besides every owner name, the index holds each
+// of its ancestors down to the origin (RFC 4592 empty non-terminals), and
+// every node counts the RRsets at or below it: a name exists exactly when
+// it has a node, so an in-zone NXDOMAIN — whose name a client picks, as in
+// a random-subdomain flood — is one probe, not a scan of the zone.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "dns/name.h"
 #include "dns/rr.h"
+#include "util/flat_map.h"
 #include "util/result.h"
 
 namespace mecdns::dns {
@@ -67,24 +75,45 @@ class Zone {
   /// Direct RRset fetch without delegation/wildcard processing.
   std::vector<ResourceRecord> find(const DnsName& name, RecordType type) const;
 
-  bool empty() const { return records_.empty(); }
+  bool empty() const { return nodes_.empty(); }
   std::size_t record_count() const;
 
-  /// All records, for iteration/debug.
+  /// All records in canonical order (owner by RFC 4034 §6.1, then type);
+  /// sorts on every call, for tests and debugging.
   std::vector<ResourceRecord> all() const;
 
  private:
-  using Key = std::pair<DnsName, RecordType>;
+  struct RRset {
+    RecordType type;
+    std::vector<ResourceRecord> records;
+  };
+  /// One name of the zone: its own RRsets (sorted by type, none for an
+  /// empty non-terminal) and the number of RRsets at or below it. A node
+  /// is erased when that count reaches 0.
+  struct Node {
+    std::vector<RRset> rrsets;
+    std::size_t rrsets_below = 0;
+
+    const std::vector<ResourceRecord>* find(RecordType type) const;
+  };
+
+  const Node* node(const DnsName& name) const;
+  const std::vector<ResourceRecord>* rrset(const DnsName& name,
+                                           RecordType type) const;
+
+  /// Adds `delta` to the RRset count of `owner` and of every ancestor down
+  /// to the origin, creating missing nodes and erasing emptied ones.
+  void count_rrsets(const DnsName& owner, std::ptrdiff_t delta);
 
   /// Finds a zone cut strictly below the apex on the path from the apex to
   /// `name`. Returns the NS RRset owner if found.
   const std::vector<ResourceRecord>* find_delegation(const DnsName& name,
                                                      DnsName* cut) const;
 
-  bool name_exists(const DnsName& name) const;
+  bool name_exists(const DnsName& name) const { return node(name) != nullptr; }
 
   DnsName origin_;
-  std::map<Key, std::vector<ResourceRecord>> records_;
+  util::FlatHashMap<DnsName, Node> nodes_;
 };
 
 }  // namespace mecdns::dns

@@ -1,22 +1,63 @@
 #include "mec/ingress.h"
 
+#include <algorithm>
+#include <limits>
+#include <stdexcept>
+
 namespace mecdns::mec {
+
+namespace {
+constexpr std::int64_t kMaxOffset = std::numeric_limits<std::uint32_t>::max();
+}  // namespace
+
+IngressMonitor::IngressMonitor(simnet::SimTime window) : window_(window) {
+  if (window.count_nanos() > kMaxOffset) {
+    throw std::invalid_argument(
+        "IngressMonitor window must be shorter than 2^32 ns");
+  }
+}
 
 void IngressMonitor::record(simnet::SimTime now) {
   prune(now);
-  events_.push_back(now);
+  if (offsets_.empty()) base_ = now;
+  std::int64_t at = (now - base_).count_nanos();
+  if (at < 0 || at > kMaxOffset) {
+    rebase(now);
+    at = (now - base_).count_nanos();
+  }
+  offsets_.push_back(static_cast<std::uint32_t>(at));
 }
 
 std::size_t IngressMonitor::rate(simnet::SimTime now) const {
   prune(now);
-  return events_.size();
+  return offsets_.size();
 }
 
 void IngressMonitor::prune(simnet::SimTime now) const {
-  const simnet::SimTime cutoff = now - window_;
-  while (!events_.empty() && events_.front() < cutoff) {
-    events_.pop_front();
+  const std::int64_t cutoff = (now - window_ - base_).count_nanos();
+  while (!offsets_.empty() && offsets_.front() < cutoff) {
+    offsets_.pop_front();
   }
+}
+
+void IngressMonitor::rebase(simnet::SimTime now) {
+  // The new base is the earliest kept arrival (or `now`): after prune()
+  // the kept arrivals lie within about one window of `now`, so shifting
+  // them all by a common amount keeps every one representable.
+  std::int64_t lo = (now - base_).count_nanos();
+  std::int64_t hi = lo;
+  for (const std::uint32_t offset : offsets_) {
+    lo = std::min<std::int64_t>(lo, offset);
+    hi = std::max<std::int64_t>(hi, offset);
+  }
+  if (hi - lo > kMaxOffset) {
+    throw std::logic_error(
+        "IngressMonitor arrivals span more than 2^32 ns");
+  }
+  for (std::uint32_t& offset : offsets_) {
+    offset = static_cast<std::uint32_t>(offset - lo);
+  }
+  base_ = base_ + simnet::SimTime::nanos(lo);
 }
 
 void OverloadGuardPlugin::shed_one(const dns::PluginContext& ctx,

@@ -20,23 +20,32 @@
 
 namespace mecdns::mec {
 
+/// Sliding-window count of admitted queries. Each arrival is kept as a
+/// 32-bit nanosecond offset from a base time, so the guard's memory at a
+/// given rate is 4 bytes per query in the window, not 8. Windows must be
+/// shorter than 2^32 ns (~4.29 s); the constructor rejects longer ones.
 class IngressMonitor {
  public:
-  explicit IngressMonitor(simnet::SimTime window = simnet::SimTime::seconds(1))
-      : window_(window) {}
+  explicit IngressMonitor(
+      simnet::SimTime window = simnet::SimTime::seconds(1));
 
   void record(simnet::SimTime now);
 
-  /// Events within the window ending at `now`.
+  /// Events within the window ending at `now` (an event exactly at
+  /// `now - window` still counts).
   std::size_t rate(simnet::SimTime now) const;
 
   simnet::SimTime window() const { return window_; }
 
  private:
   void prune(simnet::SimTime now) const;
+  /// Moves the base so that every kept offset and `now` fit in 32 bits.
+  void rebase(simnet::SimTime now);
 
   simnet::SimTime window_;
-  mutable std::deque<simnet::SimTime> events_;
+  simnet::SimTime base_;
+  /// Arrival offsets from base_, in the order they were recorded.
+  mutable std::deque<std::uint32_t> offsets_;
 };
 
 /// What the guard does with traffic above the threshold.

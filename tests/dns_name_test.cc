@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
+#include <vector>
 
 #include "dns/name.h"
 
@@ -122,6 +123,28 @@ TEST(DnsName, CanonicalOrderingIsByLabelFromTheRight) {
                DnsName::must_parse("example.COM"));
   EXPECT_FALSE(DnsName::must_parse("example.COM") <
                DnsName::must_parse("EXAMPLE.com"));
+}
+
+TEST(DnsName, CanonicalOrderMatchesTheRfc4034Example) {
+  // RFC 4034 §6.1's example list, in canonical order. "\001.z.example" is
+  // left out: validation rejects control octets. Octets compare unsigned,
+  // so "\200" sorts after "*" (0x2a).
+  const std::vector<DnsName> names = {
+      DnsName::must_parse("example"),
+      DnsName::must_parse("a.example"),
+      DnsName::must_parse("yljkjljk.a.example"),
+      DnsName::must_parse("Z.a.example"),
+      DnsName::must_parse("zABC.a.EXAMPLE"),
+      DnsName::must_parse("z.example"),
+      DnsName::must_parse("*.z.example"),
+      DnsName::from_labels({"\200", "z", "example"}).value(),
+  };
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    for (std::size_t j = 0; j < names.size(); ++j) {
+      EXPECT_EQ(names[i] < names[j], i < j)
+          << names[i].to_string() << " vs " << names[j].to_string();
+    }
+  }
 }
 
 TEST(DnsName, FromLabelsValidates) {

@@ -2,7 +2,11 @@
 // deployments and the ingress overload machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "dns/wire.h"
 #include "mec/cluster.h"
@@ -10,6 +14,7 @@
 #include "mec/ingress.h"
 #include "mec/orchestrator.h"
 #include "mec/registry.h"
+#include "util/rng.h"
 
 namespace mecdns::mec {
 namespace {
@@ -134,6 +139,87 @@ TEST(IngressMonitor, SlidingWindowRate) {
   // At t=1.5s the window is [0.5s, 1.5s] inclusive: t=500..900ms -> 5.
   EXPECT_EQ(monitor.rate(SimTime::millis(1500)), 5u);
   EXPECT_EQ(monitor.rate(SimTime::seconds(10)), 0u);
+}
+
+TEST(IngressMonitor, EventExactlyAtTheCutoffIsKept) {
+  IngressMonitor monitor(SimTime::seconds(1));
+  monitor.record(SimTime::zero());
+  monitor.record(SimTime::millis(500));
+  EXPECT_EQ(monitor.rate(SimTime::seconds(1)), 2u);
+  EXPECT_EQ(monitor.rate(SimTime::seconds(1) + SimTime::nanos(1)), 1u);
+}
+
+TEST(IngressMonitor, RebasesAcrossLongRuns) {
+  // Arrivals 0.9 s apart never empty a 1 s window, so the base must move
+  // every ~4.3 s of offsets; each count stays exact.
+  IngressMonitor monitor(SimTime::seconds(1));
+  for (int i = 0; i < 20; ++i) {
+    const SimTime at = SimTime::millis(900.0 * i);
+    monitor.record(at);
+    EXPECT_EQ(monitor.rate(at), i == 0 ? 1u : 2u) << "i=" << i;
+  }
+  // An idle gap longer than 4.3 s empties the window; counting restarts
+  // from the next arrival.
+  monitor.record(SimTime::millis(30000));
+  monitor.record(SimTime::millis(30500));
+  EXPECT_EQ(monitor.rate(SimTime::millis(30500)), 2u);
+  EXPECT_EQ(monitor.rate(SimTime::millis(31200)), 1u);
+
+  // A near-2^32 ns window: an arrival 4.2 s after the base (a gap past
+  // 2^32 ns) while the one before it is still kept.
+  IngressMonitor wide(SimTime::millis(4200));
+  wide.record(SimTime::zero());
+  wide.record(SimTime::millis(4200));
+  EXPECT_EQ(wide.rate(SimTime::millis(4200)), 2u);
+  wide.record(SimTime::millis(4300));
+  wide.record(SimTime::millis(8500));
+  EXPECT_EQ(wide.rate(SimTime::millis(8500)), 2u);
+  EXPECT_EQ(wide.rate(SimTime::millis(8500) + SimTime::nanos(1)), 1u);
+}
+
+TEST(IngressMonitor, ArrivalBeforeTheBaseIsCounted) {
+  // A multi-worker server records arrivals slightly out of order.
+  IngressMonitor monitor(SimTime::seconds(1));
+  monitor.record(SimTime::seconds(1));
+  monitor.record(SimTime::millis(999));
+  EXPECT_EQ(monitor.rate(SimTime::seconds(1)), 2u);
+  EXPECT_EQ(monitor.rate(SimTime::seconds(2.5)), 0u);
+}
+
+TEST(IngressMonitor, SteadyStreamMatchesABruteForceCount) {
+  // 100k arrivals/s for 10 s of sim time, probed at random instants.
+  util::Rng rng(9973);
+  const auto draw = [&rng](std::uint64_t below) {
+    return static_cast<std::int64_t>(rng.next() % below);
+  };
+  std::vector<SimTime> arrivals;
+  for (std::int64_t k = 0; k < 1'000'000; ++k) {
+    arrivals.push_back(SimTime::nanos(k * 10'000 + draw(10'000)));
+  }
+  std::vector<SimTime> probes;
+  for (int i = 0; i < 50; ++i) {
+    probes.push_back(SimTime::nanos(draw(10'000'000'000ULL)));
+  }
+  std::sort(probes.begin(), probes.end());
+
+  IngressMonitor monitor(SimTime::seconds(1));
+  std::size_t next = 0;
+  for (const SimTime probe : probes) {
+    while (next < arrivals.size() && arrivals[next] <= probe) {
+      monitor.record(arrivals[next++]);
+    }
+    const SimTime cutoff = probe - SimTime::seconds(1);
+    const auto seen = arrivals.begin() + static_cast<std::ptrdiff_t>(next);
+    const auto want = static_cast<std::size_t>(std::count_if(
+        arrivals.begin(), seen, [&](SimTime t) { return t >= cutoff; }));
+    EXPECT_EQ(monitor.rate(probe), want) << "probe " << probe.to_string();
+  }
+}
+
+TEST(IngressMonitor, WindowOfTwoToThe32NanosIsRejected) {
+  EXPECT_THROW(IngressMonitor(SimTime::nanos(std::int64_t{1} << 32)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(IngressMonitor(SimTime::nanos((std::int64_t{1} << 32) - 1)));
 }
 
 TEST(OverloadGuard, ShedsAboveThreshold) {

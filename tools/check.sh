@@ -34,7 +34,8 @@
 #   9. Livewire smoke: the epoll/UDP runtime for real. mecdns_livewire
 #      serves the MEC zone on an ephemeral 127.0.0.1 port (ASan build), the
 #      probe client resolves a name over the real wire and checks the A
-#      record, and the server's teardown must report sockets_leaked=0.
+#      record (once lower-case, once mixed-case), and the server's teardown
+#      must report sockets_leaked=0.
 # Usage: tools/check.sh [jobs]   (default: nproc)
 set -euo pipefail
 
@@ -259,6 +260,10 @@ done
 live_port="$(head -1 "$live_dir/serve.log" | grep -oE '[0-9]+$')"
 echo "+ livewire server on 127.0.0.1:$live_port"
 run ./build-asan/tools/mecdns_livewire --probe video.mec.test \
+    --server "127.0.0.1:$live_port" --expect-a 192.0.2.7
+# A mixed-case spelling must hit the same record (RFC 4343): the zone's
+# case-folded hash index, over the real wire.
+run ./build-asan/tools/mecdns_livewire --probe VIDEO.Mec.Test \
     --server "127.0.0.1:$live_port" --expect-a 192.0.2.7
 # SIGINT must shut the loop down cleanly; the exit status is the server's
 # own socket-leak verdict (nonzero if any fd survived teardown).
