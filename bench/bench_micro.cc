@@ -60,6 +60,18 @@ void BM_WireDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_WireDecode)->Arg(1)->Arg(8)->Arg(32);
 
+// The P-GW tap's parse: header and first question only, so its cost should
+// not grow with the answer count.
+void BM_WireDecodeHeader(benchmark::State& state) {
+  const auto wire =
+      dns::encode(sample_message(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    auto head = dns::decode_header(wire);
+    benchmark::DoNotOptimize(head);
+  }
+}
+BENCHMARK(BM_WireDecodeHeader)->Arg(1)->Arg(32);
+
 void BM_CacheLookup(benchmark::State& state) {
   dns::DnsCache cache(8192);
   const auto now = simnet::SimTime::seconds(1);

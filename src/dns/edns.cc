@@ -33,15 +33,15 @@ std::vector<std::uint8_t> encode_edns_options(const Edns& edns) {
   return writer.take();
 }
 
-util::Result<void> decode_edns_options(
-    const std::vector<std::uint8_t>& rdata, Edns& edns) {
+util::Result<void> decode_edns_options(std::span<const std::uint8_t> rdata,
+                                       Edns& edns) {
   util::ByteReader reader(rdata);
   while (!reader.at_end()) {
     auto code = reader.u16();
     if (!code.ok()) return code.error();
     auto length = reader.u16();
     if (!length.ok()) return length.error();
-    auto body = reader.bytes(length.value());
+    auto body = reader.view(length.value());
     if (!body.ok()) return body.error();
     if (code.value() != kOptionClientSubnet) continue;  // skip unknown options
 

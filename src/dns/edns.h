@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "simnet/ip.h"
@@ -44,8 +45,8 @@ std::vector<std::uint8_t> encode_edns_options(const Edns& edns);
 
 /// Decodes OPT RDATA bytes into the option fields of `edns` (payload size /
 /// rcode / version / DO come from the OPT record's fixed fields, handled by
-/// the wire codec).
-util::Result<void> decode_edns_options(
-    const std::vector<std::uint8_t>& rdata, Edns& edns);
+/// the wire codec). Reads the bytes in place; nothing is copied.
+util::Result<void> decode_edns_options(std::span<const std::uint8_t> rdata,
+                                       Edns& edns);
 
 }  // namespace mecdns::dns

@@ -1,9 +1,10 @@
 #include "dns/name.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstring>
 #include <stdexcept>
+
+#include "util/bytes.h"
 
 namespace mecdns::dns {
 
@@ -16,6 +17,15 @@ bool wire_equal_icase(const char* a, const char* b, std::size_t n) {
     if (ascii_fold(a[i]) != ascii_fold(b[i])) return false;
   }
   return true;
+}
+
+// Octets a label may not hold: '.' (structural), space, the C0 controls
+// and DEL. RFC 1035 hostnames are stricter, but DNS itself is 8-bit clean
+// (0x80..0xff pass); forbidding only these keeps presentation parsing
+// unambiguous. This is std::isspace || std::iscntrl in the C locale,
+// written out so the check costs no locale lookup.
+constexpr bool forbidden_in_label(unsigned char c) {
+  return c == '.' || c == ' ' || c < 0x20 || c == 0x7f;
 }
 
 // A label takes at least two wire octets, so no name has more labels.
@@ -85,42 +95,79 @@ DnsName::~DnsName() {
   if (on_heap()) delete[] heap_;
 }
 
-util::Result<void> DnsName::validate_label(std::string_view label) {
-  if (label.empty()) return util::Err("empty label");
-  if (label.size() > 63) {
-    return util::Err("label exceeds 63 octets: " + std::string(label));
-  }
-  // RFC 1035 hostnames are stricter, but DNS itself is 8-bit clean; we
-  // forbid only '.' (structural) and whitespace/control characters, which
-  // keeps presentation parsing unambiguous.
-  for (const char c : label) {
-    if (c == '.' || std::isspace(static_cast<unsigned char>(c)) ||
-        std::iscntrl(static_cast<unsigned char>(c))) {
-      return util::Err("invalid character in label");
-    }
-  }
-  return util::Ok();
-}
-
-util::Result<void> DnsName::append_label(std::string_view label) {
-  auto valid = validate_label(label);
-  if (!valid.ok()) return valid.error();
-  const std::size_t next = std::size_t{size_} + 1 + label.size();
-  if (next > kMaxData) return util::Err("name exceeds 255 octets");
+char* DnsName::storage_for(std::size_t next) {
   if (!on_heap() && next > kInlineCapacity) {
     // Crossing into heap storage: one fixed-size buffer covers any name.
     char* heap = new char[kMaxData];
     std::memcpy(heap, inline_, size_);
     heap_ = heap;
   }
-  // on_heap() keys off size_, which still holds the old length — write
-  // through the pointer we just decided on.
-  char* dst = (next > kInlineCapacity) ? heap_ : inline_;
-  dst[size_] = static_cast<char>(label.size());
-  std::memcpy(dst + size_ + 1, label.data(), label.size());
+  return next > kInlineCapacity ? heap_ : inline_;
+}
+
+// Forced inline: read_wire calls this once per label, and as an
+// out-of-line call it measurably slowed BM_WireDecode/8.
+[[gnu::always_inline]] inline const char* DnsName::push_label(
+    const char* label, std::size_t len) {
+  for (std::size_t k = 0; k < len; ++k) {
+    if (forbidden_in_label(static_cast<unsigned char>(label[k]))) {
+      return "invalid character in label";
+    }
+  }
+  const std::size_t next = std::size_t{size_} + 1 + len;
+  if (next > kMaxData) return "name exceeds 255 octets";
+  char* dst = storage_for(next);
+  dst[size_] = static_cast<char>(len);
+  std::memcpy(dst + size_ + 1, label, len);
   size_ = static_cast<std::uint8_t>(next);
   ++count_;
+  return nullptr;
+}
+
+util::Result<void> DnsName::append_label(std::string_view label) {
+  if (label.empty()) return util::Err("empty label");
+  if (label.size() > 63) {
+    return util::Err("label exceeds 63 octets: " + std::string(label));
+  }
+  if (const char* error = push_label(label.data(), label.size())) {
+    return util::Err(error);
+  }
   return util::Ok();
+}
+
+util::Result<void> DnsName::read_wire(util::ByteReader& reader) {
+  if (on_heap()) delete[] heap_;
+  size_ = 0;
+  count_ = 0;
+  const std::uint8_t* const wire = reader.data().data();
+  const std::size_t end = reader.size();
+  std::size_t at = reader.position();
+  std::size_t resume = 0;  // where the reader continues after a pointer
+  std::size_t chases = 0;
+  while (true) {
+    if (at >= end) return util::ByteReader::truncated(1);
+    const std::uint8_t len = wire[at];
+    if ((len & kPointerTag) == kPointerTag) {
+      if (at + 1 >= end) return util::ByteReader::truncated(1);
+      if (resume == 0) resume = at + 2;
+      if (++chases > kMaxPointerChases) {
+        return util::Err("compression pointer loop");
+      }
+      at = (static_cast<std::size_t>(len & 0x3f) << 8) | wire[at + 1];
+      if (at >= end) return util::Err("compression pointer past end");
+      continue;
+    }
+    if ((len & kPointerTag) != 0) return util::Err("reserved label type");
+    ++at;
+    if (len == 0) break;
+    if (end - at < len) return util::ByteReader::truncated_run(len, end - at);
+    if (const char* error =
+            push_label(reinterpret_cast<const char*>(wire + at), len)) {
+      return util::Err(error);
+    }
+    at += len;
+  }
+  return reader.seek(resume != 0 ? resume : at);
 }
 
 util::Result<DnsName> DnsName::parse(std::string_view text) {
@@ -235,12 +282,7 @@ util::Result<DnsName> DnsName::with_prefix(std::string_view label) const {
   if (!appended.ok()) return appended.error();
   const std::size_t next = std::size_t{name.size_} + size_;
   if (next > kMaxData) return util::Err("name exceeds 255 octets");
-  if (!name.on_heap() && next > kInlineCapacity) {
-    char* heap = new char[kMaxData];
-    std::memcpy(heap, name.inline_, name.size_);
-    name.heap_ = heap;
-  }
-  char* dst = (next > kInlineCapacity) ? name.heap_ : name.inline_;
+  char* dst = name.storage_for(next);
   std::memcpy(dst + name.size_, data_ptr(), size_);
   name.size_ = static_cast<std::uint8_t>(next);
   name.count_ = static_cast<std::uint8_t>(count_ + 1);
@@ -251,12 +293,7 @@ util::Result<DnsName> DnsName::under(const DnsName& suffix) const {
   const std::size_t next = std::size_t{size_} + suffix.size_;
   if (next > kMaxData) return util::Err("name exceeds 255 octets");
   DnsName name = *this;
-  if (!name.on_heap() && next > kInlineCapacity) {
-    char* heap = new char[kMaxData];
-    std::memcpy(heap, name.inline_, name.size_);
-    name.heap_ = heap;
-  }
-  char* dst = (next > kInlineCapacity) ? name.heap_ : name.inline_;
+  char* dst = name.storage_for(next);
   std::memcpy(dst + name.size_, suffix.data_ptr(), suffix.size_);
   name.size_ = static_cast<std::uint8_t>(next);
   name.count_ = static_cast<std::uint8_t>(count_ + suffix.count_);

@@ -22,6 +22,10 @@
 
 #include "util/result.h"
 
+namespace mecdns::util {
+class ByteReader;
+}  // namespace mecdns::util
+
 namespace mecdns::dns {
 
 /// RFC 4343 case fold: 'A'..'Z' to 'a'..'z', every other octet unchanged.
@@ -31,6 +35,12 @@ namespace mecdns::dns {
 constexpr char ascii_fold(char c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
 }
+
+/// RFC 1035 §4.1.4: a length octet with both top bits set starts a
+/// compression pointer. Decoder and compressor follow at most
+/// kMaxPointerChases pointers per name before calling it a loop.
+inline constexpr std::uint8_t kPointerTag = 0xc0;
+inline constexpr std::size_t kMaxPointerChases = 32;
 
 class DnsName {
  public:
@@ -64,6 +74,15 @@ class DnsName {
   /// wire decoding). Fails on invalid labels or if the name would exceed
   /// the 255-octet wire limit; the name is unchanged on failure.
   util::Result<void> append_label(std::string_view label);
+
+  /// Replaces this name with the wire name (RFC 1035 §3.1, compressed per
+  /// §4.1.4) at the reader's position, and leaves the reader just past it.
+  /// One pass straight from the message into this name's storage: labels
+  /// are checked as append_label() checks them, at most kMaxPointerChases
+  /// compression pointers are followed, and a pointer must land inside the
+  /// message. On failure the reader's position and this name's labels are
+  /// unspecified (the name stays a valid object).
+  util::Result<void> read_wire(util::ByteReader& reader);
 
   bool is_root() const { return count_ == 0; }
   std::size_t label_count() const { return count_; }
@@ -127,11 +146,20 @@ class DnsName {
   std::size_t hash() const;
 
  private:
-  static util::Result<void> validate_label(std::string_view label);
+  /// Appends a label of 1..63 octets after checking its octets, then the
+  /// 255-octet limit; on failure returns the error text and leaves the name
+  /// unchanged. Shared by append_label() and read_wire() without a Result
+  /// per label.
+  const char* push_label(const char* label, std::size_t len);
 
   bool on_heap() const { return size_ > kInlineCapacity; }
   const char* data_ptr() const { return on_heap() ? heap_ : inline_; }
   char* mutable_data() { return on_heap() ? heap_ : inline_; }
+
+  /// Storage for a name growing to `next` data octets (next >= size_).
+  /// Moves the inline bytes to a heap buffer when `next` first exceeds
+  /// kInlineCapacity; size_ still holds the old length.
+  char* storage_for(std::size_t next);
 
   /// Byte offset of label i (must be <= count_; count_ maps to size_).
   std::size_t offset_of(std::size_t i) const;

@@ -1,5 +1,6 @@
 #include "dns/wire.h"
 
+#include <algorithm>
 #include <string>
 
 #include "dns/edns.h"
@@ -12,9 +13,6 @@
 namespace mecdns::dns {
 
 namespace {
-
-constexpr std::uint8_t kPointerTag = 0xc0;
-constexpr std::size_t kMaxPointerChases = 32;
 
 /// Tracks previously written names so later occurrences can point at them
 /// (RFC 1035 §4.1.4).
@@ -166,60 +164,59 @@ ResourceRecord make_opt_record(const Edns& edns) {
   return rr;
 }
 
-util::Result<DnsName> read_name(util::ByteReader& reader) {
-  DnsName name;
-  std::size_t chases = 0;
-  bool jumped = false;
-  std::size_t resume_at = 0;
+/// QDCOUNT, ANCOUNT, NSCOUNT and ARCOUNT (RFC 1035 §4.1.1).
+struct SectionCounts {
+  std::uint16_t questions = 0;
+  std::uint16_t answers = 0;
+  std::uint16_t authorities = 0;
+  std::uint16_t additionals = 0;
+};
 
-  while (true) {
-    auto len_result = reader.u8();
-    if (!len_result.ok()) return len_result.error();
-    const std::uint8_t len = len_result.value();
+/// Reads the 12-octet header into `header` and returns its section counts
+/// (shared by decode() and decode_header()).
+util::Result<SectionCounts> read_header(util::ByteReader& reader,
+                                        Header& header) {
+  auto id = reader.u16();
+  if (!id.ok()) return id.error();
+  auto flags_result = reader.u16();
+  if (!flags_result.ok()) return flags_result.error();
+  const std::uint16_t flags = flags_result.value();
 
-    if ((len & kPointerTag) == kPointerTag) {
-      auto low = reader.u8();
-      if (!low.ok()) return low.error();
-      const std::size_t target =
-          (static_cast<std::size_t>(len & 0x3f) << 8) | low.value();
-      if (!jumped) {
-        resume_at = reader.position();
-        jumped = true;
-      }
-      if (++chases > kMaxPointerChases) {
-        return util::Err("compression pointer loop");
-      }
-      if (target >= reader.size()) {
-        return util::Err("compression pointer past end");
-      }
-      auto seek = reader.seek(target);
-      if (!seek.ok()) return seek.error();
-      continue;
-    }
-    if ((len & kPointerTag) != 0) {
-      return util::Err("reserved label type");
-    }
-    if (len == 0) break;
-    auto label = reader.view(len);
-    if (!label.ok()) return label.error();
-    auto appended = name.append_label(label.value());
-    if (!appended.ok()) return appended.error();
-    if (name.label_count() > 127) return util::Err("too many labels");
+  header.id = id.value();
+  header.qr = (flags & 0x8000) != 0;
+  header.opcode = static_cast<Opcode>((flags >> 11) & 0xf);
+  header.aa = (flags & 0x0400) != 0;
+  header.tc = (flags & 0x0200) != 0;
+  header.rd = (flags & 0x0100) != 0;
+  header.ra = (flags & 0x0080) != 0;
+  header.rcode = static_cast<RCode>(flags & 0xf);
+
+  SectionCounts counts;
+  for (std::uint16_t* count : {&counts.questions, &counts.answers,
+                               &counts.authorities, &counts.additionals}) {
+    auto v = reader.u16();
+    if (!v.ok()) return v.error();
+    *count = v.value();
   }
-
-  if (jumped) {
-    auto seek = reader.seek(resume_at);
-    if (!seek.ok()) return seek.error();
-  }
-  return name;
+  return counts;
 }
 
-util::Result<ResourceRecord> read_record(util::ByteReader& reader) {
-  ResourceRecord rr;
-  auto name = read_name(reader);
-  if (!name.ok()) return name.error();
-  rr.name = std::move(name.value());
+util::Result<void> read_question(util::ByteReader& reader, Question& q) {
+  if (auto name = q.name.read_wire(reader); !name.ok()) return name;
+  auto type = reader.u16();
+  if (!type.ok()) return type.error();
+  auto cls = reader.u16();
+  if (!cls.ok()) return cls.error();
+  q.type = static_cast<RecordType>(type.value());
+  q.cls = static_cast<RecordClass>(cls.value());
+  return util::Ok();
+}
 
+/// Reads a record's owner and fixed fields into `rr`, up to its RDATA.
+/// Returns RDLENGTH, once the RDATA is known to lie inside the message.
+util::Result<std::uint16_t> read_record_head(util::ByteReader& reader,
+                                             ResourceRecord& rr) {
+  if (auto name = rr.name.read_wire(reader); !name.ok()) return name.error();
   auto type = reader.u16();
   if (!type.ok()) return type.error();
   auto cls = reader.u16();
@@ -232,123 +229,125 @@ util::Result<ResourceRecord> read_record(util::ByteReader& reader) {
   rr.type = static_cast<RecordType>(type.value());
   rr.cls = static_cast<RecordClass>(cls.value());
   rr.ttl = ttl.value();
-  const std::size_t rdata_end = reader.position() + rdlength.value();
-  if (rdata_end > reader.size()) return util::Err("RDATA past end of message");
+  if (reader.remaining() < rdlength.value()) {
+    return util::Err("RDATA past end of message");
+  }
+  return rdlength;
+}
 
+/// Reads `rdlength` octets of RDATA into `rr.rdata`, typed by `rr.type`.
+/// Names in RDATA may run past RDLENGTH; that is caught at the end.
+util::Result<void> read_rdata(util::ByteReader& reader, ResourceRecord& rr,
+                              std::uint16_t rdlength) {
+  const std::size_t rdata_end = reader.position() + rdlength;
   switch (rr.type) {
     case RecordType::kA: {
-      if (rdlength.value() != 4) return util::Err("A RDATA must be 4 octets");
+      if (rdlength != 4) return util::Err("A RDATA must be 4 octets");
       auto v = reader.u32();
       if (!v.ok()) return v.error();
       rr.rdata = ARecord{simnet::Ipv4Address(v.value())};
       break;
     }
     case RecordType::kAaaa: {
-      if (rdlength.value() != 16) {
-        return util::Err("AAAA RDATA must be 16 octets");
-      }
-      AaaaRecord rec;
-      for (auto& b : rec.address) {
-        auto v = reader.u8();
-        if (!v.ok()) return v.error();
-        b = v.value();
-      }
-      rr.rdata = rec;
+      if (rdlength != 16) return util::Err("AAAA RDATA must be 16 octets");
+      auto bytes = reader.view(16);
+      if (!bytes.ok()) return bytes.error();
+      AaaaRecord& aaaa = rr.rdata.emplace<AaaaRecord>();
+      std::copy(bytes.value().begin(), bytes.value().end(),
+                aaaa.address.begin());
       break;
     }
     case RecordType::kNs: {
-      auto target = read_name(reader);
-      if (!target.ok()) return target.error();
-      rr.rdata = NsRecord{std::move(target.value())};
+      auto name = rr.rdata.emplace<NsRecord>().nameserver.read_wire(reader);
+      if (!name.ok()) return name;
       break;
     }
     case RecordType::kCname: {
-      auto target = read_name(reader);
-      if (!target.ok()) return target.error();
-      rr.rdata = CnameRecord{std::move(target.value())};
+      auto name = rr.rdata.emplace<CnameRecord>().target.read_wire(reader);
+      if (!name.ok()) return name;
       break;
     }
     case RecordType::kPtr: {
-      auto target = read_name(reader);
-      if (!target.ok()) return target.error();
-      rr.rdata = PtrRecord{std::move(target.value())};
+      auto name = rr.rdata.emplace<PtrRecord>().target.read_wire(reader);
+      if (!name.ok()) return name;
       break;
     }
     case RecordType::kSoa: {
-      SoaRecord soa;
-      auto mname = read_name(reader);
-      if (!mname.ok()) return mname.error();
-      soa.mname = std::move(mname.value());
-      auto rname = read_name(reader);
-      if (!rname.ok()) return rname.error();
-      soa.rname = std::move(rname.value());
-      auto serial = reader.u32();
-      if (!serial.ok()) return serial.error();
-      auto refresh = reader.u32();
-      if (!refresh.ok()) return refresh.error();
-      auto retry = reader.u32();
-      if (!retry.ok()) return retry.error();
-      auto expire = reader.u32();
-      if (!expire.ok()) return expire.error();
-      auto minimum = reader.u32();
-      if (!minimum.ok()) return minimum.error();
-      soa.serial = serial.value();
-      soa.refresh = refresh.value();
-      soa.retry = retry.value();
-      soa.expire = expire.value();
-      soa.minimum = minimum.value();
-      rr.rdata = std::move(soa);
+      SoaRecord& soa = rr.rdata.emplace<SoaRecord>();
+      if (auto name = soa.mname.read_wire(reader); !name.ok()) return name;
+      if (auto name = soa.rname.read_wire(reader); !name.ok()) return name;
+      for (std::uint32_t* field :
+           {&soa.serial, &soa.refresh, &soa.retry, &soa.expire,
+            &soa.minimum}) {
+        auto v = reader.u32();
+        if (!v.ok()) return v.error();
+        *field = v.value();
+      }
       break;
     }
     case RecordType::kTxt: {
-      TxtRecord txt;
+      TxtRecord& txt = rr.rdata.emplace<TxtRecord>();
       while (reader.position() < rdata_end) {
         auto len = reader.u8();
         if (!len.ok()) return len.error();
         if (reader.position() + len.value() > rdata_end) {
           return util::Err("TXT string past RDATA");
         }
-        auto s = reader.str(len.value());
+        auto s = reader.view(len.value());
         if (!s.ok()) return s.error();
-        txt.strings.push_back(std::move(s.value()));
+        txt.strings.emplace_back(s.value().begin(), s.value().end());
       }
-      rr.rdata = std::move(txt);
       break;
     }
     case RecordType::kSrv: {
-      SrvRecord srv;
-      auto priority = reader.u16();
-      if (!priority.ok()) return priority.error();
-      auto weight = reader.u16();
-      if (!weight.ok()) return weight.error();
-      auto port = reader.u16();
-      if (!port.ok()) return port.error();
-      auto target = read_name(reader);
-      if (!target.ok()) return target.error();
-      srv.priority = priority.value();
-      srv.weight = weight.value();
-      srv.port = port.value();
-      srv.target = std::move(target.value());
-      rr.rdata = std::move(srv);
+      SrvRecord& srv = rr.rdata.emplace<SrvRecord>();
+      for (std::uint16_t* field : {&srv.priority, &srv.weight, &srv.port}) {
+        auto v = reader.u16();
+        if (!v.ok()) return v.error();
+        *field = v.value();
+      }
+      if (auto name = srv.target.read_wire(reader); !name.ok()) return name;
       break;
     }
     case RecordType::kOpt: {
-      auto data = reader.bytes(rdlength.value());
+      auto data = reader.view(rdlength);
       if (!data.ok()) return data.error();
-      rr.rdata = OptRecord{std::move(data.value())};
+      rr.rdata.emplace<OptRecord>().options.assign(data.value().begin(),
+                                                    data.value().end());
       break;
     }
     default: {
-      auto data = reader.bytes(rdlength.value());
+      auto data = reader.view(rdlength);
       if (!data.ok()) return data.error();
-      rr.rdata = RawRecord{type.value(), std::move(data.value())};
+      RawRecord& raw = rr.rdata.emplace<RawRecord>();
+      raw.type = static_cast<std::uint16_t>(rr.type);
+      raw.data.assign(data.value().begin(), data.value().end());
       break;
     }
   }
   if (reader.position() != rdata_end) {
     return util::Err("RDATA length mismatch for " + to_string(rr.type));
   }
-  return rr;
+  return util::Ok();
+}
+
+/// Reads `count` records straight into slots of `section`.
+util::Result<void> read_section(util::ByteReader& reader, std::uint16_t count,
+                                RecordList& section) {
+  for (std::uint16_t i = 0; i < count; ++i) {
+    ResourceRecord& rr = section.emplace_back();
+    auto rdlength = read_record_head(reader, rr);
+    if (!rdlength.ok()) return rdlength.error();
+    if (auto r = read_rdata(reader, rr, rdlength.value()); !r.ok()) return r;
+  }
+  return util::Ok();
+}
+
+/// Counts one decoded message, whether decode() or decode_header() read it.
+void count_decoded(std::span<const std::uint8_t> wire) {
+  auto& perf = util::perf::counters();
+  ++perf.dns_decoded;
+  perf.dns_bytes_decoded += wire.size();
 }
 
 /// Per-thread scratch for encode temporaries: reset (not freed) per message,
@@ -432,87 +431,73 @@ std::span<const std::uint8_t> encode_view(const Message& message) {
 }
 
 util::Result<Message> decode(std::span<const std::uint8_t> wire) {
-  auto& perf = util::perf::counters();
-  ++perf.dns_decoded;
-  perf.dns_bytes_decoded += wire.size();
+  count_decoded(wire);
   util::ByteReader reader(wire);
   Message msg;
 
-  auto id = reader.u16();
-  if (!id.ok()) return id.error();
-  auto flags_result = reader.u16();
-  if (!flags_result.ok()) return flags_result.error();
-  const std::uint16_t flags = flags_result.value();
+  auto counts_result = read_header(reader, msg.header);
+  if (!counts_result.ok()) return counts_result.error();
+  const SectionCounts& counts = counts_result.value();
 
-  msg.header.id = id.value();
-  msg.header.qr = (flags & 0x8000) != 0;
-  msg.header.opcode = static_cast<Opcode>((flags >> 11) & 0xf);
-  msg.header.aa = (flags & 0x0400) != 0;
-  msg.header.tc = (flags & 0x0200) != 0;
-  msg.header.rd = (flags & 0x0100) != 0;
-  msg.header.ra = (flags & 0x0080) != 0;
-  msg.header.rcode = static_cast<RCode>(flags & 0xf);
-
-  auto qdcount = reader.u16();
-  if (!qdcount.ok()) return qdcount.error();
-  auto ancount = reader.u16();
-  if (!ancount.ok()) return ancount.error();
-  auto nscount = reader.u16();
-  if (!nscount.ok()) return nscount.error();
-  auto arcount = reader.u16();
-  if (!arcount.ok()) return arcount.error();
-
-  for (std::uint16_t i = 0; i < qdcount.value(); ++i) {
-    Question q;
-    auto name = read_name(reader);
-    if (!name.ok()) return name.error();
-    q.name = std::move(name.value());
-    auto type = reader.u16();
-    if (!type.ok()) return type.error();
-    auto cls = reader.u16();
-    if (!cls.ok()) return cls.error();
-    q.type = static_cast<RecordType>(type.value());
-    q.cls = static_cast<RecordClass>(cls.value());
-    msg.questions.push_back(std::move(q));
-  }
-
-  const auto read_section = [&](std::uint16_t count,
-                                RecordList& section) -> util::Result<void> {
-    for (std::uint16_t i = 0; i < count; ++i) {
-      auto rr = read_record(reader);
-      if (!rr.ok()) return rr.error();
-      section.push_back(std::move(rr.value()));
+  for (std::uint16_t i = 0; i < counts.questions; ++i) {
+    if (auto r = read_question(reader, msg.questions.emplace_back()); !r.ok()) {
+      return r.error();
     }
-    return util::Ok();
-  };
-
-  if (auto r = read_section(ancount.value(), msg.answers); !r.ok()) {
+  }
+  if (auto r = read_section(reader, counts.answers, msg.answers); !r.ok()) {
     return r.error();
   }
-  if (auto r = read_section(nscount.value(), msg.authorities); !r.ok()) {
-    return r.error();
-  }
-  if (auto r = read_section(arcount.value(), msg.additionals); !r.ok()) {
+  if (auto r = read_section(reader, counts.authorities, msg.authorities);
+      !r.ok()) {
     return r.error();
   }
 
-  // Lift the OPT pseudo-record (if any) into Message::edns.
-  for (auto it = msg.additionals.begin(); it != msg.additionals.end(); ++it) {
-    if (it->type != RecordType::kOpt) continue;
-    Edns edns;
-    edns.udp_payload_size = static_cast<std::uint16_t>(it->cls);
-    edns.extended_rcode = static_cast<std::uint8_t>(it->ttl >> 24);
-    edns.version = static_cast<std::uint8_t>(it->ttl >> 16);
-    edns.dnssec_ok = (it->ttl & 0x8000) != 0;
-    if (const auto* opt = std::get_if<OptRecord>(&it->rdata)) {
-      auto decoded = decode_edns_options(opt->options, edns);
-      if (!decoded.ok()) return decoded.error();
+  // The first OPT pseudo-record in additionals is lifted into
+  // Message::edns as it is read: its fixed fields fill Edns, and its RDATA
+  // is only located, never copied. Any later OPT stays an ordinary record.
+  std::span<const std::uint8_t> opt_rdata;
+  for (std::uint16_t i = 0; i < counts.additionals; ++i) {
+    ResourceRecord& rr = msg.additionals.emplace_back();
+    auto rdlength = read_record_head(reader, rr);
+    if (!rdlength.ok()) return rdlength.error();
+    if (rr.type == RecordType::kOpt && !msg.edns.has_value()) {
+      Edns& edns = msg.edns.emplace();
+      edns.udp_payload_size = static_cast<std::uint16_t>(rr.cls);
+      edns.extended_rcode = static_cast<std::uint8_t>(rr.ttl >> 24);
+      edns.version = static_cast<std::uint8_t>(rr.ttl >> 16);
+      edns.dnssec_ok = (rr.ttl & 0x8000) != 0;
+      auto rdata = reader.view(rdlength.value());
+      if (!rdata.ok()) return rdata.error();
+      opt_rdata = rdata.value();
+      msg.additionals.pop_back();
+      continue;
     }
-    msg.edns = edns;
-    msg.additionals.erase(it);
-    break;
+    if (auto r = read_rdata(reader, rr, rdlength.value()); !r.ok()) {
+      return r.error();
+    }
+  }
+  // Options are parsed only once every section is read, so a message with
+  // a bad OPT and a bad later record reports the later record's fault.
+  if (msg.edns.has_value()) {
+    if (auto r = decode_edns_options(opt_rdata, *msg.edns); !r.ok()) {
+      return r.error();
+    }
   }
   return msg;
+}
+
+util::Result<MessageHead> decode_header(std::span<const std::uint8_t> wire) {
+  count_decoded(wire);
+  util::ByteReader reader(wire);
+  MessageHead head;
+  auto counts = read_header(reader, head.header);
+  if (!counts.ok()) return counts.error();
+  if (counts.value().questions > 0) {
+    if (auto r = read_question(reader, head.question.emplace()); !r.ok()) {
+      return r.error();
+    }
+  }
+  return head;
 }
 
 }  // namespace mecdns::dns

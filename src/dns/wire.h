@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -28,6 +29,24 @@ std::span<const std::uint8_t> encode_view(const Message& message);
 
 /// Decodes wire bytes. Fails (never throws, never reads out of bounds) on
 /// truncated input, compression-pointer loops, or structural violations.
+/// One pass over the datagram: names, questions and records are built in
+/// their final slots, and the first OPT in additionals is lifted into
+/// Message::edns without copying its RDATA (its options are parsed last,
+/// so a later malformed record is the error reported).
 util::Result<Message> decode(std::span<const std::uint8_t> wire);
+
+/// What decode_header() parses: the header and the first question.
+struct MessageHead {
+  Header header;
+  std::optional<Question> question;  ///< empty when QDCOUNT is 0
+};
+
+/// Parses only the header and the first question — all a passive tap
+/// (ran::DnsTap, the P-GW "tcpdump") reads. Applies decode()'s bounds,
+/// label and compression-pointer rules with the same error texts, so it
+/// fails whenever decode() would fail within those bytes; faults in later
+/// sections go unseen. Counts as one decoded message of wire.size() bytes
+/// in util::perf, like decode().
+util::Result<MessageHead> decode_header(std::span<const std::uint8_t> wire);
 
 }  // namespace mecdns::dns

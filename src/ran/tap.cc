@@ -1,6 +1,7 @@
 #include "ran/tap.h"
 
 #include "dns/server.h"
+#include "dns/wire.h"
 
 namespace mecdns::ran {
 
@@ -17,23 +18,25 @@ void DnsTap::observe(const simnet::Packet& packet, simnet::SimTime at) {
     return;
   }
   if (filter_ && !filter_(packet)) return;
-  auto decoded = dns::decode(packet.payload);
-  if (!decoded.ok() || decoded.value().questions.empty()) return;
-  const dns::Message& msg = decoded.value();
-  Slot& slot = slots_[msg.header.id];
-  const bool same = slot.crossing.has_query &&
-                    slot.qname.equals_exact(msg.question().name);
-  if (msg.header.qr) {
+  // Like tcpdump, read only what identifies the transaction: the header
+  // and the first question.
+  auto head = dns::decode_header(packet.payload);
+  if (!head.ok() || !head.value().question.has_value()) return;
+  const dns::Header& header = head.value().header;
+  const dns::DnsName& qname = head.value().question->name;
+  Slot& slot = slots_[header.id];
+  const bool same = slot.crossing.has_query && slot.qname.equals_exact(qname);
+  if (header.qr) {
     ++observed_responses_;
     if (!same) return;  // its query was never seen, or was replaced
     slot.crossing.response_seen = at;
     slot.crossing.has_response = true;
     // A truncated answer is followed by a retry on the same id.
-    slot.finished = !msg.header.tc;
+    slot.finished = !header.tc;
   } else {
     ++observed_queries_;
     if (same && !slot.finished) return;  // retransmission
-    slot.qname = msg.question().name;
+    slot.qname = qname;
     slot.crossing = Crossing{at, simnet::SimTime::zero(), true, false};
     slot.finished = false;
   }

@@ -4,9 +4,11 @@
 // tcpdump at P-GW to track the DNS request packets", splitting each lookup
 // into (i) the wireless delay between UE and P-GW and (ii) everything
 // beyond the P-GW (core, resolvers, up/downlink). DnsTap observes packets
-// at a node, decodes DNS payloads, and timestamps when each transaction's
-// query and response crossed — letting the experiment harness compute the
-// same breakdown.
+// at a node and timestamps when each transaction's query and response
+// crossed — letting the experiment harness compute the same breakdown.
+// Like tcpdump it parses only what it prints: the header (id, QR, TC) and
+// the first question's name (dns::decode_header), so a crossing is recorded
+// even when a later section of the message is malformed.
 #pragma once
 
 #include <cstdint>

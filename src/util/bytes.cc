@@ -29,6 +29,9 @@ std::vector<std::uint8_t> ByteWriter::take() {
 }
 
 void ByteWriter::append(const std::uint8_t* src, std::size_t n) {
+  // An empty run may come with a null pointer (an empty OPT RDATA), which
+  // memcpy forbids even for zero bytes.
+  if (n == 0) return;
   if (size_ + n > cap_) grow(n);
   std::memcpy(data_ + size_, src, n);
   size_ += n;
@@ -48,66 +51,14 @@ void ByteWriter::grow(std::size_t needed) {
   cap_ = next;
 }
 
-Result<void> ByteReader::seek(std::size_t offset) {
-  if (offset > data_.size()) {
-    return Err("seek past end of buffer");
-  }
-  pos_ = offset;
-  return Ok();
+Error ByteReader::truncated(std::size_t n) {
+  return Err(n == 1 ? std::string("truncated: need 1 byte")
+                    : "truncated: need " + std::to_string(n) + " bytes");
 }
 
-Result<std::uint8_t> ByteReader::u8() {
-  if (remaining() < 1) return Err("truncated: need 1 byte");
-  return data_[pos_++];
-}
-
-Result<std::uint16_t> ByteReader::u16() {
-  if (remaining() < 2) return Err("truncated: need 2 bytes");
-  const std::uint16_t v = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-Result<std::uint32_t> ByteReader::u32() {
-  if (remaining() < 4) return Err("truncated: need 4 bytes");
-  const std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                          (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                          (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                          static_cast<std::uint32_t>(data_[pos_ + 3]);
-  pos_ += 4;
-  return v;
-}
-
-Result<std::vector<std::uint8_t>> ByteReader::bytes(std::size_t n) {
-  if (remaining() < n) return Err("truncated: need " + std::to_string(n) +
-                                  " bytes, have " + std::to_string(remaining()));
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-Result<std::string> ByteReader::str(std::size_t n) {
-  if (remaining() < n) return Err("truncated: need " + std::to_string(n) +
-                                  " bytes, have " + std::to_string(remaining()));
-  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), n);
-  pos_ += n;
-  return out;
-}
-
-Result<std::string_view> ByteReader::view(std::size_t n) {
-  if (remaining() < n) return Err("truncated: need " + std::to_string(n) +
-                                  " bytes, have " + std::to_string(remaining()));
-  std::string_view out(reinterpret_cast<const char*>(data_.data() + pos_), n);
-  pos_ += n;
-  return out;
-}
-
-Result<std::uint16_t> ByteReader::peek_u16_at(std::size_t offset) const {
-  if (offset + 2 > data_.size()) return Err("peek_u16_at past end of buffer");
-  return static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(data_[offset]) << 8) | data_[offset + 1]);
+Error ByteReader::truncated_run(std::size_t n, std::size_t have) {
+  return Err("truncated: need " + std::to_string(n) + " bytes, have " +
+             std::to_string(have));
 }
 
 }  // namespace mecdns::util

@@ -84,8 +84,8 @@ class ByteWriter {
 };
 
 /// Reads big-endian integers and byte runs from a fixed buffer with full
-/// bounds checking. Also supports random-access seeks, which the DNS name
-/// decompressor needs to chase compression pointers.
+/// bounds checking. The reads are inline (the wire decoder makes several
+/// per record); only the error texts are built out of line.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -95,21 +95,53 @@ class ByteReader {
   std::size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ >= data_.size(); }
 
+  /// The whole buffer, for readers that walk it by absolute offset (the
+  /// DNS name decompressor chases pointers anywhere in the message).
+  std::span<const std::uint8_t> data() const { return data_; }
+
   /// Moves the cursor to an absolute offset; fails if out of range.
-  Result<void> seek(std::size_t offset);
+  Result<void> seek(std::size_t offset) {
+    if (offset > data_.size()) return Err("seek past end of buffer");
+    pos_ = offset;
+    return Ok();
+  }
 
-  Result<std::uint8_t> u8();
-  Result<std::uint16_t> u16();
-  Result<std::uint32_t> u32();
-  Result<std::vector<std::uint8_t>> bytes(std::size_t n);
-  Result<std::string> str(std::size_t n);
+  Result<std::uint8_t> u8() {
+    if (remaining() < 1) return truncated(1);
+    return data_[pos_++];
+  }
 
-  /// Like str() but borrows the underlying buffer instead of copying —
-  /// the view is valid only as long as the buffer backing this reader.
-  Result<std::string_view> view(std::size_t n);
+  Result<std::uint16_t> u16() {
+    if (remaining() < 2) return truncated(2);
+    const auto v = static_cast<std::uint16_t>((data_[pos_] << 8) |
+                                              data_[pos_ + 1]);
+    pos_ += 2;
+    return v;
+  }
 
-  /// Reads a u16 at an absolute offset without moving the cursor.
-  Result<std::uint16_t> peek_u16_at(std::size_t offset) const;
+  Result<std::uint32_t> u32() {
+    if (remaining() < 4) return truncated(4);
+    const std::uint32_t v = (std::uint32_t{data_[pos_]} << 24) |
+                            (std::uint32_t{data_[pos_ + 1]} << 16) |
+                            (std::uint32_t{data_[pos_ + 2]} << 8) |
+                            std::uint32_t{data_[pos_ + 3]};
+    pos_ += 4;
+    return v;
+  }
+
+  /// Borrows the next n bytes — the span is valid only as long as the
+  /// buffer backing this reader.
+  Result<std::span<const std::uint8_t>> view(std::size_t n) {
+    if (remaining() < n) return truncated_run(n, remaining());
+    const auto out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
+  /// "truncated: need 1 byte" / "truncated: need n bytes".
+  [[gnu::cold]] static Error truncated(std::size_t n);
+  /// "truncated: need n bytes, have m" — a byte run longer than the rest.
+  [[gnu::cold]] static Error truncated_run(std::size_t n, std::size_t have);
 
  private:
   std::span<const std::uint8_t> data_;

@@ -32,9 +32,11 @@ struct Counters {
 
   // DNS wire codec (dns/wire.cc).
   std::uint64_t dns_encoded = 0;        ///< messages encoded to wire
-  std::uint64_t dns_decoded = 0;        ///< messages decoded (incl. failures)
+  /// Messages decoded, failures included. A header-only parse
+  /// (dns::decode_header, the P-GW tap's) counts as one decoded message.
+  std::uint64_t dns_decoded = 0;
   std::uint64_t dns_bytes_encoded = 0;  ///< wire bytes produced
-  std::uint64_t dns_bytes_decoded = 0;  ///< wire bytes consumed
+  std::uint64_t dns_bytes_decoded = 0;  ///< wire bytes seen by decodes
 
   // Client transaction layer (dns/transport.cc).
   std::uint64_t dns_queries_sent = 0;       ///< send attempts (incl. retries)

@@ -27,7 +27,10 @@ inline Error Err(std::string message) { return Error{std::move(message)}; }
 template <typename T>
 class [[nodiscard]] Result {
  public:
-  Result(T value) : value_(std::in_place_index<0>, std::move(value)) {}
+  // Copy and move overloads rather than one by-value constructor: a
+  // by-value parameter costs a second move of every returned value.
+  Result(const T& value) : value_(std::in_place_index<0>, value) {}
+  Result(T&& value) : value_(std::in_place_index<0>, std::move(value)) {}
   Result(Error error) : value_(std::in_place_index<1>, std::move(error)) {}
 
   bool ok() const { return value_.index() == 0; }

@@ -2,6 +2,7 @@
 
 #include "dns/edns.h"
 #include "dns/wire.h"
+#include "util/perfcount.h"
 
 namespace mecdns::dns {
 namespace {
@@ -454,6 +455,9 @@ INSTANTIATE_TEST_SUITE_P(
         ContractCase{"LabelPastEnd",
                      wire_header(1, 0, 0, 0).u8(5).u8('a').u8('b').bytes,
                      "truncated: need 5 bytes, have 2"},
+        ContractCase{"OneOctetLabelPastEnd",
+                     wire_header(1, 0, 0, 0).u8(1).bytes,
+                     "truncated: need 1 bytes, have 0"},
         ContractCase{"SpaceInLabel", label_with(' '),
                      "invalid character in label"},
         ContractCase{"DotInLabel", label_with('.'),
@@ -685,6 +689,80 @@ TEST(WireContract, TruncationAtEveryOffset) {
   EXPECT_EQ(whole.value().answers.size(), 2u);
   EXPECT_EQ(whole.value().edns->client_subnet->subnet().to_string(),
             "203.0.113.0/24");
+}
+
+
+// --- header-only decode (the P-GW tap's parse) ------------------------------------
+
+TEST(DecodeHeader, MatchesDecodeOnHeaderAndFirstQuestion) {
+  const auto wire = truncation_subject();
+  const auto full = decode(wire);
+  const auto head = decode_header(wire);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(head.ok()) << head.error().message;
+  EXPECT_EQ(head.value().header, full.value().header);
+  ASSERT_TRUE(head.value().question.has_value());
+  EXPECT_EQ(*head.value().question, full.value().question());
+  EXPECT_TRUE(head.value().question->name.equals_exact(
+      full.value().question().name));
+}
+
+TEST(DecodeHeader, NoQuestionLeavesItEmpty) {
+  Message msg;
+  msg.header.id = 77;
+  msg.header.qr = true;
+  msg.header.tc = true;
+  const auto head = decode_header(encode(msg));
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(head.value().header, msg.header);
+  EXPECT_FALSE(head.value().question.has_value());
+}
+
+TEST(DecodeHeader, IgnoresFaultsAfterTheFirstQuestion) {
+  // A bad record after the question: decode() rejects, the tap's parse
+  // still reads the transaction.
+  const auto wire = one_answer(1, 5, {1, 2, 3, 4, 5});
+  EXPECT_FALSE(decode(wire).ok());
+  const auto head = decode_header(wire);
+  ASSERT_TRUE(head.ok()) << head.error().message;
+  EXPECT_EQ(head.value().header.id, 0x1234);
+  EXPECT_TRUE(head.value().header.qr);
+  EXPECT_EQ(head.value().question->name, DnsName::must_parse("a"));
+}
+
+TEST(DecodeHeader, QuestionFaultsMatchDecodeErrors) {
+  const std::vector<std::vector<std::uint8_t>> bad = {
+      {},
+      wire_header(1, 0, 0, 0).bytes,
+      wire_header(1, 0, 0, 0).u16(0xc00c).u16(1).u16(1).bytes,
+      wire_header(1, 0, 0, 0).u16(0xc040).u16(1).u16(1).bytes,
+      wire_header(1, 0, 0, 0).u8(0x80).u8('x').u8(0).u16(1).u16(1).bytes,
+      label_with(0x7f),
+      name_of_labels({63, 63, 63, 62}),
+      wire_header(1, 0, 0, 0).label("a").u8(0).u16(1).bytes,
+  };
+  for (const auto& wire : bad) {
+    const auto full = decode(wire);
+    const auto head = decode_header(wire);
+    ASSERT_FALSE(full.ok());
+    ASSERT_FALSE(head.ok());
+    EXPECT_EQ(head.error().message, full.error().message);
+  }
+}
+
+TEST(DecodeHeader, CountsAsOneDecodedMessage) {
+  const auto wire = truncation_subject();
+  const auto& perf = util::perf::counters();
+  const auto decoded = perf.dns_decoded;
+  const auto bytes = perf.dns_bytes_decoded;
+  ASSERT_TRUE(decode_header(wire).ok());
+  EXPECT_EQ(perf.dns_decoded, decoded + 1);
+  EXPECT_EQ(perf.dns_bytes_decoded, bytes + wire.size());
+  // Failures count too, as they do for decode().
+  ASSERT_FALSE(decode_header(std::span<const std::uint8_t>(wire.data(), 5))
+                   .ok());
+  EXPECT_EQ(perf.dns_decoded, decoded + 2);
+  EXPECT_EQ(perf.dns_bytes_decoded, bytes + wire.size() + 5);
 }
 
 }  // namespace

@@ -248,15 +248,34 @@ TEST(Bytes, TruncatedReadsFail) {
   EXPECT_FALSE(r.u8().ok());
 }
 
-TEST(Bytes, SeekAndPeek) {
+TEST(Bytes, SeekAndView) {
   ByteWriter w;
   w.u16(7);
   w.u16(9);
   ByteReader r(w.data());
-  EXPECT_EQ(r.peek_u16_at(2).value(), 9);
   EXPECT_TRUE(r.seek(2).ok());
   EXPECT_EQ(r.u16().value(), 9);
   EXPECT_FALSE(r.seek(5).ok());
+  EXPECT_TRUE(r.seek(1).ok());
+  const auto run = r.view(2);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run.value().data(), w.data().data() + 1);  // borrowed, not copied
+  EXPECT_EQ(r.position(), 3u);
+  EXPECT_EQ(r.view(2).error().message, "truncated: need 2 bytes, have 1");
+  EXPECT_EQ(r.u16().error().message, "truncated: need 2 bytes");
+  EXPECT_EQ(r.u32().error().message, "truncated: need 4 bytes");
+  EXPECT_TRUE(r.u8().ok());
+  EXPECT_EQ(r.u8().error().message, "truncated: need 1 byte");
+}
+
+TEST(Bytes, EmptyAppendIsANoOp) {
+  // An empty OPT RDATA reaches the writer as a null pointer of length 0.
+  ByteWriter w;
+  w.bytes(std::span<const std::uint8_t>());
+  EXPECT_EQ(w.size(), 0u);
+  w.u8(1);
+  w.bytes(std::span<const std::uint8_t>());
+  EXPECT_EQ(w.size(), 1u);
 }
 
 TEST(Bytes, PatchU16) {

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Full pre-merge gauntlet:
-#   1. Debug build with ASan+UBSan (warnings are errors), all tests under
-#      the sanitizers.
+#   1. Debug build with ASan+UBSan (warnings are errors, and any undefined
+#      behaviour aborts the test that hits it), all tests under the
+#      sanitizers.
 #   2. Fault-matrix smoke: every chaos scenario once, fixed seed, under the
 #      sanitizers (bench_fault_availability drives the whole failure-handling
 #      stack end to end).
 #   3. Release build (what the benches/figures run as) with -Werror, all
-#      tests.
+#      tests. It looks for c-ares in the conda prefix (the active one, or
+#      ~/miniconda), so the codec's differential test against c-ares runs
+#      where c-ares is installed; without it that one test is not built.
 #   4. Observability gate: fig2 with trace/metrics/timeseries outputs,
 #      mecdns_report over each artifact, and a self-diff of two identical
 #      runs (any nonzero diff means the bench lost determinism).
@@ -46,7 +49,7 @@ run() { echo "+ $*"; "$@"; }
 
 echo "=== 1/9: ASan/UBSan build + tests (build-asan/) ==="
 run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -Werror" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -Werror" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 run cmake --build build-asan -j "$jobs"
 run ctest --test-dir build-asan --output-on-failure -j "$jobs" --timeout 120
@@ -63,7 +66,8 @@ for scenario in mec-ldns-crash edge-cache-partition wan-loss-burst \
 done
 
 echo "=== 3/9: Release build (warnings are errors) + tests (build/) ==="
-run cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
+run cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror \
+    -DCMAKE_PREFIX_PATH="${CONDA_PREFIX:-$HOME/miniconda}"
 run cmake --build build -j "$jobs"
 run ctest --test-dir build --output-on-failure -j "$jobs" --timeout 120
 
