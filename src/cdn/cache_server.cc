@@ -61,8 +61,7 @@ void CacheServer::on_packet(const simnet::Packet& packet) {
   // run under it via the ambient token the scheduled event captures.
   obs::SpanRef span = obs::begin_span(name_, "get " + request.value().url.to_string());
   obs::AmbientSpanGuard ambient(span);
-  const simnet::SimTime service =
-      config_.service_time.sample(rng_) + extra_service_;
+  const simnet::SimTime service = config_.service_time.sample(rng_);
   rt_.schedule_after(
       service, [this, alive = alive_, request = std::move(request.value()),
                 client = packet.src] {

@@ -75,12 +75,6 @@ class CacheServer {
   /// requests miss and re-fetch from the parent. Stats are preserved.
   void wipe();
 
-  /// Fixed latency added to each sampled service time — the chaos layer's
-  /// brownout knob for a degraded-but-alive cache. Zero restores nominal
-  /// service; no RNG is drawn.
-  void set_extra_service_time(simnet::SimTime extra) { extra_service_ = extra; }
-  simnet::SimTime extra_service_time() const { return extra_service_; }
-
  private:
   void on_packet(const simnet::Packet& packet);
   void serve(const ContentRequest& request, const simnet::Endpoint& client);
@@ -113,7 +107,6 @@ class CacheServer {
   std::list<ContentObject> lru_;
   util::FlatHashMap<Url, std::list<ContentObject>::iterator, UrlHash> index_;
   std::uint64_t used_bytes_ = 0;
-  simnet::SimTime extra_service_ = simnet::SimTime::zero();
 
   struct PendingFetch {
     ContentRequest request;

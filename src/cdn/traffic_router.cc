@@ -67,18 +67,6 @@ void TrafficRouter::rebuild_ring(Group& group) {
   group.ring = std::move(next);
 }
 
-void TrafficRouter::set_cache_capacity(std::uint64_t per_window,
-                                       simnet::SimTime window) {
-  config_.cache_capacity_per_window = per_window;
-  config_.capacity_window = window;
-  for (auto& [name, group] : groups_) {
-    for (const auto& cache : group.caches) {
-      if (cache.healthy) group.ring.set_capacity(cache.name, per_window);
-    }
-    group.load_window = UINT64_MAX;
-  }
-}
-
 void TrafficRouter::add_delivery_service(DeliveryService service) {
   services_.push_back(std::move(service));
 }

@@ -101,11 +101,6 @@ class TrafficRouter : public dns::DnsServer {
   void set_group_location(const std::string& group, GeoPoint location) {
     config_.group_locations[group] = location;
   }
-  /// (Re)configures bounded-load allocation and applies the capacity to
-  /// every healthy cache already on a ring.
-  void set_cache_capacity(std::uint64_t per_window,
-                          simnet::SimTime window = simnet::SimTime::seconds(1));
-
   /// Journals the *edge into* parent-referral mode (first referral after
   /// any locally routed query), not every referred query — referral storms
   /// are per-query traffic, the transition is the control-plane fact.

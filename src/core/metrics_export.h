@@ -12,7 +12,6 @@
 #include "dns/cache.h"
 #include "dns/server.h"
 #include "dns/transport.h"
-#include "mec/autoscaler.h"
 #include "mec/ingress.h"
 #include "obs/metrics.h"
 
@@ -47,30 +46,6 @@ inline void export_transport(obs::Registry& registry,
   registry.add(prefix + "tc_retries", transport.tc_retries());
   registry.add(prefix + "servfails", transport.servfails());
   registry.add(prefix + "failovers", transport.failovers());
-}
-
-/// Handoff retarget counters under "<prefix>dns.retarget.*": how many
-/// in-flight queries followed a resolver re-target, and in how many
-/// batches (≈ handoffs that caught queries mid-air).
-inline void export_retargets(obs::Registry& registry,
-                             const std::string& prefix,
-                             const dns::DnsTransport& transport) {
-  registry.add(prefix + "dns.retarget.queries", transport.retargets());
-  registry.add(prefix + "dns.retarget.batches",
-               transport.retarget_batches());
-}
-
-/// Autoscaler control loop under "<prefix>mec.autoscaler.*": decisions
-/// taken, ticks observed, and the last load-per-replica reading the loop
-/// acted on.
-inline void export_autoscaler(obs::Registry& registry,
-                              const std::string& prefix,
-                              const mec::AutoScaler& scaler) {
-  registry.add(prefix + "mec.autoscaler.ticks", scaler.ticks());
-  registry.add(prefix + "mec.autoscaler.scale_ups", scaler.scale_ups());
-  registry.add(prefix + "mec.autoscaler.scale_downs", scaler.scale_downs());
-  registry.set_gauge(prefix + "mec.autoscaler.last_load_per_replica",
-                     scaler.last_load_per_replica());
 }
 
 inline void export_stats(obs::Registry& registry, const std::string& prefix,

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/parallel.h"
 #include "core/topology.h"
 #include "ran/profiles.h"
 
@@ -208,31 +207,6 @@ std::vector<MeasurementStudy::CellResult> MeasurementStudy::run_all() {
     for (const auto& network_class : workload::network_classes()) {
       cells.push_back(run_cell(site, network_class));
     }
-  }
-  return cells;
-}
-
-std::vector<MeasurementStudy::CellResult> MeasurementStudy::run_all_parallel(
-    const Config& base, std::size_t workers) {
-  const std::size_t sites = workload::figure3_profiles().size();
-  const auto& classes = workload::network_classes();
-  const ParallelCampaign campaign(workers);
-  auto outcomes = campaign.run<CellResult>(
-      sites * classes.size(), [&](std::size_t index) {
-        Config config = base;
-        config.seed = job_seed(base.seed, index);
-        MeasurementStudy study(config);  // private sim/net/caches per cell
-        return study.run_cell(index / classes.size(),
-                              classes[index % classes.size()]);
-      });
-  std::vector<CellResult> cells;
-  cells.reserve(outcomes.size());
-  for (auto& outcome : outcomes) {
-    if (!outcome.ok) {
-      throw std::runtime_error("measurement-study cell failed: " +
-                               outcome.error);
-    }
-    cells.push_back(std::move(outcome.value));
   }
   return cells;
 }

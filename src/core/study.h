@@ -61,17 +61,6 @@ class MeasurementStudy {
   /// Runs the full 5x3 grid in the paper's order.
   std::vector<CellResult> run_all();
 
-  /// Runs the same 5x3 grid as a ParallelCampaign: each cell gets a private
-  /// study (simulator, network, resolver caches, RNG) seeded with
-  /// job_seed(base.seed, cell_index), so no cell's numbers depend on which
-  /// cells ran before it — or on `workers`. Results come back in the
-  /// paper's order regardless of completion order. Note the deliberate
-  /// semantic difference from run_all(): cells no longer share L-DNS
-  /// delegation caches, so every cell pays its own cold-start (absorbed by
-  /// the QueryRunner warmup).
-  static std::vector<CellResult> run_all_parallel(const Config& base,
-                                                  std::size_t workers);
-
   simnet::Network& network() { return *net_; }
   const workload::SiteCdnProfile& site(std::size_t i) const {
     return workload::figure3_profiles().at(i);

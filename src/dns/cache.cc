@@ -123,20 +123,6 @@ std::optional<CachedAnswer> DnsCache::lookup_stale(const DnsName& name,
   return answer;
 }
 
-void DnsCache::flush() {
-  entries_.clear();
-  expiry_heap_.clear();
-}
-
-void DnsCache::flush_name(const DnsName& name) {
-  // Backward-shift deletion invalidates iteration; collect keys first.
-  std::vector<Key> doomed;
-  for (const auto& [key, entry] : entries_) {
-    if (key.first == name) doomed.push_back(key);
-  }
-  for (const auto& key : doomed) entries_.erase(key);
-}
-
 void DnsCache::evict_if_full() {
   if (entries_.size() < max_entries_) return;
   // Pop heap items until one still names a live entry; stale items (erased

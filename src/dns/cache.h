@@ -88,12 +88,6 @@ class DnsCache {
                                            RecordType type,
                                            simnet::SimTime now);
 
-  /// Drops every entry (used when a resolver is re-targeted on handoff).
-  void flush();
-
-  /// Drops entries for one name.
-  void flush_name(const DnsName& name);
-
   std::size_t size() const { return entries_.size(); }
   const CacheStats& stats() const { return stats_; }
 

@@ -43,9 +43,8 @@ class PublicDnsHierarchy {
   void delegate_to(const DnsName& zone_origin, const DnsName& ns_name,
                    simnet::Ipv4Address ns_addr);
 
-  simnet::Endpoint root_endpoint() const { return root_->endpoint(); }
   std::vector<simnet::Endpoint> root_hints() const {
-    return {root_endpoint()};
+    return {root_->endpoint()};
   }
 
   AuthoritativeServer& root() { return *root_; }

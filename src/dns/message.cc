@@ -26,14 +26,6 @@ const Question& Message::question() const {
   return questions.empty() ? kEmpty : questions.front();
 }
 
-std::vector<ResourceRecord> Message::answers_of(RecordType type) const {
-  std::vector<ResourceRecord> out;
-  for (const auto& rr : answers) {
-    if (rr.type == type) out.push_back(rr);
-  }
-  return out;
-}
-
 std::optional<simnet::Ipv4Address> Message::first_a() const {
   for (const auto& rr : answers) {
     if (const auto* a = std::get_if<ARecord>(&rr.rdata)) {

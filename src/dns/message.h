@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "dns/edns.h"
 #include "dns/name.h"
@@ -73,9 +72,6 @@ struct Message {
   /// First question, or a default Question if none (callers that require a
   /// question should check questions.empty() themselves).
   const Question& question() const;
-
-  /// All answer records of the given type.
-  std::vector<ResourceRecord> answers_of(RecordType type) const;
 
   /// First A-record address in the answer section, if any.
   std::optional<simnet::Ipv4Address> first_a() const;

@@ -102,16 +102,9 @@ void ForwardPlugin::serve(const PluginContext& ctx, Respond respond,
 void ForwardPlugin::try_upstream(Message upstream_query,
                                  std::uint16_t client_id, std::size_t attempt,
                                  Respond respond) {
-  // Sequential policy starts every query at the primary; round-robin
-  // advances the starting upstream once per client query. Failover
-  // attempts walk onward from the chosen base in both policies.
-  if (policy_ == ForwardPolicy::kRoundRobin && attempt == 0) {
-    ++next_upstream_;
-  }
-  const std::size_t base =
-      policy_ == ForwardPolicy::kSequential ? 0 : next_upstream_;
-  const simnet::Endpoint upstream =
-      upstreams_[(base + attempt) % upstreams_.size()];
+  // Every query starts at the primary; failover walks the upstreams in
+  // configured order.
+  const simnet::Endpoint upstream = upstreams_[attempt];
   transport_.query(
       upstream, upstream_query, options_,
       [this, upstream_query, client_id, attempt,
@@ -211,68 +204,6 @@ void CachePlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
   });
 }
 
-// --- RewritePlugin -----------------------------------------------------------
-
-void RewritePlugin::serve(const PluginContext& ctx, Respond respond,
-                          Next next) {
-  const Question& q = ctx.query.question();
-  if (!q.name.is_subdomain_of(from_)) {
-    next(std::move(respond));
-    return;
-  }
-  // Re-root the qname under `to_`, preserving the relative labels.
-  const DnsName relative_name =
-      q.name.prefix(q.name.label_count() - from_.label_count());
-  auto rewritten = relative_name.under(to_);
-  if (!rewritten.ok()) {
-    next(std::move(respond));
-    return;
-  }
-
-  // This plugin rewrites the context for downstream plugins only; the chain
-  // runner passes ctx by const reference, so serve the rewritten query by
-  // invoking next with a responder that restores the original name.
-  const DnsName original = q.name;
-  const_cast<PluginContext&>(ctx).query.questions.front().name =
-      rewritten.value();
-  next([original, rewritten = rewritten.value(),
-        respond = std::move(respond)](Message response) {
-    for (auto& question : response.questions) {
-      if (question.name == rewritten) question.name = original;
-    }
-    for (auto& rr : response.answers) {
-      if (rr.name == rewritten) rr.name = original;
-    }
-    respond(std::move(response));
-  });
-}
-
-// --- LogPlugin ---------------------------------------------------------------
-
-void LogPlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
-  LogEntry entry;
-  entry.at = ctx.net.received;
-  entry.qname = ctx.query.question().name;
-  entry.qtype = ctx.query.question().type;
-  entry.client = ctx.net.client;
-  next([this, entry = std::move(entry),
-        respond = std::move(respond)](Message response) mutable {
-    entry.rcode = response.header.rcode;
-    ++total_;
-    if (entries_.size() >= capacity_) entries_.pop_front();
-    entries_.push_back(std::move(entry));
-    respond(std::move(response));
-  });
-}
-
-std::size_t LogPlugin::count(const DnsName& qname) const {
-  std::size_t n = 0;
-  for (const auto& entry : entries_) {
-    if (entry.qname == qname) ++n;
-  }
-  return n;
-}
-
 // --- RefusePlugin ------------------------------------------------------------
 
 void RefusePlugin::serve(const PluginContext& ctx, Respond respond, Next) {
@@ -295,8 +226,8 @@ void PluginChain::run_from(std::size_t index, const PluginContext& ctx,
   }
   // One span per traversed plugin, open until the answer bubbles back up
   // through this plugin's responder — so a forward plugin's span covers its
-  // whole upstream round trip. Plugins that never respond (drop) leave the
-  // span unfinished, which the exporter marks. Untraced queries never call
+  // whole upstream round trip. A query that is never answered (an overload
+  // guard dropping it) leaves the span unfinished, which the exporter marks. Untraced queries never call
   // name(), which builds a string.
   obs::SpanRef span;
   if (simnet::current_trace_token().active()) {

@@ -10,9 +10,7 @@
 // address.
 #pragma once
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +34,7 @@ struct PluginContext {
 /// responder to observe the downstream answer (how the cache plugin works).
 class Plugin {
  public:
-  using Respond = std::function<void(Message)>;
+  using Respond = DnsServer::Responder;
   using Next = std::function<void(Respond)>;
 
   virtual ~Plugin() = default;
@@ -61,16 +59,10 @@ class ZonePlugin : public Plugin {
   std::shared_ptr<Zone> zone_;
 };
 
-/// How ForwardPlugin picks among multiple upstreams (CoreDNS `policy`).
-enum class ForwardPolicy {
-  kSequential,  ///< primary/backup: always start at the first upstream
-  kRoundRobin,  ///< rotate the starting upstream per query
-};
-
 /// Forwards queries under `match` to an upstream server (CoreDNS `forward`).
 /// `match` = root forwards everything (the default-upstream case). The
 /// upstream's response is relayed verbatim (with the client's id restored);
-/// failed upstreams fail over to the next per the policy's order.
+/// failed upstreams fail over to the next in configured order.
 class ForwardPlugin : public Plugin {
  public:
   ForwardPlugin(DnsName match, std::vector<simnet::Endpoint> upstreams,
@@ -86,9 +78,6 @@ class ForwardPlugin : public Plugin {
   std::uint64_t failovers() const { return failovers_; }
   /// Failovers triggered by a SERVFAIL answer (vs transport timeout).
   std::uint64_t servfail_failovers() const { return servfail_failovers_; }
-
-  void set_policy(ForwardPolicy policy) { policy_ = policy; }
-  ForwardPolicy policy() const { return policy_; }
 
   /// When enabled, a SERVFAIL answer from an upstream is treated like a
   /// dead upstream and the query fails over to the next one — the RFC 2136
@@ -127,9 +116,7 @@ class ForwardPlugin : public Plugin {
   bool add_ecs_ = false;
   bool failover_on_servfail_ = false;
   std::uint8_t ecs_prefix_ = 24;
-  ForwardPolicy policy_ = ForwardPolicy::kSequential;
   std::vector<simnet::Endpoint> upstreams_;
-  std::size_t next_upstream_ = 0;
   DnsTransport& transport_;
   DnsTransport::Options options_;
   obs::Journal* journal_ = nullptr;
@@ -162,48 +149,6 @@ class CachePlugin : public Plugin {
   std::uint64_t stale_served_ = 0;
 };
 
-/// Rewrites query names under `from` to the same labels under `to` before
-/// passing on, and un-rewrites answer owner names (CoreDNS `rewrite`).
-class RewritePlugin : public Plugin {
- public:
-  RewritePlugin(DnsName from, DnsName to)
-      : from_(std::move(from)), to_(std::move(to)) {}
-  std::string name() const override { return "rewrite"; }
-  void serve(const PluginContext& ctx, Respond respond, Next next) override;
-
- private:
-  DnsName from_;
-  DnsName to_;
-};
-
-/// Pass-through plugin that records a query log (CoreDNS `log`): arrival
-/// time, qname, qtype, client and rcode, kept in a bounded ring. Useful
-/// for debugging scenarios and asserting traffic in tests.
-class LogPlugin : public Plugin {
- public:
-  struct LogEntry {
-    simnet::SimTime at;
-    DnsName qname;
-    RecordType qtype = RecordType::kA;
-    simnet::Endpoint client;
-    RCode rcode = RCode::kNoError;
-  };
-
-  explicit LogPlugin(std::size_t capacity = 512) : capacity_(capacity) {}
-  std::string name() const override { return "log"; }
-  void serve(const PluginContext& ctx, Respond respond, Next next) override;
-
-  const std::deque<LogEntry>& entries() const { return entries_; }
-  std::uint64_t total_logged() const { return total_; }
-  /// Entries matching a qname (for test assertions).
-  std::size_t count(const DnsName& qname) const;
-
- private:
-  std::size_t capacity_;
-  std::deque<LogEntry> entries_;
-  std::uint64_t total_ = 0;
-};
-
 /// Terminal plugin: REFUSED for anything that reaches it. Implements the
 /// paper's "have the MEC DNS ignore queries not related to MEC-CDN" policy
 /// boundary (clients then fall back to their provider L-DNS).
@@ -216,19 +161,6 @@ class RefusePlugin : public Plugin {
 
  private:
   std::uint64_t refused_ = 0;
-};
-
-/// Terminal plugin: silently drop (client times out). Models the multicast
-/// workaround where the MEC DNS simply never answers non-MEC queries.
-class DropPlugin : public Plugin {
- public:
-  std::string name() const override { return "drop"; }
-  void serve(const PluginContext&, Respond, Next) override { ++dropped_; }
-
-  std::uint64_t dropped() const { return dropped_; }
-
- private:
-  std::uint64_t dropped_ = 0;
 };
 
 /// A named, ordered plugin chain (one CoreDNS "server block").

@@ -19,7 +19,7 @@ DnsServer::DnsServer(netio::Runtime& runtime, std::string name,
 }
 
 DnsServer::~DnsServer() {
-  *alive_ = false;
+  *self_ = nullptr;
   rt_.close_socket(socket_);
 }
 
@@ -54,8 +54,6 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
           ? std::max<std::size_t>(512, decoded.value().edns->udp_payload_size)
           : 512;
 
-  const simnet::SimTime delay =
-      processing_delay_.sample(rng_) + extra_processing_;
   // The responder captures where to send the reply; handle() may hold it
   // across its own upstream queries.
   Responder respond = [this, reply_to = packet.src, payload_limit,
@@ -88,15 +86,13 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
 
   if (workers_ == 0) {
     // Idealized server: every query gets its own processing slot.
-    obs::AmbientSpanGuard ambient(span);
-    rt_.schedule_after(
-        delay, [this, alive = alive_, query = std::move(decoded.value()), ctx,
-                respond = std::move(respond)]() mutable {
-          if (!*alive) return;
-          handle(query, ctx, std::move(respond));
-        });
+    start(std::move(decoded.value()), ctx, std::move(respond), span,
+          /*holds_worker=*/false);
     return;
   }
+  // A queued query draws its delay when a worker takes it. This draw is
+  // unused; it keeps the RNG sequence of worker-limited servers.
+  (void)processing_delay_.sample(rng_);
   enqueue(Work{std::move(decoded.value()), ctx, std::move(respond), span});
 }
 
@@ -127,21 +123,33 @@ void DnsServer::pump() {
     Work work = std::move(work_queue_.front());
     work_queue_.pop_front();
     ++busy_;
-    const simnet::SimTime delay =
-        processing_delay_.sample(rng_) + extra_processing_;
-    // pump() runs under whatever event freed the worker; restore the
-    // queued query's own serve span before scheduling its processing.
-    obs::AmbientSpanGuard ambient(work.span);
-    rt_.schedule_after(
-        delay, [this, alive = alive_, work = std::move(work)]() mutable {
-          if (!*alive) return;
-          // The worker is released when processing ends; any wait for
-          // upstream answers inside handle() is I/O, not CPU.
-          handle(work.query, work.ctx, std::move(work.respond));
-          --busy_;
-          pump();
-        });
+    start(std::move(work.query), work.ctx, std::move(work.respond), work.span,
+          /*holds_worker=*/true);
   }
+}
+
+void DnsServer::start(Message&& query, const QueryContext& ctx,
+                      Responder&& respond, const obs::SpanRef& span,
+                      bool holds_worker) {
+  const simnet::SimTime delay =
+      processing_delay_.sample(rng_) + extra_processing_;
+  // start() may run under whatever event freed a worker; the processing
+  // event runs under the query's own serve span.
+  obs::AmbientSpanGuard ambient(span);
+  // The closure is one heap node per query; capturing only self_, not
+  // `this` as well, keeps it a pointer smaller.
+  rt_.schedule_after(delay, [self = self_, holds_worker,
+                             query = std::move(query), ctx,
+                             respond = std::move(respond)]() mutable {
+    DnsServer* server = *self;
+    if (server == nullptr) return;
+    server->handle(query, ctx, std::move(respond));
+    if (!holds_worker) return;
+    // The worker is released when processing ends; any wait for upstream
+    // answers inside handle() is I/O, not CPU.
+    --server->busy_;
+    server->pump();
+  });
 }
 
 AuthoritativeServer::AuthoritativeServer(netio::Runtime& runtime,
@@ -199,15 +207,9 @@ void AuthoritativeServer::handle(const Message& query, const QueryContext& ctx,
   // Chase in-zone CNAME chains, bounded to defeat loops.
   DnsName qname = q.name;
   for (int depth = 0; depth < 8; ++depth) {
-    LookupResult result = zone->lookup(qname, q.type);
+    const LookupResult result = zone->lookup(qname, q.type);
     switch (result.status) {
       case LookupStatus::kSuccess:
-        if (rotate_answers_ && result.records.size() > 1) {
-          const std::size_t shift = rotation_++ % result.records.size();
-          std::rotate(result.records.begin(),
-                      result.records.begin() + static_cast<std::ptrdiff_t>(shift),
-                      result.records.end());
-        }
         response.answers.insert(response.answers.end(), result.records.begin(),
                                 result.records.end());
         respond(std::move(response));

@@ -110,14 +110,19 @@ class DnsServer {
   void on_packet(const simnet::Packet& packet);
   void enqueue(Work work);
   void pump();
+  /// Draws the query's processing delay and arms its processing event;
+  /// `holds_worker` releases a worker slot (and pumps) when it ends.
+  void start(Message&& query, const QueryContext& ctx, Responder&& respond,
+             const obs::SpanRef& span, bool holds_worker);
 
   netio::Runtime& rt_;
   std::string name_;
   simnet::LatencyModel processing_delay_;
   netio::DatagramSocket* socket_;
   util::Rng rng_;
-  /// Disarms scheduled processing events after destruction.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// This server until destruction, then null: scheduled processing
+  /// events hold a copy and do nothing once it is null.
+  std::shared_ptr<DnsServer*> self_ = std::make_shared<DnsServer*>(this);
   ServerStats stats_;
   std::size_t workers_ = 0;  ///< 0 = unlimited
   std::size_t max_queue_ = 256;
@@ -153,19 +158,12 @@ class AuthoritativeServer : public DnsServer {
 
   std::vector<Zone>& zones() { return zones_; }
 
-  /// Rotates multi-record answer RRsets round-robin across responses — the
-  /// classic poor-man's load balancing; clients that "take the first A"
-  /// then spread across the set.
-  void set_rotate_answers(bool rotate) { rotate_answers_ = rotate; }
-
  protected:
   void handle(const Message& query, const QueryContext& ctx,
               Responder respond) override;
 
  private:
   std::vector<Zone> zones_;
-  bool rotate_answers_ = false;
-  std::uint64_t rotation_ = 0;
 };
 
 }  // namespace mecdns::dns

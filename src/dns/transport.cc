@@ -123,8 +123,8 @@ simnet::SimTime DnsTransport::retry_interval(const Pending& pending) {
   // overflows a double into +inf, and casting that to the int64 nanosecond
   // clock is UB. One hour is beyond any sane retransmission interval.
   constexpr double kUncappedCeilingMs = 3600.0 * 1000.0;
-  // The fast path (no backoff, no jitter) must return the configured
-  // timeout unmodified so default runs stay bit-identical.
+  // The fast path (no backoff) must return the configured timeout
+  // unmodified so default runs stay bit-identical.
   simnet::SimTime interval = pending.options.timeout;
   const simnet::SimTime cap = pending.options.max_backoff;
   if (pending.options.backoff_factor != 1.0 && pending.attempts > 1) {
@@ -143,16 +143,6 @@ simnet::SimTime DnsTransport::retry_interval(const Pending& pending) {
     interval = simnet::SimTime::millis(ms);
   }
   if (cap > simnet::SimTime::zero() && interval > cap) interval = cap;
-  if (pending.options.retry_jitter > 0.0) {
-    interval = simnet::SimTime::millis(
-        interval.to_millis() *
-        (1.0 + rng_.uniform(0.0, pending.options.retry_jitter)));
-    // Re-clamp after the jitter multiplier: the cap is a hard bound (RFC
-    // 1035 §4.2.1 backoff caps mean it on a real wire), so jitter spreads
-    // timers *below* it, never past it. The old order — clamp, then
-    // jitter — let every jittered timer exceed max_backoff.
-    if (cap > simnet::SimTime::zero() && interval > cap) interval = cap;
-  }
   return interval;
 }
 

@@ -44,11 +44,6 @@ class DnsTransport {
     double backoff_factor = 1.0;
     /// Cap on the backed-off timer; zero means uncapped.
     simnet::SimTime max_backoff = simnet::SimTime::zero();
-    /// Random jitter fraction added to each retransmission timer: the timer
-    /// becomes timeout * (1 + U[0, retry_jitter)), decorrelating retry
-    /// storms. 0 disables jitter and draws no randomness at all, keeping
-    /// default runs bit-identical.
-    double retry_jitter = 0.0;
     /// Servers tried in order after the current one fails — exhausts its
     /// retry budget, or answers SERVFAIL (see failover_on_servfail). Each
     /// server gets the full `1 + max_retries` attempt budget.
@@ -142,7 +137,7 @@ class DnsTransport {
   void on_packet(const simnet::Packet& packet);
   void send_attempt(std::uint16_t id);
   void on_timeout(std::uint16_t id);
-  simnet::SimTime retry_interval(const Pending& pending);
+  static simnet::SimTime retry_interval(const Pending& pending);
   /// Switches to the next fallback server (full retry budget) if one
   /// remains; false once the list is exhausted.
   bool fail_over(std::uint16_t id);

@@ -22,7 +22,8 @@ void AutoScaler::note_decision(obs::JournalKind kind, const char* what,
 void AutoScaler::run_for(std::size_t ticks) {
   if (ticks == 0) return;
   last_load_ = load_();
-  sim_.schedule_after(config_.interval, [this, ticks] { tick(ticks); });
+  next_tick_ =
+      sim_.schedule_after(config_.interval, [this, ticks] { tick(ticks); });
 }
 
 void AutoScaler::tick(std::size_t remaining) {
@@ -56,8 +57,8 @@ void AutoScaler::tick(std::size_t remaining) {
   }
 
   if (remaining > 1) {
-    sim_.schedule_after(config_.interval,
-                        [this, remaining] { tick(remaining - 1); });
+    next_tick_ = sim_.schedule_after(
+        config_.interval, [this, remaining] { tick(remaining - 1); });
   }
 }
 

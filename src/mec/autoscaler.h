@@ -55,6 +55,12 @@ class AutoScaler {
         scale_up_(std::move(scale_up)),
         scale_down_(std::move(scale_down)) {}
 
+  /// Cancels the armed tick, so a scaler destroyed mid-run leaves no
+  /// timer capturing it behind.
+  ~AutoScaler() { sim_.cancel(next_tick_); }
+  AutoScaler(const AutoScaler&) = delete;
+  AutoScaler& operator=(const AutoScaler&) = delete;
+
   /// Runs the control loop for `ticks` intervals, then stops (a bounded
   /// event chain, so simulations drain).
   void run_for(std::size_t ticks);
@@ -94,6 +100,7 @@ class AutoScaler {
   obs::Journal* journal_ = nullptr;
   int journal_cell_ = -1;
 
+  simnet::EventId next_tick_ = simnet::kNoEvent;
   std::uint64_t last_load_ = 0;
   std::size_t cooldown_ = 0;
   std::uint64_t ticks_ = 0;

@@ -103,7 +103,6 @@ class OverloadGuardPlugin : public dns::Plugin {
   std::uint64_t shed_queue_full() const { return shed_queue_full_; }
 
   OverloadAction action() const { return action_; }
-  void set_action(OverloadAction action) { action_ = action; }
 
   /// Journals guard *transitions* only (trip, recover, and the edge into
   /// queue-probe shedding), never per-query sheds — the journal is a

@@ -53,7 +53,6 @@ class EpollRuntime final : public Runtime {
   /// Ends the current run()/run_until() after the in-progress poll round;
   /// a later run() starts fresh (pending timers and sockets are kept).
   void stop() { stopped_ = true; }
-  bool stopped() const { return stopped_; }
 
   /// Open sockets right now — the CI smoke job's leak check: after every
   /// component is destroyed this must read 0.

@@ -42,19 +42,9 @@ AccessProfile wired_campus() {
   };
 }
 
-LatencyModel cluster_link() {
-  return LatencyModel::normal(SimTime::micros(150), SimTime::micros(40),
-                              SimTime::micros(30));
-}
-
 LatencyModel lan_link() {
   return LatencyModel::normal(SimTime::millis(1.2), SimTime::micros(250),
                               SimTime::micros(300));
-}
-
-LatencyModel metro_backhaul() {
-  return LatencyModel::lognormal(SimTime::millis(3.5), SimTime::millis(1.2),
-                                 0.5);
 }
 
 LatencyModel wan_link(double mean_ms) {

@@ -33,14 +33,8 @@ AccessProfile wired_campus();
 
 // --- non-access link helpers (shared by scenario builders) -----------------
 
-/// Intra-cluster (same-rack Kubernetes) link: ~0.15 ms.
-simnet::LatencyModel cluster_link();
-
 /// Same-site LAN link: ~1.2 ms.
 simnet::LatencyModel lan_link();
-
-/// Metro backhaul (cell site to operator core): ~5 ms, some jitter.
-simnet::LatencyModel metro_backhaul();
 
 /// Wide-area (inter-city / cloud) link with mean one-way ~`mean_ms`.
 simnet::LatencyModel wan_link(double mean_ms);

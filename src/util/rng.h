@@ -20,10 +20,7 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
-
-  /// Re-initializes the state from a 64-bit seed.
-  void reseed(std::uint64_t seed) {
+  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) {
     for (auto& word : state_) {
       word = split_mix64(seed);
     }

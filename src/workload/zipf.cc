@@ -48,31 +48,4 @@ const cdn::Url& RequestGenerator::next() {
   return urls_[zipf_.sample(rng_) % urls_.size()];
 }
 
-std::vector<simnet::SimTime> poisson_arrivals(std::size_t count,
-                                              simnet::SimTime mean_gap,
-                                              simnet::SimTime start,
-                                              std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<simnet::SimTime> out;
-  out.reserve(count);
-  simnet::SimTime t = start;
-  for (std::size_t i = 0; i < count; ++i) {
-    t += simnet::SimTime::nanos(static_cast<std::int64_t>(
-        rng.exponential(static_cast<double>(mean_gap.count_nanos()))));
-    out.push_back(t);
-  }
-  return out;
-}
-
-std::vector<simnet::SimTime> periodic_arrivals(std::size_t count,
-                                               simnet::SimTime gap,
-                                               simnet::SimTime start) {
-  std::vector<simnet::SimTime> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(start + gap * static_cast<std::int64_t>(i));
-  }
-  return out;
-}
-
 }  // namespace mecdns::workload

@@ -1,14 +1,13 @@
 // Zipf-distributed content popularity and request generation.
 //
-// CDN object popularity is classically Zipfian; the cache-locality
-// ablations and the AR/VR example draw their request streams from here.
+// CDN object popularity is classically Zipfian. bench_micro and perfbench's
+// provider workloads draw their name streams from ZipfGenerator.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "cdn/content.h"
-#include "simnet/time.h"
 #include "util/rng.h"
 
 namespace mecdns::workload {
@@ -42,17 +41,5 @@ class RequestGenerator {
   ZipfGenerator zipf_;
   util::Rng rng_;
 };
-
-/// Poisson arrival schedule: `count` timestamps with the given mean
-/// inter-arrival, starting at `start`.
-std::vector<simnet::SimTime> poisson_arrivals(std::size_t count,
-                                              simnet::SimTime mean_gap,
-                                              simnet::SimTime start,
-                                              std::uint64_t seed);
-
-/// Evenly spaced schedule (the dig-in-a-loop measurement pattern).
-std::vector<simnet::SimTime> periodic_arrivals(std::size_t count,
-                                               simnet::SimTime gap,
-                                               simnet::SimTime start);
 
 }  // namespace mecdns::workload

@@ -182,18 +182,6 @@ TEST(DnsCache, EvictionSkipsStaleHeapEntries) {
                    .has_value());
 }
 
-TEST(DnsCache, FlushAndFlushName) {
-  DnsCache cache;
-  cache.insert(DnsName::must_parse("a.example.com"), RecordType::kA,
-               {a_record("a.example.com", 60)}, SimTime::seconds(0));
-  cache.insert(DnsName::must_parse("b.example.com"), RecordType::kA,
-               {a_record("b.example.com", 60)}, SimTime::seconds(0));
-  cache.flush_name(DnsName::must_parse("a.example.com"));
-  EXPECT_EQ(cache.size(), 1u);
-  cache.flush();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST(DnsCache, HitRateAccounting) {
   DnsCache cache;
   cache.insert(DnsName::must_parse("a.example.com"), RecordType::kA,

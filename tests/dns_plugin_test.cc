@@ -191,61 +191,6 @@ TEST_F(PluginTest, ForwardPluginServfailsWhenUpstreamDead) {
   EXPECT_EQ(result.rcode, RCode::kServFail);
 }
 
-TEST_F(PluginTest, RewritePluginMapsNamespaces) {
-  PluginChain& pub = server_->add_default_view("public");
-  pub.add(std::make_unique<RewritePlugin>(
-      DnsName::must_parse("edge.mec"), DnsName::must_parse("mycdn.test")));
-  pub.add(std::make_unique<ForwardPlugin>(
-      DnsName::must_parse("mycdn.test"),
-      std::vector<Endpoint>{{Ipv4Address::must_parse("198.51.100.53"),
-                             kDnsPort}},
-      server_->transport()));
-
-  const StubResult result = resolve_from(external_client_, "video.edge.mec");
-  EXPECT_TRUE(result.ok);
-  EXPECT_EQ(*result.address, Ipv4Address::must_parse("198.18.5.5"));
-  // Owner names are rewritten back to the client's namespace.
-  ASSERT_FALSE(result.response.answers.empty());
-  EXPECT_EQ(result.response.answers.front().name,
-            DnsName::must_parse("video.edge.mec"));
-}
-
-TEST_F(PluginTest, DropPluginNeverAnswers) {
-  PluginChain& pub = server_->add_default_view("public");
-  auto drop = std::make_unique<DropPlugin>();
-  DropPlugin* drop_ptr = drop.get();
-  pub.add(std::move(drop));
-
-  StubResolver stub(net_.runtime(external_client_),
-                    Endpoint{Ipv4Address::must_parse("10.240.0.2"), kDnsPort},
-                    DnsTransport::Options{SimTime::millis(50), 0});
-  bool timed_out = false;
-  stub.resolve(DnsName::must_parse("x.test"), RecordType::kA,
-               [&](const StubResult& result) { timed_out = !result.ok; });
-  sim_.run();
-  EXPECT_TRUE(timed_out);
-  EXPECT_EQ(drop_ptr->dropped(), 1u);
-}
-
-TEST_F(PluginTest, LogPluginRecordsTraffic) {
-  PluginChain& pub = server_->add_default_view("public");
-  auto log = std::make_unique<LogPlugin>(/*capacity=*/2);
-  LogPlugin* log_ptr = log.get();
-  pub.add(std::move(log));
-  pub.add(std::make_unique<ZonePlugin>(internal_zone_));
-
-  resolve_from(external_client_, "traffic-router.cdn.svc.cluster.local");
-  resolve_from(external_client_, "missing.cluster.local");
-  resolve_from(external_client_, "also-missing.cluster.local");
-
-  EXPECT_EQ(log_ptr->total_logged(), 3u);
-  EXPECT_EQ(log_ptr->entries().size(), 2u);  // ring capacity enforced
-  EXPECT_EQ(log_ptr->count(DnsName::must_parse("missing.cluster.local")), 1u);
-  EXPECT_EQ(log_ptr->entries().back().rcode, RCode::kNxDomain);
-  EXPECT_EQ(log_ptr->entries().back().client.addr,
-            simnet::Ipv4Address::must_parse("203.0.113.1"));
-}
-
 TEST_F(PluginTest, ZonePluginServesDelegationAndNegative) {
   internal_zone_->must_add(
       make_ns(DnsName::must_parse("sub.cluster.local"),

@@ -185,27 +185,6 @@ TEST_F(AuthServerTest, ResponsePacketToServerIgnored) {
   EXPECT_EQ(server_->stats().queries, 0u);
 }
 
-TEST_F(AuthServerTest, RotationCyclesMultiRecordAnswers) {
-  Zone* zone = server_->find_zone(DnsName::must_parse("example.com"));
-  zone->must_add(make_a(DnsName::must_parse("multi.example.com"),
-                        Ipv4Address::must_parse("198.18.0.11"), 60));
-  zone->must_add(make_a(DnsName::must_parse("multi.example.com"),
-                        Ipv4Address::must_parse("198.18.0.12"), 60));
-  zone->must_add(make_a(DnsName::must_parse("multi.example.com"),
-                        Ipv4Address::must_parse("198.18.0.13"), 60));
-
-  // Without rotation the first record is stable.
-  const auto first = *resolve("multi.example.com").address;
-  EXPECT_EQ(*resolve("multi.example.com").address, first);
-
-  server_->set_rotate_answers(true);
-  std::set<std::uint32_t> seen;
-  for (int i = 0; i < 6; ++i) {
-    seen.insert(resolve("multi.example.com").address->value());
-  }
-  EXPECT_EQ(seen.size(), 3u);  // every record led the RRset at least once
-}
-
 TEST_F(AuthServerTest, StatsCountResponses) {
   resolve("www.example.com");
   resolve("missing.example.com");

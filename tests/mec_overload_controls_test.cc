@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/mec_cdn.h"
@@ -156,6 +157,26 @@ TEST(OverloadControls, AutoScalerRespectsReplicaCeiling) {
   sim.run();
   EXPECT_EQ(replicas, 2u);  // forever hot, but never past the ceiling
   EXPECT_EQ(scaler.scale_ups(), 1u);
+}
+
+TEST(OverloadControls, DestroyedAutoScalerLeavesNoTimerBehind) {
+  simnet::Simulator sim;
+  std::uint64_t load = 0;
+  std::size_t replicas = 1;
+  AutoScaler::Config config;
+  config.interval = SimTime::seconds(1);
+  auto scaler = std::make_unique<AutoScaler>(
+      sim, config, [&load] { return load; }, [&replicas] { return replicas; },
+      [] { return false; }, [] { return false; });
+  scaler->run_for(10);
+  // Ticks at 1 s and 2 s have run; the 3 s tick is armed.
+  sim.run_until(SimTime::millis(2500));
+  EXPECT_EQ(scaler->ticks(), 2u);
+  EXPECT_EQ(sim.pending(), 1u);
+  scaler.reset();
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run();
+  EXPECT_EQ(sim.now(), SimTime::millis(2500));
 }
 
 TEST(OverloadControls, SiteElasticityAddsRetiresAndReactivatesReplicas) {

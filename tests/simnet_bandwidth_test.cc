@@ -170,58 +170,5 @@ TEST(ForwardFailover, SecondUpstreamAnswersWhenFirstIsDead) {
   EXPECT_GT(out.latency, SimTime::millis(100));
 }
 
-TEST(ForwardFailover, RoundRobinPolicySpreadsQueries) {
-  simnet::Simulator sim;
-  simnet::Network net(sim, util::Rng(153));
-  const simnet::NodeId client =
-      net.add_node("client", Ipv4Address::must_parse("10.0.0.1"));
-  const simnet::NodeId proxy =
-      net.add_node("proxy", Ipv4Address::must_parse("10.0.0.2"));
-  const simnet::NodeId up1 =
-      net.add_node("up1", Ipv4Address::must_parse("10.0.0.3"));
-  const simnet::NodeId up2 =
-      net.add_node("up2", Ipv4Address::must_parse("10.0.0.4"));
-  net.add_link(client, proxy, LatencyModel::constant(SimTime::millis(1)));
-  net.add_link(proxy, up1, LatencyModel::constant(SimTime::millis(1)));
-  net.add_link(proxy, up2, LatencyModel::constant(SimTime::millis(1)));
-
-  const auto make_auth = [&](simnet::NodeId node, const char* name) {
-    auto server = std::make_unique<dns::AuthoritativeServer>(
-        net.runtime(node), name, LatencyModel::constant(SimTime::micros(100)));
-    dns::Zone& zone = server->add_zone(dns::DnsName::must_parse("rr.test"));
-    zone.must_add(dns::make_a(dns::DnsName::must_parse("www.rr.test"),
-                              Ipv4Address::must_parse("198.18.0.1"), 30));
-    return server;
-  };
-  auto auth1 = make_auth(up1, "up1");
-  auto auth2 = make_auth(up2, "up2");
-
-  dns::PluginChainServer server(net.runtime(proxy), "proxy",
-                                LatencyModel::constant(SimTime::micros(200)));
-  dns::PluginChain& chain = server.add_default_view("default");
-  auto forward = std::make_unique<dns::ForwardPlugin>(
-      dns::DnsName::root(),
-      std::vector<Endpoint>{
-          {Ipv4Address::must_parse("10.0.0.3"), dns::kDnsPort},
-          {Ipv4Address::must_parse("10.0.0.4"), dns::kDnsPort}},
-      server.transport());
-  forward->set_policy(dns::ForwardPolicy::kRoundRobin);
-  chain.add(std::move(forward));
-
-  dns::StubResolver stub(net.runtime(client),
-                         Endpoint{Ipv4Address::must_parse("10.0.0.2"),
-                                  dns::kDnsPort});
-  for (int i = 0; i < 10; ++i) {
-    stub.resolve(dns::DnsName::must_parse("www.rr.test"),
-                 dns::RecordType::kA,
-                 [](const dns::StubResult& result) {
-                   EXPECT_TRUE(result.ok);
-                 });
-    sim.run();
-  }
-  EXPECT_EQ(auth1->stats().queries, 5u);
-  EXPECT_EQ(auth2->stats().queries, 5u);
-}
-
 }  // namespace
 }  // namespace mecdns

@@ -89,25 +89,5 @@ TEST(RequestGenerator, DrawsFromCatalog) {
   }
 }
 
-TEST(Arrivals, PeriodicSchedule) {
-  const auto schedule = periodic_arrivals(5, simnet::SimTime::millis(10),
-                                          simnet::SimTime::seconds(1));
-  ASSERT_EQ(schedule.size(), 5u);
-  EXPECT_EQ(schedule[0], simnet::SimTime::seconds(1));
-  EXPECT_EQ(schedule[4],
-            simnet::SimTime::seconds(1) + simnet::SimTime::millis(40));
-}
-
-TEST(Arrivals, PoissonMeanGap) {
-  const auto schedule = poisson_arrivals(20000, simnet::SimTime::millis(10),
-                                         simnet::SimTime::zero(), 13);
-  ASSERT_EQ(schedule.size(), 20000u);
-  for (std::size_t i = 1; i < schedule.size(); ++i) {
-    EXPECT_GE(schedule[i], schedule[i - 1]);  // monotone
-  }
-  const double total_ms = (schedule.back() - schedule.front()).to_millis();
-  EXPECT_NEAR(total_ms / 19999.0, 10.0, 0.5);
-}
-
 }  // namespace
 }  // namespace mecdns::workload

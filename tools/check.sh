@@ -140,24 +140,10 @@ run ./build/tools/mecdns_report \
 run ./build/tools/mecdns_report --bench "$perf_dir/tp_serial.json"
 run ./build/tools/mecdns_report \
     --diff "$perf_dir/tp_serial.json" --against "$perf_dir/tp_parallel.json"
-# Absolute allocation ceilings (the arena/pool/borrowed-send baseline is
-# ~30 allocs and ~6.3 KB per query). The diffs above only catch drift
-# between the two runs of this script, so pin hard numbers: the gate trips
-# well below half the pre-arena cost (274 allocs, ~21 KB per query).
-# Event-queue ceilings: answered queries cancel their retry timers, so a
-# query costs 21 events and the queue holds only live work (104/356 peak
-# here); an uncancelled timer shows up as 23 events and a ~4k-deep queue.
-awk 'BEGIN { RS = "," }
-  /"allocs_per_query"/ { split($0, kv, ":"); v = kv[2] + 0
-      if (v > 100) { printf "allocs_per_query %s exceeds ceiling 100\n", v; bad = 1 } }
-  /"alloc_bytes_per_query"/ { split($0, kv, ":"); v = kv[2] + 0
-      if (v > 10000) { printf "alloc_bytes_per_query %s exceeds ceiling 10000\n", v; bad = 1 } }
-  /"events_per_query"/ { split($0, kv, ":"); v = kv[2] + 0
-      if (v > 21) { printf "events_per_query %s exceeds ceiling 21\n", v; bad = 1 } }
-  /"peak_queue_depth"/ { split($0, kv, ":"); v = kv[2] + 0
-      if (v > 1000) { printf "peak_queue_depth %s exceeds ceiling 1000\n", v; bad = 1 } }
-  END { if (bad) exit 1; print "+ allocation and event-queue ceilings respected" }' \
-  "$perf_dir/tp_serial.json"
+# Absolute allocation and event-queue ceilings. The diffs above only catch
+# drift between the two runs of this script, so pin hard numbers (the
+# thresholds and their rationale live in the awk file; CI runs it too).
+run awk -f tools/gates/throughput_ceilings.awk "$perf_dir/tp_serial.json"
 # The gate must actually gate: inject a 10x allocs/query regression and
 # demand a nonzero exit.
 sed -E 's/"allocs_per_query": ([0-9.]+)/"allocs_per_query": 999999/' \
@@ -207,23 +193,10 @@ run ./build/tools/mecdns_report \
 run ./build/tools/mecdns_report --incidents "$inc_dir/inc_serial.json"
 run ./build/tools/mecdns_report \
     --diff "$inc_dir/inc_serial.json" --against "$inc_dir/inc_parallel.json"
-# Finiteness gate (the --diff above only catches drift): every scenario
-# must correlate at least one incident from its injected fault, nothing may
-# fall off the journal ring, and every robust incident must grade a finite
-# MTTD (the control plane visibly reacted) and a bounded MTTR. -1 means
-# "broke and never detected/recovered" — exactly what must not ship.
-awk '
-  /"mode": "robust"/ {
-    match($0, /"scenario": "[^"]+"/); row = substr($0, RSTART + 13, RLENGTH - 14)
-    match($0, /"mttd_ms": -?[0-9.]+/); mttd = substr($0, RSTART + 11, RLENGTH - 11) + 0
-    match($0, /"mttr_ms": -?[0-9.]+/); mttr = substr($0, RSTART + 11, RLENGTH - 11) + 0
-    if (mttd < 0) { printf "%s: robust MTTD %s (undetected)\n", row, mttd; bad = 1 }
-    if (mttr < 0 || mttr > 4000) { printf "%s: robust MTTR %s out of [0, 4000]\n", row, mttr; bad = 1 }
-  }
-  /"incidents": 0/ { printf "scenario row with zero incidents: %s\n", $0; bad = 1 }
-  /"journal_dropped": [1-9]/ { printf "journal overflow: %s\n", $0; bad = 1 }
-  END { if (bad) exit 1; print "+ incident grades within bounds" }' \
-  "$inc_dir/inc_serial.json"
+# Finiteness gate (the --diff above only catches drift): incidents per
+# scenario, no journal overflow, finite robust MTTD and bounded MTTR (the
+# same awk file runs in CI).
+run awk -f tools/gates/incident_grades.awk "$inc_dir/inc_serial.json"
 # The recovery-time gate must actually gate: inject a huge MTTR and demand
 # a nonzero exit from --diff.
 sed -E 's/"mttr_ms": [0-9.]+/"mttr_ms": 999999/' \

@@ -1,0 +1,21 @@
+# Absolute allocation and event-queue ceilings for a bench_throughput
+# artifact (BENCH_throughput.json). Exits 1 if any deployment row is over.
+#
+#   awk -f tools/gates/throughput_ceilings.awk BENCH_throughput.json
+#
+# The arena/pool/borrowed-send baseline is ~30 allocs and ~6.3 KB per
+# query; the ceilings trip well below half the pre-arena cost (274 allocs,
+# ~21 KB per query). Answered queries cancel their retry timers, so a query
+# costs 21 events and the queue holds only live work (104/356 peak at the
+# check.sh settings); an uncancelled timer shows up as 23 events and a
+# ~4k-deep queue.
+BEGIN { RS = "," }
+/"allocs_per_query"/ { split($0, kv, ":"); v = kv[2] + 0
+    if (v > 100) { printf "allocs_per_query %s exceeds ceiling 100\n", v; bad = 1 } }
+/"alloc_bytes_per_query"/ { split($0, kv, ":"); v = kv[2] + 0
+    if (v > 10000) { printf "alloc_bytes_per_query %s exceeds ceiling 10000\n", v; bad = 1 } }
+/"events_per_query"/ { split($0, kv, ":"); v = kv[2] + 0
+    if (v > 21) { printf "events_per_query %s exceeds ceiling 21\n", v; bad = 1 } }
+/"peak_queue_depth"/ { split($0, kv, ":"); v = kv[2] + 0
+    if (v > 1000) { printf "peak_queue_depth %s exceeds ceiling 1000\n", v; bad = 1 } }
+END { if (bad) exit 1; print "+ allocation and event-queue ceilings respected" }
