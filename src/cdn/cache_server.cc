@@ -170,7 +170,10 @@ OriginServer::OriginServer(netio::Runtime& runtime, std::string name,
       port, [this](const simnet::Packet& packet) { on_packet(packet); }, addr);
 }
 
-OriginServer::~OriginServer() { rt_.close_socket(socket_); }
+OriginServer::~OriginServer() {
+  *alive_ = false;
+  rt_.close_socket(socket_);
+}
 
 void OriginServer::on_packet(const simnet::Packet& packet) {
   auto request = decode_request(packet.payload);
@@ -178,8 +181,9 @@ void OriginServer::on_packet(const simnet::Packet& packet) {
   ++requests_;
   const simnet::SimTime service = service_time_.sample(rng_);
   rt_.schedule_after(
-      service, [this, request = std::move(request.value()),
+      service, [this, alive = alive_, request = std::move(request.value()),
                 client = packet.src] {
+        if (!*alive) return;
         const auto object = catalog_.find(request.url);
         ContentResponse response;
         response.id = request.id;

@@ -146,6 +146,9 @@ class OriginServer {
   simnet::LatencyModel service_time_;
   netio::DatagramSocket* socket_;
   util::Rng rng_;
+  /// Disarms the fire-and-forget service-time events, one per request,
+  /// after destruction.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   std::uint64_t requests_ = 0;
 };
 

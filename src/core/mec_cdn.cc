@@ -131,9 +131,6 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
   }
   auto cdn_forward = std::make_unique<dns::ForwardPlugin>(
       config_.cdn_domain, std::move(cdns_upstreams), ldns_->transport());
-  if (config_.cdns_fallback_to_provider) {
-    cdn_forward->set_failover_on_servfail(true);
-  }
   if (config_.enable_ecs) cdn_forward->set_add_ecs(true);
   cdn_forward_ = cdn_forward.get();
   pub.add(std::move(cdn_forward));

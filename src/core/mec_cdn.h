@@ -74,7 +74,7 @@ class MecCdnSite {
     std::size_t overload_recovery_windows = 0;
 
     /// What the guard answers when shedding. kServFail composes with the
-    /// client transport's failover_on_servfail for one-RTT fallback to the
+    /// client transport's SERVFAIL failover for one-RTT fallback to the
     /// provider; kDrop forces the client timeout ladder.
     mec::OverloadAction overload_action = mec::OverloadAction::kRefuse;
 

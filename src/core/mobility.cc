@@ -38,8 +38,8 @@ dns::DnsTransport::Options MobilityTestbed::client_options() const {
     options.backoff_factor = 2.0;
     options.max_backoff = SimTime::seconds(8);
     options.fallback_servers = {topology::provider_endpoint()};
-    // failover_on_servfail defaults true: a guard SERVFAIL moves the
-    // transaction to the provider within one RTT.
+    // A guard SERVFAIL moves the transaction to the provider fallback
+    // within one RTT.
   }
   // Misconfigured: the site machinery is on but the operator forgot the
   // client-side fallback — guard sheds become hard failures.

@@ -9,13 +9,11 @@ namespace mecdns::dns {
 
 // --- ZonePlugin --------------------------------------------------------------
 
-void ZonePlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
-  const Question& q = ctx.query.question();
-  if (!q.name.is_subdomain_of(zone_->origin())) {
-    next(std::move(respond));
-    return;
-  }
-  Message response = make_response(ctx.query);
+bool ZonePlugin::serve(const Message& query, const QueryContext& /*ctx*/,
+                       Respond& respond) {
+  const Question& q = query.question();
+  if (!q.name.is_subdomain_of(zone_->origin())) return false;
+  Message response = make_response(query);
   response.header.aa = true;
 
   DnsName qname = q.name;
@@ -36,7 +34,7 @@ void ZonePlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
           }
         }
         respond(std::move(response));
-        return;
+        return true;
       case LookupStatus::kDelegation:
         response.header.aa = false;
         response.authorities.insert(response.authorities.end(),
@@ -45,24 +43,24 @@ void ZonePlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
         response.additionals.insert(response.additionals.end(),
                                     result.glue.begin(), result.glue.end());
         respond(std::move(response));
-        return;
+        return true;
       case LookupStatus::kNoData:
         response.authorities.insert(response.authorities.end(),
                                     result.soa.begin(), result.soa.end());
         respond(std::move(response));
-        return;
+        return true;
       case LookupStatus::kNxDomain:
         response.header.rcode = RCode::kNxDomain;
         response.authorities.insert(response.authorities.end(),
                                     result.soa.begin(), result.soa.end());
         respond(std::move(response));
-        return;
+        return true;
       case LookupStatus::kOutOfZone:
-        next(std::move(respond));
-        return;
+        return false;
     }
   }
-  respond(make_response(ctx.query, RCode::kServFail));
+  respond(make_response(query, RCode::kServFail));
+  return true;
 }
 
 // --- ForwardPlugin -----------------------------------------------------------
@@ -78,25 +76,22 @@ ForwardPlugin::ForwardPlugin(DnsName match,
   }
 }
 
-void ForwardPlugin::serve(const PluginContext& ctx, Respond respond,
-                          Next next) {
-  const Question& q = ctx.query.question();
-  if (!q.name.is_subdomain_of(match_)) {
-    next(std::move(respond));
-    return;
-  }
+bool ForwardPlugin::serve(const Message& query, const QueryContext& ctx,
+                          Respond& respond) {
+  if (!query.question().name.is_subdomain_of(match_)) return false;
   ++forwarded_;
-  Message upstream_query = ctx.query;
+  Message upstream_query = query;
   if (add_ecs_ && (!upstream_query.edns.has_value() ||
                    !upstream_query.edns->client_subnet.has_value())) {
     if (!upstream_query.edns.has_value()) upstream_query.edns = Edns{};
     ClientSubnet ecs;
-    ecs.address = ctx.net.client.addr;
+    ecs.address = ctx.client.addr;
     ecs.source_prefix = ecs_prefix_;
     upstream_query.edns->client_subnet = ecs;
   }
-  try_upstream(std::move(upstream_query), ctx.query.header.id, 0,
+  try_upstream(std::move(upstream_query), query.header.id, 0,
                std::move(respond));
+  return true;
 }
 
 void ForwardPlugin::try_upstream(Message upstream_query,
@@ -138,10 +133,9 @@ void ForwardPlugin::try_upstream(Message upstream_query,
           return;
         }
         Message response = std::move(result.value());
-        // A SERVFAIL answer means the upstream is up but failing; with
-        // servfail failover enabled it is treated like a dead upstream.
-        if (failover_on_servfail_ &&
-            response.header.rcode == RCode::kServFail &&
+        // A SERVFAIL answer means the upstream is up but failing: while
+        // another upstream remains, it is treated like a dead one.
+        if (response.header.rcode == RCode::kServFail &&
             attempt + 1 < upstreams_.size()) {
           ++upstream_failures_;
           ++failovers_;
@@ -163,21 +157,23 @@ void ForwardPlugin::try_upstream(Message upstream_query,
 
 // --- CachePlugin -------------------------------------------------------------
 
-void CachePlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
-  const Question& q = ctx.query.question();
-  const simnet::SimTime now = ctx.net.received;
+bool CachePlugin::serve(const Message& query, const QueryContext& ctx,
+                        Respond& respond) {
+  const Question& q = query.question();
+  const simnet::SimTime now = ctx.received;
   auto cached = cache_->lookup(q.name, q.type, now);
   obs::ambient_span().tag("cache", cached.has_value() ? "hit" : "miss");
   if (cached.has_value()) {
     Message response = make_response(
-        ctx.query, cached->negative ? cached->rcode : RCode::kNoError);
+        query, cached->negative ? cached->rcode : RCode::kNoError);
     response.answers = cached->records;
     response.authorities = cached->soa;
     respond(std::move(response));
-    return;
+    return true;
   }
-  next([this, q, query = ctx.query, now,
-        respond = std::move(respond)](Message response) {
+  respond = [this, query, now,
+             respond = std::move(respond)](Message response) {
+    const Question& q = query.question();
     if (response.header.rcode == RCode::kNoError &&
         !response.answers.empty()) {
       cache_->insert(q.name, q.type, response.answers, now);
@@ -190,7 +186,6 @@ void CachePlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
       // RFC 8767: the authoritative path is failing — prefer a stale
       // answer (if the cache retains one) over propagating the failure.
       if (auto stale = cache_->lookup_stale(q.name, q.type, now)) {
-        ++stale_served_;
         obs::ambient_span().tag("cache", "stale");
         Message rescued = make_response(
             query, stale->negative ? stale->rcode : RCode::kNoError);
@@ -201,47 +196,42 @@ void CachePlugin::serve(const PluginContext& ctx, Respond respond, Next next) {
       }
     }
     respond(std::move(response));
-  });
+  };
+  return false;
 }
 
 // --- RefusePlugin ------------------------------------------------------------
 
-void RefusePlugin::serve(const PluginContext& ctx, Respond respond, Next) {
-  ++refused_;
-  respond(make_response(ctx.query, RCode::kRefused));
+bool RefusePlugin::serve(const Message& query, const QueryContext& /*ctx*/,
+                         Respond& respond) {
+  respond(make_response(query, RCode::kRefused));
+  return true;
 }
 
 // --- PluginChain -------------------------------------------------------------
 
-void PluginChain::run(const PluginContext& ctx,
+void PluginChain::run(const Message& query, const QueryContext& ctx,
                       Plugin::Respond respond) const {
-  run_from(0, ctx, std::move(respond));
-}
-
-void PluginChain::run_from(std::size_t index, const PluginContext& ctx,
-                           Plugin::Respond respond) const {
-  if (index >= plugins_.size()) {
-    respond(make_response(ctx.query, RCode::kRefused));
-    return;
+  // One span per traversed plugin, each a child of the one before, open
+  // until the answer comes back through this plugin's responder wrapper —
+  // so a forward plugin's span covers its whole upstream round trip. A
+  // query that is never answered (an overload guard dropping it) leaves
+  // the spans unfinished, which the exporter marks. Untraced queries never
+  // call name(), which builds a string.
+  const bool traced = simnet::current_trace_token().active();
+  simnet::TraceTokenGuard caller(simnet::current_trace_token());
+  for (const auto& plugin : plugins_) {
+    if (traced) {
+      const obs::SpanRef span = obs::begin_span("plugin", plugin->name());
+      respond = [span, respond = std::move(respond)](Message response) {
+        span.end();
+        respond(std::move(response));
+      };
+      simnet::set_current_trace_token(span.token());
+    }
+    if (plugin->serve(query, ctx, respond)) return;
   }
-  // One span per traversed plugin, open until the answer bubbles back up
-  // through this plugin's responder — so a forward plugin's span covers its
-  // whole upstream round trip. A query that is never answered (an overload
-  // guard dropping it) leaves the span unfinished, which the exporter marks. Untraced queries never call
-  // name(), which builds a string.
-  obs::SpanRef span;
-  if (simnet::current_trace_token().active()) {
-    span = obs::begin_span("plugin", plugins_[index]->name());
-    respond = [span, respond = std::move(respond)](Message response) {
-      span.end();
-      respond(std::move(response));
-    };
-  }
-  Plugin::Next next = [this, index, &ctx](Plugin::Respond downstream) {
-    run_from(index + 1, ctx, std::move(downstream));
-  };
-  obs::AmbientSpanGuard ambient(span);
-  plugins_[index]->serve(ctx, std::move(respond), std::move(next));
+  respond(make_response(query, RCode::kRefused));
 }
 
 // --- PluginChainServer -------------------------------------------------------
@@ -285,15 +275,8 @@ void PluginChainServer::handle(const Message& query, const QueryContext& ctx,
                     });
     if (!matches) continue;
     ++view.queries;
-    last_view_ = view.chain.name();
     obs::ambient_span().tag("view", view.chain.name());
-    // The context must outlive asynchronous plugin completions (forward
-    // plugins respond on a later event), so heap-allocate it per query.
-    auto pctx = std::make_shared<PluginContext>();
-    pctx->query = query;
-    pctx->net = ctx;
-    view.chain.run(*pctx, [pctx, respond = std::move(respond)](
-                              Message response) { respond(std::move(response)); });
+    view.chain.run(query, ctx, std::move(respond));
     return;
   }
   respond(make_response(query, RCode::kRefused));

@@ -10,7 +10,6 @@
 // address.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,24 +22,20 @@
 
 namespace mecdns::dns {
 
-/// Context handed down the plugin chain.
-struct PluginContext {
-  Message query;
-  QueryContext net;
-};
-
-/// One element of a chain. A plugin either answers (calls respond) or
-/// passes to the rest of the chain via next — optionally wrapping the
-/// responder to observe the downstream answer (how the cache plugin works).
+/// One element of a chain. A plugin either claims the query and returns
+/// true — it answers now or later through `respond`, or drops it — or
+/// returns false to pass the query on. A passing plugin may first replace
+/// `respond` with a wrapper that observes the downstream answer (how the
+/// cache plugin works). `query` and `ctx` live only for the call; a plugin
+/// that answers later copies what it needs.
 class Plugin {
  public:
   using Respond = DnsServer::Responder;
-  using Next = std::function<void(Respond)>;
 
   virtual ~Plugin() = default;
   virtual std::string name() const = 0;
-  virtual void serve(const PluginContext& ctx, Respond respond,
-                     Next next) = 0;
+  virtual bool serve(const Message& query, const QueryContext& ctx,
+                     Respond& respond) = 0;
 };
 
 /// Answers authoritatively from a Zone. With `registry zone` semantics this
@@ -51,9 +46,8 @@ class ZonePlugin : public Plugin {
  public:
   explicit ZonePlugin(std::shared_ptr<Zone> zone) : zone_(std::move(zone)) {}
   std::string name() const override { return "zone(" + zone_->origin().to_string() + ")"; }
-  void serve(const PluginContext& ctx, Respond respond, Next next) override;
-
-  Zone& zone() { return *zone_; }
+  bool serve(const Message& query, const QueryContext& ctx,
+             Respond& respond) override;
 
  private:
   std::shared_ptr<Zone> zone_;
@@ -61,32 +55,25 @@ class ZonePlugin : public Plugin {
 
 /// Forwards queries under `match` to an upstream server (CoreDNS `forward`).
 /// `match` = root forwards everything (the default-upstream case). The
-/// upstream's response is relayed verbatim (with the client's id restored);
-/// failed upstreams fail over to the next in configured order.
+/// upstream's response is relayed verbatim (with the client's id restored).
+/// A failed upstream — a timeout, or a SERVFAIL from any but the last, the
+/// RFC 2136 "try the next server" behaviour — fails over to the next in
+/// configured order.
 class ForwardPlugin : public Plugin {
  public:
   ForwardPlugin(DnsName match, std::vector<simnet::Endpoint> upstreams,
                 DnsTransport& transport,
                 DnsTransport::Options options = {});
   std::string name() const override { return "forward(" + match_.to_string() + ")"; }
-  void serve(const PluginContext& ctx, Respond respond, Next next) override;
+  bool serve(const Message& query, const QueryContext& ctx,
+             Respond& respond) override;
 
-  const DnsName& match() const { return match_; }
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t upstream_failures() const { return upstream_failures_; }
   /// Queries answered by a later upstream after an earlier one failed.
   std::uint64_t failovers() const { return failovers_; }
   /// Failovers triggered by a SERVFAIL answer (vs transport timeout).
   std::uint64_t servfail_failovers() const { return servfail_failovers_; }
-
-  /// When enabled, a SERVFAIL answer from an upstream is treated like a
-  /// dead upstream and the query fails over to the next one — the RFC 2136
-  /// "try the next server" behaviour real resolvers apply to SERVFAIL.
-  /// Off by default (SERVFAIL is relayed to the client).
-  void set_failover_on_servfail(bool enable) {
-    failover_on_servfail_ = enable;
-  }
-  bool failover_on_servfail() const { return failover_on_servfail_; }
 
   /// When enabled, attach an RFC 7871 Client Subnet option (synthesized
   /// from the client's source address, `prefix` bits) to upstream queries
@@ -114,7 +101,6 @@ class ForwardPlugin : public Plugin {
 
   DnsName match_;
   bool add_ecs_ = false;
-  bool failover_on_servfail_ = false;
   std::uint8_t ecs_prefix_ = 24;
   std::vector<simnet::Endpoint> upstreams_;
   DnsTransport& transport_;
@@ -136,17 +122,11 @@ class CachePlugin : public Plugin {
   explicit CachePlugin(std::shared_ptr<DnsCache> cache)
       : cache_(std::move(cache)) {}
   std::string name() const override { return "cache"; }
-  void serve(const PluginContext& ctx, Respond respond, Next next) override;
-
-  DnsCache& cache() { return *cache_; }
-
-  /// Answers rescued by RFC 8767 serve-stale after a downstream SERVFAIL
-  /// (requires serve-stale enabled on the shared DnsCache).
-  std::uint64_t stale_served() const { return stale_served_; }
+  bool serve(const Message& query, const QueryContext& ctx,
+             Respond& respond) override;
 
  private:
   std::shared_ptr<DnsCache> cache_;
-  std::uint64_t stale_served_ = 0;
 };
 
 /// Terminal plugin: REFUSED for anything that reaches it. Implements the
@@ -155,12 +135,8 @@ class CachePlugin : public Plugin {
 class RefusePlugin : public Plugin {
  public:
   std::string name() const override { return "refuse"; }
-  void serve(const PluginContext& ctx, Respond respond, Next next) override;
-
-  std::uint64_t refused() const { return refused_; }
-
- private:
-  std::uint64_t refused_ = 0;
+  bool serve(const Message& query, const QueryContext& ctx,
+             Respond& respond) override;
 };
 
 /// A named, ordered plugin chain (one CoreDNS "server block").
@@ -174,16 +150,13 @@ class PluginChain {
   }
 
   const std::string& name() const { return name_; }
-  std::size_t size() const { return plugins_.size(); }
-  Plugin& plugin(std::size_t i) { return *plugins_.at(i); }
 
-  /// Runs the chain. If it falls off the end, responds REFUSED.
-  void run(const PluginContext& ctx, Plugin::Respond respond) const;
+  /// Offers the query to each plugin in order until one claims it. If none
+  /// does, responds REFUSED.
+  void run(const Message& query, const QueryContext& ctx,
+           Plugin::Respond respond) const;
 
  private:
-  void run_from(std::size_t index, const PluginContext& ctx,
-                Plugin::Respond respond) const;
-
   std::string name_;
   std::vector<std::unique_ptr<Plugin>> plugins_;
 };
@@ -212,9 +185,6 @@ class PluginChainServer : public DnsServer {
   DnsTransport& transport() { return *transport_; }
   const DnsTransport& transport() const { return *transport_; }
 
-  /// Which view answered the most recent query (test visibility).
-  const std::string& last_view() const { return last_view_; }
-
   /// Per-view query counters.
   std::uint64_t view_queries(const std::string& view_name) const;
 
@@ -231,7 +201,6 @@ class PluginChainServer : public DnsServer {
 
   std::unique_ptr<DnsTransport> transport_;
   std::vector<View> views_;
-  std::string last_view_;
 };
 
 }  // namespace mecdns::dns

@@ -49,20 +49,27 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
 
   // RFC 1035 §4.2.1 / RFC 6891: the client's receive buffer is 512 octets
   // unless it advertised more via EDNS.
-  const std::size_t payload_limit =
+  const std::uint16_t payload_limit =
       decoded.value().edns.has_value()
-          ? std::max<std::size_t>(512, decoded.value().edns->udp_payload_size)
+          ? std::max<std::uint16_t>(512, decoded.value().edns->udp_payload_size)
           : 512;
 
   // The responder captures where to send the reply; handle() may hold it
-  // across its own upstream queries.
-  Responder respond = [this, reply_to = packet.src, payload_limit,
+  // across its own upstream queries or a timer, so it may outlive this
+  // server and then does nothing. Address, port and the 16-bit payload
+  // limit share one 8-byte word, so the guard does not grow the one heap
+  // node the responder costs per query (40 bytes).
+  Responder respond = [self = self_, addr = packet.src.addr,
+                       port = packet.src.port, payload_limit,
                        span](Message response) {
-    ++stats_.responses;
+    DnsServer* server = *self;
+    if (server == nullptr) return;
+    ServerStats& stats = server->stats_;
+    ++stats.responses;
     switch (response.header.rcode) {
-      case RCode::kRefused: ++stats_.refused; break;
-      case RCode::kNxDomain: ++stats_.nxdomain; break;
-      case RCode::kServFail: ++stats_.servfail; break;
+      case RCode::kRefused: ++stats.refused; break;
+      case RCode::kNxDomain: ++stats.nxdomain; break;
+      case RCode::kServFail: ++stats.servfail; break;
       default: break;
     }
     span.tag("rcode", to_string(response.header.rcode));
@@ -73,14 +80,14 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
     if (wire.size() > payload_limit) {
       // Truncate per RFC 2181 §9: set TC and drop the record sections; the
       // client re-queries with a larger EDNS buffer (or TCP, not modelled).
-      ++stats_.truncated;
+      ++stats.truncated;
       response.header.tc = true;
       response.answers.clear();
       response.authorities.clear();
       response.additionals.clear();
       wire = encode_view(response);
     }
-    socket_->send(reply_to, wire);
+    server->socket_->send(simnet::Endpoint{addr, port}, wire);
     span.end();
   };
 

@@ -121,7 +121,7 @@ class DnsServer {
   netio::DatagramSocket* socket_;
   util::Rng rng_;
   /// This server until destruction, then null: scheduled processing
-  /// events hold a copy and do nothing once it is null.
+  /// events and responders hold a copy and do nothing once it is null.
   std::shared_ptr<DnsServer*> self_ = std::make_shared<DnsServer*>(this);
   ServerStats stats_;
   std::size_t workers_ = 0;  ///< 0 = unlimited

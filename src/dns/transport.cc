@@ -259,8 +259,7 @@ void DnsTransport::on_packet(const simnet::Packet& packet) {
   // and move on, rather than delivering the failure to the caller.
   if (response.header.rcode == RCode::kServFail) {
     ++servfails_;
-    if (p.options.failover_on_servfail &&
-        p.server_index < p.options.fallback_servers.size()) {
+    if (p.server_index < p.options.fallback_servers.size()) {
       p.span.tag("servfail_from", std::to_string(p.server_index));
       fail_over(response.header.id);
       return;

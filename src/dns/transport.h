@@ -45,13 +45,10 @@ class DnsTransport {
     /// Cap on the backed-off timer; zero means uncapped.
     simnet::SimTime max_backoff = simnet::SimTime::zero();
     /// Servers tried in order after the current one fails — exhausts its
-    /// retry budget, or answers SERVFAIL (see failover_on_servfail). Each
-    /// server gets the full `1 + max_retries` attempt budget.
+    /// retry budget, or answers SERVFAIL. Each server gets the full
+    /// `1 + max_retries` attempt budget; the last server's SERVFAIL is
+    /// delivered.
     std::vector<simnet::Endpoint> fallback_servers = {};
-    /// Treat a SERVFAIL response as server failure: advance to the next
-    /// fallback server instead of delivering the error (only meaningful
-    /// when fallback_servers is non-empty).
-    bool failover_on_servfail = true;
   };
 
   /// Invoked exactly once per query(): with the response, or with an error

@@ -60,25 +60,27 @@ void IngressMonitor::rebase(simnet::SimTime now) {
   base_ = base_ + simnet::SimTime::nanos(lo);
 }
 
-void OverloadGuardPlugin::shed_one(const dns::PluginContext& ctx,
+bool OverloadGuardPlugin::shed_one(const dns::Message& query,
                                    Respond& respond) {
   ++shed_;
   switch (action_) {
     case OverloadAction::kRefuse:
-      respond(dns::make_response(ctx.query, dns::RCode::kRefused));
+      respond(dns::make_response(query, dns::RCode::kRefused));
       break;
     case OverloadAction::kServFail:
-      respond(dns::make_response(ctx.query, dns::RCode::kServFail));
+      respond(dns::make_response(query, dns::RCode::kServFail));
       break;
     case OverloadAction::kDrop:
       // Never respond; the client's timeout/fallback path handles it.
       break;
   }
+  return true;
 }
 
-void OverloadGuardPlugin::serve(const dns::PluginContext& ctx,
-                                Respond respond, Next next) {
-  const simnet::SimTime now = ctx.net.received;
+bool OverloadGuardPlugin::serve(const dns::Message& query,
+                                const dns::QueryContext& ctx,
+                                Respond& respond) {
+  const simnet::SimTime now = ctx.received;
 
   // Bounded-queue admission control runs before the rate policy: a
   // saturated worker FIFO behind this query means new arrivals are being
@@ -94,8 +96,7 @@ void OverloadGuardPlugin::serve(const dns::PluginContext& ctx,
                          queue_limit_);
       }
     }
-    shed_one(ctx, respond);
-    return;
+    return shed_one(query, respond);
   }
   queue_full_active_ = false;
 
@@ -104,21 +105,18 @@ void OverloadGuardPlugin::serve(const dns::PluginContext& ctx,
   if (recovery_windows_ == 0) {
     // Legacy stateless comparison.
     if (over) {
-      shed_one(ctx, respond);
-      return;
+      return shed_one(query, respond);
     }
   } else if (shedding_) {
     if (over) {
       below_since_.reset();
-      shed_one(ctx, respond);
-      return;
+      return shed_one(query, respond);
     }
     if (!below_since_.has_value()) below_since_ = now;
     const simnet::SimTime quiet = now - *below_since_;
     if (quiet < monitor_.window() * static_cast<std::int64_t>(
                     recovery_windows_)) {
-      shed_one(ctx, respond);
-      return;
+      return shed_one(query, respond);
     }
     // Quiet long enough: recover and admit this query.
     shedding_ = false;
@@ -137,13 +135,12 @@ void OverloadGuardPlugin::serve(const dns::PluginContext& ctx,
                        "ingress over threshold", threshold_,
                        monitor_.rate(now));
     }
-    shed_one(ctx, respond);
-    return;
+    return shed_one(query, respond);
   }
 
   monitor_.record(now);
   ++admitted_;
-  next(std::move(respond));
+  return false;
 }
 
 }  // namespace mecdns::mec

@@ -52,9 +52,10 @@ class IngressMonitor {
 enum class OverloadAction {
   kRefuse,  ///< answer REFUSED; multicast/fallback clients use provider L-DNS
   kDrop,    ///< silently drop; clients time out onto their fallback
-  /// Answer SERVFAIL: composes with DnsTransport's failover_on_servfail so
-  /// clients with a provider fallback fail over within one RTT instead of
-  /// waiting out the timeout ladder — the overload-safe shed policy.
+  /// Answer SERVFAIL: DnsTransport fails a SERVFAIL over to the next
+  /// fallback server, so clients with a provider fallback fail over within
+  /// one RTT instead of waiting out the timeout ladder — the overload-safe
+  /// shed policy.
   kServFail,
 };
 
@@ -65,8 +66,9 @@ class OverloadGuardPlugin : public dns::Plugin {
       : monitor_(monitor), threshold_(threshold_qps), action_(action) {}
 
   std::string name() const override { return "overload-guard"; }
-  void serve(const dns::PluginContext& ctx, Respond respond,
-             Next next) override;
+  /// Admits the query (passes it on, false) or sheds it (claims it, true).
+  bool serve(const dns::Message& query, const dns::QueryContext& ctx,
+             Respond& respond) override;
 
   /// Recovery hysteresis, mirroring cdn::TrafficMonitor's up/down counts:
   /// once tripped, the guard keeps shedding until the ingress rate has
@@ -76,7 +78,6 @@ class OverloadGuardPlugin : public dns::Plugin {
   void set_recovery_windows(std::size_t windows) {
     recovery_windows_ = windows;
   }
-  std::size_t recovery_windows() const { return recovery_windows_; }
 
   /// True while the guard is in its tripped (shedding) state. Only
   /// meaningful with recovery hysteresis enabled.
@@ -102,8 +103,6 @@ class OverloadGuardPlugin : public dns::Plugin {
   }
   std::uint64_t shed_queue_full() const { return shed_queue_full_; }
 
-  OverloadAction action() const { return action_; }
-
   /// Journals guard *transitions* only (trip, recover, and the edge into
   /// queue-probe shedding), never per-query sheds — the journal is a
   /// control-plane recorder and this plugin sits on the query hot path.
@@ -113,7 +112,8 @@ class OverloadGuardPlugin : public dns::Plugin {
   }
 
  private:
-  void shed_one(const dns::PluginContext& ctx, Respond& respond);
+  /// Answers (or drops) a shed query; always claims it.
+  bool shed_one(const dns::Message& query, Respond& respond);
 
   IngressMonitor& monitor_;
   std::size_t threshold_;

@@ -194,5 +194,23 @@ TEST_F(CacheServerTest, AnsweredFetchesLeaveNoTimerBehind) {
   EXPECT_EQ(sim_.now(), answered_at);
 }
 
+TEST_F(CacheServerTest, DestroyedOriginDropsRequestInService) {
+  // The miss reaches the origin at 21.2 ms; its reply is due after the
+  // 2 ms service time, at 23.2 ms.
+  ContentResponse out;
+  client_->get(Endpoint{Ipv4Address::must_parse("10.0.0.2"), kContentPort},
+               Url::must_parse("v.test/seg0000"),
+               [&](util::Result<ContentResponse> response, SimTime) {
+                 if (response.ok()) out = response.value();
+               });
+  sim_.run_until(SimTime::millis(22));
+  ASSERT_EQ(origin_->requests(), 1u);
+  origin_.reset();
+  sim_.run();
+  // The origin never answers: the cache's parent fetch times out.
+  EXPECT_EQ(cache_->stats().parent_failures, 1u);
+  EXPECT_EQ(out.status, 404);
+}
+
 }  // namespace
 }  // namespace mecdns::cdn

@@ -64,6 +64,19 @@ class RouterTest : public ::testing::Test {
     return out;
   }
 
+  /// Resolves video.demo1.mycdn.test from the far resolver, with an edge
+  /// client's /24 in ECS; `out` is filled when the answer arrives.
+  void resolve_far_with_edge_ecs(dns::StubResolver& stub,
+                                 dns::StubResult& out) {
+    dns::ClientSubnet ecs;
+    ecs.address = Ipv4Address::must_parse("10.240.0.0");
+    ecs.source_prefix = 24;
+    stub.resolve_with_ecs(
+        dns::DnsName::must_parse("video.demo1.mycdn.test"),
+        dns::RecordType::kA, ecs,
+        [&out](const dns::StubResult& result) { out = result; });
+  }
+
   bool is_edge(Ipv4Address addr) const {
     return simnet::Cidr::must_parse("10.96.0.0/16").contains(addr);
   }
@@ -175,13 +188,8 @@ TEST_F(RouterTest, EcsOverridesResolverLocalization) {
   dns::StubResolver stub(
       net_.runtime(far_client_),
       Endpoint{Ipv4Address::must_parse("198.51.100.53"), dns::kDnsPort});
-  dns::ClientSubnet ecs;
-  ecs.address = Ipv4Address::must_parse("10.240.0.0");
-  ecs.source_prefix = 24;
   dns::StubResult out;
-  stub.resolve_with_ecs(dns::DnsName::must_parse("video.demo1.mycdn.test"),
-                        dns::RecordType::kA, ecs,
-                        [&](const dns::StubResult& result) { out = result; });
+  resolve_far_with_edge_ecs(stub, out);
   sim_.run();
   ASSERT_TRUE(out.ok);
   EXPECT_TRUE(is_edge(*out.address));
@@ -191,18 +199,29 @@ TEST_F(RouterTest, EcsOverridesResolverLocalization) {
   EXPECT_EQ(router_->router_stats().ecs_localized, 1u);
 }
 
+TEST_F(RouterTest, DestroyedRouterDropsPendingEcsAnswer) {
+  router_->set_use_ecs(true);
+  dns::StubResolver stub(
+      net_.runtime(far_client_),
+      Endpoint{Ipv4Address::must_parse("198.51.100.53"), dns::kDnsPort});
+  dns::StubResult out;
+  resolve_far_with_edge_ecs(stub, out);
+  // The query is handled at 1.5 ms; its ECS-delayed answer is due at
+  // 1.65 ms, from a timer that holds the router's responder.
+  sim_.run_until(SimTime::micros(1600));
+  router_.reset();
+  sim_.run();
+  // The held responder outlived its server and sent nothing.
+  EXPECT_FALSE(out.ok);
+}
+
 TEST_F(RouterTest, EcsIgnoredWhenDisabled) {
   router_->set_use_ecs(false);
   dns::StubResolver stub(
       net_.runtime(far_client_),
       Endpoint{Ipv4Address::must_parse("198.51.100.53"), dns::kDnsPort});
-  dns::ClientSubnet ecs;
-  ecs.address = Ipv4Address::must_parse("10.240.0.0");
-  ecs.source_prefix = 24;
   dns::StubResult out;
-  stub.resolve_with_ecs(dns::DnsName::must_parse("video.demo1.mycdn.test"),
-                        dns::RecordType::kA, ecs,
-                        [&](const dns::StubResult& result) { out = result; });
+  resolve_far_with_edge_ecs(stub, out);
   sim_.run();
   ASSERT_TRUE(out.ok);
   // Resolver-based localization: far resolver -> cloud.

@@ -82,14 +82,16 @@ TEST_F(MecCdnSiteTest, InternalViewServesServiceDiscovery) {
       resolve_as(vnf, "traffic-router.cdn.svc.cluster.local");
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(*result.address, site_->cdns_endpoint().addr);
-  EXPECT_EQ(site_->ldns().last_view(), "internal");
+  EXPECT_EQ(site_->ldns().view_queries("internal"), 1u);
+  EXPECT_EQ(site_->ldns().view_queries("public"), 0u);
 }
 
 TEST_F(MecCdnSiteTest, InternalNamespaceInvisibleToMobileClients) {
   const auto result =
       resolve_as(client_, "traffic-router.cdn.svc.cluster.local");
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(site_->ldns().last_view(), "public");
+  EXPECT_EQ(site_->ldns().view_queries("internal"), 0u);
+  EXPECT_EQ(site_->ldns().view_queries("public"), 1u);
 }
 
 TEST_F(MecCdnSiteTest, NonMecDomainRefusedWithoutProvider) {

@@ -2,8 +2,11 @@
 // views at the heart of the paper's P1 design.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "dns/plugin.h"
 #include "dns/stub.h"
+#include "obs/trace.h"
 
 namespace mecdns::dns {
 namespace {
@@ -12,6 +15,27 @@ using simnet::Endpoint;
 using simnet::Ipv4Address;
 using simnet::LatencyModel;
 using simnet::SimTime;
+
+/// The cache plugin, calling `on_answer` as each downstream answer comes
+/// back into it.
+class ObservedCache : public CachePlugin {
+ public:
+  ObservedCache(std::shared_ptr<DnsCache> cache,
+                std::function<void()> on_answer)
+      : CachePlugin(std::move(cache)), on_answer_(std::move(on_answer)) {}
+  bool serve(const Message& query, const QueryContext& ctx,
+             Respond& respond) override {
+    if (CachePlugin::serve(query, ctx, respond)) return true;
+    respond = [this, respond = std::move(respond)](Message response) {
+      on_answer_();
+      respond(std::move(response));
+    };
+    return false;
+  }
+
+ private:
+  std::function<void()> on_answer_;
+};
 
 class PluginTest : public ::testing::Test {
  protected:
@@ -55,15 +79,16 @@ class PluginTest : public ::testing::Test {
     cache_ = std::make_shared<DnsCache>(128);
   }
 
-  /// Builds the standard split-namespace layout used by several tests.
-  void build_split_views() {
+  /// Builds the standard split-namespace layout used by several tests;
+  /// `cache` replaces the public view's cache plugin.
+  void build_split_views(std::unique_ptr<Plugin> cache = nullptr) {
     PluginChain& internal = server_->add_view(
         "internal", {simnet::Cidr::must_parse("10.240.0.0/24")});
     internal.add(std::make_unique<ZonePlugin>(internal_zone_));
     internal.add(std::make_unique<RefusePlugin>());
 
     PluginChain& pub = server_->add_default_view("public");
-    pub.add(std::make_unique<CachePlugin>(cache_));
+    pub.add(cache ? std::move(cache) : std::make_unique<CachePlugin>(cache_));
     pub.add(std::make_unique<ForwardPlugin>(
         DnsName::must_parse("mycdn.test"),
         std::vector<Endpoint>{
@@ -72,10 +97,12 @@ class PluginTest : public ::testing::Test {
     pub.add(std::make_unique<RefusePlugin>());
   }
 
-  StubResult resolve_from(simnet::NodeId node, const std::string& name) {
+  StubResult resolve_from(simnet::NodeId node, const std::string& name,
+                          obs::TraceSink* trace = nullptr) {
     StubResolver stub(net_.runtime(node),
                       Endpoint{Ipv4Address::must_parse("10.240.0.2"),
                                kDnsPort});
+    stub.set_trace(trace);
     StubResult out;
     stub.resolve(DnsName::must_parse(name), RecordType::kA,
                  [&](const StubResult& result) { out = result; });
@@ -102,14 +129,14 @@ TEST_F(PluginTest, ViewsSelectByClientAddress) {
       resolve_from(internal_client_, "traffic-router.cdn.svc.cluster.local");
   EXPECT_TRUE(internal.ok);
   EXPECT_EQ(*internal.address, Ipv4Address::must_parse("10.96.0.53"));
-  EXPECT_EQ(server_->last_view(), "internal");
+  EXPECT_EQ(server_->view_queries("internal"), 1u);
+  EXPECT_EQ(server_->view_queries("public"), 0u);
 
   // External (mobile) clients do NOT: the public view has no such zone.
   const StubResult external =
       resolve_from(external_client_, "traffic-router.cdn.svc.cluster.local");
   EXPECT_FALSE(external.ok);
   EXPECT_EQ(external.rcode, RCode::kRefused);
-  EXPECT_EQ(server_->last_view(), "public");
   EXPECT_EQ(server_->view_queries("internal"), 1u);
   EXPECT_EQ(server_->view_queries("public"), 1u);
 }
@@ -149,6 +176,36 @@ TEST_F(PluginTest, NonMatchingQueryFallsThroughToRefuse) {
       resolve_from(external_client_, "www.unrelated.org");
   EXPECT_EQ(result.rcode, RCode::kRefused);
   EXPECT_EQ(upstream_->stats().queries, 0u);
+}
+
+TEST_F(PluginTest, PluginSpansNestAndEndInnermostFirst) {
+  obs::TraceSink sink(sim_);
+  const auto span = [&sink](const std::string& name) -> const obs::SpanRecord* {
+    for (const obs::SpanRecord* record : sink.by_component("plugin")) {
+      if (record->name == name) return record;
+    }
+    return nullptr;
+  };
+  // Records which spans have ended when the answer passes back into the
+  // public view's cache.
+  bool forward_ended = false;
+  bool cache_ended = true;
+  build_split_views(std::make_unique<ObservedCache>(cache_, [&] {
+    forward_ended = span("forward(mycdn.test)")->finished;
+    cache_ended = span("cache")->finished;
+  }));
+  ASSERT_TRUE(resolve_from(external_client_, "video.mycdn.test", &sink).ok);
+
+  const obs::SpanRecord* cache = span("cache");
+  const obs::SpanRecord* forward = span("forward(mycdn.test)");
+  ASSERT_NE(cache, nullptr);
+  ASSERT_NE(forward, nullptr);
+  EXPECT_EQ(forward->parent, cache->id);
+  EXPECT_EQ(sink.find(cache->parent)->component, "coredns");
+  EXPECT_TRUE(forward_ended);  // forward's span ends first,
+  EXPECT_FALSE(cache_ended);   // then the cache's
+  EXPECT_TRUE(cache->finished);
+  EXPECT_TRUE(forward->finished);
 }
 
 TEST_F(PluginTest, EmptyChainRefuses) {

@@ -507,7 +507,7 @@ TEST_F(TransportTest, FailsOverToFallbackServerOnTimeout) {
   EXPECT_EQ(backup.received(), 1);
 }
 
-TEST_F(TransportTest, ServfailFailsOverWhenEnabled) {
+TEST_F(TransportTest, ServfailFailsOverToFallback) {
   server_->respond_servfail(true);
   const simnet::NodeId backup_node =
       net_.add_node("backup", Ipv4Address::must_parse("10.0.0.4"));
@@ -518,7 +518,6 @@ TEST_F(TransportTest, ServfailFailsOverWhenEnabled) {
   bool done = false;
   DnsTransport::Options options;
   options.fallback_servers = {{Ipv4Address::must_parse("10.0.0.4"), kDnsPort}};
-  options.failover_on_servfail = true;
   transport_->query(
       server_endpoint(),
       make_query(0, DnsName::must_parse("x.test"), RecordType::kA), options,
@@ -533,11 +532,11 @@ TEST_F(TransportTest, ServfailFailsOverWhenEnabled) {
   EXPECT_EQ(transport_->failovers(), 1u);
 }
 
-TEST_F(TransportTest, ServfailDeliveredWhenFailoverDisabled) {
+TEST_F(TransportTest, ServfailDeliveredWithoutFallback) {
+  // With no fallback server left, the last server's SERVFAIL is the answer.
   server_->respond_servfail(true);
   bool done = false;
   DnsTransport::Options options;
-  options.failover_on_servfail = false;
   transport_->query(
       server_endpoint(),
       make_query(0, DnsName::must_parse("x.test"), RecordType::kA), options,

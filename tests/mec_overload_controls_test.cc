@@ -25,11 +25,12 @@ using mec::OverloadAction;
 using mec::OverloadGuardPlugin;
 using simnet::SimTime;
 
-dns::PluginContext make_ctx(SimTime at) {
-  dns::PluginContext ctx;
-  ctx.query = dns::make_query(1, dns::DnsName::must_parse("x.test"),
-                              dns::RecordType::kA);
-  ctx.net.received = at;
+const dns::Message kQuery =
+    dns::make_query(1, dns::DnsName::must_parse("x.test"), dns::RecordType::kA);
+
+dns::QueryContext received_at(SimTime at) {
+  dns::QueryContext ctx;
+  ctx.received = at;
   return ctx;
 }
 
@@ -43,13 +44,10 @@ TEST(OverloadControls, QueueProbeShedsWhenBacklogReachesLimit) {
   int admitted = 0;
   int servfails = 0;
   const auto serve = [&](SimTime at) {
-    guard.serve(make_ctx(at),
-                [&](dns::Message response) {
-                  if (response.header.rcode == dns::RCode::kServFail) {
-                    ++servfails;
-                  }
-                },
-                [&](dns::Plugin::Respond) { ++admitted; });
+    dns::Plugin::Respond respond = [&](dns::Message response) {
+      if (response.header.rcode == dns::RCode::kServFail) ++servfails;
+    };
+    if (!guard.serve(kQuery, received_at(at), respond)) ++admitted;
   };
   serve(SimTime::millis(0));  // depth 0 -> admitted
   depth = 3;
@@ -76,15 +74,14 @@ TEST(OverloadControls, ServFailShedAnswersImmediately) {
   int responses = 0;
   dns::RCode last = dns::RCode::kNoError;
   for (int i = 0; i < 3; ++i) {
-    guard.serve(make_ctx(SimTime::millis(i)),
-                [&](dns::Message response) {
-                  ++responses;
-                  last = response.header.rcode;
-                },
-                [](dns::Plugin::Respond) {});
+    dns::Plugin::Respond respond = [&](dns::Message response) {
+      ++responses;
+      last = response.header.rcode;
+    };
+    guard.serve(kQuery, received_at(SimTime::millis(i)), respond);
   }
   // Unlike kDrop, every shed produces an answer — the fast failover
-  // signal DnsTransport::failover_on_servfail consumes.
+  // signal DnsTransport's SERVFAIL failover consumes.
   EXPECT_EQ(responses, 2);
   EXPECT_EQ(last, dns::RCode::kServFail);
 }

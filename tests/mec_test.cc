@@ -222,24 +222,29 @@ TEST(IngressMonitor, WindowOfTwoToThe32NanosIsRejected) {
   EXPECT_NO_THROW(IngressMonitor(SimTime::nanos((std::int64_t{1} << 32) - 1)));
 }
 
+/// Offers one query, received at `at`, to the guard; true when the guard
+/// admits it (passes it on down the chain).
+bool admit_at(OverloadGuardPlugin& guard, SimTime at,
+              dns::Plugin::Respond respond = [](dns::Message) {}) {
+  const dns::Message query = dns::make_query(
+      1, dns::DnsName::must_parse("x.test"), dns::RecordType::kA);
+  dns::QueryContext ctx;
+  ctx.received = at;
+  return !guard.serve(query, ctx, respond);
+}
+
 TEST(OverloadGuard, ShedsAboveThreshold) {
   IngressMonitor monitor(SimTime::seconds(1));
   OverloadGuardPlugin guard(monitor, 5, OverloadAction::kRefuse);
 
   int admitted = 0;
   int refused = 0;
+  const auto count_refused = [&](dns::Message response) {
+    if (response.header.rcode == dns::RCode::kRefused) ++refused;
+  };
   for (int i = 0; i < 20; ++i) {
-    dns::PluginContext ctx;
-    ctx.query = dns::make_query(static_cast<std::uint16_t>(i),
-                                dns::DnsName::must_parse("x.test"),
-                                dns::RecordType::kA);
-    ctx.net.received = SimTime::millis(10 * i);  // 100 qps, threshold 5
-    guard.serve(
-        ctx,
-        [&](dns::Message response) {
-          if (response.header.rcode == dns::RCode::kRefused) ++refused;
-        },
-        [&](dns::Plugin::Respond) { ++admitted; });
+    // 100 qps, threshold 5.
+    if (admit_at(guard, SimTime::millis(10 * i), count_refused)) ++admitted;
   }
   EXPECT_EQ(admitted, 5);
   EXPECT_EQ(refused, 15);
@@ -252,12 +257,7 @@ TEST(OverloadGuard, RecoversWhenWindowSlides) {
   OverloadGuardPlugin guard(monitor, 2, OverloadAction::kRefuse);
   int admitted = 0;
   const auto admit = [&](SimTime at) {
-    dns::PluginContext ctx;
-    ctx.query = dns::make_query(1, dns::DnsName::must_parse("x.test"),
-                                dns::RecordType::kA);
-    ctx.net.received = at;
-    guard.serve(ctx, [](dns::Message) {},
-                [&](dns::Plugin::Respond) { ++admitted; });
+    if (admit_at(guard, at)) ++admitted;
   };
   admit(SimTime::millis(0));
   admit(SimTime::millis(10));
@@ -271,16 +271,18 @@ TEST(OverloadGuard, DropModeNeverResponds) {
   IngressMonitor monitor(SimTime::seconds(1));
   OverloadGuardPlugin guard(monitor, 1, OverloadAction::kDrop);
   int responses = 0;
-  int next_calls = 0;
+  int admitted = 0;
+  int claimed = 0;
   for (int i = 0; i < 3; ++i) {
-    dns::PluginContext ctx;
-    ctx.query = dns::make_query(1, dns::DnsName::must_parse("x.test"),
-                                dns::RecordType::kA);
-    ctx.net.received = SimTime::millis(i);
-    guard.serve(ctx, [&](dns::Message) { ++responses; },
-                [&](dns::Plugin::Respond) { ++next_calls; });
+    if (admit_at(guard, SimTime::millis(i),
+                 [&](dns::Message) { ++responses; })) {
+      ++admitted;
+    } else {
+      ++claimed;  // a drop claims the query: nothing after the guard runs
+    }
   }
-  EXPECT_EQ(next_calls, 1);
+  EXPECT_EQ(admitted, 1);
+  EXPECT_EQ(claimed, 2);
   EXPECT_EQ(responses, 0);  // shed queries are silently dropped
 }
 
@@ -291,12 +293,7 @@ TEST(OverloadGuard, RecoveryHysteresisHoldsShedUntilQuiet) {
 
   int admitted = 0;
   const auto query_at = [&](SimTime at) {
-    dns::PluginContext ctx;
-    ctx.query = dns::make_query(1, dns::DnsName::must_parse("x.test"),
-                                dns::RecordType::kA);
-    ctx.net.received = at;
-    guard.serve(ctx, [](dns::Message) {},
-                [&](dns::Plugin::Respond) { ++admitted; });
+    if (admit_at(guard, at)) ++admitted;
   };
 
   query_at(SimTime::millis(0));
@@ -325,13 +322,7 @@ TEST(OverloadGuard, BurstDuringQuietPeriodRestartsTheClock) {
   OverloadGuardPlugin guard(monitor, 2, OverloadAction::kRefuse);
   guard.set_recovery_windows(1);
 
-  const auto query_at = [&](SimTime at) {
-    dns::PluginContext ctx;
-    ctx.query = dns::make_query(1, dns::DnsName::must_parse("x.test"),
-                                dns::RecordType::kA);
-    ctx.net.received = at;
-    guard.serve(ctx, [](dns::Message) {}, [](dns::Plugin::Respond) {});
-  };
+  const auto query_at = [&](SimTime at) { admit_at(guard, at); };
 
   query_at(SimTime::millis(0));
   query_at(SimTime::millis(10));
