@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot paths under the
 // simulation: DNS wire codec, cache, consistent hashing, zone lookup, the
-// event loop, and Zipf sampling.
+// event loop, the load generator's arrival calendar, and Zipf sampling.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -14,9 +14,11 @@
 #include "dns/zone.h"
 #include "obs/journal.h"
 #include "obs/perf.h"
+#include "simnet/packet.h"
 #include "simnet/simulator.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
+#include "workload/loadgen.h"
 #include "workload/zipf.h"
 
 using namespace mecdns;
@@ -178,6 +180,79 @@ void BM_ScheduleAfterDrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ScheduleAfterDrain)->Arg(1024)->Arg(16384);
+
+// The simulated network's event mix: `depth` chains of packet-carrying
+// events (a Packet moved from hop to hop, as Network::forward does), where
+// about 1 event in 10 also arms a 2-s retry timer that the chain's next
+// event cancels, as DnsTransport does when the answer arrives.
+struct PacketChains {
+  simnet::Simulator sim;
+  util::Rng rng{11};
+  std::vector<simnet::EventId> timers;
+  std::uint64_t budget = 0;
+
+  void hop(std::uint32_t chain, simnet::Packet& packet) {
+    if (budget == 0) return;
+    --budget;
+    simnet::EventId& timer = timers[chain];
+    if (timer != simnet::kNoEvent) {
+      sim.cancel(timer);
+      timer = simnet::kNoEvent;
+    } else if (rng.uniform_int(10) == 0) {
+      timer = sim.schedule_after(simnet::SimTime::seconds(2), [] {});
+    }
+    ++packet.ttl;
+    const simnet::SimTime delay =
+        simnet::SimTime::nanos(static_cast<std::int64_t>(rng.uniform_int(4'000'000)));
+    sim.schedule_after(delay, [this, chain, p = std::move(packet)]() mutable {
+      hop(chain, p);
+    });
+  }
+};
+
+void BM_PacketEventChain(benchmark::State& state) {
+  const auto depth = static_cast<std::uint32_t>(state.range(0));
+  constexpr std::uint64_t kEvents = 100000;
+  for (auto _ : state) {
+    PacketChains chains;
+    chains.timers.assign(depth, simnet::kNoEvent);
+    chains.budget = kEvents;
+    for (std::uint32_t chain = 0; chain < depth; ++chain) {
+      simnet::Packet packet;
+      packet.payload.assign(53, 0);
+      chains.sim.schedule_after(simnet::SimTime::zero(),
+                                [&chains, chain, p = std::move(packet)]() mutable {
+                                  chains.hop(chain, p);
+                                });
+    }
+    chains.sim.run();
+    benchmark::DoNotOptimize(chains.sim.executed());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kEvents));
+}
+BENCHMARK(BM_PacketEventChain)->Arg(200);
+
+// The load generator at perfbench's scale: 10^6 UEs at 0.002 Hz each over a
+// 120-s window (~240k arrivals), start() plus draining every arrival with a
+// no-op issuer. Items are arrivals issued.
+void BM_ArrivalDrain(benchmark::State& state) {
+  workload::LoadGenerator::Options options;
+  options.ues = 1'000'000;
+  options.rate_hz = 0.002;
+  options.duration = simnet::SimTime::seconds(120);
+  std::uint64_t issued = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    simnet::Simulator sim;
+    workload::LoadGenerator gen(sim, options, [](std::uint32_t) {});
+    state.ResumeTiming();
+    gen.start();
+    sim.run();
+    issued += gen.issued();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(issued));
+}
+BENCHMARK(BM_ArrivalDrain)->Unit(benchmark::kMillisecond);
 
 // Flat open-addressing map vs std::map on the DNS-cache key shape — the
 // head-to-head behind moving every hot map off the red-black tree.

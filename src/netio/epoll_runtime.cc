@@ -199,10 +199,7 @@ void EpollRuntime::poll_once(simnet::SimTime wake_by) {
     if (live) drain_socket(*socket);
   }
   while (timers_.next_at() <= now()) {
-    simnet::EventQueue::Event timer = timers_.pop();
-    ++timers_fired_;
-    simnet::TraceTokenGuard context(timer.trace);
-    timer.fn();
+    timers_.fire_next([this](simnet::SimTime) { ++timers_fired_; });
   }
 }
 

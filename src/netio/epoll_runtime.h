@@ -28,7 +28,7 @@ class EpollRuntime final : public Runtime {
   ~EpollRuntime() override;
 
   simnet::SimTime now() const override;
-  TimerId schedule_after(simnet::SimTime delay, Callback fn) override {
+  TimerId schedule_after(simnet::SimTime delay, Callback&& fn) override {
     return timers_.push(now() + delay, std::move(fn));
   }
   void cancel(TimerId timer) override {

@@ -70,8 +70,10 @@ class Runtime {
   virtual simnet::SimTime now() const = 0;
 
   /// Runs `fn` once, `delay` from now. The returned id is valid for
-  /// cancel() until the timer fires.
-  virtual TimerId schedule_after(simnet::SimTime delay, Callback fn) = 0;
+  /// cancel() until the timer fires. A lambda argument is built into a
+  /// Callback temporary, which both runtimes relocate once, into its queue
+  /// slot.
+  virtual TimerId schedule_after(simnet::SimTime delay, Callback&& fn) = 0;
 
   /// A cancelled timer never runs (both runtimes keep timers in one
   /// simnet::EventQueue); cancelling kNoTimer or a fired, cancelled or

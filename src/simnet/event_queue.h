@@ -1,12 +1,21 @@
 // Cancellable timer queue shared by the simulator and the epoll loop: a
-// binary min-heap of {at, seq, slot} keys over a slab of callback slots
-// with a free list. Sifting moves 24-byte keys, never the callbacks, and
-// cancel() is O(1): it frees the slot and leaves the key behind as a
-// tombstone that pops skip, because the slot no longer carries its seq.
+// 4-ary min-heap of {at, seq, slot} keys over callback slots with a free
+// list. Sifting moves 24-byte keys, never the callbacks.
+//
+// A callback is built in its slot, runs in its slot and is destroyed there:
+// push() constructs the callable in place and fire_next() invokes it where
+// it lies. Slots live in fixed-size blocks that never move, so a running
+// callback may schedule any number of events (growing the storage) and
+// still read its own captures. cancel() is O(1): it destroys the callback,
+// frees the slot and leaves the key behind as a tombstone that pops skip,
+// because the slot no longer carries its seq. Once tombstones outnumber
+// live keys (plus a small constant) they are swept and the heap rebuilt,
+// so the heap stays at the size of the live work.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -29,29 +38,43 @@ class EventQueue {
   /// schedule (a Packet, a few values) never touch the heap.
   using Callback = util::InlineFunction<void(), 192>;
 
-  struct Event {
-    SimTime at;
-    TraceToken trace;
-    Callback fn;
-  };
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
-  EventId push(SimTime at, Callback fn) {
+  /// Destroys every pending callback once. A capture's destructor may
+  /// still cancel other events of this queue.
+  ~EventQueue() {
+    for (std::uint32_t slot = 0; slot < seqs_.size(); ++slot) {
+      if (seqs_[slot] == kFree) continue;
+      seqs_[slot] = kFree;
+      slot_at(slot).fn.reset();
+    }
+  }
+
+  /// Schedules `fn` at `at`, building the callable directly in its slot (a
+  /// Callback is relocated into it, once).
+  template <typename F>
+  EventId push(SimTime at, F&& fn) {
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
       free_.pop_back();
     } else {
-      if (slots_.size() == kSlotMask) throw std::length_error("event slots");
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
+      slot = grow();
+    }
+    Slot& s = slot_at(slot);
+    try {
+      s.fn.emplace(std::forward<F>(fn));
+    } catch (...) {
+      free_.push_back(slot);
+      throw;
     }
     const std::uint64_t seq = next_seq_++;
-    Slot& s = slots_[slot];
-    s.seq = seq;
+    seqs_[slot] = seq;
     s.trace = current_trace_token();
-    s.fn = std::move(fn);
     heap_.push_back(Key{at, seq, slot});
-    std::push_heap(heap_.begin(), heap_.end(), later);
+    sift_up(heap_.size() - 1);
     ++live_;
     // The id packs the slot (+1, so no id is 0) under the seq's low bits:
     // a stale id matches its slot again only 2^40 pushes later.
@@ -59,18 +82,21 @@ class EventQueue {
   }
 
   /// Destroys the event's callback if `id` still names a pending event and
-  /// returns true. A fired, cancelled or never-issued id is a no-op, and a
-  /// stale id never cancels a later event that reuses its slot.
+  /// returns true. A fired, cancelled, running or never-issued id is a
+  /// no-op, and a stale id never cancels a later event that reuses its slot.
   bool cancel(EventId id) {
     const std::uint64_t slot = (id & kSlotMask) - 1;  // id 0 wraps: no slot
-    if (slot >= slots_.size() || slots_[slot].seq == kFree ||
-        (slots_[slot].seq & kSeqMask) != id >> kSlotBits) {
+    if (slot >= seqs_.size() || seqs_[slot] == kFree ||
+        (seqs_[slot] & kSeqMask) != id >> kSlotBits) {
       return false;
     }
-    // Destroy the callback after the bookkeeping: its captures' destructors
-    // may push or cancel events themselves.
-    const Callback doomed = std::move(slots_[slot].fn);
-    release(static_cast<std::uint32_t>(slot));
+    seqs_[slot] = kFree;
+    --live_;
+    // Destroy the callback after the bookkeeping, and free the slot after
+    // that: its captures' destructors may push or cancel events themselves.
+    slot_at(static_cast<std::uint32_t>(slot)).fn.reset();
+    free_.push_back(static_cast<std::uint32_t>(slot));
+    if (heap_.size() - live_ > live_ + kSweepSlack) sweep();
     return true;
   }
 
@@ -80,16 +106,32 @@ class EventQueue {
     return heap_.empty() ? SimTime::max() : heap_.front().at;
   }
 
-  /// Removes and returns the earliest pending event. Requires !empty().
-  Event pop() {
+  /// Runs the earliest pending event: calls `before(at)`, then invokes the
+  /// callback in its slot under the TraceToken saved at push time, then
+  /// destroys it. The slot is marked free before the call and returned to
+  /// the free list after it, so cancelling the running event is a no-op
+  /// and no push during the call reuses its slot. Requires !empty().
+  template <typename Before>
+  void fire_next(Before&& before) {
     skip_cancelled();
     const Key key = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    heap_.pop_back();
-    Slot& slot = slots_[key.slot];
-    Event event{key.at, slot.trace, std::move(slot.fn)};
-    release(key.slot);
-    return event;
+    pop_front();
+    seqs_[key.slot] = kFree;
+    --live_;
+    Slot& slot = slot_at(key.slot);
+    // Destroys the callback and frees the slot even if the call throws.
+    struct Release {
+      EventQueue& queue;
+      Slot& slot;
+      std::uint32_t index;
+      ~Release() {
+        slot.fn.reset();
+        queue.free_.push_back(index);  // capacity reserved by grow()
+      }
+    } release{*this, slot, key.slot};
+    before(key.at);
+    TraceTokenGuard context(slot.trace);
+    slot.fn();
   }
 
   bool empty() const { return live_ == 0; }
@@ -101,6 +143,13 @@ class EventQueue {
       (std::uint64_t{1} << kSlotBits) - 1;
   static constexpr std::uint64_t kSeqMask = ~std::uint64_t{0} >> kSlotBits;
   static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+  /// Slots per block: blocks never move once allocated.
+  static constexpr int kBlockBits = 6;
+  static constexpr std::uint32_t kBlockSize = 1u << kBlockBits;
+  /// Tombstones tolerated beyond the live key count before a sweep.
+  static constexpr std::size_t kSweepSlack = 32;
+  /// Children per heap node.
+  static constexpr std::size_t kArity = 4;
 
   struct Key {
     SimTime at;
@@ -108,7 +157,6 @@ class EventQueue {
     std::uint32_t slot;
   };
   struct Slot {
-    std::uint64_t seq = kFree;
     TraceToken trace;
     Callback fn;
   };
@@ -117,23 +165,82 @@ class EventQueue {
     return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
 
-  void skip_cancelled() {
-    while (!heap_.empty() &&
-           slots_[heap_.front().slot].seq != heap_.front().seq) {
-      std::pop_heap(heap_.begin(), heap_.end(), later);
-      heap_.pop_back();
-    }
+  Slot& slot_at(std::uint32_t slot) {
+    return blocks_[slot >> kBlockBits][slot & (kBlockSize - 1)];
   }
 
-  void release(std::uint32_t slot) {
-    slots_[slot].seq = kFree;
-    free_.push_back(slot);
-    --live_;
+  /// Adds a block of slots and returns the first; the rest go to the free
+  /// list, lowest index on top.
+  std::uint32_t grow() {
+    const std::size_t first = seqs_.size();
+    if (first + kBlockSize > kSlotMask) throw std::length_error("event slots");
+    blocks_.push_back(std::make_unique<Slot[]>(kBlockSize));
+    seqs_.resize(first + kBlockSize, kFree);
+    // A slot is either pending, running or free, so the free list never
+    // holds more than every slot: fire_next() can return one without
+    // allocating.
+    free_.reserve(seqs_.size());
+    for (std::uint32_t i = kBlockSize - 1; i > 0; --i) {
+      free_.push_back(static_cast<std::uint32_t>(first + i));
+    }
+    return static_cast<std::uint32_t>(first);
+  }
+
+  bool cancelled(const Key& key) const { return seqs_[key.slot] != key.seq; }
+
+  void skip_cancelled() {
+    while (!heap_.empty() && cancelled(heap_.front())) pop_front();
+  }
+
+  /// Drops every tombstone and rebuilds the heap. (at, seq) is a total
+  /// order, so the pop order is the same as before the sweep.
+  void sweep() {
+    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                               [this](const Key& k) { return cancelled(k); }),
+                heap_.end());
+    for (std::size_t i = heap_.size() / kArity + 1; i-- > 0;) sift_down(i);
+  }
+
+  void sift_up(std::size_t i) {
+    const Key key = heap_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!later(heap_[parent], key)) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = key;
+  }
+
+  void sift_down(std::size_t i) {
+    const std::size_t n = heap_.size();
+    if (i >= n) return;
+    const Key key = heap_[i];
+    for (;;) {
+      const std::size_t first = i * kArity + 1;
+      if (first >= n) break;
+      std::size_t best = first;
+      const std::size_t last = std::min(first + kArity, n);
+      for (std::size_t c = first + 1; c < last; ++c) {
+        if (later(heap_[best], heap_[c])) best = c;
+      }
+      if (!later(key, heap_[best])) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = key;
+  }
+
+  void pop_front() {
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    sift_down(0);
   }
 
   std::vector<Key> heap_;
-  std::vector<Slot> slots_;
+  std::vector<std::uint64_t> seqs_;  ///< per slot: pending seq, or kFree
   std::vector<std::uint32_t> free_;
+  std::vector<std::unique_ptr<Slot[]>> blocks_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
 };

@@ -159,17 +159,17 @@ void Network::add_tap(NodeId node, Tap tap) {
   nodes_.at(node).taps.push_back(std::move(tap));
 }
 
-void Network::send_from(NodeId node, Packet packet) {
+void Network::send_from(NodeId node, Packet&& packet) {
   packet.id = next_packet_id_++;
   ++stats_.sent;
   // Arrival processing at the origin node runs as its own event so that the
   // origin's taps and hooks see the packet exactly like any other node's.
   sim_.schedule_after(SimTime::zero(), [this, node, p = std::move(packet)]() mutable {
-    arrive(node, std::move(p));
+    arrive(node, p);
   });
 }
 
-void Network::arrive(NodeId node, Packet packet) {
+void Network::arrive(NodeId node, Packet& packet) {
   NodeRec& rec = nodes_[node];
   if (!rec.up) {
     ++stats_.dropped_node_down;
@@ -245,7 +245,7 @@ void Network::forward(NodeId node, Packet&& packet) {
     delay += SimTime::seconds(seconds);
   }
   sim_.schedule_after(delay, [this, next, p = std::move(packet)]() mutable {
-    arrive(next, std::move(p));
+    arrive(next, p);
   });
 }
 

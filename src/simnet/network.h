@@ -187,8 +187,9 @@ class Network {
     std::vector<LinkId> links;
   };
 
-  void send_from(NodeId node, Packet packet);
-  void arrive(NodeId node, Packet packet);
+  void send_from(NodeId node, Packet&& packet);
+  /// Runs in the delivery event, on the Packet its capture owns.
+  void arrive(NodeId node, Packet& packet);
   void forward(NodeId node, Packet&& packet);
   void deliver_local(NodeId node, const Packet& packet);
   void ensure_routes();

@@ -24,7 +24,7 @@ class SimRuntime final : public netio::Runtime {
 
   SimTime now() const override { return net_.now(); }
 
-  netio::TimerId schedule_after(SimTime delay, Callback fn) override {
+  netio::TimerId schedule_after(SimTime delay, Callback&& fn) override {
     return net_.simulator().schedule_after(delay, std::move(fn));
   }
 

@@ -1,9 +1,6 @@
 #include "simnet/simulator.h"
 
-#include <utility>
-
 #include "util/log.h"
-#include "util/perfcount.h"
 
 namespace mecdns::simnet {
 
@@ -18,14 +15,6 @@ Simulator::Simulator() {
 }
 
 Simulator::~Simulator() { util::clear_log_clock(this); }
-
-EventId Simulator::schedule_at(SimTime at, Callback fn) {
-  if (at < now_) at = now_;
-  const EventId id = queue_.push(at, std::move(fn));
-  if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
-  ++util::perf::counters().events_scheduled;
-  return id;
-}
 
 std::size_t Simulator::run() {
   std::size_t n = 0;
@@ -45,14 +34,13 @@ std::size_t Simulator::run_until(SimTime until) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  EventQueue::Event ev = queue_.pop();
-  now_ = ev.at;
-  ++executed_;
-  ++util::perf::counters().events_fired;
-  // Run under the context captured at scheduling time, so trace spans
-  // follow the request across asynchronous boundaries.
-  TraceTokenGuard context(ev.trace);
-  ev.fn();
+  // The event runs under the context captured at scheduling time, so trace
+  // spans follow the request across asynchronous boundaries.
+  queue_.fire_next([this](SimTime at) {
+    now_ = at;
+    ++executed_;
+    ++util::perf::counters().events_fired;
+  });
   return true;
 }
 

@@ -2,9 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "simnet/event_queue.h"
 #include "simnet/time.h"
+#include "util/perfcount.h"
 
 namespace mecdns::simnet {
 
@@ -30,12 +32,21 @@ class Simulator {
   SimTime now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `at`. Scheduling in the past is
-  /// clamped to "immediately after the current event".
-  EventId schedule_at(SimTime at, Callback fn);
+  /// clamped to "immediately after the current event". A lambda is built
+  /// straight into its queue slot; a Callback is relocated into it once.
+  template <typename F>
+  EventId schedule_at(SimTime at, F&& fn) {
+    if (at < now_) at = now_;
+    const EventId id = queue_.push(at, std::forward<F>(fn));
+    if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
+    ++util::perf::counters().events_scheduled;
+    return id;
+  }
 
   /// Schedules `fn` to run `delay` after the current time.
-  EventId schedule_after(SimTime delay, Callback fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  template <typename F>
+  EventId schedule_after(SimTime delay, F&& fn) {
+    return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Drops a pending event; returns false (and does nothing) if `id` has

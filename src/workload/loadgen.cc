@@ -1,6 +1,5 @@
 #include "workload/loadgen.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace mecdns::workload {
@@ -28,15 +27,14 @@ double uniform01(std::uint64_t& state) {
 LoadGenerator::LoadGenerator(simnet::Simulator& sim, Options options,
                              Issue issue)
     : sim_(sim), options_(options), issue_(std::move(issue)) {
-  rng_.resize(options_.ues);
+  rng_.reserve(options_.ues);
   for (std::uint32_t ue = 0; ue < options_.ues; ++ue) {
     // Decorrelate neighbouring UEs: the stream position starts at the mixed
     // (seed, ue) pair rather than at small consecutive integers.
     std::uint64_t s = options_.seed ^ (0x9e3779b97f4a7c15ULL * (ue + 1));
     split_mix64_next(s);
-    rng_[ue] = s;
+    rng_.push_back(s);
   }
-  heap_.reserve(options_.ues);
 }
 
 simnet::SimTime LoadGenerator::next_gap(std::uint32_t ue,
@@ -48,20 +46,21 @@ simnet::SimTime LoadGenerator::next_gap(std::uint32_t ue,
   return simnet::SimTime::seconds(gap);
 }
 
-void LoadGenerator::push(std::int64_t at_nanos, std::uint32_t ue) {
-  heap_.push_back(Arrival{at_nanos, ue});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-}
-
 void LoadGenerator::start() {
   const std::int64_t now = sim_.now().count_nanos();
   window_end_nanos_ = now + options_.duration.count_nanos();
   if (options_.rate_hz <= 0.0 || options_.ues == 0) return;
   const double mean_gap_s = 1.0 / options_.rate_hz;
+  // Expect ues * P(first gap < duration) first arrivals in the window.
+  const double in_window =
+      -std::expm1(-options_.rate_hz * options_.duration.to_seconds());
+  ArrivalCalendar<Arrival>::Seed first;
+  first.reserve(static_cast<std::size_t>(options_.ues * in_window * 1.01) + 64);
   for (std::uint32_t ue = 0; ue < options_.ues; ++ue) {
     const std::int64_t at = now + next_gap(ue, mean_gap_s).count_nanos();
-    if (at < window_end_nanos_) push(at, ue);
+    if (at < window_end_nanos_) first.push_back(Arrival{at, ue});
   }
+  pending_.load(std::move(first), now, window_end_nanos_);
   arm();
 }
 
@@ -72,13 +71,16 @@ void LoadGenerator::complete(std::uint32_t ue) {
       sim_.now().count_nanos() +
       next_gap(ue, options_.mean_think.to_seconds()).count_nanos();
   if (at >= window_end_nanos_) return;
-  push(at, ue);
+  pending_.push(Arrival{at, ue});
   arm();
 }
 
 void LoadGenerator::arm() {
-  if (heap_.empty()) return;
-  const std::int64_t top = heap_.front().at_nanos;
+  if (pending_.empty()) return;
+  const auto [top, ue] = pending_.top();
+  // The next pump draws from this UE's stream: start fetching it now, so
+  // the miss overlaps the events that run before then.
+  __builtin_prefetch(&rng_[ue]);
   // One live pump event suffices unless an earlier arrival appeared (a
   // closed-loop completion); then arm a second, earlier event. The stale
   // later event degenerates to a no-op wakeup — pump() drains by time, not
@@ -94,16 +96,13 @@ void LoadGenerator::pump(std::int64_t fired_for) {
   const std::int64_t now = sim_.now().count_nanos();
   const double mean_gap_s =
       options_.rate_hz > 0.0 ? 1.0 / options_.rate_hz : 0.0;
-  while (!heap_.empty() && heap_.front().at_nanos <= now) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    const std::uint32_t ue = heap_.back().ue;
-    const std::int64_t at = heap_.back().at_nanos;
-    heap_.pop_back();
+  while (!pending_.empty() && pending_.top().at_nanos <= now) {
+    const auto [at, ue] = pending_.pop();
     ++issued_;
     issue_(ue);
     if (!options_.closed_loop) {
       const std::int64_t next = at + next_gap(ue, mean_gap_s).count_nanos();
-      if (next < window_end_nanos_) push(next, ue);
+      if (next < window_end_nanos_) pending_.push(Arrival{next, ue});
     }
   }
   arm();

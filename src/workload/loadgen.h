@@ -5,8 +5,8 @@
 // dense edge population means sustaining load from 10^5–10^6 UEs, which no
 // per-UE object graph survives. This generator keeps exactly 8 bytes of
 // state per UE — a SplitMix64 stream position, stored struct-of-arrays —
-// plus a binary heap of pending arrivals (16 bytes each), and drives any
-// query-issuing callback:
+// plus an ArrivalCalendar of pending arrivals (16 bytes each), and drives
+// any query-issuing callback:
 //
 //   * open loop: each UE emits queries as an independent Poisson process of
 //     `rate_hz`; arrivals are scheduled regardless of completions (the
@@ -20,7 +20,7 @@
 // Scheduling discipline: the generator keeps ONE simulator event armed for
 // the earliest pending arrival and batch-issues everything due at that
 // instant, so the simulator's queue depth stays O(in-flight queries), not
-// O(UEs). Heap ties break on UE index; per-UE randomness is a pure function
+// O(UEs). Equal times break on UE index; per-UE randomness is a pure function
 // of (seed, ue), so runs are bit-identical regardless of how the campaign
 // parallelizes around them.
 #pragma once
@@ -31,6 +31,7 @@
 
 #include "simnet/simulator.h"
 #include "simnet/time.h"
+#include "workload/arrival_calendar.h"
 
 namespace mecdns::workload {
 
@@ -66,22 +67,17 @@ class LoadGenerator {
   std::uint64_t issued() const { return issued_; }
   std::uint64_t completed() const { return completed_; }
   /// True once the window has passed and no arrivals remain pending.
-  bool drained() const { return heap_.empty(); }
+  bool drained() const { return pending_.empty(); }
   const Options& options() const { return options_; }
 
  private:
   struct Arrival {
     std::int64_t at_nanos;
     std::uint32_t ue;
-    bool operator>(const Arrival& other) const {
-      if (at_nanos != other.at_nanos) return at_nanos > other.at_nanos;
-      return ue > other.ue;
-    }
   };
 
   /// Next exponential inter-arrival gap for `ue`, advancing its stream.
   simnet::SimTime next_gap(std::uint32_t ue, double mean_seconds);
-  void push(std::int64_t at_nanos, std::uint32_t ue);
   void arm();
   void pump(std::int64_t fired_for);
 
@@ -89,7 +85,7 @@ class LoadGenerator {
   Options options_;
   Issue issue_;
   std::vector<std::uint64_t> rng_;  ///< SoA: one SplitMix64 state per UE
-  std::vector<Arrival> heap_;       ///< min-heap on (time, ue)
+  ArrivalCalendar<Arrival> pending_;
   std::int64_t window_end_nanos_ = 0;
   std::int64_t armed_at_nanos_ = -1;  ///< earliest armed pump event, -1 none
   std::uint64_t issued_ = 0;

@@ -1,6 +1,5 @@
 #include "workload/mobility.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace mecdns::workload {
@@ -79,17 +78,12 @@ std::uint16_t MobilityModel::other_cell(std::uint32_t ue,
   return static_cast<std::uint16_t>((from + step) % options_.cells);
 }
 
-void MobilityModel::push(std::int64_t at_nanos, std::uint32_t ue,
-                         std::uint16_t to) {
-  heap_.push_back(Pending{at_nanos, ue, to});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-}
-
 void MobilityModel::start() {
   start_nanos_ = sim_.now().count_nanos();
   window_end_nanos_ = start_nanos_ + options_.duration.count_nanos();
   if (options_.ues == 0 || options_.cells == 0) return;
 
+  ArrivalCalendar<Pending>::Seed first;
   for (std::uint32_t ue = 0; ue < options_.ues; ++ue) {
     const std::uint16_t initial = static_cast<std::uint16_t>(
         split_mix64_next(rng_[ue]) % options_.cells);
@@ -108,7 +102,9 @@ void MobilityModel::start() {
         const std::int64_t at =
             start_nanos_ + options_.event_start.count_nanos() +
             simnet::SimTime::seconds(uniform(ue) * span_s).count_nanos();
-        if (at < window_end_nanos_) push(at, ue, options_.target_cell);
+        if (at < window_end_nanos_) {
+          first.push_back(Pending{at, ue, options_.target_cell});
+        }
         break;
       }
       case MobilityScenario::kFlashCrowd: {
@@ -121,7 +117,7 @@ void MobilityModel::start() {
             start_nanos_ + options_.event_start.count_nanos() +
             simnet::SimTime::seconds(uniform(ue) * burst_s).count_nanos();
         if (converge < window_end_nanos_) {
-          push(converge, ue, options_.target_cell);
+          first.push_back(Pending{converge, ue, options_.target_cell});
         }
         break;
       }
@@ -129,11 +125,14 @@ void MobilityModel::start() {
         const std::int64_t at =
             start_nanos_ +
             exp_gap(ue, options_.dwell.to_seconds()).count_nanos();
-        if (at < window_end_nanos_) push(at, ue, other_cell(ue, initial));
+        if (at < window_end_nanos_) {
+          first.push_back(Pending{at, ue, other_cell(ue, initial)});
+        }
         break;
       }
     }
   }
+  pending_.load(std::move(first), start_nanos_, window_end_nanos_);
   arm();
 }
 
@@ -144,8 +143,8 @@ std::uint32_t MobilityModel::population(std::uint16_t cell) const {
 }
 
 void MobilityModel::arm() {
-  if (heap_.empty()) return;
-  const std::int64_t top = heap_.front().at_nanos;
+  if (pending_.empty()) return;
+  const std::int64_t top = pending_.top().at_nanos;
   if (armed_at_nanos_ >= 0 && armed_at_nanos_ <= top) return;
   armed_at_nanos_ = top;
   sim_.schedule_at(simnet::SimTime::nanos(top), [this, top] { pump(top); });
@@ -154,10 +153,8 @@ void MobilityModel::arm() {
 void MobilityModel::pump(std::int64_t fired_for) {
   if (armed_at_nanos_ == fired_for) armed_at_nanos_ = -1;
   const std::int64_t now = sim_.now().count_nanos();
-  while (!heap_.empty() && heap_.front().at_nanos <= now) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    const Pending next = heap_.back();
-    heap_.pop_back();
+  while (!pending_.empty() && pending_.top().at_nanos <= now) {
+    const Pending next = pending_.pop();
 
     const std::uint16_t from = cell_[next.ue];
     if (next.to != from) {
@@ -180,7 +177,7 @@ void MobilityModel::pump(std::int64_t fired_for) {
               simnet::SimTime::seconds(uniform(next.ue) * burst_s)
                   .count_nanos();
           if (disperse < window_end_nanos_) {
-            push(disperse, next.ue, home_[next.ue]);
+            pending_.push(Pending{disperse, next.ue, home_[next.ue]});
           }
         }
         break;
@@ -190,7 +187,7 @@ void MobilityModel::pump(std::int64_t fired_for) {
             next.at_nanos +
             exp_gap(next.ue, options_.dwell.to_seconds()).count_nanos();
         if (at < window_end_nanos_) {
-          push(at, next.ue, other_cell(next.ue, next.to));
+          pending_.push(Pending{at, next.ue, other_cell(next.ue, next.to)});
         }
         break;
       }

@@ -16,8 +16,8 @@
 //     re-targets, not the population distribution.
 //
 // State is struct-of-arrays like workload::LoadGenerator: one SplitMix64
-// stream position, a current cell and a home cell per UE, plus a binary
-// min-heap of pending moves drained by a single armed pump event. Every
+// stream position, a current cell and a home cell per UE, plus the same
+// ArrivalCalendar of pending moves, drained by a single armed pump event. Every
 // move is a pure function of (seed, ue), so campaigns stay byte-identical
 // at any worker count.
 #pragma once
@@ -31,6 +31,7 @@
 
 #include "simnet/simulator.h"
 #include "simnet/time.h"
+#include "workload/arrival_calendar.h"
 
 namespace mecdns::workload {
 
@@ -82,7 +83,7 @@ class MobilityModel {
   std::uint16_t cell_of(std::uint32_t ue) const { return cell_[ue]; }
   std::uint16_t home_of(std::uint32_t ue) const { return home_[ue]; }
   std::uint64_t moves() const { return moves_; }
-  bool drained() const { return heap_.empty(); }
+  bool drained() const { return pending_.empty(); }
   /// Population currently in `cell` (O(UEs); for tests and summaries).
   std::uint32_t population(std::uint16_t cell) const;
   const Options& options() const { return options_; }
@@ -92,17 +93,12 @@ class MobilityModel {
     std::int64_t at_nanos;
     std::uint32_t ue;
     std::uint16_t to;
-    bool operator>(const Pending& other) const {
-      if (at_nanos != other.at_nanos) return at_nanos > other.at_nanos;
-      return ue > other.ue;
-    }
   };
 
   double uniform(std::uint32_t ue);
   simnet::SimTime exp_gap(std::uint32_t ue, double mean_seconds);
   /// A uniformly random cell different from `from`.
   std::uint16_t other_cell(std::uint32_t ue, std::uint16_t from);
-  void push(std::int64_t at_nanos, std::uint32_t ue, std::uint16_t to);
   void arm();
   void pump(std::int64_t fired_for);
 
@@ -112,7 +108,7 @@ class MobilityModel {
   std::vector<std::uint64_t> rng_;   ///< SoA: SplitMix64 state per UE
   std::vector<std::uint16_t> cell_;  ///< current cell per UE
   std::vector<std::uint16_t> home_;  ///< initial cell (crowd disperses home)
-  std::vector<Pending> heap_;        ///< min-heap on (time, ue)
+  ArrivalCalendar<Pending> pending_;
   std::int64_t start_nanos_ = 0;
   std::int64_t window_end_nanos_ = 0;
   std::int64_t armed_at_nanos_ = -1;

@@ -9,7 +9,9 @@
 // mecdns_livewire binary from outside the process.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -139,6 +141,68 @@ TYPED_TEST(RuntimeCancelTest, CancelledTimerNeverFires) {
     // Only cancels that stopped an armed timer count.
     EXPECT_EQ(this->harness_.rt.timers_cancelled(), 4u);
     EXPECT_EQ(this->harness_.rt.timers_fired(), 6u);
+  } else {
+    EXPECT_EQ(this->harness_.sim.pending(), 0u);
+  }
+}
+
+/// Counts its moves: building a Callback from it is one, and the runtime
+/// may add at most one more, into its queue slot.
+struct MoveProbe {
+  int* moves;
+  int* calls;
+  MoveProbe(int* m, int* c) : moves(m), calls(c) {}
+  MoveProbe(MoveProbe&& other) noexcept : moves(other.moves), calls(other.calls) {
+    ++*moves;
+  }
+  MoveProbe& operator=(MoveProbe&&) = delete;
+  void operator()() { ++*calls; }
+};
+
+TYPED_TEST(RuntimeCancelTest, ScheduleAfterRelocatesTheCallbackAtMostOnce) {
+  Runtime& rt = this->harness_.runtime();
+  int moves = 0, calls = 0;
+  rt.schedule_after(SimTime::millis(1), MoveProbe(&moves, &calls));
+  EXPECT_LE(moves, 2);  // into the Callback, then at most into the slot
+  const int scheduled = moves;
+  this->harness_.run_for(SimTime::millis(20));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(moves, scheduled);  // fired in place
+}
+
+TYPED_TEST(RuntimeCancelTest, FiringTimerSchedulesAndCancelsOthers) {
+  Runtime& rt = this->harness_.runtime();
+  std::vector<int> fired;
+  std::array<std::uint8_t, 160> bytes{};
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i ^ 0x5a);
+  }
+  const auto expected = bytes;
+  bool intact = false;
+  const TimerId doomed =
+      rt.schedule_after(SimTime::millis(10), [&] { fired.push_back(-1); });
+  TimerId self = kNoTimer;
+  self = rt.schedule_after(SimTime::millis(2), [&, bytes] {
+    rt.cancel(self);  // the running timer: a no-op
+    rt.cancel(doomed);
+    // Enough timers to grow the slot storage under the running callback;
+    // every odd one is cancelled before it can fire.
+    std::vector<TimerId> spawned;
+    for (int i = 0; i < 200; ++i) {
+      spawned.push_back(rt.schedule_after(SimTime::millis(3),
+                                          [&fired, i] { fired.push_back(i); }));
+    }
+    for (int i = 1; i < 200; i += 2) rt.cancel(spawned[i]);
+    intact = bytes == expected;
+  });
+  this->harness_.run_for(SimTime::millis(40));
+  EXPECT_TRUE(intact);
+  std::vector<int> even;
+  for (int i = 0; i < 200; i += 2) even.push_back(i);
+  EXPECT_EQ(fired, even);
+  if constexpr (std::is_same_v<TypeParam, EpollHarness>) {
+    EXPECT_EQ(this->harness_.rt.timers_fired(), 101u);
+    EXPECT_EQ(this->harness_.rt.timers_cancelled(), 101u);
   } else {
     EXPECT_EQ(this->harness_.sim.pending(), 0u);
   }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "simnet/ip.h"
 #include "simnet/latency.h"
 #include "simnet/network.h"
@@ -128,6 +132,164 @@ TEST(Simulator, OrderSurvivesMassCancellation) {
     }
   }
   EXPECT_EQ(order, expected);
+}
+
+// --- In-place events: built, run and destroyed in their slots -------------
+
+/// Counts its moves, and its destructions once it owns the payload (a
+/// moved-from probe owns nothing).
+struct Probe {
+  int* moves;
+  int* destroyed;
+  int* calls;
+  Probe(int* m, int* d, int* c) : moves(m), destroyed(d), calls(c) {}
+  Probe(Probe&& other) noexcept
+      : moves(other.moves), destroyed(other.destroyed), calls(other.calls) {
+    other.destroyed = nullptr;
+    ++*moves;
+  }
+  Probe& operator=(Probe&&) = delete;
+  ~Probe() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+  void operator()() { ++*calls; }
+};
+
+TEST(Simulator, LambdasAreBuiltInTheirSlotAndNeverRelocated) {
+  Simulator sim;
+  int moves = 0, destroyed = 0, calls = 0;
+  sim.schedule_at(SimTime::millis(1), Probe(&moves, &destroyed, &calls));
+  // The one move builds it in its queue slot: scheduling relocates nothing.
+  EXPECT_EQ(moves, 1);
+  // Neighbours that grow the slot storage do not move it either.
+  for (int i = 0; i < 300; ++i) sim.schedule_at(SimTime::millis(2), [] {});
+  EXPECT_EQ(moves, 1);
+  sim.run();
+  EXPECT_EQ(moves, 1);  // it ran where it was built
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(destroyed, 1);
+
+  // A Callback built by the caller is relocated once, into the slot.
+  moves = destroyed = calls = 0;
+  Simulator::Callback fn(Probe(&moves, &destroyed, &calls));
+  EXPECT_EQ(moves, 1);
+  sim.schedule_after(SimTime::millis(1), std::move(fn));
+  EXPECT_EQ(moves, 2);
+  sim.run();
+  EXPECT_EQ(moves, 2);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Simulator, CapturesAreDestroyedExactlyOnce) {
+  int moves = 0, destroyed = 0, calls = 0;
+  {
+    Simulator sim;
+    sim.schedule_at(SimTime::millis(1), Probe(&moves, &destroyed, &calls));
+    const EventId cancelled =
+        sim.schedule_at(SimTime::millis(2), Probe(&moves, &destroyed, &calls));
+    sim.schedule_at(SimTime::millis(3), Probe(&moves, &destroyed, &calls));
+    EXPECT_EQ(destroyed, 0);
+    EXPECT_TRUE(sim.cancel(cancelled));  // destroyed on cancel
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_FALSE(sim.cancel(cancelled));
+    EXPECT_TRUE(sim.step());  // destroyed after it fires
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(destroyed, 2);
+    EXPECT_EQ(sim.pending(), 1u);
+  }  // the pending one goes with the queue
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(destroyed, 3);
+}
+
+TEST(Simulator, RunningCallbackKeepsItsCaptureWhileTheQueueGrows) {
+  Simulator sim;
+  std::array<std::uint8_t, 160> bytes{};
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  const auto expected = bytes;
+  std::size_t children = 0;
+  bool intact = false;
+  sim.schedule_at(SimTime::millis(1), [&, bytes] {
+    // Far more events than one block of slots holds: the storage grows
+    // while this callback runs, and must not move it.
+    for (int i = 0; i < 1000; ++i) {
+      sim.schedule_after(SimTime::millis(1), [&children] { ++children; });
+    }
+    intact = bytes == expected;
+  });
+  sim.run();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(children, 1000u);
+}
+
+TEST(Simulator, CancellingTheRunningEventIsANoOp) {
+  Simulator sim;
+  EventId self = kNoEvent;
+  bool cancel_result = true;
+  std::size_t pending_before = 0, pending_after = 0;
+  int later_runs = 0;
+  self = sim.schedule_at(SimTime::millis(1), [&] {
+    pending_before = sim.pending();
+    cancel_result = sim.cancel(self);
+    pending_after = sim.pending();
+    // A push during the call takes a fresh slot, not the running one.
+    const EventId child = sim.schedule_after(SimTime::millis(1), [&] {
+      ++later_runs;
+    });
+    EXPECT_NE(child, self);
+    EXPECT_FALSE(sim.cancel(self));
+  });
+  sim.schedule_at(SimTime::millis(2), [&] { ++later_runs; });
+  sim.run();
+  EXPECT_FALSE(cancel_result);
+  EXPECT_EQ(pending_before, 1u);
+  EXPECT_EQ(pending_after, 1u);
+  EXPECT_EQ(later_runs, 2);
+  EXPECT_FALSE(sim.cancel(self));
+}
+
+TEST(Simulator, StaleIdsStayNoOpsAcrossSweepAndSlotReuse) {
+  Simulator sim;
+  std::vector<int> fired;
+  std::vector<EventId> first;
+  for (int i = 0; i < 500; ++i) {
+    first.push_back(sim.schedule_at(SimTime::millis(10 + i % 5),
+                                    [&fired, i] { fired.push_back(i); }));
+  }
+  // Cancelling most of them sweeps the tombstones out of the key heap.
+  for (int i = 0; i < 500; ++i) {
+    if (i % 50 != 0) {
+      EXPECT_TRUE(sim.cancel(first[i]));
+    }
+  }
+  // New events reuse the freed slots; no stale id reaches them.
+  std::vector<EventId> second;
+  for (int i = 0; i < 490; ++i) {
+    second.push_back(sim.schedule_at(SimTime::millis(1),
+                                     [&fired, i] { fired.push_back(1000 + i); }));
+  }
+  for (int i = 0; i < 500; ++i) {
+    if (i % 50 != 0) {
+      EXPECT_FALSE(sim.cancel(first[i]));
+    }
+  }
+  EXPECT_EQ(sim.pending(), 500u);
+  sim.run();
+  std::vector<int> expected;
+  for (int i = 0; i < 490; ++i) expected.push_back(1000 + i);
+  for (int ms = 10; ms < 15; ++ms) {
+    for (int i = 0; i < 500; i += 50) {
+      if (10 + i % 5 == ms) expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(fired, expected);
+  // Fired ids are stale too, after their slots were reused again.
+  for (int i = 0; i < 100; ++i) sim.schedule_at(SimTime::millis(20), [] {});
+  for (const EventId id : first) EXPECT_FALSE(sim.cancel(id));
+  for (const EventId id : second) EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.pending(), 100u);
 }
 
 // --- IP addressing -----------------------------------------------------------------
