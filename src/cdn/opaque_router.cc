@@ -52,7 +52,7 @@ const util::FrequencyTable& OpaqueCdnRouter::distribution(
 
 void OpaqueCdnRouter::handle(const dns::Message& query,
                              const dns::QueryContext& ctx,
-                             Responder respond) {
+                             Responder&& respond) {
   const dns::Question& q = query.question();
   if (!q.name.is_subdomain_of(domain_)) {
     respond(dns::make_response(query, dns::RCode::kRefused));

@@ -57,7 +57,7 @@ class OpaqueCdnRouter : public dns::DnsServer {
 
  protected:
   void handle(const dns::Message& query, const dns::QueryContext& ctx,
-              Responder respond) override;
+              Responder&& respond) override;
 
  private:
   std::string classify(simnet::Ipv4Address resolver) const;

@@ -117,7 +117,7 @@ class TrafficRouter : public dns::DnsServer {
 
  protected:
   void handle(const dns::Message& query, const dns::QueryContext& ctx,
-              Responder respond) override;
+              Responder&& respond) override;
 
  private:
   struct Group {

@@ -1,6 +1,7 @@
 #include "dns/message.h"
 
 #include <sstream>
+#include <utility>
 
 namespace mecdns::dns {
 
@@ -63,13 +64,18 @@ Message make_query(std::uint16_t id, const DnsName& name, RecordType type,
 }
 
 Message make_response(const Message& query, RCode rcode) {
+  return make_response(query.header, query.questions, rcode);
+}
+
+Message make_response(const Header& query_header, QuestionList questions,
+                      RCode rcode) {
   Message msg;
-  msg.header.id = query.header.id;
+  msg.header.id = query_header.id;
   msg.header.qr = true;
-  msg.header.opcode = query.header.opcode;
-  msg.header.rd = query.header.rd;
+  msg.header.opcode = query_header.opcode;
+  msg.header.rd = query_header.rd;
   msg.header.rcode = rcode;
-  msg.questions = query.questions;
+  msg.questions = std::move(questions);
   return msg;
 }
 

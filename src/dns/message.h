@@ -85,5 +85,8 @@ Message make_query(std::uint16_t id, const DnsName& name, RecordType type,
 
 /// Builds a response skeleton echoing the query's id and question.
 Message make_response(const Message& query, RCode rcode = RCode::kNoError);
+/// The same, from the parts of a query that a deferred answer keeps.
+Message make_response(const Header& query_header, QuestionList questions,
+                      RCode rcode);
 
 }  // namespace mecdns::dns

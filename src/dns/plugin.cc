@@ -69,10 +69,25 @@ ForwardPlugin::ForwardPlugin(DnsName match,
                              std::vector<simnet::Endpoint> upstreams,
                              DnsTransport& transport,
                              DnsTransport::Options options)
-    : match_(std::move(match)), upstreams_(std::move(upstreams)),
-      transport_(transport), options_(options) {
-  if (upstreams_.empty()) {
+    : match_(std::move(match)), transport_(transport) {
+  if (upstreams.empty()) {
     throw std::invalid_argument("ForwardPlugin requires at least one upstream");
+  }
+  primary_ = upstreams.front();
+  options.fallback_servers.assign(upstreams.begin() + 1, upstreams.end());
+  options.on_failover = [this](std::size_t /*index*/, bool servfail) {
+    on_failover(servfail);
+  };
+  options_ = std::make_shared<const DnsTransport::Options>(std::move(options));
+}
+
+void ForwardPlugin::on_failover(bool servfail) {
+  ++failovers_;
+  if (servfail) ++servfail_failovers_;
+  if (journal_ != nullptr && !journal_failing_) {
+    journal_failing_ = true;
+    journal_->record(transport_.now(), obs::JournalKind::kLdnsFailover,
+                     journal_cell_, "forward: upstream failover");
   }
 }
 
@@ -89,70 +104,35 @@ bool ForwardPlugin::serve(const Message& query, const QueryContext& ctx,
     ecs.source_prefix = ecs_prefix_;
     upstream_query.edns->client_subnet = ecs;
   }
-  try_upstream(std::move(upstream_query), query.header.id, 0,
-               std::move(respond));
+  auto relay = [this, client_id = query.header.id, questions = query.questions,
+                respond = std::move(respond)](util::Result<Message>&& result,
+                                              simnet::SimTime /*rtt*/) mutable {
+    if (!result.ok()) {
+      ++exhausted_;
+      Message failure;
+      failure.header.id = client_id;
+      failure.header.qr = true;
+      failure.header.rcode = RCode::kServFail;
+      failure.questions = std::move(questions);
+      respond(std::move(failure));
+      return;
+    }
+    // The callback's SimTime is the transaction RTT, not a clock reading —
+    // journal stamps come from the transport's clock.
+    if (transport_.answered_by() == 0 && journal_ != nullptr &&
+        journal_failing_) {
+      journal_failing_ = false;
+      journal_->record(transport_.now(), obs::JournalKind::kLdnsRestore,
+                       journal_cell_, "forward: primary recovered");
+    }
+    Message& response = result.value();
+    response.header.id = client_id;
+    respond(std::move(response));
+  };
+  static_assert(DnsTransport::Callback::stores_inline<decltype(relay)>);
+  transport_.query(primary_, std::move(upstream_query), options_,
+                   std::move(relay));
   return true;
-}
-
-void ForwardPlugin::try_upstream(Message upstream_query,
-                                 std::uint16_t client_id, std::size_t attempt,
-                                 Respond respond) {
-  // Every query starts at the primary; failover walks the upstreams in
-  // configured order.
-  const simnet::Endpoint upstream = upstreams_[attempt];
-  transport_.query(
-      upstream, upstream_query, options_,
-      [this, upstream_query, client_id, attempt,
-       respond = std::move(respond)](util::Result<Message> result,
-                                     simnet::SimTime /*rtt*/) mutable {
-        // The callback's SimTime is the transaction RTT, not a clock
-        // reading — journal stamps must come from the transport's clock.
-        const auto note_failover = [this] {
-          if (journal_ != nullptr && !journal_failing_) {
-            journal_failing_ = true;
-            journal_->record(transport_.now(), obs::JournalKind::kLdnsFailover,
-                             journal_cell_, "forward: upstream failover");
-          }
-        };
-        if (!result.ok()) {
-          ++upstream_failures_;
-          // Fail over to the next configured upstream, if any remain.
-          if (attempt + 1 < upstreams_.size()) {
-            ++failovers_;
-            note_failover();
-            try_upstream(std::move(upstream_query), client_id, attempt + 1,
-                         std::move(respond));
-            return;
-          }
-          Message failure;
-          failure.header.id = client_id;
-          failure.header.qr = true;
-          failure.header.rcode = RCode::kServFail;
-          failure.questions = upstream_query.questions;
-          respond(std::move(failure));
-          return;
-        }
-        Message response = std::move(result.value());
-        // A SERVFAIL answer means the upstream is up but failing: while
-        // another upstream remains, it is treated like a dead one.
-        if (response.header.rcode == RCode::kServFail &&
-            attempt + 1 < upstreams_.size()) {
-          ++upstream_failures_;
-          ++failovers_;
-          ++servfail_failovers_;
-          note_failover();
-          try_upstream(std::move(upstream_query), client_id, attempt + 1,
-                       std::move(respond));
-          return;
-        }
-        if (attempt == 0 && journal_ != nullptr && journal_failing_) {
-          journal_failing_ = false;
-          journal_->record(transport_.now(), obs::JournalKind::kLdnsRestore,
-                           journal_cell_, "forward: primary recovered");
-        }
-        response.header.id = client_id;
-        respond(std::move(response));
-      });
 }
 
 // --- CachePlugin -------------------------------------------------------------
@@ -171,24 +151,26 @@ bool CachePlugin::serve(const Message& query, const QueryContext& ctx,
     respond(std::move(response));
     return true;
   }
-  respond = [this, query, now,
-             respond = std::move(respond)](Message response) {
-    const Question& q = query.question();
+  auto observe = [this, header = query.header, question = q, now](
+                     Respond::Inner respond, Message&& response) {
     if (response.header.rcode == RCode::kNoError &&
         !response.answers.empty()) {
-      cache_->insert(q.name, q.type, response.answers, now);
+      cache_->insert(question.name, question.type, response.answers, now);
     } else if (response.header.rcode == RCode::kNxDomain ||
                (response.header.rcode == RCode::kNoError &&
                 response.answers.empty())) {
-      cache_->insert_negative(q.name, q.type, response.header.rcode,
-                              response.authorities, now);
+      cache_->insert_negative(question.name, question.type,
+                              response.header.rcode, response.authorities,
+                              now);
     } else if (response.header.rcode == RCode::kServFail) {
       // RFC 8767: the authoritative path is failing — prefer a stale
       // answer (if the cache retains one) over propagating the failure.
-      if (auto stale = cache_->lookup_stale(q.name, q.type, now)) {
+      if (auto stale =
+              cache_->lookup_stale(question.name, question.type, now)) {
         obs::ambient_span().tag("cache", "stale");
         Message rescued = make_response(
-            query, stale->negative ? stale->rcode : RCode::kNoError);
+            header, {question},
+            stale->negative ? stale->rcode : RCode::kNoError);
         rescued.answers = stale->records;
         rescued.authorities = stale->soa;
         respond(std::move(rescued));
@@ -197,6 +179,9 @@ bool CachePlugin::serve(const Message& query, const QueryContext& ctx,
     }
     respond(std::move(response));
   };
+  static_assert(
+      Respond::wraps_inline<decltype(observe)>(DnsServer::kReplySize));
+  respond.wrap(std::move(observe));
   return false;
 }
 
@@ -211,7 +196,7 @@ bool RefusePlugin::serve(const Message& query, const QueryContext& /*ctx*/,
 // --- PluginChain -------------------------------------------------------------
 
 void PluginChain::run(const Message& query, const QueryContext& ctx,
-                      Plugin::Respond respond) const {
+                      Plugin::Respond&& respond) const {
   // One span per traversed plugin, each a child of the one before, open
   // until the answer comes back through this plugin's responder wrapper —
   // so a forward plugin's span covers its whole upstream round trip. A
@@ -223,10 +208,10 @@ void PluginChain::run(const Message& query, const QueryContext& ctx,
   for (const auto& plugin : plugins_) {
     if (traced) {
       const obs::SpanRef span = obs::begin_span("plugin", plugin->name());
-      respond = [span, respond = std::move(respond)](Message response) {
+      respond.wrap([span](Plugin::Respond::Inner inner, Message&& response) {
         span.end();
-        respond(std::move(response));
-      };
+        inner(std::move(response));
+      });
       simnet::set_current_trace_token(span.token());
     }
     if (plugin->serve(query, ctx, respond)) return;
@@ -265,7 +250,7 @@ std::uint64_t PluginChainServer::view_queries(
 }
 
 void PluginChainServer::handle(const Message& query, const QueryContext& ctx,
-                               Responder respond) {
+                               Responder&& respond) {
   for (auto& view : views_) {
     const bool matches =
         view.subnets.empty() ||

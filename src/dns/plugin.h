@@ -24,10 +24,10 @@ namespace mecdns::dns {
 
 /// One element of a chain. A plugin either claims the query and returns
 /// true — it answers now or later through `respond`, or drops it — or
-/// returns false to pass the query on. A passing plugin may first replace
-/// `respond` with a wrapper that observes the downstream answer (how the
-/// cache plugin works). `query` and `ctx` live only for the call; a plugin
-/// that answers later copies what it needs.
+/// returns false to pass the query on. A passing plugin may first wrap()
+/// `respond` to observe the downstream answer (how the cache plugin works).
+/// `query` and `ctx` live only for the call; a plugin that answers later
+/// moves `respond` away and copies only what it needs.
 class Plugin {
  public:
   using Respond = DnsServer::Responder;
@@ -58,9 +58,13 @@ class ZonePlugin : public Plugin {
 /// upstream's response is relayed verbatim (with the client's id restored).
 /// A failed upstream — a timeout, or a SERVFAIL from any but the last, the
 /// RFC 2136 "try the next server" behaviour — fails over to the next in
-/// configured order.
+/// configured order. The transport does the failing over: the upstreams
+/// after the first are its fallback_servers, and the plugin counts and
+/// journals failovers from its failover observer.
 class ForwardPlugin : public Plugin {
  public:
+  /// `options.fallback_servers` and `options.on_failover` are replaced by
+  /// the upstreams after the first and this plugin's observer.
   ForwardPlugin(DnsName match, std::vector<simnet::Endpoint> upstreams,
                 DnsTransport& transport,
                 DnsTransport::Options options = {});
@@ -69,7 +73,11 @@ class ForwardPlugin : public Plugin {
              Respond& respond) override;
 
   std::uint64_t forwarded() const { return forwarded_; }
-  std::uint64_t upstream_failures() const { return upstream_failures_; }
+  /// Upstream attempts that failed: every failover, plus queries whose
+  /// last upstream timed out.
+  std::uint64_t upstream_failures() const {
+    return failovers_ + exhausted_;
+  }
   /// Queries answered by a later upstream after an earlier one failed.
   std::uint64_t failovers() const { return failovers_; }
   /// Failovers triggered by a SERVFAIL answer (vs transport timeout).
@@ -96,21 +104,22 @@ class ForwardPlugin : public Plugin {
   }
 
  private:
-  void try_upstream(Message upstream_query, std::uint16_t client_id,
-                    std::size_t attempt, Respond respond);
+  /// The transport's failover observer for this plugin's transactions.
+  void on_failover(bool servfail);
 
   DnsName match_;
   bool add_ecs_ = false;
   std::uint8_t ecs_prefix_ = 24;
-  std::vector<simnet::Endpoint> upstreams_;
+  simnet::Endpoint primary_;
   DnsTransport& transport_;
-  DnsTransport::Options options_;
+  /// Shared by every transaction this plugin starts.
+  std::shared_ptr<const DnsTransport::Options> options_;
   obs::Journal* journal_ = nullptr;
   int journal_cell_ = -1;
   /// True between the first failover and the next primary answer.
   bool journal_failing_ = false;
   std::uint64_t forwarded_ = 0;
-  std::uint64_t upstream_failures_ = 0;
+  std::uint64_t exhausted_ = 0;  ///< last upstream timed out (or no id)
   std::uint64_t failovers_ = 0;
   std::uint64_t servfail_failovers_ = 0;
 };
@@ -154,7 +163,7 @@ class PluginChain {
   /// Offers the query to each plugin in order until one claims it. If none
   /// does, responds REFUSED.
   void run(const Message& query, const QueryContext& ctx,
-           Plugin::Respond respond) const;
+           Plugin::Respond&& respond) const;
 
  private:
   std::string name_;
@@ -190,7 +199,7 @@ class PluginChainServer : public DnsServer {
 
  protected:
   void handle(const Message& query, const QueryContext& ctx,
-              Responder respond) override;
+              Responder&& respond) override;
 
  private:
   struct View {

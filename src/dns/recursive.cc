@@ -14,6 +14,8 @@ RecursiveResolver::RecursiveResolver(netio::Runtime& runtime,
                 kDnsPort, addr),
       config_(std::move(config)), cache_(config_.cache_entries) {
   transport_ = std::make_unique<DnsTransport>(runtime);
+  upstream_options_ =
+      std::make_shared<const DnsTransport::Options>(config_.upstream);
 }
 
 std::optional<ClientSubnet> RecursiveResolver::make_ecs(
@@ -31,7 +33,7 @@ std::optional<ClientSubnet> RecursiveResolver::make_ecs(
 }
 
 void RecursiveResolver::handle(const Message& query, const QueryContext& ctx,
-                               Responder respond) {
+                               Responder&& respond) {
   const Question& q = query.question();
 
   auto job = std::make_shared<Job>();
@@ -40,19 +42,25 @@ void RecursiveResolver::handle(const Message& query, const QueryContext& ctx,
   job->ecs = make_ecs(query, ctx);
   job->budget_holder = std::make_shared<int>(config_.query_budget);
   job->budget = job->budget_holder.get();
-  job->done = [this, query, respond = std::move(respond)](
-                  RCode rcode, std::shared_ptr<Job> finished) {
-    Message response = make_response(query, rcode);
+  // The answer echoes the query's header fields, questions and (under
+  // EDNS) its client subnet — all the completion keeps of the query.
+  auto done = [header = query.header, questions = query.questions,
+               has_edns = query.edns.has_value(),
+               ecs = query.edns.has_value() ? query.edns->client_subnet
+                                            : std::nullopt,
+               respond = std::move(respond)](
+                  RCode rcode, std::shared_ptr<Job> finished) mutable {
+    Message response = make_response(header, std::move(questions), rcode);
     response.header.ra = true;
     response.answers = std::move(finished->answers);
-    if (query.edns.has_value()) {
+    if (has_edns) {
       response.edns = Edns{};
-      if (query.edns->client_subnet.has_value()) {
-        response.edns->client_subnet = query.edns->client_subnet;
-      }
+      response.edns->client_subnet = ecs;
     }
     respond(std::move(response));
   };
+  static_assert(Job::Done::stores_inline<decltype(done)>);
+  job->done = std::move(done);
   resolve(std::move(job));
 }
 
@@ -174,9 +182,9 @@ void RecursiveResolver::query_servers(std::shared_ptr<Job> job,
   }
   const simnet::Endpoint server = servers[index];
   transport_->query(
-      server, std::move(upstream), config_.upstream,
+      server, std::move(upstream), upstream_options_,
       [this, job, servers = std::move(servers), index](
-          util::Result<Message> result, simnet::SimTime) mutable {
+          util::Result<Message>&& result, simnet::SimTime) mutable {
         if (!result.ok()) {
           query_servers(job, std::move(servers), index + 1);  // next server
           return;

@@ -17,6 +17,7 @@
 #include "dns/cache.h"
 #include "dns/server.h"
 #include "dns/transport.h"
+#include "util/inline_function.h"
 
 namespace mecdns::dns {
 
@@ -53,7 +54,7 @@ class RecursiveResolver : public DnsServer {
 
  protected:
   void handle(const Message& query, const QueryContext& ctx,
-              Responder respond) override;
+              Responder&& respond) override;
 
  private:
   /// One in-flight resolution (client-facing or internal NS lookup).
@@ -65,8 +66,10 @@ class RecursiveResolver : public DnsServer {
     int cname_hops = 0;
     int* budget = nullptr;    ///< shared across a job tree
     std::shared_ptr<int> budget_holder;
-    /// Completion: rcode + whether answers are meaningful.
-    std::function<void(RCode, std::shared_ptr<Job>)> done;
+    /// Completion: rcode + whether answers are meaningful. Holds the
+    /// client's Responder (and what the answer echoes) in place.
+    using Done = util::InlineFunction<void(RCode, std::shared_ptr<Job>), 320>;
+    Done done;
   };
 
   void resolve(std::shared_ptr<Job> job);
@@ -89,6 +92,8 @@ class RecursiveResolver : public DnsServer {
   /// zone origin -> NS owner names (delegation cache).
   std::map<DnsName, std::vector<DnsName>> delegations_;
   std::unique_ptr<DnsTransport> transport_;
+  /// config_.upstream, shared by every upstream transaction.
+  std::shared_ptr<const DnsTransport::Options> upstream_options_;
   std::uint64_t upstream_queries_ = 0;
 };
 

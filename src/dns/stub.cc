@@ -5,23 +5,25 @@
 namespace mecdns::dns {
 
 namespace {
-StubResult result_from_response(const Message& response, simnet::SimTime rtt,
+StubResult result_from_response(Message&& response, simnet::SimTime rtt,
                                 int which) {
   StubResult result;
   result.ok = response.header.rcode == RCode::kNoError;
   result.rcode = response.header.rcode;
   result.address = response.first_a();
-  result.response = response;
+  result.response = std::move(response);
   result.latency = rtt;
   result.answered_by = which;
-  if (!result.ok) result.error = to_string(response.header.rcode);
+  if (!result.ok) result.error = to_string(result.rcode);
   return result;
 }
 }  // namespace
 
 StubResolver::StubResolver(netio::Runtime& runtime, simnet::Endpoint server,
                            DnsTransport::Options options)
-    : server_(server), options_(options) {
+    : server_(server),
+      options_(std::make_shared<const DnsTransport::Options>(
+          std::move(options))) {
   transport_ = std::make_unique<DnsTransport>(runtime);
 }
 
@@ -34,20 +36,23 @@ void StubResolver::resolve(const DnsName& name, RecordType type,
   resolve_traced(name, make_query(0, name, type), std::move(callback));
 }
 
-void StubResolver::resolve_traced(const DnsName& name, Message query,
-                                  Callback callback) {
-  obs::SpanRef span =
-      obs::begin_root_span(trace_, "stub", "lookup " + name.to_string());
+void StubResolver::resolve_traced(const DnsName& name, Message&& query,
+                                  Callback&& callback) {
+  // Untraced lookups skip building the span's name.
+  obs::SpanRef span;
+  if (trace_ != nullptr || simnet::current_trace_token().active()) {
+    span = obs::begin_root_span(trace_, "stub", "lookup " + name.to_string());
+  }
   if (span.active()) {
-    callback = [span, callback = std::move(callback)](const StubResult& r) {
+    callback.wrap([span](Callback::Inner inner, const StubResult& r) {
       span.tag("rcode", to_string(r.rcode));
       span.tag("answered_by", std::to_string(r.answered_by));
       if (!r.error.empty()) span.tag("error", r.error);
       // Failed lookups survive any trace-sampling rate (tail keep).
       if (!r.ok) span.keep();
       span.end();
-      callback(r);
-    };
+      inner(r);
+    });
   }
   // Everything dispatched here — transport sends, timeouts, CNAME chases —
   // inherits the lookup span via the ambient token.
@@ -56,9 +61,11 @@ void StubResolver::resolve_traced(const DnsName& name, Message query,
 }
 
 StubResolver::Callback StubResolver::chase_wrapper(
-    Callback callback, int hops_left, simnet::SimTime accumulated) {
+    Callback&& callback, int hops_left, simnet::SimTime accumulated) {
+  // Each hop's wrapper owns the caller's callback and hands it to the next
+  // hop's wrapper, so it is moved, never copied.
   return [this, callback = std::move(callback), hops_left,
-          accumulated](const StubResult& result) {
+          accumulated](const StubResult& result) mutable {
     // Chase only successful answers that end at a CNAME without an address.
     if (!result.ok || result.address.has_value() || hops_left <= 0 ||
         result.response.answers.empty()) {
@@ -80,7 +87,7 @@ StubResolver::Callback StubResolver::chase_wrapper(
       return;
     }
     dispatch(make_query(0, *target, RecordType::kA),
-             chase_wrapper(callback, hops_left - 1,
+             chase_wrapper(std::move(callback), hops_left - 1,
                            accumulated + result.latency));
   };
 }
@@ -94,20 +101,22 @@ void StubResolver::resolve_with_ecs(const DnsName& name, RecordType type,
   resolve_traced(name, std::move(query), std::move(callback));
 }
 
-void StubResolver::dispatch(Message query, Callback callback) {
+void StubResolver::dispatch(Message&& query, Callback&& callback) {
   if (!secondary_.has_value()) {
-    transport_->query(server_, std::move(query), options_,
-                      [callback = std::move(callback)](
-                          util::Result<Message> result, simnet::SimTime rtt) {
-                        if (!result.ok()) {
-                          StubResult failure;
-                          failure.error = result.error().message;
-                          failure.latency = rtt;
-                          callback(failure);
-                          return;
-                        }
-                        callback(result_from_response(result.value(), rtt, 0));
-                      });
+    auto deliver = [callback = std::move(callback)](
+                       util::Result<Message>&& result,
+                       simnet::SimTime rtt) mutable {
+      if (!result.ok()) {
+        StubResult failure;
+        failure.error = result.error().message;
+        failure.latency = rtt;
+        callback(failure);
+        return;
+      }
+      callback(result_from_response(std::move(result.value()), rtt, 0));
+    };
+    static_assert(DnsTransport::Callback::stores_inline<decltype(deliver)>);
+    transport_->query(server_, std::move(query), options_, std::move(deliver));
     return;
   }
 
@@ -124,19 +133,21 @@ void StubResolver::dispatch(Message query, Callback callback) {
   race->callback = std::move(callback);
 
   const auto arm = [this, race](const simnet::Endpoint& server, int which,
-                                Message q) {
+                                Message&& q) {
     transport_->query(
         server, std::move(q), options_,
-        [race, which](util::Result<Message> result, simnet::SimTime rtt) {
+        [race, which](util::Result<Message>&& result, simnet::SimTime rtt) {
           if (race->done) return;
           if (result.ok() &&
               result.value().header.rcode != RCode::kRefused) {
             race->done = true;
-            race->callback(result_from_response(result.value(), rtt, which));
+            race->callback(
+                result_from_response(std::move(result.value()), rtt, which));
             return;
           }
           if (result.ok()) {
-            race->refused = result_from_response(result.value(), rtt, which);
+            race->refused =
+                result_from_response(std::move(result.value()), rtt, which);
           }
           if (++race->failures == 2) {
             race->done = true;
@@ -151,7 +162,7 @@ void StubResolver::dispatch(Message query, Callback callback) {
           }
         });
   };
-  arm(server_, 0, query);
+  arm(server_, 0, Message(query));
   arm(*secondary_, 1, std::move(query));
 }
 

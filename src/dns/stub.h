@@ -7,12 +7,12 @@
 // in parallel — the paper's multicast workaround for non-MEC domains.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 
 #include "dns/message.h"
 #include "dns/transport.h"
+#include "util/inline_function.h"
 
 namespace mecdns::obs {
 class TraceSink;
@@ -35,7 +35,12 @@ struct StubResult {
 
 class StubResolver {
  public:
-  using Callback = std::function<void(const StubResult&)>;
+  /// Buffer octets of a Callback; the transport's relay holds one in
+  /// place, so it must stay well under DnsTransport::kCallbackCapacity.
+  static constexpr std::size_t kCallbackCapacity = 96;
+  /// Move-only; invoked exactly once per resolve().
+  using Callback =
+      util::InlineFunction<void(const StubResult&), kCallbackCapacity>;
 
   /// A client on `runtime`: a simulated UE's node or a real process's
   /// EpollRuntime.
@@ -98,17 +103,20 @@ class StubResolver {
                         const ClientSubnet& ecs, Callback callback);
 
  private:
-  void dispatch(Message query, Callback callback);
+  void dispatch(Message&& query, Callback&& callback);
   /// Wraps `callback` so that terminal-CNAME answers restart at the target.
-  Callback chase_wrapper(Callback callback, int hops_left,
+  Callback chase_wrapper(Callback&& callback, int hops_left,
                          simnet::SimTime accumulated);
-  /// Opens the root lookup span and wraps `callback` to close it.
-  void resolve_traced(const DnsName& name, Message query, Callback callback);
+  /// Opens the root lookup span (only under an active trace) and wraps
+  /// `callback` to close it.
+  void resolve_traced(const DnsName& name, Message&& query,
+                      Callback&& callback);
 
   std::unique_ptr<DnsTransport> transport_;
   simnet::Endpoint server_;
   std::optional<simnet::Endpoint> secondary_;
-  DnsTransport::Options options_;
+  /// Shared by every transaction this stub starts.
+  std::shared_ptr<const DnsTransport::Options> options_;
   bool chase_cnames_ = false;
   int max_cname_hops_ = 4;
   bool retarget_in_flight_ = false;

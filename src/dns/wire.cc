@@ -431,9 +431,19 @@ std::span<const std::uint8_t> encode_view(const Message& message) {
 }
 
 util::Result<Message> decode(std::span<const std::uint8_t> wire) {
+  Message msg;
+  if (auto r = decode(wire, msg); !r.ok()) return r.error();
+  return msg;
+}
+
+util::Result<void> decode(std::span<const std::uint8_t> wire, Message& msg) {
   count_decoded(wire);
   util::ByteReader reader(wire);
-  Message msg;
+  msg.questions.clear();
+  msg.answers.clear();
+  msg.authorities.clear();
+  msg.additionals.clear();
+  msg.edns.reset();
 
   auto counts_result = read_header(reader, msg.header);
   if (!counts_result.ok()) return counts_result.error();
@@ -483,7 +493,7 @@ util::Result<Message> decode(std::span<const std::uint8_t> wire) {
       return r.error();
     }
   }
-  return msg;
+  return util::Ok();
 }
 
 util::Result<MessageHead> decode_header(std::span<const std::uint8_t> wire) {

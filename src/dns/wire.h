@@ -34,6 +34,10 @@ std::span<const std::uint8_t> encode_view(const Message& message);
 /// Message::edns without copying its RDATA (its options are parsed last,
 /// so a later malformed record is the error reported).
 util::Result<Message> decode(std::span<const std::uint8_t> wire);
+/// decode() into an existing message (every field is overwritten), so a
+/// receiver decodes straight into the slot that keeps the query. On
+/// failure `out` holds a partial message.
+util::Result<void> decode(std::span<const std::uint8_t> wire, Message& out);
 
 /// What decode_header() parses: the header and the first question.
 struct MessageHead {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -164,8 +165,11 @@ class SpanRef {
   void end() const {
     if (sink_ != nullptr) sink_->end(id_);
   }
-  void tag(const std::string& key, const std::string& value) const {
-    if (sink_ != nullptr) sink_->add_tag(id_, key, value);
+  /// Views, so an inert span's tag builds no string.
+  void tag(std::string_view key, std::string_view value) const {
+    if (sink_ != nullptr) {
+      sink_->add_tag(id_, std::string(key), std::string(value));
+    }
   }
   /// Marks this span's root as always-keep under sampling (tail-based
   /// retention for failures); no-op when inert or sampling is off.

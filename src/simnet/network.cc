@@ -117,13 +117,13 @@ UdpSocket* Network::open_socket(NodeId node, std::uint16_t port,
     throw std::invalid_argument("socket address not owned by node");
   }
   if (port == 0) {
-    while (sockets_.count({node, next_ephemeral_}) != 0) {
+    while (sockets_.count(socket_key(node, next_ephemeral_)) != 0) {
       ++next_ephemeral_;
       if (next_ephemeral_ == 0) next_ephemeral_ = 49152;
     }
     port = next_ephemeral_++;
     if (next_ephemeral_ == 0) next_ephemeral_ = 49152;
-  } else if (sockets_.count({node, port}) != 0) {
+  } else if (sockets_.count(socket_key(node, port)) != 0) {
     throw std::invalid_argument("port " + std::to_string(port) +
                                 " already bound on " + rec.name);
   }
@@ -134,13 +134,13 @@ UdpSocket* Network::open_socket(NodeId node, std::uint16_t port,
   socket->port_ = port;
   socket->handler_ = std::move(handler);
   UdpSocket* raw = socket.get();
-  sockets_.emplace(std::make_pair(node, port), std::move(socket));
+  sockets_.emplace(socket_key(node, port), std::move(socket));
   return raw;
 }
 
 void Network::close_socket(UdpSocket* socket) {
   if (socket == nullptr) return;
-  sockets_.erase({socket->node_, socket->port_});
+  sockets_.erase(socket_key(socket->node_, socket->port_));
 }
 
 netio::Runtime& Network::runtime(NodeId node) {
@@ -185,6 +185,7 @@ void Network::arrive(NodeId node, Packet& packet) {
       return;
     }
   }
+  // Resolved after the hook, which may rewrite the destination (NAT).
   const NodeId owner = find_node(packet.dst.addr);
   if (owner == node) {
     deliver_local(node, packet);
@@ -193,11 +194,11 @@ void Network::arrive(NodeId node, Packet& packet) {
     recycle_payload(std::move(packet.payload));
     return;
   }
-  forward(node, std::move(packet));
+  forward(node, owner, std::move(packet));
 }
 
 void Network::deliver_local(NodeId node, const Packet& packet) {
-  const auto it = sockets_.find({node, packet.dst.port});
+  const auto it = sockets_.find(socket_key(node, packet.dst.port));
   if (it == sockets_.end() || !it->second->handler_) {
     ++stats_.dropped_no_socket;
     return;
@@ -206,32 +207,32 @@ void Network::deliver_local(NodeId node, const Packet& packet) {
   it->second->handler_(packet);
 }
 
-void Network::forward(NodeId node, Packet&& packet) {
+void Network::forward(NodeId node, NodeId dest_node, Packet&& packet) {
   if (--packet.ttl <= 0) {
     ++stats_.dropped_ttl;
     recycle_payload(std::move(packet.payload));
     return;
   }
   ensure_routes();
-  const NodeId dest_node = find_node(packet.dst.addr);
   if (dest_node == kInvalidNode) {
     ++stats_.dropped_no_route;
     recycle_payload(std::move(packet.payload));
     return;
   }
-  const NodeId next = next_hop_[node * nodes_.size() + dest_node];
+  const std::size_t route = node * nodes_.size() + dest_node;
+  const NodeId next = next_hop_[route];
   if (next == kInvalidNode) {
     ++stats_.dropped_no_route;
     recycle_payload(std::move(packet.payload));
     return;
   }
-  const auto link_id = pick_link(node, next);
-  if (!link_id.has_value()) {
+  const LinkId link_id = next_link_[route];
+  if (link_id == kNoLink) {
     ++stats_.dropped_link_down;
     recycle_payload(std::move(packet.payload));
     return;
   }
-  Link& link = links_[*link_id];
+  Link& link = links_[link_id];
   if (link.loss > 0.0 && rng_.bernoulli(link.loss)) {
     ++stats_.dropped_loss;
     recycle_payload(std::move(packet.payload));
@@ -264,6 +265,7 @@ void Network::ensure_routes() {
   if (!routes_dirty_) return;
   const std::size_t n = nodes_.size();
   next_hop_.assign(n * n, kInvalidNode);
+  next_link_.assign(n * n, kNoLink);
   route_cost_ns_.assign(n * n, -1);
 
   // Dijkstra from every source over mean link delays. Topologies here are
@@ -297,6 +299,10 @@ void Network::ensure_routes() {
     }
     for (NodeId dst = 0; dst < n; ++dst) {
       next_hop_[src * n + dst] = first_hop[dst];
+      if (first_hop[dst] != kInvalidNode) {
+        next_link_[src * n + dst] =
+            pick_link(src, first_hop[dst]).value_or(kNoLink);
+      }
       if (dist[dst] != std::numeric_limits<std::int64_t>::max()) {
         route_cost_ns_[src * n + dst] = dist[dst];
       }

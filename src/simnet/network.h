@@ -13,7 +13,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "netio/runtime.h"
@@ -22,6 +21,7 @@
 #include "simnet/packet.h"
 #include "simnet/simulator.h"
 #include "simnet/time.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace mecdns::simnet {
@@ -190,10 +190,26 @@ class Network {
   void send_from(NodeId node, Packet&& packet);
   /// Runs in the delivery event, on the Packet its capture owns.
   void arrive(NodeId node, Packet& packet);
-  void forward(NodeId node, Packet&& packet);
+  /// `dest_node` is the owner of packet.dst, resolved once by arrive().
+  void forward(NodeId node, NodeId dest_node, Packet&& packet);
   void deliver_local(NodeId node, const Packet& packet);
   void ensure_routes();
   std::optional<LinkId> pick_link(NodeId from, NodeId to) const;
+
+  /// Hop-path maps probe with a mixed key: the raw address or (node, port)
+  /// key would cluster linear probing on its low bits.
+  struct MixHash {
+    std::size_t operator()(std::uint64_t key) const {
+      key *= 0x9e3779b97f4a7c15ULL;
+      return static_cast<std::size_t>(key ^ (key >> 32));
+    }
+    std::size_t operator()(Ipv4Address addr) const {
+      return (*this)(std::uint64_t{addr.value()});
+    }
+  };
+  static std::uint64_t socket_key(NodeId node, std::uint16_t port) {
+    return (std::uint64_t{node} << 16) | port;
+  }
 
   /// Payload vectors are pooled: every packet that reaches a terminal point
   /// (delivered or dropped) donates its buffer back, and send() reuses one
@@ -208,14 +224,19 @@ class Network {
   util::Rng rng_;
   std::vector<NodeRec> nodes_;
   std::vector<Link> links_;
-  std::unordered_map<Ipv4Address, NodeId> addr_to_node_;
-  std::map<std::pair<NodeId, std::uint16_t>, std::unique_ptr<UdpSocket>>
+  util::FlatHashMap<Ipv4Address, NodeId, MixHash> addr_to_node_;
+  /// By socket_key(node, port).
+  util::FlatHashMap<std::uint64_t, std::unique_ptr<UdpSocket>, MixHash>
       sockets_;
   std::uint16_t next_ephemeral_ = 49152;
   std::uint64_t next_packet_id_ = 1;
   bool routes_dirty_ = true;
-  // next_hop_[from * n + to] = next node toward `to`, or kInvalidNode.
+  // next_hop_[from * n + to] = next node toward `to`, or kInvalidNode;
+  // next_link_[from * n + to] = the link forward() takes to it (the first
+  // up link between the two, as pick_link() finds it), or kNoLink.
   std::vector<NodeId> next_hop_;
+  std::vector<LinkId> next_link_;
+  static constexpr LinkId kNoLink = ~LinkId{0};
   std::vector<std::int64_t> route_cost_ns_;
   NetworkStats stats_;
   std::vector<std::vector<std::uint8_t>> payload_pool_;

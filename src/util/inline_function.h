@@ -10,6 +10,10 @@
 // callbacks own Packets/Messages without the copyability tax std::function
 // imposes, and emplace() builds a callable straight into an existing
 // object, which is how the event queue fills its slots without a move.
+// wrap() puts a wrapper around the current target inside the same buffer,
+// because a lambda capturing an InlineFunction of its own capacity can
+// never fit in one: chains of observers (a DNS responder wrapped by each
+// plugin it passes) stay in place.
 #pragma once
 
 #include <cstddef>
@@ -73,16 +77,82 @@ class InlineFunction<R(Args...), Capacity> {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
-  R operator()(Args... args) {
+  /// const like std::function's: a const holder (a non-mutable lambda's
+  /// capture) may still call its target, which is not itself const.
+  R operator()(Args... args) const {
     return ops_->invoke(buffer_, std::forward<Args>(args)...);
+  }
+
+  /// True when a callable of type F is stored in place (no heap node), for
+  /// static_asserts at the call sites that must not allocate.
+  template <typename F>
+  static constexpr bool stores_inline =
+      sizeof(std::decay_t<F>) <= Capacity &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+
+ private:
+  struct Ops;
+
+ public:
+  /// True when wrap()ping a target of `inner_size` octets (a stored lambda's
+  /// sizeof) in a G stays in place, for static_asserts like stores_inline.
+  template <typename G>
+  static constexpr bool wraps_inline(std::size_t inner_size) {
+    using Frame = WrapFrame<std::decay_t<G>>;
+    return frame_offset<Frame>() + inner_size <= Capacity &&
+           alignof(Frame) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Frame>;
+  }
+
+  /// The target a wrapper was built around; calling it calls that target.
+  class Inner {
+   public:
+    R operator()(Args... args) const {
+      return ops_->invoke(buf_, std::forward<Args>(args)...);
+    }
+
+   private:
+    friend class InlineFunction;
+    Inner(const Ops* ops, unsigned char* buf) : ops_(ops), buf_(buf) {}
+    const Ops* ops_;
+    unsigned char* buf_;
+  };
+
+  /// Replaces the (non-empty) target T with `outer`, called as
+  /// outer(Inner{T}, args...). The wrapper goes at the front of this
+  /// object's buffer and T is relocated behind it, so when both fit nothing
+  /// is allocated; otherwise the pair takes one heap node. Wrapping a
+  /// wrapper nests the same way.
+  template <typename G>
+  void wrap(G&& outer) {
+    using Frame = WrapFrame<std::decay_t<G>>;
+    constexpr std::size_t kOffset = frame_offset<Frame>();
+    if constexpr (wraps_inline<G>(0)) {
+      const Ops* inner = ops_;
+      if (kOffset + inner->size(buffer_) <= Capacity) {
+        alignas(std::max_align_t) unsigned char parked[Capacity];
+        inner->move_destroy(buffer_, parked);
+        ops_ = nullptr;
+        ::new (static_cast<void*>(buffer_))
+            Frame{std::forward<G>(outer), inner};
+        inner->move_destroy(parked, buffer_ + kOffset);
+        ops_ = &wrap_ops<Frame>;
+        return;
+      }
+    }
+    emplace([outer = std::decay_t<G>(std::forward<G>(outer)),
+             inner = std::move(*this)](Args... args) mutable -> R {
+      return outer(Inner(inner.ops_, inner.buffer_),
+                   std::forward<Args>(args)...);
+    });
   }
 
  private:
   template <typename F>
   void construct(F&& f) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= Capacity && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (stores_inline<Fn>) {
       ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
       ops_ = &inline_ops<Fn>;
     } else {
@@ -106,7 +176,23 @@ class InlineFunction<R(Args...), Capacity> {
     R (*invoke)(unsigned char*, Args&&...);
     void (*move_destroy)(unsigned char* from, unsigned char* to);
     void (*destroy)(unsigned char*);
+    /// Buffer octets the target occupies (a wrapper's include its inner).
+    std::size_t (*size)(const unsigned char*);
   };
+
+  /// A wrap()ped target's front part: the wrapper and its inner's ops; the
+  /// inner target follows at frame_offset<WrapFrame>().
+  template <typename G>
+  struct WrapFrame {
+    G outer;
+    const Ops* inner;
+  };
+
+  template <typename Frame>
+  static constexpr std::size_t frame_offset() {
+    constexpr std::size_t align = alignof(std::max_align_t);
+    return (sizeof(Frame) + align - 1) / align * align;
+  }
 
   template <typename Fn>
   static Fn* as(unsigned char* buf) {
@@ -126,6 +212,8 @@ class InlineFunction<R(Args...), Capacity> {
       },
       // destroy
       [](unsigned char* buf) { as<Fn>(buf)->~Fn(); },
+      // size
+      [](const unsigned char*) { return sizeof(Fn); },
   };
 
   template <typename Fn>
@@ -138,9 +226,39 @@ class InlineFunction<R(Args...), Capacity> {
         // Pointer itself is trivially destructible; nothing else to do.
       },
       [](unsigned char* buf) { delete *as<Fn*>(buf); },
+      [](const unsigned char*) { return sizeof(Fn*); },
   };
 
-  alignas(std::max_align_t) unsigned char buffer_[Capacity];
+  template <typename Frame>
+  static constexpr Ops wrap_ops = {
+      [](unsigned char* buf, Args&&... args) -> R {
+        Frame& f = *as<Frame>(buf);
+        return f.outer(Inner(f.inner, buf + frame_offset<Frame>()),
+                       std::forward<Args>(args)...);
+      },
+      [](unsigned char* from, unsigned char* to) {
+        Frame& f = *as<Frame>(from);
+        const Ops* inner = f.inner;
+        ::new (static_cast<void*>(to)) Frame(std::move(f));
+        f.~Frame();
+        inner->move_destroy(from + frame_offset<Frame>(),
+                            to + frame_offset<Frame>());
+      },
+      [](unsigned char* buf) {
+        Frame& f = *as<Frame>(buf);
+        const Ops* inner = f.inner;
+        f.~Frame();
+        inner->destroy(buf + frame_offset<Frame>());
+      },
+      [](const unsigned char* buf) {
+        const Frame* f =
+            std::launder(reinterpret_cast<const Frame*>(buf));
+        return frame_offset<Frame>() +
+               f->inner->size(buf + frame_offset<Frame>());
+      },
+  };
+
+  alignas(std::max_align_t) mutable unsigned char buffer_[Capacity];
   const Ops* ops_ = nullptr;
 };
 
