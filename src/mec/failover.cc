@@ -9,7 +9,12 @@ namespace mecdns::mec {
 LdnsFailover::LdnsFailover(netio::Runtime& runtime, Config config)
     : rt_(runtime),
       config_(std::move(config)),
-      transport_(runtime, /*id_seed=*/0x1d5f) {}
+      transport_(runtime, /*id_seed=*/0x1d5f) {
+  dns::DnsTransport::Options options;
+  options.timeout = config_.probe_timeout;
+  probe_options_ =
+      std::make_shared<const dns::DnsTransport::Options>(std::move(options));
+}
 
 LdnsFailover::~LdnsFailover() { rt_.cancel(next_probe_); }
 
@@ -21,13 +26,11 @@ void LdnsFailover::start(std::size_t rounds) {
 
 void LdnsFailover::probe(std::size_t remaining) {
   ++probes_sent_;
-  dns::DnsTransport::Options options;
-  options.timeout = config_.probe_timeout;
   dns::Message query =
       dns::make_query(0, config_.probe_name, dns::RecordType::kA);
   // The transport is a member: destroying it cancels its timers, so this
   // callback never outlives `this`.
-  transport_.query(config_.primary, std::move(query), options,
+  transport_.query(config_.primary, std::move(query), probe_options_,
                    [this](util::Result<dns::Message> result, simnet::SimTime) {
                      on_result(result.ok());
                    });

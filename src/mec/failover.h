@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "dns/message.h"
@@ -85,6 +86,7 @@ class LdnsFailover {
   netio::Runtime& rt_;
   Config config_;
   dns::DnsTransport transport_;
+  std::shared_ptr<const dns::DnsTransport::Options> probe_options_;
   SwitchHandler on_switch_;
   obs::Journal* journal_ = nullptr;
   int journal_cell_ = -1;

@@ -34,8 +34,8 @@ class QueueingTest : public ::testing::Test {
   std::vector<double> burst(int n, SimTime timeout = SimTime::seconds(5)) {
     std::vector<double> completions;
     for (int i = 0; i < n; ++i) {
-      DnsTransport::Options options;
-      options.timeout = timeout;
+      auto options = std::make_shared<DnsTransport::Options>();
+      options->timeout = timeout;
       transport_->query(
           Endpoint{Ipv4Address::must_parse("10.0.0.2"), kDnsPort},
           make_query(0, DnsName::must_parse("www.q.test"), RecordType::kA),

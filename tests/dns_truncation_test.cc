@@ -37,10 +37,10 @@ class TruncationTest : public ::testing::Test {
     transport_ = std::make_unique<DnsTransport>(net_.runtime(client_node_));
   }
 
-  util::Result<Message> query(const std::string& name,
-                              const DnsTransport::Options& options,
-                              bool with_edns = false,
-                              std::uint16_t bufsize = 1232) {
+  util::Result<Message> query(
+      const std::string& name,
+      std::shared_ptr<const DnsTransport::Options> options,
+      bool with_edns = false, std::uint16_t bufsize = 1232) {
     Message q = make_query(0, DnsName::must_parse(name), RecordType::kA);
     if (with_edns) {
       q.edns = Edns{};
@@ -72,8 +72,8 @@ TEST_F(TruncationTest, SmallAnswerFitsWithoutEdns) {
 }
 
 TEST_F(TruncationTest, OversizedAnswerTruncatedWithoutAutoRetry) {
-  DnsTransport::Options options;
-  options.bufsize_on_tc = 0;  // disable the automatic retry
+  auto options = std::make_shared<DnsTransport::Options>();
+  options->bufsize_on_tc = 0;  // disable the automatic retry
   const auto result = query("many.big.test", options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().header.tc);
@@ -110,8 +110,8 @@ TEST_F(TruncationTest, SmallEdnsBufferStillTruncatesThenRetries) {
 TEST_F(TruncationTest, StillTruncatedAtMaxBufferIsDeliveredAsIs) {
   // Cap the retry buffer below the answer size: the client must receive
   // the truncated response rather than loop forever.
-  DnsTransport::Options options;
-  options.bufsize_on_tc = 600;
+  auto options = std::make_shared<DnsTransport::Options>();
+  options->bufsize_on_tc = 600;
   const auto result = query("many.big.test", options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().header.tc);

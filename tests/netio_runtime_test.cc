@@ -12,6 +12,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -289,9 +290,9 @@ TEST(EpollRuntimeTest, WallClockRetransmissionTimeoutFires) {
   DatagramSocket* silent = rt.open_socket(0, [](const simnet::Packet&) {});
 
   dns::DnsTransport transport(rt);
-  dns::DnsTransport::Options options;
-  options.timeout = SimTime::millis(40);
-  options.max_retries = 1;
+  auto options = std::make_shared<dns::DnsTransport::Options>();
+  options->timeout = SimTime::millis(40);
+  options->max_retries = 1;
   bool done = false;
   const SimTime start = rt.now();
   SimTime elapsed = SimTime::zero();
