@@ -123,9 +123,7 @@ void CacheServer::respond(const ContentRequest& request,
   response.size_bytes = size;
   response.served_from_cache = from_cache;
   if (status == 200) stats_.bytes_served += size;
-  // The response stands in for the whole object: bandwidth-limited links
-  // charge its full transfer size.
-  socket_->send(client, encode(response), static_cast<std::size_t>(size));
+  socket_->send(client, encode(response));
   // The ambient span here is this request's serve span (restored by the
   // parent-fetch paths); close it once the reply is on the wire.
   obs::SpanRef span = obs::ambient_span();
@@ -164,7 +162,7 @@ OriginServer::OriginServer(netio::Runtime& runtime, std::string name,
                            simnet::LatencyModel service_time,
                            std::uint16_t port, simnet::Ipv4Address addr)
     : rt_(runtime), name_(std::move(name)), catalog_(std::move(catalog)),
-      service_time_(std::move(service_time)),
+      service_time_(service_time),
       rng_(0xca62c1d6 ^ (runtime.rng_stream() << 13)) {
   socket_ = rt_.open_socket(
       port, [this](const simnet::Packet& packet) { on_packet(packet); }, addr);
@@ -194,8 +192,7 @@ void OriginServer::on_packet(const simnet::Packet& packet) {
         } else {
           response.status = 404;
         }
-        socket_->send(client, encode(response),
-                      static_cast<std::size_t>(response.size_bytes));
+        socket_->send(client, encode(response));
       });
 }
 

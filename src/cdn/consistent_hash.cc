@@ -83,27 +83,6 @@ std::optional<std::string> ConsistentHashRing::pick_hashed(
   return it->second;
 }
 
-std::vector<std::string> ConsistentHashRing::pick_n(const std::string& key,
-                                                    std::size_t n) const {
-  std::vector<std::string> out;
-  if (ring_.empty() || n == 0) return out;
-  auto it = ring_.lower_bound(position(key));
-  for (std::size_t steps = 0; steps < ring_.size() && out.size() < n;
-       ++steps) {
-    if (it == ring_.end()) it = ring_.begin();
-    bool seen = false;
-    for (const auto& member : out) {
-      if (member == it->second) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) out.push_back(it->second);
-    ++it;
-  }
-  return out;
-}
-
 void ConsistentHashRing::set_capacity(const std::string& member,
                                       std::uint64_t capacity) {
   const auto it = members_.find(member);

@@ -57,10 +57,6 @@ class ConsistentHashRing {
     return pick_hashed(name_position(name));
   }
 
-  /// The first `n` distinct members clockwise from `key` (for replica
-  /// placement / failover ordering).
-  std::vector<std::string> pick_n(const std::string& key, std::size_t n) const;
-
   // --- bounded load -------------------------------------------------------
   /// Capacity in load units (whatever `add_load` counts); 0 = unlimited.
   void set_capacity(const std::string& member, std::uint64_t capacity);

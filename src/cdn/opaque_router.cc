@@ -8,7 +8,7 @@ OpaqueCdnRouter::OpaqueCdnRouter(netio::Runtime& runtime, std::string name,
                                  simnet::LatencyModel processing_delay,
                                  dns::DnsName domain, std::uint64_t seed,
                                  simnet::Ipv4Address addr)
-    : dns::DnsServer(runtime, std::move(name), std::move(processing_delay),
+    : dns::DnsServer(runtime, std::move(name), processing_delay,
                      dns::kDnsPort, addr),
       domain_(std::move(domain)), rng_(seed) {}
 

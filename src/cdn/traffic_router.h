@@ -61,9 +61,6 @@ class TrafficRouter : public dns::DnsServer {
     dns::DnsName cdn_domain;   ///< apex this router is authoritative for
     std::uint32_t answer_ttl = 30;  ///< small, like real CDN A records
     bool use_ecs = false;      ///< localize on ECS subnet when present
-    /// Extra processing per query when an ECS option must be parsed,
-    /// validated and scoped (the small delta the paper measured).
-    simnet::SimTime ecs_processing = simnet::SimTime::micros(150);
     /// Parent-tier CDN domain for content not deployed here.
     std::optional<dns::DnsName> parent_domain;
     /// Location of this router's client base, for geo fallback distance.

@@ -225,8 +225,7 @@ PluginChainServer::PluginChainServer(netio::Runtime& runtime, std::string name,
                                      simnet::LatencyModel processing_delay,
                                      std::uint16_t port,
                                      simnet::Ipv4Address addr)
-    : DnsServer(runtime, std::move(name), std::move(processing_delay), port,
-                addr) {
+    : DnsServer(runtime, std::move(name), processing_delay, port, addr) {
   transport_ = std::make_unique<DnsTransport>(runtime);
 }
 

@@ -10,8 +10,7 @@ RecursiveResolver::RecursiveResolver(netio::Runtime& runtime,
                                      std::string name,
                                      simnet::LatencyModel processing_delay,
                                      Config config, simnet::Ipv4Address addr)
-    : DnsServer(runtime, std::move(name), std::move(processing_delay),
-                kDnsPort, addr),
+    : DnsServer(runtime, std::move(name), processing_delay, kDnsPort, addr),
       config_(std::move(config)), cache_(config_.cache_entries) {
   transport_ = std::make_unique<DnsTransport>(runtime);
   upstream_options_ =

@@ -12,7 +12,7 @@ DnsServer::DnsServer(netio::Runtime& runtime, std::string name,
                      simnet::LatencyModel processing_delay, std::uint16_t port,
                      simnet::Ipv4Address addr)
     : rt_(runtime), name_(std::move(name)),
-      processing_delay_(std::move(processing_delay)),
+      processing_delay_(processing_delay),
       rng_(0xd5a79147930aa725ULL ^ (runtime.rng_stream() << 17)) {
   socket_ = rt_.open_socket(
       port, [this](const simnet::Packet& packet) { on_packet(packet); }, addr);
@@ -176,8 +176,7 @@ AuthoritativeServer::AuthoritativeServer(netio::Runtime& runtime,
                                          simnet::LatencyModel processing_delay,
                                          std::uint16_t port,
                                          simnet::Ipv4Address addr)
-    : DnsServer(runtime, std::move(name), std::move(processing_delay), port,
-                addr) {}
+    : DnsServer(runtime, std::move(name), processing_delay, port, addr) {}
 
 Zone& AuthoritativeServer::add_zone(DnsName origin) {
   zones_.emplace_back(std::move(origin));

@@ -165,7 +165,7 @@ class AuthoritativeServer : public DnsServer {
   AuthoritativeServer(simnet::Network& net, simnet::NodeId node,
                       std::string name, simnet::LatencyModel processing_delay)
       : AuthoritativeServer(net.runtime(node), std::move(name),
-                            std::move(processing_delay)) {}
+                            processing_delay) {}
 
   /// Adds a zone. Zones must not be nested within each other's origins
   /// except via explicit delegation records.

@@ -4,6 +4,15 @@
 
 namespace mecdns::mec {
 
+namespace {
+
+// Intra-cluster fabric, one way: Normal(150 us, 40 us) floored at 30 us.
+constexpr simnet::SimTime kFabricMean = simnet::SimTime::micros(150);
+constexpr simnet::SimTime kFabricStddev = simnet::SimTime::micros(40);
+constexpr simnet::SimTime kFabricFloor = simnet::SimTime::micros(30);
+
+}  // namespace
+
 MecCluster::MecCluster(simnet::Network& net, Config config)
     : net_(net), config_(std::move(config)) {
   gateway_ = net_.add_node(config_.name + "-gw", config_.node_cidr.host(1));
@@ -15,7 +24,9 @@ simnet::NodeId MecCluster::add_worker(const std::string& name) {
   }
   const simnet::NodeId node = net_.add_node(
       config_.name + "-" + name, config_.node_cidr.host(next_node_host_++));
-  net_.add_link(gateway_, node, config_.fabric);
+  net_.add_link(gateway_, node,
+                simnet::LatencyModel::normal(kFabricMean, kFabricStddev,
+                                             kFabricFloor));
   workers_.push_back(node);
   return node;
 }

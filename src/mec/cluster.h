@@ -26,10 +26,6 @@ class MecCluster {
     simnet::Cidr node_cidr = simnet::Cidr::must_parse("10.240.0.0/24");
     /// Cluster-IP (Service) range, like kube-proxy's service CIDR.
     simnet::Cidr service_cidr = simnet::Cidr::must_parse("10.96.0.0/16");
-    /// Intra-cluster fabric, one way.
-    simnet::LatencyModel fabric = simnet::LatencyModel::normal(
-        simnet::SimTime::micros(150), simnet::SimTime::micros(40),
-        simnet::SimTime::micros(30));
   };
 
   MecCluster(simnet::Network& net, Config config);

@@ -59,8 +59,8 @@ class EpollRuntime::Socket final : public DatagramSocket {
 
   simnet::Endpoint endpoint() const override { return local_; }
 
-  void send(const simnet::Endpoint& dst, std::span<const std::uint8_t> payload,
-            std::size_t /*virtual_size*/) override {
+  void send(const simnet::Endpoint& dst,
+            std::span<const std::uint8_t> payload) override {
     const sockaddr_in sa = to_sockaddr(dst);
     const ssize_t sent =
         ::sendto(fd_, payload.data(), payload.size(), 0,
@@ -164,7 +164,6 @@ void EpollRuntime::drain_socket(Socket& socket) {
     recv_packet_.src = from_sockaddr(src);
     recv_packet_.dst = socket.endpoint();
     recv_packet_.payload.assign(buf, buf + len);
-    recv_packet_.virtual_size = 0;
     recv_packet_.hops.clear();
     socket.deliver(recv_packet_);
   }

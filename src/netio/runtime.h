@@ -50,11 +50,9 @@ class DatagramSocket {
 
   /// Sends a datagram to `dst`, borrowing `payload` — the bytes are copied
   /// (or written to the wire) before return, so callers may pass a view of
-  /// the encoder's arena scratch. `virtual_size` only matters to simulated
-  /// bandwidth-limited links; real sockets ignore it.
+  /// the encoder's arena scratch.
   virtual void send(const simnet::Endpoint& dst,
-                    std::span<const std::uint8_t> payload,
-                    std::size_t virtual_size = 0) = 0;
+                    std::span<const std::uint8_t> payload) = 0;
 };
 
 /// The clock + scheduler + datagram fabric a protocol component runs on.

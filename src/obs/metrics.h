@@ -1,12 +1,12 @@
 // Metrics registry: counters, gauges and log-linear latency histograms.
 //
 // A passive, deterministic container components export their counters into
-// (and hot paths record latencies into). Unlike util::Histogram, the
-// LatencyHistogram here has a *fixed* log-linear bucket layout — every
-// instance shares the same bucket edges — which makes histograms from
-// different runs, shards or components mergeable with exact associativity
-// on counts. That is the property a fleet of MEC sites needs to aggregate
-// latency distributions without shipping raw samples.
+// (and hot paths record latencies into). A LatencyHistogram has a *fixed*
+// log-linear bucket layout — every instance shares the same bucket edges —
+// which makes histograms from different runs, shards or components
+// mergeable with exact associativity on counts. That is the property a
+// fleet of MEC sites needs to aggregate latency distributions without
+// shipping raw samples.
 //
 // Dump formats: a human-readable text table and a JSON document (the
 // testbed's --metrics-out). Iteration is name-sorted (std::map) so dumps

@@ -4,13 +4,22 @@
 
 namespace mecdns::ran {
 
+namespace {
+
+// eNB <-> S-GW fronthaul and S-GW <-> P-GW core link, one way. GTP
+// processing cost at the gateways is folded into these delays.
+constexpr simnet::SimTime kFronthaulDelay = simnet::SimTime::micros(300);
+constexpr simnet::SimTime kCoreLinkDelay = simnet::SimTime::micros(300);
+
+}  // namespace
+
 RanSegment::RanSegment(simnet::Network& net, Config config)
     : net_(net), config_(std::move(config)) {
   enb_ = net_.add_node(config_.name + "-enb", config_.enb_addr);
   sgw_ = net_.add_node(config_.name + "-sgw", config_.sgw_addr);
   pgw_ = net_.add_node(config_.name + "-pgw", config_.pgw_addr);
-  net_.add_link(enb_, sgw_, config_.fronthaul);
-  net_.add_link(sgw_, pgw_, config_.core_link);
+  net_.add_link(enb_, sgw_, simnet::LatencyModel::constant(kFronthaulDelay));
+  net_.add_link(sgw_, pgw_, simnet::LatencyModel::constant(kCoreLinkDelay));
   net_.set_transit_hook(pgw_, [this](simnet::Packet& packet) {
     return nat(packet);
   });

@@ -25,12 +25,6 @@ class RanSegment {
     simnet::Ipv4Address pgw_addr;        ///< P-GW public (NAT) address
     simnet::Cidr ue_subnet;              ///< sources subject to NAT
     AccessProfile access;                ///< UE <-> eNB air interface
-    simnet::LatencyModel fronthaul =
-        simnet::LatencyModel::constant(simnet::SimTime::micros(300));
-    /// S-GW <-> P-GW link; GTP processing cost at the gateways is folded
-    /// into the fronthaul/core link delays.
-    simnet::LatencyModel core_link =
-        simnet::LatencyModel::constant(simnet::SimTime::micros(300));
   };
 
   RanSegment(simnet::Network& net, Config config);

@@ -7,24 +7,20 @@
 // A LatencyModel samples a one-way delay per packet.
 #pragma once
 
-#include <algorithm>
-#include <functional>
-#include <string>
+#include <cstdint>
+#include <type_traits>
 
 #include "simnet/time.h"
 #include "util/rng.h"
 
 namespace mecdns::simnet {
 
-/// Samples per-packet one-way delay. Value type; copies share behaviour.
+/// Per-packet one-way delay distribution: one of four closed kinds and its
+/// parameters. A plain value; copies are trivial.
 class LatencyModel {
  public:
-  using Sampler = std::function<SimTime(util::Rng&)>;
-
-  LatencyModel() : LatencyModel(constant(SimTime::zero())) {}
-  LatencyModel(Sampler sampler, SimTime mean, std::string description)
-      : sampler_(std::move(sampler)), mean_(mean),
-        description_(std::move(description)) {}
+  /// Zero delay.
+  LatencyModel() = default;
 
   /// Fixed delay.
   static LatencyModel constant(SimTime delay);
@@ -40,17 +36,26 @@ class LatencyModel {
   /// WAN delay distributions well.
   static LatencyModel lognormal(SimTime floor, SimTime median, double sigma);
 
-  SimTime sample(util::Rng& rng) const { return sampler_(rng); }
+  SimTime sample(util::Rng& rng) const;
 
   /// Expected one-way delay; used as the routing cost of a link.
   SimTime mean() const { return mean_; }
 
-  const std::string& description() const { return description_; }
-
  private:
-  Sampler sampler_;
+  enum class Kind : std::uint8_t { kConstant, kUniform, kNormal, kLognormal };
+
+  Kind kind_ = Kind::kConstant;
+  /// Every kind; also the constant's delay and the normal's centre.
   SimTime mean_;
-  std::string description_;
+  /// kUniform: lo. kNormal, kLognormal: the floor.
+  SimTime low_;
+  /// kUniform: hi - lo. kNormal: the standard deviation.
+  SimTime spread_;
+  /// kLognormal: the underlying normal's mean (log of the median) and sigma.
+  double mu_ = 0.0;
+  double sigma_ = 0.0;
 };
+
+static_assert(std::is_trivially_copyable_v<LatencyModel>);
 
 }  // namespace mecdns::simnet

@@ -14,23 +14,21 @@ Network::Network(Simulator& sim, util::Rng rng)
 
 Network::~Network() = default;
 
-void UdpSocket::send_to(const Endpoint& dst, std::vector<std::uint8_t> payload,
-                        std::size_t virtual_size) {
+void UdpSocket::send_to(const Endpoint& dst,
+                        std::vector<std::uint8_t> payload) {
   Packet packet;
   packet.src = endpoint();
   packet.dst = dst;
   packet.payload = std::move(payload);
-  packet.virtual_size = virtual_size;
   net_->send_from(node_, std::move(packet));
 }
 
-void UdpSocket::send(const Endpoint& dst, std::span<const std::uint8_t> payload,
-                     std::size_t virtual_size) {
+void UdpSocket::send(const Endpoint& dst,
+                     std::span<const std::uint8_t> payload) {
   Packet packet;
   packet.src = endpoint();
   packet.dst = dst;
   packet.payload = net_->acquire_payload(payload);
-  packet.virtual_size = virtual_size;
   net_->send_from(node_, std::move(packet));
 }
 
@@ -64,7 +62,7 @@ LinkId Network::add_link(NodeId a, NodeId b, LatencyModel a_to_b,
   }
   if (a == b) throw std::invalid_argument("self-link");
   const LinkId id = static_cast<LinkId>(links_.size());
-  links_.push_back(Link{a, b, std::move(a_to_b), std::move(b_to_a), true, 0.0});
+  links_.push_back(Link{a, b, a_to_b, b_to_a});
   nodes_[a].links.push_back(id);
   nodes_[b].links.push_back(id);
   routes_dirty_ = true;
@@ -80,10 +78,6 @@ bool Network::link_up(LinkId link) const { return links_.at(link).up; }
 
 void Network::set_link_loss(LinkId link, double probability) {
   links_.at(link).loss = probability;
-}
-
-void Network::set_link_bandwidth(LinkId link, std::uint64_t bits_per_second) {
-  links_.at(link).bandwidth_bps = bits_per_second;
 }
 
 void Network::set_node_up(NodeId node, bool up) {
@@ -232,19 +226,14 @@ void Network::forward(NodeId node, NodeId dest_node, Packet&& packet) {
     recycle_payload(std::move(packet.payload));
     return;
   }
-  Link& link = links_[link_id];
+  const Link& link = links_[link_id];
   if (link.loss > 0.0 && rng_.bernoulli(link.loss)) {
     ++stats_.dropped_loss;
     recycle_payload(std::move(packet.payload));
     return;
   }
   const LatencyModel& model = link.a == node ? link.a_to_b : link.b_to_a;
-  SimTime delay = model.sample(rng_);
-  if (link.bandwidth_bps != 0) {
-    const double seconds = static_cast<double>(packet.wire_size()) * 8.0 /
-                           static_cast<double>(link.bandwidth_bps);
-    delay += SimTime::seconds(seconds);
-  }
+  const SimTime delay = model.sample(rng_);
   sim_.schedule_after(delay, [this, next, p = std::move(packet)]() mutable {
     arrive(next, p);
   });

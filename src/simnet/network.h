@@ -59,17 +59,15 @@ class UdpSocket final : public netio::DatagramSocket {
   Endpoint endpoint() const override { return Endpoint{addr_, port_}; }
 
   /// Sends a datagram to `dst`. The source endpoint is this socket's
-  /// address/port. `virtual_size` (0 = actual payload size) is the size
-  /// used on bandwidth-limited links — see Packet::virtual_size.
-  void send_to(const Endpoint& dst, std::vector<std::uint8_t> payload,
-               std::size_t virtual_size = 0);
+  /// address/port.
+  void send_to(const Endpoint& dst, std::vector<std::uint8_t> payload);
 
   /// Borrowed-payload send: `payload` is copied into a pooled packet buffer
   /// recycled at delivery/drop, so steady-state sends allocate nothing.
   /// This is how the dns hot path ships the encoder's arena bytes without
   /// the per-send take() copy into a fresh vector.
-  void send(const Endpoint& dst, std::span<const std::uint8_t> payload,
-            std::size_t virtual_size = 0) override;
+  void send(const Endpoint& dst,
+            std::span<const std::uint8_t> payload) override;
 
   void set_handler(ReceiveHandler handler) { handler_ = std::move(handler); }
 
@@ -114,12 +112,6 @@ class Network {
 
   /// Random per-packet loss probability on a link (failure injection).
   void set_link_loss(LinkId link, double probability);
-
-  /// Limits a link's capacity (both directions). Packets incur a
-  /// transmission delay of wire_size()*8/bits_per_second on top of the
-  /// propagation delay; 0 restores the default unlimited capacity.
-  /// Store-and-forward per hop; no queueing contention is modelled.
-  void set_link_bandwidth(LinkId link, std::uint64_t bits_per_second);
 
   void set_node_up(NodeId node, bool up);
   bool node_up(NodeId node) const;
@@ -175,7 +167,6 @@ class Network {
     LatencyModel b_to_a;
     bool up = true;
     double loss = 0.0;
-    std::uint64_t bandwidth_bps = 0;  ///< 0 = unlimited
   };
 
   struct NodeRec {

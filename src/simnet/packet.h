@@ -3,7 +3,6 @@
 // trail of nodes it traversed.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -30,19 +29,10 @@ struct Packet {
   Endpoint src;
   Endpoint dst;
   std::vector<std::uint8_t> payload;
-  /// Size used for transmission-delay purposes on bandwidth-limited links.
-  /// Defaults to the payload size; protocols that *stand for* a larger
-  /// transfer (a content response representing megabytes of data) set it
-  /// to the represented size so transfer time scales with object size.
-  std::size_t virtual_size = 0;
   /// Typical paths in the MEC topologies traverse <= 4 nodes, so the hop
   /// trail stays inline with the packet.
   util::SmallVector<Hop, 4> hops;
   int ttl = 64;
-
-  std::size_t wire_size() const {
-    return virtual_size != 0 ? virtual_size : payload.size();
-  }
 };
 
 }  // namespace mecdns::simnet

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 namespace mecdns::util {
 
@@ -74,49 +72,6 @@ Summary SampleSet::summarize_trimmed(double lo_pct, double hi_pct) const {
   s.min = min();
   s.max = max();
   return s;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  if (buckets == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram requires hi > lo and buckets > 0");
-  }
-}
-
-void Histogram::add(double value) {
-  ++total_;
-  if (value < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (value >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto bucket = static_cast<std::size_t>((value - lo_) / width_);
-  if (bucket >= counts_.size()) bucket = counts_.size() - 1;
-  ++counts_[bucket];
-}
-
-double Histogram::bucket_low(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_high(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket + 1);
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    out << "[" << bucket_low(i) << ", " << bucket_high(i) << ") "
-        << counts_[i] << "\n";
-  }
-  if (underflow_ != 0) out << "underflow " << underflow_ << "\n";
-  if (overflow_ != 0) out << "overflow " << overflow_ << "\n";
-  return out.str();
 }
 
 void FrequencyTable::add(const std::string& key, std::size_t n) {

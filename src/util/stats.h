@@ -57,33 +57,6 @@ class SampleSet {
   std::vector<double> values_;
 };
 
-/// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double value);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t total() const { return total_; }
-  double bucket_low(std::size_t bucket) const;
-  double bucket_high(std::size_t bucket) const;
-
-  /// Renders a compact ASCII representation (one line per non-empty bucket).
-  std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
-};
-
 /// Counts categorical outcomes (e.g. which CIDR range answered a query) and
 /// reports their share — the quantity plotted in Figure 3.
 class FrequencyTable {

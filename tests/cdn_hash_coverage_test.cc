@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 
 #include "cdn/consistent_hash.h"
 #include "cdn/coverage.h"
@@ -26,7 +25,6 @@ TEST(ConsistentHash, PickIsDeterministic) {
 TEST(ConsistentHash, EmptyRingPicksNothing) {
   ConsistentHashRing ring;
   EXPECT_FALSE(ring.pick("x").has_value());
-  EXPECT_TRUE(ring.pick_n("x", 3).empty());
 }
 
 TEST(ConsistentHash, BalanceAcrossMembers) {
@@ -101,21 +99,6 @@ TEST(ConsistentHash, AddRemoveContainsSize) {
   EXPECT_TRUE(ring.empty());
   ring.remove("a");  // idempotent
   EXPECT_EQ(ring.size(), 0u);
-}
-
-TEST(ConsistentHash, PickNReturnsDistinctMembers) {
-  ConsistentHashRing ring;
-  ring.add("a");
-  ring.add("b");
-  ring.add("c");
-  const auto picks = ring.pick_n("somekey", 3);
-  EXPECT_EQ(picks.size(), 3u);
-  const std::set<std::string> unique(picks.begin(), picks.end());
-  EXPECT_EQ(unique.size(), 3u);
-  // First element of pick_n must equal pick.
-  EXPECT_EQ(picks.front(), *ring.pick("somekey"));
-  // Asking for more than exist returns all.
-  EXPECT_EQ(ring.pick_n("somekey", 10).size(), 3u);
 }
 
 // --- coverage zones -------------------------------------------------------------

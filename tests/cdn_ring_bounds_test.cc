@@ -143,24 +143,6 @@ TEST(RingBoundsTest, CollidingVirtualNodesCoexistAndRemoveCleanly) {
   EXPECT_NE(*spill, *after);
 }
 
-TEST(RingBoundsTest, PickNReturnsDistinctMembersPastCollisions) {
-  ConsistentHashRing ring(4);
-  ring.set_hasher([](const std::string& text) {
-    // Two positions total: members collide in pairs.
-    return cdn::ConsistentHashRing::hash(text) % 2;
-  });
-  ring.add("cache-a");
-  ring.add("cache-b");
-  ring.add("cache-c");
-  const auto picks = ring.pick_n("/object", 3);
-  EXPECT_EQ(picks.size(), 3u);
-  for (std::size_t i = 0; i < picks.size(); ++i) {
-    for (std::size_t j = i + 1; j < picks.size(); ++j) {
-      EXPECT_NE(picks[i], picks[j]);
-    }
-  }
-}
-
 TEST(RingBoundsTest, WireNameHashEqualsPresentationHash) {
   // The C-DNS hashes a query name from its wire labels; the ring's choices
   // stay those of hashing name.to_string(): root, mixed case (presentation

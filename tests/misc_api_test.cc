@@ -1,30 +1,15 @@
 // Coverage for the smaller public surfaces: printing/debug helpers, the
-// logger, latency-model metadata and assorted accessors.
+// logger and assorted accessors.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "dns/message.h"
 #include "dns/zone.h"
 #include "mec/cluster.h"
 #include "simnet/latency.h"
 #include "util/log.h"
-#include "util/stats.h"
 
 namespace mecdns {
 namespace {
-
-TEST(Printing, HistogramToString) {
-  util::Histogram histogram(0, 10, 5);
-  histogram.add(1);
-  histogram.add(1.5);
-  histogram.add(9);
-  histogram.add(42);
-  const std::string text = histogram.to_string();
-  EXPECT_NE(text.find("[0, 2) 2"), std::string::npos);
-  EXPECT_NE(text.find("[8, 10) 1"), std::string::npos);
-  EXPECT_NE(text.find("overflow 1"), std::string::npos);
-}
 
 TEST(Printing, MessageToStringMentionsEverySection) {
   dns::Message msg = dns::make_query(
@@ -76,18 +61,6 @@ TEST(Logging, ThresholdGatesOutput) {
   MECDNS_LOG(kInfo, "test") << "this is dropped";
   MECDNS_LOG(kError, "test") << "this is emitted";
   util::set_log_level(util::LogLevel::kOff);
-}
-
-TEST(LatencyModel, DescriptionsAndMeans) {
-  const auto constant =
-      simnet::LatencyModel::constant(simnet::SimTime::millis(2));
-  EXPECT_NE(constant.description().find("constant"), std::string::npos);
-  const auto uniform = simnet::LatencyModel::uniform(
-      simnet::SimTime::millis(2), simnet::SimTime::millis(4));
-  EXPECT_EQ(uniform.mean(), simnet::SimTime::millis(3));
-  const auto lognormal = simnet::LatencyModel::lognormal(
-      simnet::SimTime::millis(1), simnet::SimTime::millis(1), 0.5);
-  EXPECT_GT(lognormal.mean(), simnet::SimTime::millis(2));
 }
 
 TEST(Cluster, WorkerAccessors) {

@@ -1,7 +1,7 @@
-// Link bandwidth and forwarder failover tests.
+// Forwarder failover tests: a ForwardPlugin whose first upstream is down
+// answers from the second after one timeout.
 #include <gtest/gtest.h>
 
-#include "cdn/cache_server.h"
 #include "dns/plugin.h"
 #include "dns/stub.h"
 
@@ -12,105 +12,6 @@ using simnet::Endpoint;
 using simnet::Ipv4Address;
 using simnet::LatencyModel;
 using simnet::SimTime;
-
-class BandwidthTest : public ::testing::Test {
- protected:
-  BandwidthTest() : net_(sim_, util::Rng(141)) {
-    a_ = net_.add_node("a", Ipv4Address::must_parse("10.0.0.1"));
-    b_ = net_.add_node("b", Ipv4Address::must_parse("10.0.0.2"));
-    link_ = net_.add_link(a_, b_,
-                          LatencyModel::constant(SimTime::millis(5)));
-  }
-
-  SimTime one_way(std::size_t virtual_size) {
-    SimTime arrival;
-    simnet::UdpSocket* receiver =
-        net_.open_socket(b_, 80, [&](const simnet::Packet&) {
-          arrival = net_.now();
-        });
-    net_.open_socket(a_, 0, nullptr)
-        ->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 80}, {1, 2},
-                  virtual_size);
-    sim_.run();
-    net_.close_socket(receiver);
-    return arrival;
-  }
-
-  simnet::Simulator sim_;
-  simnet::Network net_;
-  simnet::NodeId a_;
-  simnet::NodeId b_;
-  simnet::LinkId link_;
-};
-
-TEST_F(BandwidthTest, UnlimitedByDefault) {
-  EXPECT_EQ(one_way(100 * 1024 * 1024), SimTime::millis(5));
-}
-
-TEST_F(BandwidthTest, TransmissionDelayScalesWithSize) {
-  net_.set_link_bandwidth(link_, 8'000'000);  // 8 Mbit/s = 1 MB/s
-  const SimTime small = one_way(1000);        // +1 ms
-  EXPECT_EQ(small, SimTime::millis(5) + SimTime::millis(1) +
-                       SimTime::millis(5) * 0);  // 5ms prop + 1ms tx
-  // Re-run with a megabyte: +1000 ms.
-  net_.set_link_bandwidth(link_, 8'000'000);
-  const SimTime big = one_way(1'000'000);
-  EXPECT_EQ(big, small + SimTime::seconds(0.999) + SimTime::millis(5) * 0 +
-                     (SimTime::millis(5) + SimTime::millis(1)));
-}
-
-TEST_F(BandwidthTest, PayloadSizeUsedWhenNoVirtualSize) {
-  net_.set_link_bandwidth(link_, 8000);  // 1 kB/s
-  // 2-byte payload => 2 ms transmission.
-  EXPECT_EQ(one_way(0), SimTime::millis(5) + SimTime::millis(2));
-}
-
-TEST_F(BandwidthTest, ContentFetchTimeScalesWithObjectSize) {
-  // Cache server behind a 16 Mbit/s access link: a 2 MB object takes ~1 s
-  // to transfer, a 4 kB manifest is immediate.
-  simnet::Simulator sim;
-  simnet::Network net(sim, util::Rng(3));
-  const simnet::NodeId client =
-      net.add_node("client", Ipv4Address::must_parse("10.1.0.1"));
-  const simnet::NodeId edge =
-      net.add_node("edge", Ipv4Address::must_parse("10.1.0.2"));
-  const simnet::LinkId access =
-      net.add_link(client, edge, LatencyModel::constant(SimTime::millis(10)));
-  net.set_link_bandwidth(access, 16'000'000);
-
-  cdn::CacheServer::Config config;
-  cdn::CacheServer cache(net.runtime(edge), "edge", config);
-  cache.warm(cdn::ContentObject{cdn::Url::must_parse("v.test/big"),
-                                2 * 1024 * 1024});
-  cache.warm(cdn::ContentObject{cdn::Url::must_parse("v.test/small"), 4096});
-
-  cdn::ContentClient fetcher(net.runtime(client));
-  SimTime big_time;
-  SimTime small_time;
-  fetcher.get(Endpoint{Ipv4Address::must_parse("10.1.0.2"),
-                       cdn::kContentPort},
-              cdn::Url::must_parse("v.test/big"),
-              [&](util::Result<cdn::ContentResponse> r, SimTime latency) {
-                ASSERT_TRUE(r.ok());
-                big_time = latency;
-              },
-              SimTime::seconds(10));
-  sim.run();
-  fetcher.get(Endpoint{Ipv4Address::must_parse("10.1.0.2"),
-                       cdn::kContentPort},
-              cdn::Url::must_parse("v.test/small"),
-              [&](util::Result<cdn::ContentResponse> r, SimTime latency) {
-                ASSERT_TRUE(r.ok());
-                small_time = latency;
-              },
-              SimTime::seconds(10));
-  sim.run();
-  // 2 MiB * 8 / 16 Mbit/s ~ 1.05 s transfer.
-  EXPECT_GT(big_time, SimTime::seconds(1.0));
-  EXPECT_LT(small_time, SimTime::millis(25));
-}
-
-// --- forwarder failover -----------------------------------------------------------
 
 TEST(ForwardFailover, SecondUpstreamAnswersWhenFirstIsDead) {
   simnet::Simulator sim;

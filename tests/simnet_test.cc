@@ -388,6 +388,55 @@ TEST(LatencyModel, LognormalMeanApproximatelyRight) {
   EXPECT_LT(model.mean().to_millis(), 11.5);
 }
 
+TEST(LatencyModel, GoldenDrawsAndMeans) {
+  // Each kind's first eight samples from a fresh Rng(2020), and the word the
+  // generator yields after them, which pins how many draws a sample takes.
+  // Any change to a kind's arithmetic or RNG use shows here.
+  struct Golden {
+    const char* kind;
+    LatencyModel model;
+    std::int64_t mean_ns;
+    std::array<std::int64_t, 8> samples_ns;
+    std::uint64_t next_word;
+  };
+  const Golden golden[] = {
+      {"default", LatencyModel(), 0, {0, 0, 0, 0, 0, 0, 0, 0},
+       2536873039720582659ULL},
+      {"constant", LatencyModel::constant(SimTime::millis(2)), 2'000'000,
+       {2000000, 2000000, 2000000, 2000000, 2000000, 2000000, 2000000,
+        2000000},
+       2536873039720582659ULL},
+      {"uniform",
+       LatencyModel::uniform(SimTime::millis(2), SimTime::millis(4)),
+       3'000'000,
+       {2275048, 2562452, 3648665, 2080410, 3107390, 2917216, 2191208,
+        2915572},
+       903212649592062435ULL},
+      {"normal",
+       LatencyModel::normal(SimTime::millis(5), SimTime::millis(2),
+                            SimTime::millis(4)),
+       5'000'000,
+       {4223357, 6203704, 4000000, 4000000, 4000000, 5226434, 4000000,
+        4000000},
+       11508148930661117345ULL},
+      {"lognormal",
+       LatencyModel::lognormal(SimTime::millis(1), SimTime::millis(1), 0.5),
+       2'133'148,
+       {1823525, 2351109, 1591329, 1351509, 1575977, 2058241, 1692568,
+        1555279},
+       11508148930661117345ULL},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(g.kind);
+    EXPECT_EQ(g.model.mean().count_nanos(), g.mean_ns);
+    util::Rng rng(2020);
+    for (const std::int64_t expected : g.samples_ns) {
+      EXPECT_EQ(g.model.sample(rng).count_nanos(), expected);
+    }
+    EXPECT_EQ(rng.next(), g.next_word);
+  }
+}
+
 // --- network -----------------------------------------------------------------------
 
 class NetworkTest : public ::testing::Test {

@@ -188,25 +188,6 @@ TEST(SampleSet, TrimmedSummaryDropsTailsButKeepsWhiskers) {
   EXPECT_LT(s.count, set.size());
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(10.0);
-  h.add(25.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(FrequencyTable, SharesSumToOne) {
   FrequencyTable table;
   table.add("a", 3);
