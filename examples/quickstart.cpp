@@ -38,7 +38,7 @@ int main() {
               site->ldns_endpoint().to_string().c_str());
   std::printf("C-DNS cluster IP     : %s\n",
               site->cdns_endpoint().to_string().c_str());
-  for (std::size_t i = 0; i < site->site_config().edge_caches; ++i) {
+  for (std::size_t i = 0; i < core::MecCdnSite::kEdgeCaches; ++i) {
     std::printf("edge cache %zu         : %s\n", i,
                 site->cache_address(i).to_string().c_str());
   }

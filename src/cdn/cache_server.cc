@@ -39,7 +39,7 @@ CacheServer::CacheServer(netio::Runtime& runtime, std::string name,
 }
 
 CacheServer::~CacheServer() {
-  *alive_ = false;
+  in_service_.for_each([this](InService& work) { rt_.cancel(work.timer); });
   for (auto& [id, fetch] : pending_) rt_.cancel(fetch.timeout);
   rt_.close_socket(socket_);
   rt_.close_socket(parent_socket_);
@@ -62,12 +62,15 @@ void CacheServer::on_packet(const simnet::Packet& packet) {
   obs::SpanRef span = obs::begin_span(name_, "get " + request.value().url.to_string());
   obs::AmbientSpanGuard ambient(span);
   const simnet::SimTime service = config_.service_time.sample(rng_);
-  rt_.schedule_after(
-      service, [this, alive = alive_, request = std::move(request.value()),
-                client = packet.src] {
-        if (!*alive) return;
-        serve(request, client);
-      });
+  const std::uint32_t slot = in_service_.acquire();
+  InService& work = in_service_[slot];
+  work.request = std::move(request.value());
+  work.client = packet.src;
+  work.timer = rt_.schedule_after(service, [this, slot] {
+    const InService& done = in_service_[slot];
+    serve(done.request, done.client);
+    in_service_.release(slot);
+  });
 }
 
 void CacheServer::serve(const ContentRequest& request,
@@ -169,7 +172,7 @@ OriginServer::OriginServer(netio::Runtime& runtime, std::string name,
 }
 
 OriginServer::~OriginServer() {
-  *alive_ = false;
+  in_service_.for_each([this](InService& work) { rt_.cancel(work.timer); });
   rt_.close_socket(socket_);
 }
 
@@ -178,22 +181,27 @@ void OriginServer::on_packet(const simnet::Packet& packet) {
   if (!request.ok()) return;
   ++requests_;
   const simnet::SimTime service = service_time_.sample(rng_);
-  rt_.schedule_after(
-      service, [this, alive = alive_, request = std::move(request.value()),
-                client = packet.src] {
-        if (!*alive) return;
-        const auto object = catalog_.find(request.url);
-        ContentResponse response;
-        response.id = request.id;
-        response.url = request.url;
-        if (object.has_value()) {
-          response.status = 200;
-          response.size_bytes = object->size_bytes;
-        } else {
-          response.status = 404;
-        }
-        socket_->send(client, encode(response));
-      });
+  const std::uint32_t slot = in_service_.acquire();
+  InService& work = in_service_[slot];
+  work.request = std::move(request.value());
+  work.client = packet.src;
+  work.timer = rt_.schedule_after(service, [this, slot] { serve(slot); });
+}
+
+void OriginServer::serve(std::uint32_t slot) {
+  const InService& work = in_service_[slot];
+  const auto object = catalog_.find(work.request.url);
+  ContentResponse response;
+  response.id = work.request.id;
+  response.url = work.request.url;
+  if (object.has_value()) {
+    response.status = 200;
+    response.size_bytes = object->size_bytes;
+  } else {
+    response.status = 404;
+  }
+  socket_->send(work.client, encode(response));
+  in_service_.release(slot);
 }
 
 ContentClient::ContentClient(netio::Runtime& runtime) : rt_(runtime) {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <string>
 
 #include "cdn/content.h"
@@ -18,6 +17,7 @@
 #include "simnet/latency.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
+#include "util/slot_pool.h"
 
 namespace mecdns::cdn {
 
@@ -36,6 +36,14 @@ struct CacheServerStats {
                          : static_cast<double>(hits) /
                                static_cast<double>(requests);
   }
+};
+
+/// A content request waiting out its server's service time. The service
+/// event captures the slot; the server cancels it if it dies first.
+struct InService {
+  ContentRequest request;
+  simnet::Endpoint client;
+  netio::TimerId timer = netio::kNoTimer;
 };
 
 class CacheServer {
@@ -89,9 +97,8 @@ class CacheServer {
   netio::DatagramSocket* socket_;
   netio::DatagramSocket* parent_socket_;
   util::Rng rng_;
-  /// Disarms the fire-and-forget service-time events, one per request,
-  /// after destruction (parent-fetch timeouts are cancelled instead).
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// Requests in their service time, each with the event that serves it.
+  util::SlotPool<InService> in_service_;
 
   struct UrlHash {
     std::size_t operator()(const Url& url) const { return url.hash(); }
@@ -139,6 +146,8 @@ class OriginServer {
 
  private:
   void on_packet(const simnet::Packet& packet);
+  /// The service event: answers the request in `slot` and frees it.
+  void serve(std::uint32_t slot);
 
   netio::Runtime& rt_;
   std::string name_;
@@ -146,9 +155,8 @@ class OriginServer {
   simnet::LatencyModel service_time_;
   netio::DatagramSocket* socket_;
   util::Rng rng_;
-  /// Disarms the fire-and-forget service-time events, one per request,
-  /// after destruction.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// Requests in their service time, each with the event that answers it.
+  util::SlotPool<InService> in_service_;
   std::uint64_t requests_ = 0;
 };
 

@@ -14,6 +14,9 @@ namespace {
 // and scoped (the small delta the paper measured).
 constexpr simnet::SimTime kEcsProcessing = simnet::SimTime::micros(150);
 
+// Accounting window of the bounded-load cache selection.
+constexpr simnet::SimTime kCapacityWindow = simnet::SimTime::seconds(1);
+
 }  // namespace
 
 TrafficRouter::TrafficRouter(netio::Runtime& runtime, std::string name,
@@ -22,6 +25,11 @@ TrafficRouter::TrafficRouter(netio::Runtime& runtime, std::string name,
                              simnet::Ipv4Address addr)
     : dns::DnsServer(runtime, std::move(name), processing_delay, port, addr),
       config_(std::move(config)) {}
+
+TrafficRouter::~TrafficRouter() {
+  ecs_answers_.for_each(
+      [this](EcsAnswer& answer) { runtime().cancel(answer.timer); });
+}
 
 void TrafficRouter::add_cache_group(const std::string& group) {
   groups_.emplace(group, Group{});
@@ -153,11 +161,9 @@ std::optional<CacheInfo> TrafficRouter::choose_cache(
   Group& g = it->second;
 
   std::optional<std::string> member;
-  if (config_.cache_capacity_per_window > 0 &&
-      config_.capacity_window > simnet::SimTime::zero()) {
+  if (config_.cache_capacity_per_window > 0) {
     const std::uint64_t window = static_cast<std::uint64_t>(
-        now().count_nanos() /
-        config_.capacity_window.count_nanos());
+        now().count_nanos() / kCapacityWindow.count_nanos());
     if (window != g.load_window) {
       g.load_window = window;
       g.ring.reset_loads();
@@ -212,12 +218,16 @@ void TrafficRouter::handle(const dns::Message& query,
       // Extra work: option parsing, subnet validation, scoped answer
       // bookkeeping. The paper measured ECS shifting latency by roughly
       // 1.01x-1.08x; this models that small cost explicitly.
-      runtime().schedule_after(
-          kEcsProcessing,
-          [respond = std::move(respond),
-           response = std::move(response)]() mutable {
-            respond(std::move(response));
-          });
+      const std::uint32_t slot = ecs_answers_.acquire();
+      EcsAnswer& answer = ecs_answers_[slot];
+      answer.response = std::move(response);
+      answer.respond = std::move(respond);
+      answer.timer = runtime().schedule_after(kEcsProcessing, [this, slot] {
+        EcsAnswer& due = ecs_answers_[slot];
+        due.respond(std::move(due.response));
+        due.respond.reset();
+        ecs_answers_.release(slot);
+      });
     } else {
       respond(std::move(response));
     }

@@ -66,19 +66,19 @@ class TrafficRouter : public dns::DnsServer {
     /// Location of this router's client base, for geo fallback distance.
     std::map<std::string, GeoPoint> group_locations;
     /// Bounded-load consistent hashing: max selections per cache per
-    /// accounting window (0 disables; plain consistent hashing). When the
-    /// primary cache is full the pick overflows clockwise; when every cache
-    /// in the group is full the query takes the no-cache path (parent-tier
-    /// referral when configured) — overload degrades to the next tier
-    /// instead of melting the local caches.
+    /// one-second accounting window (0 disables; plain consistent hashing).
+    /// When the primary cache is full the pick overflows clockwise; when
+    /// every cache in the group is full the query takes the no-cache path
+    /// (parent-tier referral when configured) — overload degrades to the
+    /// next tier instead of melting the local caches.
     std::uint64_t cache_capacity_per_window = 0;
-    simnet::SimTime capacity_window = simnet::SimTime::seconds(1);
   };
 
   TrafficRouter(netio::Runtime& runtime, std::string name,
                 simnet::LatencyModel processing_delay, Config config,
                 std::uint16_t port = dns::kDnsPort,
                 simnet::Ipv4Address addr = simnet::Ipv4Address());
+  ~TrafficRouter() override;
 
   // --- topology management (what Traffic Ops feeds the router) -----------
   void add_cache_group(const std::string& group);
@@ -125,6 +125,14 @@ class TrafficRouter : public dns::DnsServer {
     std::uint64_t load_window = UINT64_MAX;
   };
 
+  /// An ECS-localized answer waiting out the extra processing time; the
+  /// timer captures the slot, and the router cancels it if it dies first.
+  struct EcsAnswer {
+    dns::Message response;
+    Responder respond;
+    netio::TimerId timer = netio::kNoTimer;
+  };
+
   const DeliveryService* match_service(const dns::DnsName& qname) const;
   std::optional<std::string> choose_group(const DeliveryService& service,
                                           simnet::Ipv4Address client_addr);
@@ -144,6 +152,7 @@ class TrafficRouter : public dns::DnsServer {
   /// True between the first parent referral and the next locally routed
   /// query; journals the transition only.
   bool referring_ = false;
+  util::SlotPool<EcsAnswer> ecs_answers_;
 };
 
 }  // namespace mecdns::cdn

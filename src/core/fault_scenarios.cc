@@ -36,8 +36,7 @@ FaultScenario make_edge_cache_partition(Fig5Testbed& testbed,
   scenario.fault_end = end;
   simnet::Network& net = testbed.network();
   const simnet::NodeId ldns = testbed.mec_ldns_node();
-  const std::size_t caches = testbed.site().site_config().edge_caches;
-  for (std::size_t i = 0; i < caches; ++i) {
+  for (std::size_t i = 0; i < MecCdnSite::kEdgeCaches; ++i) {
     const simnet::NodeId node =
         net.find_node(testbed.site().cache_address(i));
     // The infra worker hosts the L-DNS/C-DNS; a "cache partition" must not

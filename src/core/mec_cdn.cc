@@ -13,6 +13,12 @@ constexpr std::uint32_t kCoreDnsServiceHost = 10;
 constexpr std::uint32_t kRouterServiceHost = 53;
 
 constexpr const char* kEdgeGroup = "mec-edge";
+
+/// Capacity of each edge cache.
+constexpr std::uint64_t kEdgeCacheCapacityBytes = 256ull * 1024 * 1024;
+/// How long the L-DNS public-view cache keeps expired entries to serve
+/// stale (RFC 8767) when Config::serve_stale is on.
+constexpr simnet::SimTime kServeStaleWindow = simnet::SimTime::seconds(3600);
 }  // namespace
 
 MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
@@ -43,7 +49,6 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
       rc.parent_domain = config_.parent_cdn_domain;
     }
     rc.cache_capacity_per_window = config_.cache_selection_capacity;
-    rc.capacity_window = config_.cache_selection_window;
     router_ = std::make_unique<cdn::TrafficRouter>(
         net_.runtime(router_node), "mec-cdns", config_.cdns_processing,
         std::move(rc), dns::kDnsPort, cdns_ip_);
@@ -56,7 +61,7 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
   }
 
   // --- edge caches -----------------------------------------------------------
-  for (std::size_t i = 0; i < config_.edge_caches; ++i) {
+  for (std::size_t i = 0; i < kEdgeCaches; ++i) {
     const std::string cache_name = "edge-cache-" + std::to_string(i);
     const simnet::NodeId worker = cluster.add_worker(cache_name);
     const mec::Deployment dep =
@@ -64,7 +69,7 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
     cache_ips_.push_back(dep.cluster_ip);
 
     cdn::CacheServer::Config cc;
-    cc.capacity_bytes = config_.cache_capacity_bytes;
+    cc.capacity_bytes = kEdgeCacheCapacityBytes;
     cc.parent = config_.origin;
     caches_.push_back(std::make_unique<cdn::CacheServer>(
         net_.runtime(worker), cache_name, std::move(cc), cdn::kContentPort,
@@ -85,7 +90,7 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
   }
   public_cache_ = std::make_shared<dns::DnsCache>(4096);
   if (config_.serve_stale) {
-    public_cache_->set_serve_stale(true, config_.serve_stale_window);
+    public_cache_->set_serve_stale(true, kServeStaleWindow);
   }
 
   // Internal view: VNF service discovery, exactly what the orchestrator's
@@ -188,7 +193,7 @@ cdn::CacheServer* MecCdnSite::add_edge_cache() {
   cache_ips_.push_back(dep.cluster_ip);
 
   cdn::CacheServer::Config cc;
-  cc.capacity_bytes = config_.cache_capacity_bytes;
+  cc.capacity_bytes = kEdgeCacheCapacityBytes;
   cc.parent = config_.origin;
   caches_.push_back(std::make_unique<cdn::CacheServer>(
       net_.runtime(worker), cache_name, std::move(cc), cdn::kContentPort,

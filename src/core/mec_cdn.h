@@ -35,6 +35,9 @@ namespace mecdns::core {
 
 class MecCdnSite {
  public:
+  /// Edge cache replicas a site deploys (the autoscaler's floor).
+  static constexpr std::size_t kEdgeCaches = 2;
+
   struct Config {
     mec::Orchestrator::Config orchestrator;
 
@@ -45,9 +48,6 @@ class MecCdnSite {
     /// an external endpoint models the ETSI/3GPP "L-DNS at MEC only"
     /// deployments of Figure 5 (LAN or WAN C-DNS).
     std::optional<simnet::Endpoint> external_cdns;
-
-    std::size_t edge_caches = 2;
-    std::uint64_t cache_capacity_bytes = 256ull * 1024 * 1024;
 
     /// TTL on routed A answers. 0 forces per-query routing (every lookup
     /// reaches the C-DNS), matching the testbed measurements.
@@ -88,15 +88,14 @@ class MecCdnSite {
     std::size_t overload_queue_limit = 0;
 
     /// Bounded-load edge allocation on the in-cluster C-DNS: max routed
-    /// selections per cache per window (0 = plain consistent hashing).
+    /// selections per cache per one-second window (0 = plain consistent
+    /// hashing).
     std::uint64_t cache_selection_capacity = 0;
-    simnet::SimTime cache_selection_window = simnet::SimTime::seconds(1);
 
     /// RFC 8767 serve-stale on the L-DNS public-view cache: keep expired
-    /// entries for `serve_stale_window` and serve them when the C-DNS path
-    /// answers SERVFAIL (edge-cache partition, router down).
+    /// entries for an hour and serve them when the C-DNS path answers
+    /// SERVFAIL (edge-cache partition, router down).
     bool serve_stale = false;
-    simnet::SimTime serve_stale_window = simnet::SimTime::seconds(3600);
 
     /// Append provider_ldns to the CDN stub-domain forward's upstream list
     /// and fail over to it on C-DNS timeout or SERVFAIL. The provider

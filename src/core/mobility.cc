@@ -224,7 +224,7 @@ MobilityRunResult run_mobility_job(workload::MobilityScenario scenario,
       ac.interval = SimTime::seconds(1);
       ac.scale_up_per_replica = knobs.scale_up_per_replica;
       ac.scale_down_per_replica = knobs.scale_down_per_replica;
-      ac.min_replicas = site->site_config().edge_caches;
+      ac.min_replicas = MecCdnSite::kEdgeCaches;
       ac.max_replicas = knobs.max_replicas;
       ac.cooldown_intervals = 2;
       scalers.push_back(std::make_unique<mec::AutoScaler>(

@@ -266,7 +266,6 @@ MecCdnSite::Config churn_site(MobilityMode mode, const MobilityKnobs& knobs) {
     site.overload_action = mec::OverloadAction::kServFail;
     site.overload_queue_limit = knobs.queue_shed_limit;
     site.cache_selection_capacity = knobs.cache_selection_capacity;
-    site.cache_selection_window = SimTime::seconds(1);
     site.cdns_fallback_to_provider = true;
   }
   return site;

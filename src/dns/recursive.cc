@@ -39,8 +39,7 @@ void RecursiveResolver::handle(const Message& query, const QueryContext& ctx,
   job->qname = q.name;
   job->qtype = q.type;
   job->ecs = make_ecs(query, ctx);
-  job->budget_holder = std::make_shared<int>(config_.query_budget);
-  job->budget = job->budget_holder.get();
+  job->budget = std::make_shared<int>(config_.query_budget);
   // The answer echoes the query's header fields, questions and (under
   // EDNS) its client subnet — all the completion keeps of the query.
   auto done = [header = query.header, questions = query.questions,
@@ -111,7 +110,6 @@ void RecursiveResolver::resolve(std::shared_ptr<Job> job) {
     sub->qtype = RecordType::kA;
     sub->ecs = std::nullopt;  // infrastructure queries carry no client subnet
     sub->budget = job->budget;
-    sub->budget_holder = job->budget_holder;
     sub->done = [this, job](RCode rcode, std::shared_ptr<Job> finished) {
       if (rcode != RCode::kNoError || finished->answers.empty()) {
         job->done(RCode::kServFail, job);

@@ -58,14 +58,13 @@ class RecursiveResolver : public DnsServer {
 
  private:
   /// One in-flight resolution (client-facing or internal NS lookup).
-  struct Job : std::enable_shared_from_this<Job> {
+  struct Job {
     DnsName qname;            ///< current name being chased
     RecordType qtype = RecordType::kA;
     std::optional<ClientSubnet> ecs;  ///< attached to upstream queries
     std::vector<ResourceRecord> answers;  ///< accumulated (CNAME chain + final)
     int cname_hops = 0;
-    int* budget = nullptr;    ///< shared across a job tree
-    std::shared_ptr<int> budget_holder;
+    std::shared_ptr<int> budget;  ///< upstream queries left, per job tree
     /// Completion: rcode + whether answers are meaningful. Holds the
     /// client's Responder (and what the answer echoes) in place.
     using Done = util::InlineFunction<void(RCode, std::shared_ptr<Job>), 320>;

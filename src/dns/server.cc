@@ -19,7 +19,10 @@ DnsServer::DnsServer(netio::Runtime& runtime, std::string name,
 }
 
 DnsServer::~DnsServer() {
-  *self_ = nullptr;
+  // Queries still in their processing delay never reach handle(). A free
+  // or queued slot keeps the id of an event that already ran, and
+  // cancelling that is a no-op.
+  in_flight_.for_each([this](InFlight& work) { rt_.cancel(work.timer); });
   rt_.close_socket(socket_);
 }
 
@@ -59,15 +62,14 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
           ? std::max<std::uint16_t>(512, query.edns->udp_payload_size)
           : 512;
 
-  // The responder captures where to send the reply; handle() may hold it
-  // across its own upstream queries or a timer, so it may outlive this
-  // server and then does nothing. Address, port and the 16-bit payload
-  // limit share one 8-byte word.
-  auto reply = [self = self_, addr = packet.src.addr, port = packet.src.port,
+  // The responder captures where to send the reply. handle() may hold it
+  // across its own upstream queries or a timer, but only in state this
+  // server owns (a plugin's transaction, a cancellable timer's slot), so
+  // it dies with the server, uncalled. Address, port and the 16-bit
+  // payload limit share one 8-byte word.
+  auto reply = [this, addr = packet.src.addr, port = packet.src.port,
                 payload_limit, span](Message&& response) {
-    DnsServer* server = *self;
-    if (server == nullptr) return;
-    ServerStats& stats = server->stats_;
+    ServerStats& stats = stats_;
     ++stats.responses;
     switch (response.header.rcode) {
       case RCode::kRefused: ++stats.refused; break;
@@ -90,7 +92,7 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
       response.additionals.clear();
       wire = encode_view(response);
     }
-    server->socket_->send(simnet::Endpoint{addr, port}, wire);
+    socket_->send(simnet::Endpoint{addr, port}, wire);
     span.end();
   };
   static_assert(sizeof(reply) <= kReplySize);
@@ -146,10 +148,10 @@ void DnsServer::start(std::uint32_t slot, bool holds_worker) {
       processing_delay_.sample(rng_) + extra_processing_;
   // start() may run under whatever event freed a worker; the processing
   // event runs under the query's own serve span.
-  obs::AmbientSpanGuard ambient(in_flight_[slot].span);
-  rt_.schedule_after(delay, [self = self_, slot, holds_worker] {
-    if (DnsServer* server = *self) server->process(slot, holds_worker);
-  });
+  InFlight& work = in_flight_[slot];
+  obs::AmbientSpanGuard ambient(work.span);
+  work.timer = rt_.schedule_after(
+      delay, [this, slot, holds_worker] { process(slot, holds_worker); });
 }
 
 void DnsServer::process(std::uint32_t slot, bool holds_worker) {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,7 +48,7 @@ struct QueryContext {
 class DnsServer {
  public:
   /// Octets of the reply target every query's Responder starts as.
-  static constexpr std::size_t kReplySize = 40;
+  static constexpr std::size_t kReplySize = 32;
   /// Buffer octets of a Responder: the reply behind one plugin wrapper the
   /// size of the cache plugin's stays in place.
   static constexpr std::size_t kResponderCapacity = 160;
@@ -97,8 +96,9 @@ class DnsServer {
 
  protected:
   /// Subclass hook. Call `respond` at most once, or move it away to call
-  /// later; leaving it drops the query (the client's timeout handles it, as
-  /// on a real network). `query` and `ctx` live only for the call.
+  /// later, into state the server owns (it captures the server); leaving
+  /// it drops the query (the client's timeout handles it, as on a real
+  /// network). `query` and `ctx` live only for the call.
   virtual void handle(const Message& query, const QueryContext& ctx,
                       Responder&& respond) = 0;
 
@@ -119,6 +119,8 @@ class DnsServer {
     QueryContext ctx;
     Responder respond;
     obs::SpanRef span;  ///< serve span; queued work keeps its own context
+    /// The processing event, cancelled if the server dies first.
+    netio::TimerId timer = netio::kNoTimer;
   };
 
   void on_packet(const simnet::Packet& packet);
@@ -136,9 +138,6 @@ class DnsServer {
   simnet::LatencyModel processing_delay_;
   netio::DatagramSocket* socket_;
   util::Rng rng_;
-  /// This server until destruction, then null: scheduled processing
-  /// events and responders hold a copy and do nothing once it is null.
-  std::shared_ptr<DnsServer*> self_ = std::make_shared<DnsServer*>(this);
   ServerStats stats_;
   std::size_t workers_ = 0;  ///< 0 = unlimited
   std::size_t max_queue_ = 256;

@@ -47,10 +47,10 @@ DnsTransport::DnsTransport(netio::Runtime& runtime, std::uint64_t id_seed)
 
 DnsTransport::~DnsTransport() {
   // Sockets are owned by the runtime; closing detaches our handler so late
-  // packets cannot call into a destroyed object, and cancelling the retry
-  // timers does the same for timeouts.
-  *alive_ = false;
-  for (auto& [id, slot] : pending_) rt_.cancel(slots_[slot].timer);
+  // packets cannot call into a destroyed object, and cancelling every
+  // slot's timer (retry or id-exhausted error; a free slot's is stale)
+  // does the same for timers.
+  slots_.for_each([this](Pending& p) { rt_.cancel(p.timer); });
   rt_.close_socket(socket_);
 }
 
@@ -62,20 +62,23 @@ void DnsTransport::query(const simnet::Endpoint& server, Message&& query,
         std::make_shared<const Options>();
     options = defaults;
   }
+  const std::uint32_t slot = slots_.acquire();
+  Pending& p = slots_[slot];
   // With every one of the 65535 usable ids in flight, the id-hunt below
   // would spin forever. Fail fast instead — asynchronously, preserving the
-  // "callback exactly once, never re-entrantly" contract. The event runs
-  // under the caller's trace token, captured when it is scheduled.
+  // "callback exactly once, never re-entrantly" contract: the slot holds
+  // the callback under no id, and a zero-delay timer delivers the error.
   if (pending_.size() >= 0xFFFF) {
     ++id_exhausted_;
-    rt_.schedule_after(
-        simnet::SimTime::zero(),
-        [alive = alive_, callback = std::move(callback)]() mutable {
-          if (!*alive) return;
-          callback(util::Err("transaction id space exhausted "
-                             "(65535 queries in flight)"),
-                   simnet::SimTime::zero());
-        });
+    p.callback = std::move(callback);
+    p.first_sent = rt_.now();
+    p.server_index = 0;
+    p.span = obs::SpanRef();
+    p.caller = simnet::current_trace_token();
+    p.timer = rt_.schedule_after(simnet::SimTime::zero(), [this, slot] {
+      complete(slot, util::Err("transaction id space exhausted "
+                               "(65535 queries in flight)"));
+    });
     return;
   }
   // Pick an unused transaction id.
@@ -83,9 +86,7 @@ void DnsTransport::query(const simnet::Endpoint& server, Message&& query,
   while (pending_.count(id) != 0 || id == 0) ++id;
   next_id_ = static_cast<std::uint16_t>(id + 1);
 
-  const std::uint32_t slot = slots_.acquire();
   pending_.emplace(id, slot);
-  Pending& p = slots_[slot];
   p.server = server;
   p.query = std::move(query);
   p.query.header.id = id;
@@ -177,9 +178,8 @@ bool DnsTransport::fail_over(Pending& p, bool servfail) {
   return true;
 }
 
-void DnsTransport::complete(std::uint16_t id, std::uint32_t slot,
+void DnsTransport::complete(std::uint32_t slot,
                             util::Result<Message>&& result) {
-  pending_.erase(id);
   Pending& p = slots_[slot];
   rt_.cancel(p.timer);  // the transaction is complete
   p.timer = netio::kNoTimer;
@@ -247,7 +247,8 @@ void DnsTransport::on_timeout(std::uint16_t id) {
       << "query timed out after " << p.attempts << " attempt(s)";
   p.span.tag("outcome", "timeout");
   p.span.tag("attempts", std::to_string(p.attempts));
-  complete(id, slot,
+  pending_.erase(id);
+  complete(slot,
            util::Err("query timed out after " + std::to_string(p.attempts) +
                      " attempt(s)"));
 }
@@ -308,7 +309,8 @@ void DnsTransport::on_packet(const simnet::Packet& packet) {
   if (p.attempts > 1) {
     p.span.tag("attempts", std::to_string(p.attempts));
   }
-  complete(id, slot, std::move(decoded));
+  pending_.erase(id);
+  complete(slot, std::move(decoded));
 }
 
 }  // namespace mecdns::dns

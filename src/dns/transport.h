@@ -142,8 +142,10 @@ class DnsTransport {
     simnet::SimTime first_sent;
     int attempts = 0;
     std::size_t server_index = 0;  ///< next entry of fallback_servers
-    /// The armed retry timer, cancelled whenever the transaction re-sends,
-    /// completes, or is destroyed — so a firing is never stale.
+    /// The armed retry timer (or, for a query refused for want of an id,
+    /// the timer that delivers that error), cancelled whenever the
+    /// transaction re-sends, completes, or is destroyed — so a firing is
+    /// never stale.
     netio::TimerId timer = netio::kNoTimer;
     obs::SpanRef span;             ///< transport span (inert if untraced)
     /// Ambient token at query() time, restored around the callback so
@@ -159,17 +161,14 @@ class DnsTransport {
   /// Switches to the next fallback server (full retry budget) if one
   /// remains; false once the list is exhausted.
   bool fail_over(Pending& p, bool servfail);
-  /// Ends transaction `id` (in `slot`) and delivers `result` to its
-  /// callback; the slot is free again before the callback runs.
-  void complete(std::uint16_t id, std::uint32_t slot,
-                util::Result<Message>&& result);
+  /// Ends the transaction in `slot` (the caller has already erased its
+  /// id, if it got one) and delivers `result` to its callback; the slot is
+  /// free again before the callback runs.
+  void complete(std::uint32_t slot, util::Result<Message>&& result);
 
   netio::Runtime& rt_;
   netio::DatagramSocket* socket_;
   util::Rng rng_;
-  /// Disarms the fire-and-forget id-exhausted errors, any number of which
-  /// may be pending, after destruction (retry timers are cancelled instead).
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   std::uint16_t next_id_;
   std::size_t answered_by_ = 0;
   std::uint64_t timeouts_ = 0;

@@ -2,13 +2,22 @@
 
 namespace mecdns::mec {
 
+namespace {
+/// The cluster's internal service-discovery domain.
+constexpr const char* kClusterDomain = "cluster.local";
+/// Origin of the public (mobile-facing) app namespace.
+constexpr const char* kPublicDomain = "apps.mec.test";
+}  // namespace
+
 Orchestrator::Orchestrator(simnet::Network& net, Config config)
-    : net_(net), config_(std::move(config)), cluster_(net, config_.cluster),
-      registry_(config_.cluster_domain),
-      public_zone_(std::make_shared<dns::Zone>(config_.public_domain)) {
+    : net_(net), config_(std::move(config)),
+      public_domain_(dns::DnsName::must_parse(kPublicDomain)),
+      cluster_(net, config_.cluster),
+      registry_(dns::DnsName::must_parse(kClusterDomain)),
+      public_zone_(std::make_shared<dns::Zone>(public_domain_)) {
   public_zone_->must_add(dns::make_soa(
-      config_.public_domain,
-      dns::DnsName::must_parse("mec-dns." + config_.public_domain.to_string()),
+      public_domain_,
+      dns::DnsName::must_parse("mec-dns." + public_domain_.to_string()),
       1, 30, 30));
 }
 

@@ -32,11 +32,6 @@ class Orchestrator {
  public:
   struct Config {
     MecCluster::Config cluster;
-    dns::DnsName cluster_domain = dns::DnsName::must_parse("cluster.local");
-    /// Origin of the public (mobile-facing) app namespace. CDN domains are
-    /// not hosted here — they are stub-domain-forwarded to the C-DNS; this
-    /// zone carries the *other* MEC applications' public names.
-    dns::DnsName public_domain = dns::DnsName::must_parse("apps.mec.test");
   };
 
   Orchestrator(simnet::Network& net, Config config);
@@ -64,7 +59,7 @@ class Orchestrator {
 
   /// The public namespace zone (served by the public view's ZonePlugin).
   std::shared_ptr<dns::Zone> public_zone() { return public_zone_; }
-  const dns::DnsName& public_domain() const { return config_.public_domain; }
+  const dns::DnsName& public_domain() const { return public_domain_; }
 
   const std::map<std::string, Deployment>& deployments() const {
     return deployments_;
@@ -77,6 +72,10 @@ class Orchestrator {
 
   simnet::Network& net_;
   Config config_;
+  /// Origin of the public (mobile-facing) app namespace. CDN domains are
+  /// not hosted here — they are stub-domain-forwarded to the C-DNS; this
+  /// zone carries the *other* MEC applications' public names.
+  dns::DnsName public_domain_;
   MecCluster cluster_;
   ServiceRegistry registry_;
   IngressMonitor ingress_;

@@ -32,6 +32,14 @@ class SlotPool {
   T& operator[](std::uint32_t slot) { return slots_[slot]; }
   const T& operator[](std::uint32_t slot) const { return slots_[slot]; }
 
+  /// Calls `fn` on every slot, free or in use — how an owner's destructor
+  /// cancels the timer each slot keeps (a free slot's id is stale, and
+  /// cancelling it is a no-op).
+  template <typename F>
+  void for_each(F&& fn) {
+    for (T& record : slots_) fn(record);
+  }
+
  private:
   std::deque<T> slots_;
   std::vector<std::uint32_t> free_;

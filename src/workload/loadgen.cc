@@ -64,6 +64,8 @@ void LoadGenerator::start() {
   arm();
 }
 
+LoadGenerator::~LoadGenerator() { sim_.cancel(armed_); }
+
 void LoadGenerator::complete(std::uint32_t ue) {
   ++completed_;
   if (!options_.closed_loop) return;
@@ -71,28 +73,24 @@ void LoadGenerator::complete(std::uint32_t ue) {
       sim_.now().count_nanos() +
       next_gap(ue, options_.mean_think.to_seconds()).count_nanos();
   if (at >= window_end_nanos_) return;
+  // The armed pump is due at the earliest pending arrival; only an
+  // arrival ahead of all of them supersedes it.
+  const bool earliest = pending_.empty() || at < pending_.top().at_nanos;
   pending_.push(Arrival{at, ue});
-  arm();
+  if (earliest) arm();
 }
 
 void LoadGenerator::arm() {
+  sim_.cancel(armed_);  // a no-op once it has fired, or while it runs
   if (pending_.empty()) return;
   const auto [top, ue] = pending_.top();
   // The next pump draws from this UE's stream: start fetching it now, so
   // the miss overlaps the events that run before then.
   __builtin_prefetch(&rng_[ue]);
-  // One live pump event suffices unless an earlier arrival appeared (a
-  // closed-loop completion); then arm a second, earlier event. The stale
-  // later event degenerates to a no-op wakeup — pump() drains by time, not
-  // by which event woke it.
-  if (armed_at_nanos_ >= 0 && armed_at_nanos_ <= top) return;
-  armed_at_nanos_ = top;
-  sim_.schedule_at(simnet::SimTime::nanos(top),
-                   [this, top] { pump(top); });
+  armed_ = sim_.schedule_at(simnet::SimTime::nanos(top), [this] { pump(); });
 }
 
-void LoadGenerator::pump(std::int64_t fired_for) {
-  if (armed_at_nanos_ == fired_for) armed_at_nanos_ = -1;
+void LoadGenerator::pump() {
   const std::int64_t now = sim_.now().count_nanos();
   const double mean_gap_s =
       options_.rate_hz > 0.0 ? 1.0 / options_.rate_hz : 0.0;

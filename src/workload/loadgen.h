@@ -18,7 +18,8 @@
 //     through an app).
 //
 // Scheduling discipline: the generator keeps ONE simulator event armed for
-// the earliest pending arrival and batch-issues everything due at that
+// the earliest pending arrival (a closed-loop completion that lands ahead of
+// it cancels and re-arms it) and batch-issues everything due at that
 // instant, so the simulator's queue depth stays O(in-flight queries), not
 // O(UEs). Equal times break on UE index; per-UE randomness is a pure function
 // of (seed, ue), so runs are bit-identical regardless of how the campaign
@@ -55,6 +56,10 @@ class LoadGenerator {
   using Issue = std::function<void(std::uint32_t ue)>;
 
   LoadGenerator(simnet::Simulator& sim, Options options, Issue issue);
+  /// Cancels the armed pump: pending arrivals are never issued.
+  ~LoadGenerator();
+  LoadGenerator(const LoadGenerator&) = delete;
+  LoadGenerator& operator=(const LoadGenerator&) = delete;
 
   /// Seeds every UE's first arrival and arms the pump. Arrivals start
   /// relative to the simulator's current time.
@@ -78,8 +83,11 @@ class LoadGenerator {
 
   /// Next exponential inter-arrival gap for `ue`, advancing its stream.
   simnet::SimTime next_gap(std::uint32_t ue, double mean_seconds);
+  /// (Re-)arms the pump for the earliest pending arrival, cancelling the
+  /// one it supersedes.
   void arm();
-  void pump(std::int64_t fired_for);
+  /// The pump event: issues every arrival due now, then re-arms.
+  void pump();
 
   simnet::Simulator& sim_;
   Options options_;
@@ -87,7 +95,8 @@ class LoadGenerator {
   std::vector<std::uint64_t> rng_;  ///< SoA: one SplitMix64 state per UE
   ArrivalCalendar<Arrival> pending_;
   std::int64_t window_end_nanos_ = 0;
-  std::int64_t armed_at_nanos_ = -1;  ///< earliest armed pump event, -1 none
+  /// The pump event last armed; cancelling it once it has fired is a no-op.
+  simnet::EventId armed_ = simnet::kNoEvent;
   std::uint64_t issued_ = 0;
   std::uint64_t completed_ = 0;
 };

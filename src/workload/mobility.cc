@@ -142,16 +142,15 @@ std::uint32_t MobilityModel::population(std::uint16_t cell) const {
   return n;
 }
 
+MobilityModel::~MobilityModel() { sim_.cancel(armed_); }
+
 void MobilityModel::arm() {
   if (pending_.empty()) return;
-  const std::int64_t top = pending_.top().at_nanos;
-  if (armed_at_nanos_ >= 0 && armed_at_nanos_ <= top) return;
-  armed_at_nanos_ = top;
-  sim_.schedule_at(simnet::SimTime::nanos(top), [this, top] { pump(top); });
+  armed_ = sim_.schedule_at(simnet::SimTime::nanos(pending_.top().at_nanos),
+                            [this] { pump(); });
 }
 
-void MobilityModel::pump(std::int64_t fired_for) {
-  if (armed_at_nanos_ == fired_for) armed_at_nanos_ = -1;
+void MobilityModel::pump() {
   const std::int64_t now = sim_.now().count_nanos();
   while (!pending_.empty() && pending_.top().at_nanos <= now) {
     const Pending next = pending_.pop();

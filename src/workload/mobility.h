@@ -74,6 +74,10 @@ class MobilityModel {
                                   std::uint16_t to)>;
 
   MobilityModel(simnet::Simulator& sim, Options options, Move move);
+  /// Cancels the armed pump: pending moves never run.
+  ~MobilityModel();
+  MobilityModel(const MobilityModel&) = delete;
+  MobilityModel& operator=(const MobilityModel&) = delete;
 
   /// Assigns every UE its initial cell (uniform per-UE stream draw) and
   /// schedules the scenario's moves relative to the simulator's current
@@ -99,8 +103,11 @@ class MobilityModel {
   simnet::SimTime exp_gap(std::uint32_t ue, double mean_seconds);
   /// A uniformly random cell different from `from`.
   std::uint16_t other_cell(std::uint32_t ue, std::uint16_t from);
+  /// Arms the pump for the earliest pending move (called only when no
+  /// pump is pending: from start() and at the end of a pump).
   void arm();
-  void pump(std::int64_t fired_for);
+  /// The pump event: runs every move due now, then re-arms.
+  void pump();
 
   simnet::Simulator& sim_;
   Options options_;
@@ -111,7 +118,8 @@ class MobilityModel {
   ArrivalCalendar<Pending> pending_;
   std::int64_t start_nanos_ = 0;
   std::int64_t window_end_nanos_ = 0;
-  std::int64_t armed_at_nanos_ = -1;
+  /// The pump event last armed; cancelling it once it has fired is a no-op.
+  simnet::EventId armed_ = simnet::kNoEvent;
   std::uint64_t moves_ = 0;
 };
 

@@ -212,5 +212,27 @@ TEST_F(CacheServerTest, DestroyedOriginDropsRequestInService) {
   EXPECT_EQ(out.status, 404);
 }
 
+TEST_F(CacheServerTest, DestroyedCacheDropsRequestInService) {
+  // The request reaches the cache at 1 ms; it is served after the 0.2 ms
+  // service time, at 1.2 ms.
+  bool called = false;
+  bool ok = true;
+  client_->get(Endpoint{Ipv4Address::must_parse("10.0.0.2"), kContentPort},
+               Url::must_parse("v.test/seg0000"),
+               [&](util::Result<ContentResponse> response, SimTime) {
+                 called = true;
+                 ok = response.ok();
+               },
+               SimTime::millis(100));
+  sim_.run_until(SimTime::micros(1100));
+  ASSERT_EQ(cache_->stats().requests, 1u);
+  cache_.reset();
+  sim_.run();
+  // The cache never serves it: no parent fetch, and the client times out.
+  EXPECT_EQ(origin_->requests(), 0u);
+  EXPECT_TRUE(called);
+  EXPECT_FALSE(ok);
+}
+
 }  // namespace
 }  // namespace mecdns::cdn

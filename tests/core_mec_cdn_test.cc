@@ -42,7 +42,7 @@ class MecCdnSiteTest : public ::testing::Test {
   }
 
   bool is_cache_ip(Ipv4Address addr) const {
-    for (std::size_t i = 0; i < site_->site_config().edge_caches; ++i) {
+    for (std::size_t i = 0; i < MecCdnSite::kEdgeCaches; ++i) {
       if (site_->cache_address(i) == addr) return true;
     }
     return false;

@@ -1,8 +1,8 @@
 // Lifetime and exactly-once tests for the query path: servers destroyed
-// while queries sit in their in-flight storage or their responders are held
-// (by a forward transaction, an ECS delay, a recursive job), and stub
-// callbacks that must run exactly once however a lookup ends. Built with
-// ASan in CI, where a use-after-free here fails loudly.
+// while queries sit in their in-flight storage or worker FIFO or their
+// responders are held (by a forward transaction, an ECS delay, a recursive
+// job), and stub callbacks that must run exactly once however a lookup
+// ends. Built with ASan in CI, where a use-after-free here fails loudly.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -98,6 +98,32 @@ TEST_F(LifetimeTest, PluginChainServerDestroyedWithQueriesInFlight) {
   for (const Outcome& o : outcomes_) {
     EXPECT_EQ(o.calls, 1);
     EXPECT_FALSE(o.ok);  // nothing answered: both time out at the stub
+  }
+}
+
+TEST_F(LifetimeTest, WorkerLimitedServerDestroyedWithQueriesInFlight) {
+  // One worker: the first query is in its 5 ms processing delay (arrived
+  // 1 ms, due 6 ms) while the second waits in the worker FIFO.
+  auto server = std::make_unique<AuthoritativeServer>(
+      net_.runtime(server_), "auth",
+      LatencyModel::constant(SimTime::millis(5)));
+  server->set_service_capacity(1, 4);
+  Zone& zone = server->add_zone(DnsName::must_parse("mec.test"));
+  zone.must_add(make_a(DnsName::must_parse("video.mec.test"),
+                       Ipv4Address::must_parse("192.0.2.7"), 30));
+
+  lookup("video.mec.test");
+  lookup("video.mec.test");
+  sim_.run_until(SimTime::millis(2));
+  ASSERT_EQ(server->stats().queries, 2u);
+  ASSERT_EQ(server->queue_depth(), 1u);
+  server.reset();
+  sim_.run();
+
+  ASSERT_EQ(outcomes_.size(), 2u);
+  for (const Outcome& o : outcomes_) {
+    EXPECT_EQ(o.calls, 1);
+    EXPECT_FALSE(o.ok);  // neither is processed: both time out at the stub
   }
 }
 

@@ -480,6 +480,32 @@ TEST_F(TransportTest, IdExhaustionFailsFastInsteadOfSpinning) {
   EXPECT_EQ(errors, 0);  // the 65535 in-flight queries are still pending
 }
 
+TEST_F(TransportTest, DestroyedTransportDropsPendingIdExhaustionError) {
+  // The error for a query refused for want of an id waits in a zero-delay
+  // timer; destroying the transport first cancels it, so its callback
+  // never runs (nor any of the in-flight queries' callbacks).
+  auto options = std::make_shared<DnsTransport::Options>();
+  options->timeout = SimTime::seconds(30);
+  const Endpoint blackhole{Ipv4Address::must_parse("10.200.0.1"), kDnsPort};
+  int calls = 0;
+  for (int i = 0; i < 0xFFFF; ++i) {
+    transport_->query(blackhole,
+                      make_query(0, DnsName::must_parse("x.test"),
+                                 RecordType::kA),
+                      options,
+                      [&](util::Result<Message>, SimTime) { ++calls; });
+  }
+  transport_->query(blackhole,
+                    make_query(0, DnsName::must_parse("one-too-many.test"),
+                               RecordType::kA),
+                    options, [&](util::Result<Message>, SimTime) { ++calls; });
+  ASSERT_EQ(transport_->id_exhausted(), 1u);
+  transport_.reset();
+  sim_.run();
+  EXPECT_EQ(calls, 0);
+  EXPECT_LT(sim_.now(), SimTime::seconds(30));  // no retry timer survived
+}
+
 TEST_F(TransportTest, FailsOverToFallbackServerOnTimeout) {
   // Primary never answers; the transaction must move to the fallback and
   // succeed instead of reporting a timeout.

@@ -185,7 +185,7 @@ TEST(OverloadControls, SiteElasticityAddsRetiresAndReactivatesReplicas) {
   config.overload_queue_limit = 8;
   core::MecCdnSite site(net, config);
   const std::size_t base = site.active_edge_caches();
-  EXPECT_EQ(base, site.site_config().edge_caches);
+  EXPECT_EQ(base, core::MecCdnSite::kEdgeCaches);
 
   cdn::CacheServer* extra = site.add_edge_cache();
   ASSERT_NE(extra, nullptr);

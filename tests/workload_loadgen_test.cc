@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -178,6 +179,55 @@ TEST(LoadGeneratorTest, ClosedLoopCompletionsBeforeTheArmedPumpIssueOnTime) {
   EXPECT_EQ(gen.issued(), issued.size());
   EXPECT_EQ(gen.completed(), issued.size());
   EXPECT_TRUE(gen.drained());
+}
+
+TEST(LoadGeneratorTest, EarlierClosedLoopArrivalReplacesTheArmedPump) {
+  // Two UEs a second or so apart. Once the first is issued the pump is
+  // armed for the second; completing the first with a 1 us think time puts
+  // its next arrival ahead of that, and the pump is re-armed for it — one
+  // live event, not a second one beside the superseded pump.
+  simnet::Simulator sim;
+  LoadGenerator::Options options;
+  options.ues = 2;
+  options.rate_hz = 1.0;
+  options.closed_loop = true;
+  options.mean_think = simnet::SimTime::micros(1);
+  options.duration = simnet::SimTime::seconds(100);
+  options.seed = 3;
+  std::vector<std::uint32_t> issued;
+  LoadGenerator gen(sim, options,
+                    [&](std::uint32_t ue) { issued.push_back(ue); });
+  gen.start();
+  while (issued.empty() && sim.step()) {
+  }
+  ASSERT_EQ(issued.size(), 1u);
+  ASSERT_EQ(sim.pending(), 1u);
+  gen.complete(issued[0]);
+  EXPECT_EQ(sim.pending(), 1u);
+  ASSERT_TRUE(sim.step());
+  ASSERT_EQ(issued.size(), 2u);
+  EXPECT_EQ(issued[1], issued[0]);  // the completed UE, ahead of the other
+  EXPECT_EQ(sim.pending(), 1u);     // armed for the other UE again
+}
+
+TEST(LoadGeneratorTest, DestroyedGeneratorCancelsItsPump) {
+  simnet::Simulator sim;
+  LoadGenerator::Options options;
+  options.ues = 100;
+  options.rate_hz = 10.0;
+  options.duration = simnet::SimTime::seconds(1);
+  std::uint64_t issued = 0;
+  auto gen = std::make_unique<LoadGenerator>(
+      sim, options, [&](std::uint32_t) { ++issued; });
+  gen->start();
+  sim.run_until(simnet::SimTime::millis(500));
+  const std::uint64_t before = issued;
+  ASSERT_GT(before, 0u);
+  ASSERT_EQ(sim.pending(), 1u);
+  gen.reset();
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run();  // would run the dead generator's pump
+  EXPECT_EQ(issued, before);
 }
 
 TEST(LoadGeneratorTest, OpenLoopRateMatchesConfiguredRate) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -38,6 +39,26 @@ std::vector<Recorded> record_moves(MobilityModel::Options options) {
   sim.run();
   EXPECT_TRUE(model.drained());
   return moves;
+}
+
+TEST(MobilityModelTest, DestroyedModelCancelsItsPump) {
+  simnet::Simulator sim;
+  MobilityModel::Options options;
+  options.ues = 200;
+  options.scenario = MobilityScenario::kHandoffStorm;
+  std::uint64_t moves = 0;
+  auto model = std::make_unique<MobilityModel>(
+      sim, options,
+      [&](std::uint32_t, std::uint16_t, std::uint16_t) { ++moves; });
+  model->start();
+  sim.run_until(simnet::SimTime::seconds(5));
+  const std::uint64_t before = moves;
+  ASSERT_GT(before, 0u);
+  ASSERT_EQ(sim.pending(), 1u);
+  model.reset();
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run();  // would run the dead model's pump
+  EXPECT_EQ(moves, before);
 }
 
 TEST(MobilityModelTest, SlugsRoundTrip) {

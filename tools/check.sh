@@ -7,7 +7,8 @@
 #      sanitizers (bench_fault_availability drives the whole failure-handling
 #      stack end to end).
 #   3. Release build (what the benches/figures run as) with -Werror, all
-#      tests. It looks for c-ares in the conda prefix (the active one, or
+#      tests, after a grep gate that rejects liveness tokens
+#      (make_shared<bool> / make_shared<T*>) under src/. It looks for c-ares in the conda prefix (the active one, or
 #      ~/miniconda), so the codec's differential test against c-ares runs
 #      where c-ares is installed; without it that one test is not built.
 #   4. Observability gate: fig2 with trace/metrics/timeseries outputs,
@@ -66,6 +67,13 @@ for scenario in mec-ldns-crash edge-cache-partition wan-loss-burst \
 done
 
 echo "=== 3/9: Release build (warnings are errors) + tests (build/) ==="
+# One cancellation rule: a component cancels the timers it armed, so no
+# heap-allocated liveness token (a shared flag or self pointer that late
+# events check) may come back under src/.
+if grep -rnE 'make_shared<(bool|[^<>]*\*)>' src/; then
+  echo "error: liveness token under src/; cancel the timer instead" >&2
+  exit 1
+fi
 run cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror \
     -DCMAKE_PREFIX_PATH="${CONDA_PREFIX:-$HOME/miniconda}"
 run cmake --build build -j "$jobs"
