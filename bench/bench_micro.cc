@@ -201,7 +201,7 @@ struct PacketChains {
     } else if (rng.uniform_int(10) == 0) {
       timer = sim.schedule_after(simnet::SimTime::seconds(2), [] {});
     }
-    ++packet.ttl;
+    ++packet.hops.count;
     const simnet::SimTime delay =
         simnet::SimTime::nanos(static_cast<std::int64_t>(rng.uniform_int(4'000'000)));
     sim.schedule_after(delay, [this, chain, p = std::move(packet)]() mutable {

@@ -24,6 +24,10 @@ constexpr int kMaxPollMs = 250;
 /// Datagrams drained per socket per wake-up before yielding to timers, so
 /// one chatty peer cannot starve the retransmission ladder.
 constexpr int kMaxDrainPerWake = 64;
+/// Receive buffer every socket asks for (the kernel caps it at rmem_max and
+/// doubles it): the 212,992-B default holds ~256 small datagrams, which a
+/// short stall of the loop overflows at tens of thousands of queries/s.
+constexpr int kRecvBufferBytes = 4 << 20;
 
 std::int64_t monotonic_nanos() {
   timespec ts{};
@@ -110,6 +114,9 @@ DatagramSocket* EpollRuntime::open_socket(std::uint16_t port,
   if (fd < 0) {
     throw std::system_error(errno, std::generic_category(), "socket");
   }
+  // Best effort: a smaller buffer still works, it only drops sooner.
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kRecvBufferBytes,
+               sizeof(kRecvBufferBytes));
   sockaddr_in sa = to_sockaddr(simnet::Endpoint{addr, port});
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) < 0) {
     const int err = errno;
@@ -164,7 +171,6 @@ void EpollRuntime::drain_socket(Socket& socket) {
     recv_packet_.src = from_sockaddr(src);
     recv_packet_.dst = socket.endpoint();
     recv_packet_.payload.assign(buf, buf + len);
-    recv_packet_.hops.clear();
     socket.deliver(recv_packet_);
   }
 }

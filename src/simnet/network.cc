@@ -14,15 +14,6 @@ Network::Network(Simulator& sim, util::Rng rng)
 
 Network::~Network() = default;
 
-void UdpSocket::send_to(const Endpoint& dst,
-                        std::vector<std::uint8_t> payload) {
-  Packet packet;
-  packet.src = endpoint();
-  packet.dst = dst;
-  packet.payload = std::move(payload);
-  net_->send_from(node_, std::move(packet));
-}
-
 void UdpSocket::send(const Endpoint& dst,
                      std::span<const std::uint8_t> payload) {
   Packet packet;
@@ -170,7 +161,7 @@ void Network::arrive(NodeId node, Packet& packet) {
     recycle_payload(std::move(packet.payload));
     return;
   }
-  packet.hops.push_back(Hop{node, sim_.now()});
+  ++packet.hops.count;
   for (const auto& tap : rec.taps) tap(packet, sim_.now());
   if (rec.hook) {
     if (rec.hook(packet) == TransitAction::kDrop) {
@@ -202,27 +193,17 @@ void Network::deliver_local(NodeId node, const Packet& packet) {
 }
 
 void Network::forward(NodeId node, NodeId dest_node, Packet&& packet) {
-  if (--packet.ttl <= 0) {
+  if (packet.hops.count >= kHopLimit) {
     ++stats_.dropped_ttl;
     recycle_payload(std::move(packet.payload));
     return;
   }
   ensure_routes();
-  if (dest_node == kInvalidNode) {
-    ++stats_.dropped_no_route;
-    recycle_payload(std::move(packet.payload));
-    return;
-  }
-  const std::size_t route = node * nodes_.size() + dest_node;
-  const NodeId next = next_hop_[route];
-  if (next == kInvalidNode) {
-    ++stats_.dropped_no_route;
-    recycle_payload(std::move(packet.payload));
-    return;
-  }
-  const LinkId link_id = next_link_[route];
+  const LinkId link_id = dest_node == kInvalidNode
+                             ? kNoLink
+                             : next_link_[node * nodes_.size() + dest_node];
   if (link_id == kNoLink) {
-    ++stats_.dropped_link_down;
+    ++stats_.dropped_no_route;
     recycle_payload(std::move(packet.payload));
     return;
   }
@@ -232,6 +213,7 @@ void Network::forward(NodeId node, NodeId dest_node, Packet&& packet) {
     recycle_payload(std::move(packet.payload));
     return;
   }
+  const NodeId next = link.a == node ? link.b : link.a;
   const LatencyModel& model = link.a == node ? link.a_to_b : link.b_to_a;
   const SimTime delay = model.sample(rng_);
   sim_.schedule_after(delay, [this, next, p = std::move(packet)]() mutable {
@@ -239,7 +221,7 @@ void Network::forward(NodeId node, NodeId dest_node, Packet&& packet) {
   });
 }
 
-std::optional<LinkId> Network::pick_link(NodeId from, NodeId to) const {
+LinkId Network::pick_link(NodeId from, NodeId to) const {
   for (const LinkId id : nodes_[from].links) {
     const Link& link = links_[id];
     if (!link.up) continue;
@@ -247,13 +229,12 @@ std::optional<LinkId> Network::pick_link(NodeId from, NodeId to) const {
       return id;
     }
   }
-  return std::nullopt;
+  return kNoLink;
 }
 
 void Network::ensure_routes() {
   if (!routes_dirty_) return;
   const std::size_t n = nodes_.size();
-  next_hop_.assign(n * n, kInvalidNode);
   next_link_.assign(n * n, kNoLink);
   route_cost_ns_.assign(n * n, -1);
 
@@ -287,10 +268,8 @@ void Network::ensure_routes() {
       }
     }
     for (NodeId dst = 0; dst < n; ++dst) {
-      next_hop_[src * n + dst] = first_hop[dst];
       if (first_hop[dst] != kInvalidNode) {
-        next_link_[src * n + dst] =
-            pick_link(src, first_hop[dst]).value_or(kNoLink);
+        next_link_[src * n + dst] = pick_link(src, first_hop[dst]);
       }
       if (dist[dst] != std::numeric_limits<std::int64_t>::max()) {
         route_cost_ns_[src * n + dst] = dist[dst];

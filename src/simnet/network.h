@@ -39,7 +39,6 @@ struct NetworkStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
   std::uint64_t dropped_no_route = 0;
-  std::uint64_t dropped_link_down = 0;
   std::uint64_t dropped_node_down = 0;
   std::uint64_t dropped_ttl = 0;
   std::uint64_t dropped_no_socket = 0;
@@ -58,18 +57,11 @@ class UdpSocket final : public netio::DatagramSocket {
   Ipv4Address address() const { return addr_; }
   Endpoint endpoint() const override { return Endpoint{addr_, port_}; }
 
-  /// Sends a datagram to `dst`. The source endpoint is this socket's
-  /// address/port.
-  void send_to(const Endpoint& dst, std::vector<std::uint8_t> payload);
-
-  /// Borrowed-payload send: `payload` is copied into a pooled packet buffer
-  /// recycled at delivery/drop, so steady-state sends allocate nothing.
-  /// This is how the dns hot path ships the encoder's arena bytes without
-  /// the per-send take() copy into a fresh vector.
+  /// Sends a datagram to `dst` from this socket's address/port. `payload`
+  /// is copied into a pooled packet buffer recycled at delivery/drop, so
+  /// steady-state sends allocate nothing.
   void send(const Endpoint& dst,
             std::span<const std::uint8_t> payload) override;
-
-  void set_handler(ReceiveHandler handler) { handler_ = std::move(handler); }
 
  private:
   friend class Network;
@@ -185,10 +177,11 @@ class Network {
   void forward(NodeId node, NodeId dest_node, Packet&& packet);
   void deliver_local(NodeId node, const Packet& packet);
   void ensure_routes();
-  std::optional<LinkId> pick_link(NodeId from, NodeId to) const;
+  /// The first up link between two adjacent nodes, or kNoLink.
+  LinkId pick_link(NodeId from, NodeId to) const;
 
-  /// Hop-path maps probe with a mixed key: the raw address or (node, port)
-  /// key would cluster linear probing on its low bits.
+  /// Forwarding-path maps probe with a mixed key: the raw address or
+  /// (node, port) key would cluster linear probing on its low bits.
   struct MixHash {
     std::size_t operator()(std::uint64_t key) const {
       key *= 0x9e3779b97f4a7c15ULL;
@@ -222,12 +215,13 @@ class Network {
   std::uint16_t next_ephemeral_ = 49152;
   std::uint64_t next_packet_id_ = 1;
   bool routes_dirty_ = true;
-  // next_hop_[from * n + to] = next node toward `to`, or kInvalidNode;
-  // next_link_[from * n + to] = the link forward() takes to it (the first
-  // up link between the two, as pick_link() finds it), or kNoLink.
-  std::vector<NodeId> next_hop_;
+  // next_link_[from * n + to] = the link forward() takes toward `to` (the
+  // first up link to the route's next node, as pick_link() finds it), or
+  // kNoLink when there is no route.
   std::vector<LinkId> next_link_;
   static constexpr LinkId kNoLink = ~LinkId{0};
+  /// forward() drops a packet that has reached this many nodes.
+  static constexpr std::uint32_t kHopLimit = 64;
   std::vector<std::int64_t> route_cost_ns_;
   NetworkStats stats_;
   std::vector<std::vector<std::uint8_t>> payload_pool_;

@@ -1,11 +1,12 @@
 // SmallVector<T, N>: a vector with inline storage for the first N elements.
 //
-// DNS messages carry 1-3 records per section and packets traverse a handful
-// of hops; std::vector heap-allocates for every one of them. SmallVector
-// keeps the common small case entirely inside the owning object (zero
-// allocations) and degrades to a heap buffer with geometric growth past N.
+// DNS messages carry 1-3 records per section and the name compressor keeps
+// a few dozen offsets; std::vector heap-allocates for every one of them.
+// SmallVector keeps the common small case entirely inside the owning object
+// (zero allocations) and degrades to a heap buffer with geometric growth
+// past N.
 //
-// The API is the std::vector subset the dns/ and simnet/ layers use, plus
+// The API is the std::vector subset the dns/ layer uses, plus
 // implicit conversions from std::vector so call sites that still produce
 // vectors (zone lookups, test fixtures) interoperate without churn.
 #pragma once

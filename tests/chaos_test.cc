@@ -76,9 +76,10 @@ TEST(ChaosController, AppliesNodeOutageAtScheduledTimes) {
   controller.arm(schedule);
 
   const Endpoint dst{Ipv4Address::must_parse("10.9.0.2"), 9000};
+  const std::vector<std::uint8_t> payload{1, 2, 3};
   for (const int at_ms : {50, 150, 350}) {
     sim.schedule_at(SimTime::millis(at_ms),
-                    [&, dst] { out->send_to(dst, {1, 2, 3}); });
+                    [&, dst] { out->send(dst, payload); });
   }
   sim.run();
 

@@ -166,8 +166,8 @@ TEST_F(AuthServerTest, LongestZoneWins) {
 
 TEST_F(AuthServerTest, MalformedPacketCounted) {
   simnet::UdpSocket* raw = net_.open_socket(client_node_, 0, nullptr);
-  raw->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.2"), kDnsPort},
-               {0x01, 0x02, 0x03});
+  constexpr std::uint8_t kJunk[] = {0x01, 0x02, 0x03};
+  raw->send(Endpoint{Ipv4Address::must_parse("10.0.0.2"), kDnsPort}, kJunk);
   sim_.run();
   EXPECT_EQ(server_->stats().malformed, 1u);
   EXPECT_EQ(server_->stats().queries, 0u);
@@ -179,8 +179,8 @@ TEST_F(AuthServerTest, ResponsePacketToServerIgnored) {
                             RecordType::kA);
   fake.header.qr = true;
   simnet::UdpSocket* raw = net_.open_socket(client_node_, 0, nullptr);
-  raw->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.2"), kDnsPort},
-               encode(fake));
+  raw->send(Endpoint{Ipv4Address::must_parse("10.0.0.2"), kDnsPort},
+            encode(fake));
   sim_.run();
   EXPECT_EQ(server_->stats().queries, 0u);
 }

@@ -27,9 +27,8 @@ class ScriptedServer {
       auto query = decode(p.payload);
       ASSERT_TRUE(query.ok());
       if (servfail_) {
-        socket_->send_to(p.src,
-                         encode(make_response(query.value(),
-                                              RCode::kServFail)));
+        socket_->send(p.src,
+                      encode(make_response(query.value(), RCode::kServFail)));
         return;
       }
       Message response = make_response(query.value());
@@ -39,7 +38,7 @@ class ScriptedServer {
       response.answers.push_back(
           make_a(query.value().question().name,
                  Ipv4Address::must_parse("198.18.0.1"), 30));
-      socket_->send_to(p.src, encode(response));
+      socket_->send(p.src, encode(response));
     });
   }
 
@@ -192,7 +191,7 @@ TEST_F(TransportTest, RejectsSpoofedSource) {
     // Try every plausible id (the transport's ids are sequential).
     for (std::uint32_t id = 1; id < 0x10000; id += 997) {
       fake.header.id = static_cast<std::uint16_t>(id);
-      socket->send_to(transport_->local_endpoint(), encode(fake));
+      socket->send(transport_->local_endpoint(), encode(fake));
     }
   });
   sim_.run();
@@ -255,7 +254,7 @@ TEST_F(TransportTest, Dns0x20RejectsCaseNormalizedSpoof) {
         response.answers.push_back(make_a(response.questions.front().name,
                                           Ipv4Address::must_parse("6.6.6.6"),
                                           30));
-        evil_socket->send_to(p.src, encode(response));
+        evil_socket->send(p.src, encode(response));
       });
 
   auto options = std::make_shared<DnsTransport::Options>();

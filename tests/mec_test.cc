@@ -360,8 +360,8 @@ TEST(LdnsFailover, SwitchesToFallbackOnCrashAndBackOnRestart) {
       primary_node, dns::kDnsPort, [&](const simnet::Packet& p) {
         auto query = dns::decode(p.payload);
         ASSERT_TRUE(query.ok());
-        responder->send_to(p.src, dns::encode(dns::make_response(
-                                      query.value())));
+        responder->send(p.src,
+                        dns::encode(dns::make_response(query.value())));
       });
 
   LdnsFailover::Config config;
@@ -409,8 +409,8 @@ TEST(LdnsFailover, SingleMissedProbeDoesNotSwitch) {
       primary_node, dns::kDnsPort, [&](const simnet::Packet& p) {
         auto query = dns::decode(p.payload);
         ASSERT_TRUE(query.ok());
-        responder->send_to(p.src, dns::encode(dns::make_response(
-                                      query.value())));
+        responder->send(p.src,
+                        dns::encode(dns::make_response(query.value())));
       });
 
   LdnsFailover::Config config;
@@ -448,8 +448,8 @@ TEST(LdnsFailover, DestroyedFailoverLeavesNoTimerBehind) {
       primary_node, dns::kDnsPort, [&](const simnet::Packet& p) {
         auto query = dns::decode(p.payload);
         ASSERT_TRUE(query.ok());
-        responder->send_to(p.src, dns::encode(dns::make_response(
-                                      query.value())));
+        responder->send(p.src,
+                        dns::encode(dns::make_response(query.value())));
       });
 
   LdnsFailover::Config config;

@@ -12,6 +12,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -246,6 +247,28 @@ TEST(EpollRuntimeTest, LoopbackDatagramRoundTrip) {
   rt.close_socket(client);
   rt.close_socket(echo);
   EXPECT_EQ(rt.open_sockets(), 0u);
+}
+
+TEST(EpollRuntimeTest, BurstSentBeforeTheLoopPollsIsAllDelivered) {
+  // A loop that stalls must not lose what queued meanwhile: every socket
+  // asks for a 4 MiB receive buffer, which the kernel caps at rmem_max.
+  std::ifstream rmem_max("/proc/sys/net/core/rmem_max");
+  std::int64_t cap = 0;
+  if (!(rmem_max >> cap) || cap < (4 << 20)) {
+    GTEST_SKIP() << "net.core.rmem_max is " << cap << " B, below 4 MiB";
+  }
+  EpollRuntime rt;
+  constexpr int kBurst = 2000;
+  int received = 0;
+  DatagramSocket* sink = rt.open_socket(0, [&](const simnet::Packet&) {
+    if (++received == kBurst) rt.stop();
+  });
+  DatagramSocket* source = rt.open_socket(0, nullptr);
+  const std::vector<std::uint8_t> query_sized(48, 0xab);
+  for (int i = 0; i < kBurst; ++i) source->send(sink->endpoint(), query_sized);
+  rt.run_until(rt.now() + SimTime::millis(2000));
+  EXPECT_EQ(rt.send_errors(), 0u);
+  EXPECT_EQ(received, kBurst);
 }
 
 /// The live-wire acceptance path in miniature: a real DNS query over a real

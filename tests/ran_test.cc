@@ -18,6 +18,9 @@ using simnet::Ipv4Address;
 using simnet::LatencyModel;
 using simnet::SimTime;
 
+/// A one-byte payload for tests that only care where a packet goes.
+constexpr std::uint8_t kByte[] = {1};
+
 TEST(Profiles, LteIsSlowerAndMoreVariableThanWired) {
   util::Rng rng(1);
   util::SampleSet lte_samples;
@@ -81,7 +84,7 @@ TEST_F(SegmentTest, UplinkSourceIsNatted) {
     seen_src = p.src;
   });
   net_.open_socket(ue, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("198.51.100.1"), 80}, {1});
+      ->send(Endpoint{Ipv4Address::must_parse("198.51.100.1"), 80}, kByte);
   sim_.run();
   // The server sees the P-GW's public address, never the UE's.
   EXPECT_EQ(seen_src.addr, Ipv4Address::must_parse("203.0.113.1"));
@@ -94,13 +97,13 @@ TEST_F(SegmentTest, ReplyIsTranslatedBackToUe) {
       segment_->attach_ue("ue", Ipv4Address::must_parse("10.45.0.2"));
   net_.open_socket(server_node_, 80, [&](const simnet::Packet& p) {
     // Echo back to whoever we saw (the NAT'd endpoint).
-    net_.open_socket(server_node_, 0, nullptr)->send_to(p.src, {9});
+    net_.open_socket(server_node_, 0, nullptr)->send(p.src, kByte);
   });
   bool ue_got_reply = false;
   simnet::UdpSocket* ue_socket = net_.open_socket(
       ue, 0, [&](const simnet::Packet&) { ue_got_reply = true; });
-  ue_socket->send_to(Endpoint{Ipv4Address::must_parse("198.51.100.1"), 80},
-                     {1});
+  ue_socket->send(Endpoint{Ipv4Address::must_parse("198.51.100.1"), 80},
+                  kByte);
   sim_.run();
   EXPECT_TRUE(ue_got_reply);
 }
@@ -109,7 +112,7 @@ TEST_F(SegmentTest, UnsolicitedInboundDropped) {
   segment_->attach_ue("ue", Ipv4Address::must_parse("10.45.0.2"));
   // A packet to the P-GW public address on an unmapped port: dropped.
   net_.open_socket(server_node_, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("203.0.113.1"), 31337}, {1});
+      ->send(Endpoint{Ipv4Address::must_parse("203.0.113.1"), 31337}, kByte);
   sim_.run();
   EXPECT_EQ(net_.stats().dropped_by_hook, 1u);
 }
@@ -124,9 +127,9 @@ TEST_F(SegmentTest, TwoUesGetDistinctNatPorts) {
     ports.insert(p.src.port);
   });
   net_.open_socket(ue1, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("198.51.100.1"), 80}, {1});
+      ->send(Endpoint{Ipv4Address::must_parse("198.51.100.1"), 80}, kByte);
   net_.open_socket(ue2, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("198.51.100.1"), 80}, {1});
+      ->send(Endpoint{Ipv4Address::must_parse("198.51.100.1"), 80}, kByte);
   sim_.run();
   EXPECT_EQ(ports.size(), 2u);
   EXPECT_EQ(segment_->nat_entries(), 2u);

@@ -439,6 +439,9 @@ TEST(LatencyModel, GoldenDrawsAndMeans) {
 
 // --- network -----------------------------------------------------------------------
 
+/// A one-byte payload for tests that only care where a packet goes.
+constexpr std::uint8_t kByte[] = {0};
+
 class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest() : net_(sim_, util::Rng(5)) {}
@@ -459,8 +462,8 @@ TEST_F(NetworkTest, DeliversBetweenDirectNeighbors) {
     arrival = net_.now();
   });
   UdpSocket* sender = net_.open_socket(a, 0, nullptr);
-  sender->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 99},
-                  {1, 2, 3});
+  const std::vector<std::uint8_t> payload{1, 2, 3};
+  sender->send(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 99}, payload);
   sim_.run();
   EXPECT_EQ(received, (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_EQ(arrival, SimTime::millis(3));
@@ -483,7 +486,7 @@ TEST_F(NetworkTest, RoutesViaShortestPath) {
   SimTime arrival;
   net_.open_socket(d, 7, [&](const Packet&) { arrival = net_.now(); });
   net_.open_socket(a, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.4"), 7}, {0});
+      ->send(Endpoint{Ipv4Address::must_parse("10.0.0.4"), 7}, kByte);
   sim_.run();
   EXPECT_TRUE(b_saw_it);
   EXPECT_EQ(arrival, SimTime::millis(2));
@@ -503,7 +506,7 @@ TEST_F(NetworkTest, ReroutesAroundDownLink) {
   SimTime arrival;
   net_.open_socket(b, 7, [&](const Packet&) { arrival = net_.now(); });
   net_.open_socket(a, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, {0});
+      ->send(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, kByte);
   sim_.run();
   EXPECT_EQ(arrival, SimTime::millis(8));
 }
@@ -512,9 +515,9 @@ TEST_F(NetworkTest, DropsWhenNoRoute) {
   const NodeId a = net_.add_node("a", Ipv4Address::must_parse("10.0.0.1"));
   net_.add_node("b", Ipv4Address::must_parse("10.0.0.2"));  // not linked
   net_.open_socket(a, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, {0});
+      ->send(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, kByte);
   net_.open_socket(a, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("99.9.9.9"), 7}, {0});
+      ->send(Endpoint{Ipv4Address::must_parse("99.9.9.9"), 7}, kByte);
   sim_.run();
   EXPECT_EQ(net_.stats().dropped_no_route, 2u);
   EXPECT_EQ(net_.stats().delivered, 0u);
@@ -527,7 +530,7 @@ TEST_F(NetworkTest, DropsToDownNode) {
   net_.open_socket(b, 7, [](const Packet&) { FAIL(); });
   net_.set_node_up(b, false);
   net_.open_socket(a, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, {0});
+      ->send(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, kByte);
   sim_.run();
   EXPECT_EQ(net_.stats().delivered, 0u);
 }
@@ -548,7 +551,7 @@ TEST_F(NetworkTest, TransitHookRewritesLikeNat) {
   Endpoint seen_src;
   net_.open_socket(b, 7, [&](const Packet& p) { seen_src = p.src; });
   net_.open_socket(a, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.3"), 7}, {0});
+      ->send(Endpoint{Ipv4Address::must_parse("10.0.0.3"), 7}, kByte);
   sim_.run();
   EXPECT_EQ(seen_src.addr, Ipv4Address::must_parse("203.0.113.1"));
 }
@@ -562,7 +565,7 @@ TEST_F(NetworkTest, TransitHookCanDrop) {
   net_.set_transit_hook(m, [](Packet&) { return TransitAction::kDrop; });
   net_.open_socket(b, 7, [](const Packet&) { FAIL(); });
   net_.open_socket(a, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.3"), 7}, {0});
+      ->send(Endpoint{Ipv4Address::must_parse("10.0.0.3"), 7}, kByte);
   sim_.run();
   EXPECT_EQ(net_.stats().dropped_by_hook, 1u);
 }
@@ -577,7 +580,7 @@ TEST_F(NetworkTest, LinkLossDropsProbabilistically) {
   net_.open_socket(b, 7, [&](const Packet&) { ++delivered; });
   UdpSocket* sender = net_.open_socket(a, 0, nullptr);
   for (int i = 0; i < 400; ++i) {
-    sender->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, {0});
+    sender->send(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, kByte);
   }
   sim_.run();
   EXPECT_GT(delivered, 140);
@@ -593,13 +596,63 @@ TEST_F(NetworkTest, HopTraceRecordsPath) {
   net_.add_link(a, m, LatencyModel::constant(SimTime::millis(1)));
   net_.add_link(m, b, LatencyModel::constant(SimTime::millis(1)));
   std::vector<NodeId> path;
-  net_.open_socket(b, 7, [&](const Packet& p) {
-    for (const Hop& hop : p.hops) path.push_back(hop.node);
-  });
+  for (const NodeId node : {a, m, b}) {
+    net_.add_tap(node, [&, node](const Packet&, SimTime) {
+      path.push_back(node);
+    });
+  }
+  net_.open_socket(b, 7, [](const Packet&) {});
   net_.open_socket(a, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.3"), 7}, {0});
+      ->send(Endpoint{Ipv4Address::must_parse("10.0.0.3"), 7}, kByte);
   sim_.run();
   EXPECT_EQ(path, (std::vector<NodeId>{a, m, b}));
+  EXPECT_EQ(net_.stats().delivered, 1u);
+}
+
+TEST_F(NetworkTest, HopCountIsOneAtTheOrigin) {
+  // The count a tap reads: 1 where the packet was sent, +1 per node after.
+  const NodeId a = net_.add_node("a", Ipv4Address::must_parse("10.0.0.1"));
+  const NodeId b = net_.add_node("b", Ipv4Address::must_parse("10.0.0.2"));
+  net_.add_link(a, b, LatencyModel::constant(SimTime::millis(1)));
+  std::vector<std::size_t> at_a;
+  std::vector<std::size_t> at_b;
+  net_.add_tap(a, [&](const Packet& p, SimTime) {
+    at_a.push_back(p.hops.size());
+  });
+  net_.add_tap(b, [&](const Packet& p, SimTime) {
+    at_b.push_back(p.hops.size());
+  });
+  net_.open_socket(b, 7, [](const Packet&) {});
+  net_.open_socket(a, 0, nullptr)
+      ->send(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, kByte);
+  sim_.run();
+  EXPECT_EQ(at_a, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(at_b, (std::vector<std::size_t>{2}));
+}
+
+TEST_F(NetworkTest, HopLimitDropsABouncingPacket) {
+  // Each node's hook points the packet back at the other node, so it
+  // bounces until the hop limit drops it at its 64th forward.
+  const Ipv4Address a_addr = Ipv4Address::must_parse("10.0.0.1");
+  const Ipv4Address b_addr = Ipv4Address::must_parse("10.0.0.2");
+  const NodeId a = net_.add_node("a", a_addr);
+  const NodeId b = net_.add_node("b", b_addr);
+  net_.add_link(a, b, LatencyModel::constant(SimTime::millis(1)));
+  int arrivals = 0;
+  const auto bounce = [&](NodeId node, Ipv4Address other) {
+    net_.add_tap(node, [&](const Packet&, SimTime) { ++arrivals; });
+    net_.set_transit_hook(node, [other](Packet& p) {
+      p.dst.addr = other;
+      return TransitAction::kForward;
+    });
+  };
+  bounce(a, b_addr);
+  bounce(b, a_addr);
+  net_.open_socket(a, 0, nullptr)->send(Endpoint{b_addr, 7}, kByte);
+  sim_.run();
+  EXPECT_EQ(arrivals, 64);
+  EXPECT_EQ(net_.stats().dropped_ttl, 1u);
+  EXPECT_EQ(net_.stats().delivered, 0u);
 }
 
 TEST_F(NetworkTest, EphemeralPortsAreDistinct) {
@@ -623,7 +676,7 @@ TEST_F(NetworkTest, ClosedSocketStopsReceiving) {
   UdpSocket* receiver = net_.open_socket(b, 7, [](const Packet&) { FAIL(); });
   net_.close_socket(receiver);
   net_.open_socket(a, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, {0});
+      ->send(Endpoint{Ipv4Address::must_parse("10.0.0.2"), 7}, kByte);
   sim_.run();
   EXPECT_EQ(net_.stats().dropped_no_socket, 1u);
 }
@@ -644,7 +697,7 @@ TEST_F(NetworkTest, MultiAddressNodeReceivesOnAll) {
   net_.open_socket(b, 53, [&](const Packet&) { ++received; },
                    Ipv4Address::must_parse("10.96.0.10"));
   net_.open_socket(a, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address::must_parse("10.96.0.10"), 53}, {0});
+      ->send(Endpoint{Ipv4Address::must_parse("10.96.0.10"), 53}, kByte);
   sim_.run();
   EXPECT_EQ(received, 1);
 }

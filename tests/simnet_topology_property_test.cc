@@ -8,6 +8,9 @@
 namespace mecdns::simnet {
 namespace {
 
+/// A one-byte payload for tests that only care where a packet goes.
+constexpr std::uint8_t kByte[] = {0};
+
 struct RandomTopology {
   std::unique_ptr<Simulator> sim;
   std::unique_ptr<Network> net;
@@ -91,10 +94,10 @@ TEST_P(TopologyProperty, PacketsArriveExactlyAtRouteCost) {
   SimTime arrival = SimTime::max();
   net.open_socket(dst, 9, [&](const Packet&) { arrival = net.now(); });
   net.open_socket(src, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address(static_cast<std::uint32_t>(
-                             0x0a000001 + topo.nodes.size() - 1)),
-                         9},
-                {42});
+      ->send(Endpoint{Ipv4Address(static_cast<std::uint32_t>(
+                          0x0a000001 + topo.nodes.size() - 1)),
+                      9},
+             kByte);
   topo.sim->run();
   EXPECT_EQ(arrival, expected);  // constant delays: exact match
 }
@@ -115,10 +118,10 @@ TEST_P(TopologyProperty, CuttingASpanningLinkStillDeliversIfAlternateExists) {
   int delivered = 0;
   net.open_socket(dst, 9, [&](const Packet&) { ++delivered; });
   net.open_socket(src, 0, nullptr)
-      ->send_to(Endpoint{Ipv4Address(static_cast<std::uint32_t>(
-                             0x0a000001 + topo.nodes.size() - 2)),
-                         9},
-                {1});
+      ->send(Endpoint{Ipv4Address(static_cast<std::uint32_t>(
+                          0x0a000001 + topo.nodes.size() - 2)),
+                      9},
+             kByte);
   topo.sim->run();
   EXPECT_EQ(delivered, cost.has_value() ? 1 : 0);
 }

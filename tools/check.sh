@@ -40,6 +40,9 @@
 #      probe client resolves a name over the real wire and checks the A
 #      record (once lower-case, once mixed-case), and the server's teardown
 #      must report sockets_leaked=0.
+#  10. Benchmark build: perfbench compiles src/ and tools/ itself and reads
+#      simnet::Packet, so its own unit tests and a short traced
+#      sim-mec-steady run must pass (run.py exits 1 when its build fails).
 # Usage: tools/check.sh [jobs]   (default: nproc)
 set -euo pipefail
 
@@ -48,14 +51,14 @@ jobs="${1:-$(nproc)}"
 
 run() { echo "+ $*"; "$@"; }
 
-echo "=== 1/9: ASan/UBSan build + tests (build-asan/) ==="
+echo "=== 1/10: ASan/UBSan build + tests (build-asan/) ==="
 run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -Werror" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 run cmake --build build-asan -j "$jobs"
 run ctest --test-dir build-asan --output-on-failure -j "$jobs" --timeout 120
 
-echo "=== 2/9: fault-matrix smoke (ASan/UBSan) ==="
+echo "=== 2/10: fault-matrix smoke (ASan/UBSan) ==="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 for scenario in mec-ldns-crash edge-cache-partition wan-loss-burst \
@@ -66,7 +69,7 @@ for scenario in mec-ldns-crash edge-cache-partition wan-loss-burst \
       --json-out "$smoke_dir/fault_$scenario.json"
 done
 
-echo "=== 3/9: Release build (warnings are errors) + tests (build/) ==="
+echo "=== 3/10: Release build (warnings are errors) + tests (build/) ==="
 # One cancellation rule: a component cancels the timers it armed, so no
 # heap-allocated liveness token (a shared flag or self pointer that late
 # events check) may come back under src/.
@@ -79,7 +82,7 @@ run cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror \
 run cmake --build build -j "$jobs"
 run ctest --test-dir build --output-on-failure -j "$jobs" --timeout 120
 
-echo "=== 4/9: observability pipeline + determinism self-diff ==="
+echo "=== 4/10: observability pipeline + determinism self-diff ==="
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$obs_dir"' EXIT
 run ./build/bench/bench_fig2_lookup_latency \
@@ -97,7 +100,7 @@ run ./build/bench/bench_fig2_lookup_latency --json-out "$obs_dir/fig2_b.json"
 run ./build/tools/mecdns_report \
     --diff "$obs_dir/fig2_a.json" --against "$obs_dir/fig2_b.json"
 
-echo "=== 5/9: TSan parallel-campaign determinism gate (build-tsan/) ==="
+echo "=== 5/10: TSan parallel-campaign determinism gate (build-tsan/) ==="
 run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -Werror" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
@@ -119,7 +122,7 @@ run ./build-tsan/tools/mecdns_report \
     --diff-bytes "$par_dir/metrics_serial.json" \
     --against "$par_dir/metrics_parallel.json"
 
-echo "=== 6/9: perf gate (microbench artifact + throughput regression) ==="
+echo "=== 6/10: perf gate (microbench artifact + throughput regression) ==="
 perf_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$obs_dir" "$par_dir" "$perf_dir"' EXIT
 # Microbenchmarks as a pipeline artifact (the JSON is a reference record,
@@ -163,7 +166,7 @@ if ./build/tools/mecdns_report --diff "$perf_dir/tp_serial.json" \
 fi
 echo "+ injected regression correctly detected"
 
-echo "=== 7/9: mobility-churn robustness gate ==="
+echo "=== 7/10: mobility-churn robustness gate ==="
 mob_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$obs_dir" "$par_dir" "$perf_dir" "$mob_dir"' EXIT
 # Downsized population, same overload physics: the flash crowd still
@@ -185,7 +188,7 @@ if $mob --workers 4 --json-out "$mob_dir/mobility_broken.json" \
 fi
 echo "+ mis-configured robust run correctly rejected"
 
-echo "=== 8/9: incident-forensics gate ==="
+echo "=== 8/10: incident-forensics gate ==="
 inc_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$obs_dir" "$par_dir" "$perf_dir" "$mob_dir" \
     "$inc_dir"' EXIT
@@ -230,7 +233,7 @@ awk '
   END { if (bad) exit 1; print "+ every churn scenario correlated an incident" }' \
   "$inc_dir/mob_inc_serial.json"
 
-echo "=== 9/9: livewire smoke (real UDP over loopback, ASan) ==="
+echo "=== 9/10: livewire smoke (real UDP over loopback, ASan) ==="
 live_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$obs_dir" "$par_dir" "$perf_dir" "$mob_dir" \
     "$inc_dir" "$live_dir"' EXIT
@@ -257,5 +260,9 @@ wait "$live_pid"
 cat "$live_dir/serve.log"
 grep -q '^sockets_leaked=0$' "$live_dir/serve.log" || {
   echo "error: livewire teardown leaked sockets" >&2; exit 1; }
+
+echo "=== 10/10: benchmark build (perfbench self-test + short traced run) ==="
+run python3 perfbench/run.py --self-test
+run python3 perfbench/run.py --workload sim-mec-steady --seconds 2 --trace 1
 
 echo "All checks passed."
