@@ -3,8 +3,6 @@
 #include <atomic>
 #include <thread>
 
-#include "util/thread_fresh.h"
-
 namespace mecdns::core {
 
 std::uint64_t split_mix64(std::uint64_t x) {
@@ -26,15 +24,8 @@ ParallelCampaign::ParallelCampaign(std::size_t workers)
 void ParallelCampaign::run_indexed(
     std::size_t jobs, const std::function<void(std::size_t)>& body) const {
   const std::size_t workers = std::min(workers_, jobs);
-  // Each job must start from a cold thread: thread_local scratch (the DNS
-  // codec's encode arena) warmed by a previous job on the same worker would
-  // otherwise make refill/allocation counts depend on scheduling, breaking
-  // worker-count byte-identity of perf-bearing artifacts.
   if (workers <= 1) {
-    for (std::size_t i = 0; i < jobs; ++i) {
-      util::reset_thread_caches();
-      body(i);
-    }
+    for (std::size_t i = 0; i < jobs; ++i) body(i);
     return;
   }
   // Ticket dispatch: indices are handed out in order; completion order is
@@ -47,7 +38,6 @@ void ParallelCampaign::run_indexed(
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= jobs) return;
-        util::reset_thread_caches();
         body(i);
       }
     });

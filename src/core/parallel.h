@@ -27,11 +27,6 @@
 // thread_local, so concurrent simulations do not interfere. Process-global
 // knobs (util::set_log_level, util::set_log_sink) must be configured before
 // run() and left alone while workers are live.
-//
-// Before each job body the runner calls util::reset_thread_caches(): any
-// thread_local scratch registered via util/thread_fresh.h (e.g. the DNS
-// codec's encode arena) is returned to a cold state, so a job behaves
-// identically whether its worker thread is fresh or reused.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "dns/edns.h"
 
-#include "util/bytes.h"
-
 namespace mecdns::dns {
 
 namespace {
@@ -9,8 +7,7 @@ constexpr std::uint16_t kOptionClientSubnet = 8;  // RFC 7871
 constexpr std::uint16_t kFamilyIpv4 = 1;
 }  // namespace
 
-std::vector<std::uint8_t> encode_edns_options(const Edns& edns) {
-  util::ByteWriter writer;
+void write_edns_options(util::ByteWriter& out, const Edns& edns) {
   if (edns.client_subnet.has_value()) {
     const ClientSubnet& ecs = *edns.client_subnet;
     // ADDRESS is truncated to the minimum octets covering SOURCE PREFIX,
@@ -21,16 +18,15 @@ std::vector<std::uint8_t> encode_edns_options(const Edns& edns) {
             ? 0
             : ecs.address.value() &
                   (~std::uint32_t{0} << (32 - ecs.source_prefix));
-    writer.u16(kOptionClientSubnet);
-    writer.u16(static_cast<std::uint16_t>(4 + addr_octets));
-    writer.u16(kFamilyIpv4);
-    writer.u8(ecs.source_prefix);
-    writer.u8(ecs.scope_prefix);
+    out.u16(kOptionClientSubnet);
+    out.u16(static_cast<std::uint16_t>(4 + addr_octets));
+    out.u16(kFamilyIpv4);
+    out.u8(ecs.source_prefix);
+    out.u8(ecs.scope_prefix);
     for (std::size_t i = 0; i < addr_octets; ++i) {
-      writer.u8(static_cast<std::uint8_t>(masked >> (24 - 8 * i)));
+      out.u8(static_cast<std::uint8_t>(masked >> (24 - 8 * i)));
     }
   }
-  return writer.take();
 }
 
 util::Result<void> decode_edns_options(std::span<const std::uint8_t> rdata,

@@ -8,9 +8,9 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "simnet/ip.h"
+#include "util/bytes.h"
 #include "util/result.h"
 
 namespace mecdns::dns {
@@ -40,8 +40,8 @@ struct Edns {
   friend bool operator==(const Edns&, const Edns&) = default;
 };
 
-/// Encodes the EDNS options (currently: ECS) into OPT RDATA bytes.
-std::vector<std::uint8_t> encode_edns_options(const Edns& edns);
+/// Writes the EDNS options (currently: ECS) as OPT RDATA bytes.
+void write_edns_options(util::ByteWriter& out, const Edns& edns);
 
 /// Decodes OPT RDATA bytes into the option fields of `edns` (payload size /
 /// rcode / version / DO come from the OPT record's fixed fields, handled by

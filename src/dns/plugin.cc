@@ -95,7 +95,14 @@ bool ForwardPlugin::serve(const Message& query, const QueryContext& ctx,
                           Respond& respond) {
   if (!query.question().name.is_subdomain_of(match_)) return false;
   ++forwarded_;
-  Message upstream_query = query;
+  // The upstream gets the client's flags, question and EDNS, and nothing
+  // else: records the client put in the other sections are not the
+  // forwarder's to relay, and re-encoding them can multiply a hostile
+  // query's size (SRV targets are written uncompressed).
+  Message upstream_query;
+  upstream_query.header = query.header;
+  upstream_query.questions.push_back(query.question());
+  upstream_query.edns = query.edns;
   if (add_ecs_ && (!upstream_query.edns.has_value() ||
                    !upstream_query.edns->client_subnet.has_value())) {
     if (!upstream_query.edns.has_value()) upstream_query.edns = Edns{};

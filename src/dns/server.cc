@@ -78,13 +78,15 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
       default: break;
     }
     span.tag("rcode", to_string(response.header.rcode));
-    // The reply is sent straight from the encoder's arena (the socket
+    // The reply is sent straight from the encoder's buffer (the socket
     // copies into a pooled buffer / the real wire) — no per-response
     // vector.
     std::span<const std::uint8_t> wire = encode_view(response);
-    if (wire.size() > payload_limit) {
+    if (wire.empty() || wire.size() > payload_limit) {
       // Truncate per RFC 2181 §9: set TC and drop the record sections; the
       // client re-queries with a larger EDNS buffer (or TCP, not modelled).
+      // A response too large to encode at all (empty wire) is the same
+      // case, since no payload limit exceeds 65535 octets.
       ++stats.truncated;
       response.header.tc = true;
       response.answers.clear();

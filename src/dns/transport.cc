@@ -124,7 +124,7 @@ void DnsTransport::send_attempt(Pending& p) {
   // Deliveries and the timeout timer nest under the transaction's span.
   obs::AmbientSpanGuard ambient(p.span);
   ++util::perf::counters().dns_queries_sent;
-  // The wire bytes are borrowed straight from the encoder's arena — the
+  // The wire bytes are borrowed straight from the encoder's buffer — the
   // socket copies them into a pooled buffer (sim) or onto the wire (live),
   // so no per-send vector is allocated.
   socket_->send(p.server, encode_view(p.query));

@@ -1,14 +1,13 @@
 #include "dns/wire.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "dns/edns.h"
-#include "util/arena.h"
 #include "util/bytes.h"
 #include "util/perfcount.h"
 #include "util/small_vector.h"
-#include "util/thread_fresh.h"
 
 namespace mecdns::dns {
 
@@ -149,19 +148,21 @@ void write_record(util::ByteWriter& out, NameCompressor& names,
                 static_cast<std::uint16_t>(out.size() - rdata_start));
 }
 
-/// Materializes the OPT pseudo-record described by Edns (RFC 6891 §6.1.2):
+/// Writes the OPT pseudo-record described by Edns (RFC 6891 §6.1.2):
 /// owner = root, CLASS = requestor's UDP payload size, TTL = extended
 /// rcode/version/DO flags.
-ResourceRecord make_opt_record(const Edns& edns) {
-  ResourceRecord rr;
-  rr.name = DnsName::root();
-  rr.type = RecordType::kOpt;
-  rr.cls = static_cast<RecordClass>(edns.udp_payload_size);
-  rr.ttl = (static_cast<std::uint32_t>(edns.extended_rcode) << 24) |
-           (static_cast<std::uint32_t>(edns.version) << 16) |
-           (edns.dnssec_ok ? 0x8000u : 0u);
-  rr.rdata = OptRecord{encode_edns_options(edns)};
-  return rr;
+void write_opt_record(util::ByteWriter& out, const Edns& edns) {
+  out.u8(0);  // root
+  out.u16(static_cast<std::uint16_t>(RecordType::kOpt));
+  out.u16(edns.udp_payload_size);
+  out.u32((static_cast<std::uint32_t>(edns.extended_rcode) << 24) |
+          (static_cast<std::uint32_t>(edns.version) << 16) |
+          (edns.dnssec_ok ? 0x8000u : 0u));
+  const std::size_t rdlength_at = out.size();
+  out.u16(0);  // patched below
+  write_edns_options(out, edns);
+  out.patch_u16(rdlength_at,
+                static_cast<std::uint16_t>(out.size() - rdlength_at - 2));
 }
 
 /// QDCOUNT, ANCOUNT, NSCOUNT and ARCOUNT (RFC 1035 §4.1.1).
@@ -350,33 +351,10 @@ void count_decoded(std::span<const std::uint8_t> wire) {
   perf.dns_bytes_decoded += wire.size();
 }
 
-/// Per-thread scratch for encode temporaries: reset (not freed) per message,
-/// so the steady state allocates only the final wire vector. Registered with
-/// the thread-fresh registry so the campaign runner can return it to a cold
-/// state before each job — otherwise a job landing on a warm worker thread
-/// would see different refill/allocation counts than the same job on a
-/// fresh thread, breaking worker-count byte-identity.
-util::Arena& encode_arena() {
-  thread_local struct Holder {
-    util::Arena arena{2048};
-    Holder() {
-      util::register_thread_cache(
-          [](void* ctx) { static_cast<util::Arena*>(ctx)->release(); },
-          &arena);
-    }
-  } holder;
-  return holder.arena;
-}
+/// RFC 1035 §4.2.2: a message is at most 65535 octets.
+constexpr std::size_t kMaxMessageOctets = 65535;
 
-}  // namespace
-
-namespace {
-/// Shared encode body: leaves the wire bytes in the thread-local arena and
-/// returns the writer (whose data() views them).
-util::ByteWriter encode_to_arena(const Message& message) {
-  util::Arena& arena = encode_arena();
-  arena.reset();
-  util::ByteWriter out(&arena);
+void write_message(util::ByteWriter& out, const Message& message) {
   NameCompressor names;
 
   std::uint16_t flags = 0;
@@ -410,24 +388,27 @@ util::ByteWriter encode_to_arena(const Message& message) {
   for (const auto& rr : message.additionals) write_record(out, names, rr);
   // The OPT pseudo-record rides last in additionals, written directly from
   // Message::edns — no section copy just to append it.
-  if (message.edns.has_value()) {
-    write_record(out, names, make_opt_record(*message.edns));
-  }
-  auto& perf = util::perf::counters();
-  ++perf.dns_encoded;
-  perf.dns_bytes_encoded += out.size();
-  return out;
+  if (message.edns.has_value()) write_opt_record(out, *message.edns);
 }
+
 }  // namespace
 
-std::vector<std::uint8_t> encode(const Message& message) {
-  return encode_to_arena(message).take();
+std::span<const std::uint8_t> encode_view(const Message& message) {
+  // One fixed buffer per thread: no encode touches the heap, so nothing
+  // carries over from one message, or one campaign job, to the next.
+  thread_local std::array<std::uint8_t, kMaxMessageOctets> buffer;
+  util::ByteWriter out(buffer);
+  write_message(out, message);
+  auto& perf = util::perf::counters();
+  ++perf.dns_encoded;
+  if (out.overflowed()) return {};
+  perf.dns_bytes_encoded += out.size();
+  return out.data();
 }
 
-std::span<const std::uint8_t> encode_view(const Message& message) {
-  // The writer's bytes live in the thread-local arena, which outlives the
-  // writer object itself — the view stays valid until the next encode.
-  return encode_to_arena(message).data();
+std::vector<std::uint8_t> encode(const Message& message) {
+  const std::span<const std::uint8_t> wire = encode_view(message);
+  return {wire.begin(), wire.end()};
 }
 
 util::Result<Message> decode(std::span<const std::uint8_t> wire) {

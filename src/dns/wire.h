@@ -19,12 +19,15 @@ namespace mecdns::dns {
 /// Encodes a message to wire bytes. Applies name compression to all owner
 /// names and to names embedded in NS/CNAME/PTR/SOA RDATA (the RFC 1035
 /// "well-known" types; SRV targets are left uncompressed per RFC 2782).
+/// A message that does not fit the RFC 1035 §4.2.2 limit of 65535 octets
+/// encodes to an empty vector.
 std::vector<std::uint8_t> encode(const Message& message);
 
-/// Like encode(), but returns a view into the thread-local encode arena —
-/// valid only until the next encode()/encode_view() on this thread. Send
-/// paths that copy the bytes onward anyway (a pooled sim packet buffer, a
-/// real sendto()) use this to skip the per-message take() copy entirely.
+/// Like encode(), but returns a view into this thread's fixed encode
+/// buffer, valid only until the next encode()/encode_view() on this thread
+/// (empty when the message does not fit). Send paths that copy the bytes
+/// onward anyway (a pooled sim packet buffer, a real sendto()) use this to
+/// skip the copy into a vector.
 std::span<const std::uint8_t> encode_view(const Message& message);
 
 /// Decodes wire bytes. Fails (never throws, never reads out of bounds) on

@@ -50,7 +50,7 @@ class DatagramSocket {
 
   /// Sends a datagram to `dst`, borrowing `payload` — the bytes are copied
   /// (or written to the wire) before return, so callers may pass a view of
-  /// the encoder's arena scratch.
+  /// the encoder's per-thread buffer.
   virtual void send(const simnet::Endpoint& dst,
                     std::span<const std::uint8_t> payload) = 0;
 };

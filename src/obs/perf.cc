@@ -27,7 +27,6 @@ util::perf::Counters PerfSnapshot::delta() const {
   d.cache_lookups = now.cache_lookups - at_.cache_lookups;
   d.events_scheduled = now.events_scheduled - at_.events_scheduled;
   d.events_fired = now.events_fired - at_.events_fired;
-  d.pool_refills = now.pool_refills - at_.pool_refills;
   return d;
 }
 
@@ -50,7 +49,6 @@ void export_perf(Registry& registry, const std::string& prefix,
   registry.add(prefix + "cache_lookups", delta.cache_lookups);
   registry.add(prefix + "events_scheduled", delta.events_scheduled);
   registry.add(prefix + "events_fired", delta.events_fired);
-  registry.add(prefix + "pool_refills", delta.pool_refills);
   if (queries == 0) return;
   const auto per_query = [&](const std::string& name, std::uint64_t n) {
     registry.set_gauge(prefix + name + "_per_query",

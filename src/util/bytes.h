@@ -10,44 +10,35 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/result.h"
 
 namespace mecdns::util {
 
-class Arena;
-
-/// Appends big-endian integers and raw bytes to a growable buffer.
+/// Appends big-endian integers and raw bytes to a caller-owned buffer.
 ///
-/// Two backing modes share one hot path (raw data_/size_/cap_ with a grow
-/// branch): the default mode owns a heap vector and take() moves it out;
-/// arena mode bumps scratch from a caller-owned Arena — nothing to free,
-/// and take() copies out the exact final size (one allocation per message
-/// instead of one per growth step). Send paths that only need to look at
-/// the bytes (dns::encode_view) skip even that copy and borrow data()
-/// directly, since arena-backed bytes outlive the writer.
+/// The hot path is a raw pointer with one capacity branch per write. A
+/// write that does not fit sets overflowed() and writes nothing, and so
+/// does every write after it: the writer never touches memory outside the
+/// buffer, and the caller discards an overflowed message as a whole.
 class ByteWriter {
  public:
-  ByteWriter() = default;
-
-  /// Arena-backed scratch mode. The arena must outlive the writer; the
-  /// caller resets it between messages.
-  explicit ByteWriter(Arena* arena) : arena_(arena) {}
+  explicit ByteWriter(std::span<std::uint8_t> buffer)
+      : data_(buffer.data()), cap_(buffer.size()) {}
 
   void u8(std::uint8_t v) {
-    if (size_ == cap_) grow(1);
+    if (!fits(1)) return;
     data_[size_++] = v;
   }
 
   void u16(std::uint16_t v) {
-    if (size_ + 2 > cap_) grow(2);
+    if (!fits(2)) return;
     data_[size_++] = static_cast<std::uint8_t>(v >> 8);
     data_[size_++] = static_cast<std::uint8_t>(v);
   }
 
   void u32(std::uint32_t v) {
-    if (size_ + 4 > cap_) grow(4);
+    if (!fits(4)) return;
     data_[size_++] = static_cast<std::uint8_t>(v >> 24);
     data_[size_++] = static_cast<std::uint8_t>(v >> 16);
     data_[size_++] = static_cast<std::uint8_t>(v >> 8);
@@ -62,25 +53,34 @@ class ByteWriter {
 
   /// Overwrites a previously written big-endian u16 at `offset`.
   /// Used for patching DNS message section counts and RDLENGTH fields.
+  /// Ignored once overflowed(): the field may be one the overflow dropped.
   void patch_u16(std::size_t offset, std::uint16_t v);
 
+  /// True once a write did not fit; the written prefix is then incomplete.
+  bool overflowed() const { return overflowed_; }
   std::size_t size() const { return size_; }
   std::span<const std::uint8_t> data() const { return {data_, size_}; }
   const std::uint8_t* raw() const { return data_; }
 
-  /// Yields the written bytes as an owning vector. Heap mode moves the
-  /// backing vector out (no copy); arena mode copies the exact final size.
-  std::vector<std::uint8_t> take();
-
  private:
+  /// True when `n` more octets fit; otherwise marks the overflow.
+  bool fits(std::size_t n) {
+    if (n <= cap_ - size_) return true;
+    overflow();
+    return false;
+  }
+  /// Marks the overflow and shrinks the capacity to what is written, so no
+  /// later write lands either.
+  [[gnu::cold]] void overflow() {
+    overflowed_ = true;
+    cap_ = size_;
+  }
   void append(const std::uint8_t* src, std::size_t n);
-  void grow(std::size_t needed);
 
-  Arena* arena_ = nullptr;
-  std::vector<std::uint8_t> buf_;  ///< storage owner in heap mode only
-  std::uint8_t* data_ = nullptr;
+  std::uint8_t* data_;
   std::size_t size_ = 0;
-  std::size_t cap_ = 0;
+  std::size_t cap_;
+  bool overflowed_ = false;
 };
 
 /// Reads big-endian integers and byte runs from a fixed buffer with full

@@ -14,7 +14,11 @@
 //
 // Determinism contract: campaign jobs run start-to-finish on one worker
 // thread, so a (snapshot, run, delta) sequence inside a job body observes
-// exactly that job's activity — identical for any --workers value.
+// exactly that job's activity — identical for any --workers value. This
+// holds for the allocation counters too because no layer keeps heap
+// scratch from one job to the next on a thread: the codec encodes into a
+// fixed per-thread buffer, so a reused worker allocates what a fresh one
+// would.
 #pragma once
 
 #include <cstdint>
@@ -49,13 +53,6 @@ struct Counters {
   // Discrete-event simulator (simnet/simulator.cc).
   std::uint64_t events_scheduled = 0;
   std::uint64_t events_fired = 0;
-
-  // Arena/pool growth (util/arena.h). Each chunk an arena fetches from the
-  // general heap counts here (the operator-new hooks still see it in
-  // `allocs`), so a steady state of zero refills is distinguishable from
-  // "the pools are churning": allocs/query near zero + pool_refills flat
-  // means the scratch capacity has converged.
-  std::uint64_t pool_refills = 0;
 };
 
 /// The calling thread's counters. The reference is stable for the thread's

@@ -1,12 +1,18 @@
 // Plugin-chain server tests: the CoreDNS model and the split-namespace
-// views at the heart of the paper's P1 design.
+// views at the heart of the paper's P1 design, and what the forwarder
+// passes on of a hostile query or answer.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "dns/plugin.h"
 #include "dns/stub.h"
+#include "dns/wire.h"
 #include "obs/trace.h"
+#include "srv_flood.h"
 
 namespace mecdns::dns {
 namespace {
@@ -263,6 +269,114 @@ TEST_F(PluginTest, ZonePluginServesDelegationAndNegative) {
   const StubResult missing =
       resolve_from(external_client_, "nothere.cluster.local");
   EXPECT_EQ(missing.rcode, RCode::kNxDomain);
+}
+
+/// A hand-driven upstream on the upstream node's port 5353: it hands each
+/// datagram to `answer` and sends back what that returns.
+class ScriptedUpstream {
+ public:
+  using Answer =
+      std::function<std::vector<std::uint8_t>(std::span<const std::uint8_t>)>;
+  ScriptedUpstream(simnet::Network& net, simnet::NodeId node, Answer answer)
+      : net_(net), answer_(std::move(answer)) {
+    socket_ = net.open_socket(node, kPort, [this](const simnet::Packet& p) {
+      received_octets_ = p.payload.size();
+      socket_->send(p.src, answer_(p.payload));
+    });
+  }
+  ~ScriptedUpstream() { net_.close_socket(socket_); }
+  ScriptedUpstream(const ScriptedUpstream&) = delete;
+  ScriptedUpstream& operator=(const ScriptedUpstream&) = delete;
+  static constexpr std::uint16_t kPort = 5353;
+  std::size_t received_octets() const { return received_octets_; }
+
+ private:
+  simnet::Network& net_;
+  Answer answer_;
+  simnet::UdpSocket* socket_ = nullptr;
+  std::size_t received_octets_ = 0;
+};
+
+/// Sends `wire` from the mobile client's node to the L-DNS as a raw
+/// datagram and returns the decoded reply.
+std::optional<Message> exchange(simnet::Simulator& sim, simnet::Network& net,
+                                simnet::NodeId client,
+                                std::span<const std::uint8_t> wire) {
+  std::optional<Message> reply;
+  simnet::UdpSocket* socket =
+      net.open_socket(client, 40000, [&reply](const simnet::Packet& p) {
+        auto decoded = decode(p.payload);
+        if (decoded.ok()) reply = std::move(decoded.value());
+      });
+  socket->send({Ipv4Address::must_parse("10.240.0.2"), kDnsPort}, wire);
+  sim.run();
+  net.close_socket(socket);
+  return reply;
+}
+
+TEST_F(PluginTest, ForwardRelaysOnlyTheQuestionOfAFloodedQuery) {
+  // The 60,261-octet query would re-encode to 789,261 octets; the upstream
+  // must see the client's question alone, in one ordinary datagram.
+  Message upstream_saw;
+  ScriptedUpstream upstream(
+      net_, upstream_node_, [&](std::span<const std::uint8_t> wire) {
+        upstream_saw = decode(wire).value();
+        Message response = make_response(upstream_saw);
+        response.answers.push_back(
+            make_a(upstream_saw.question().name,
+                   Ipv4Address::must_parse("198.18.5.5"), 30));
+        return encode(response);
+      });
+  server_->add_default_view("public").add(std::make_unique<ForwardPlugin>(
+      DnsName::must_parse("mycdn.test"),
+      std::vector<Endpoint>{{Ipv4Address::must_parse("198.51.100.53"),
+                             ScriptedUpstream::kPort}},
+      server_->transport()));
+
+  const Message query =
+      make_query(0x4242, srv_flood_name(), RecordType::kA);
+  const std::vector<std::uint8_t> flood = srv_flood(encode(query));
+  ASSERT_EQ(flood.size(), kSrvFloodOctets);
+  const std::optional<Message> reply =
+      exchange(sim_, net_, external_client_, flood);
+
+  EXPECT_LE(upstream.received_octets(), 512u);
+  EXPECT_EQ(upstream_saw.questions, query.questions);
+  EXPECT_TRUE(upstream_saw.answers.empty());
+  EXPECT_TRUE(upstream_saw.authorities.empty());
+  EXPECT_TRUE(upstream_saw.additionals.empty());
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->header.id, 0x4242);
+  EXPECT_EQ(reply->first_a(), Ipv4Address::must_parse("198.18.5.5"));
+}
+
+TEST_F(PluginTest, AnswerTooLargeToEncodeReachesClientAsTruncatedStub) {
+  // The upstream answers with the SRV flood: it decodes, but no encoding
+  // fits 65535 octets, so the L-DNS sends the TC=1 stub instead.
+  ScriptedUpstream upstream(
+      net_, upstream_node_, [](std::span<const std::uint8_t> wire) {
+        std::vector<std::uint8_t> head(wire.begin(), wire.end());
+        head[2] |= 0x80;  // QR: this is the response
+        return srv_flood(head);
+      });
+  server_->add_default_view("public").add(std::make_unique<ForwardPlugin>(
+      DnsName::root(),
+      std::vector<Endpoint>{{Ipv4Address::must_parse("198.51.100.53"),
+                             ScriptedUpstream::kPort}},
+      server_->transport()));
+
+  const Message query = make_query(
+      0x4243, DnsName::must_parse("video.mycdn.test"), RecordType::kSrv);
+  const std::optional<Message> reply =
+      exchange(sim_, net_, external_client_, encode(query));
+
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->header.id, 0x4243);
+  EXPECT_TRUE(reply->header.tc);
+  EXPECT_EQ(reply->questions, query.questions);
+  EXPECT_TRUE(reply->answers.empty());
+  EXPECT_TRUE(reply->additionals.empty());
+  EXPECT_EQ(server_->stats().truncated, 1u);
 }
 
 }  // namespace

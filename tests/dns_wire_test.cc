@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "dns/edns.h"
 #include "dns/wire.h"
+#include "srv_flood.h"
 #include "util/perfcount.h"
 
 namespace mecdns::dns {
@@ -160,11 +163,13 @@ TEST(Wire, EcsAddressTruncatedToSourcePrefix) {
   ecs.address = simnet::Ipv4Address::must_parse("10.45.77.200");
   ecs.source_prefix = 16;
   edns.client_subnet = ecs;
-  const auto rdata = encode_edns_options(edns);
+  std::array<std::uint8_t, 16> buf{};
+  util::ByteWriter rdata(buf);
+  write_edns_options(rdata, edns);
   // option header (4) + family/prefixes (4) + 2 address octets.
   EXPECT_EQ(rdata.size(), 10u);
   Edns back;
-  ASSERT_TRUE(decode_edns_options(rdata, back).ok());
+  ASSERT_TRUE(decode_edns_options(rdata.data(), back).ok());
   EXPECT_EQ(back.client_subnet->address,
             simnet::Ipv4Address::must_parse("10.45.0.0"));
 }
@@ -175,10 +180,31 @@ TEST(Wire, EcsZeroPrefixMeansNoAddress) {
   ecs.address = simnet::Ipv4Address::must_parse("10.45.77.200");
   ecs.source_prefix = 0;
   edns.client_subnet = ecs;
+  std::array<std::uint8_t, 16> buf{};
+  util::ByteWriter rdata(buf);
+  write_edns_options(rdata, edns);
   Edns back;
-  ASSERT_TRUE(decode_edns_options(encode_edns_options(edns), back).ok());
+  ASSERT_TRUE(decode_edns_options(rdata.data(), back).ok());
   EXPECT_EQ(back.client_subnet->source_prefix, 0);
   EXPECT_TRUE(back.client_subnet->address.is_unspecified());
+}
+
+TEST(Wire, MessagePastTheSizeLimitEncodesToNothing) {
+  // 60,261 octets in, 789,261 octets out were it written: past RFC 1035's
+  // 65535-octet limit, so both encoders report the overflow as an empty
+  // result.
+  const Message query =
+      make_query(0x4242, srv_flood_name(), RecordType::kSrv);
+  const std::vector<std::uint8_t> wire = srv_flood(encode(query));
+  ASSERT_EQ(wire.size(), kSrvFloodOctets);
+  const auto decoded = decode(wire);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded.value().additionals.size(), kSrvFloodRecords);
+
+  EXPECT_TRUE(encode(decoded.value()).empty());
+  EXPECT_TRUE(encode_view(decoded.value()).empty());
+  // The buffer is whole again for the next message.
+  EXPECT_EQ(decode(encode_view(query)).value().question(), query.question());
 }
 
 TEST(Wire, MultiSectionMessage) {

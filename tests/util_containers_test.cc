@@ -1,8 +1,6 @@
-// Tests for the PR 7 allocation-elimination containers: SmallVector (inline
-// storage + growth), Arena (bump allocation, reset reuse, release),
-// InlineFunction (SBO callbacks, heap fallback, recycling) and FlatHashMap
-// (open addressing with backward-shift deletion), plus the thread-fresh
-// registry gluing the arena to the campaign runner.
+// Tests for the allocation-free containers: SmallVector (inline storage +
+// growth), InlineFunction (SBO callbacks, heap fallback, recycling),
+// FlatHashMap (open addressing with backward-shift deletion) and SlotPool.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,13 +9,11 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/flat_map.h"
 #include "util/inline_function.h"
 #include "util/rng.h"
 #include "util/slot_pool.h"
 #include "util/small_vector.h"
-#include "util/thread_fresh.h"
 
 namespace mecdns::util {
 namespace {
@@ -116,68 +112,6 @@ TEST(SmallVector, InsertAndErase) {
   EXPECT_EQ(v, (SmallVector<int, 4>{1, 2, 3, 4}));
   v.erase(v.begin() + 2);
   EXPECT_EQ(v, (SmallVector<int, 4>{1, 2, 4}));
-}
-
-// --- Arena ------------------------------------------------------------------
-
-TEST(Arena, BumpsWithinChunkAndAligns) {
-  Arena arena(256);
-  void* a = arena.alloc(10, 8);
-  void* b = arena.alloc(10, 8);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(arena.refills(), 1u);  // both fit the first chunk
-}
-
-TEST(Arena, ResetReusesMemoryWithoutRefill) {
-  Arena arena(256);
-  void* first = arena.alloc(64, 8);
-  arena.reset();
-  void* again = arena.alloc(64, 8);
-  EXPECT_EQ(first, again);  // same chunk, same offset
-  EXPECT_EQ(arena.refills(), 1u);
-  // A steady-state loop never refills once capacity has been established.
-  for (int i = 0; i < 100; ++i) {
-    arena.reset();
-    (void)arena.alloc(200, 8);
-  }
-  EXPECT_EQ(arena.refills(), 1u);
-}
-
-TEST(Arena, OverCapacityRequestGetsFittedChunk) {
-  Arena arena(64);
-  (void)arena.alloc(16, 8);
-  void* big = arena.alloc(1 << 16, 64);  // far beyond doubling
-  EXPECT_NE(big, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big) % 64, 0u);
-  EXPECT_EQ(arena.refills(), 2u);
-  EXPECT_GE(arena.capacity(), (1u << 16));
-  // After reset both chunks are reusable in order.
-  arena.reset();
-  (void)arena.alloc(32, 8);
-  (void)arena.alloc(1 << 15, 8);
-  EXPECT_EQ(arena.refills(), 2u);
-}
-
-TEST(Arena, ReleaseDropsCapacityToCold) {
-  Arena arena(128);
-  (void)arena.alloc(100, 8);
-  (void)arena.alloc(300, 8);
-  EXPECT_GT(arena.capacity(), 0u);
-  arena.release();
-  EXPECT_EQ(arena.capacity(), 0u);
-  // Next alloc refills from scratch, exactly like a fresh arena.
-  (void)arena.alloc(10, 8);
-  EXPECT_EQ(arena.refills(), 3u);
-}
-
-TEST(Arena, AllocArrayIsTypedAndAligned) {
-  Arena arena;
-  double* d = arena.alloc_array<double>(16);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % alignof(double), 0u);
-  for (int i = 0; i < 16; ++i) d[i] = i * 1.5;
-  EXPECT_EQ(d[15], 22.5);
 }
 
 // --- InlineFunction ---------------------------------------------------------
@@ -435,17 +369,6 @@ TEST(SlotPool, RecyclesReleasedSlotsAndNeverMovesRecords) {
   EXPECT_EQ(pool.acquire(), a);
   EXPECT_EQ(pool[a], "first");
   EXPECT_EQ(pool.acquire(), 1001u);
-}
-
-// --- thread-fresh registry --------------------------------------------------
-
-TEST(ThreadFresh, ResetInvokesRegisteredHooks) {
-  static int resets = 0;
-  register_thread_cache([](void* ctx) { ++*static_cast<int*>(ctx); }, &resets);
-  const int before = resets;
-  reset_thread_caches();
-  reset_thread_caches();
-  EXPECT_EQ(resets, before + 2);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "util/bytes.h"
@@ -203,7 +204,8 @@ TEST(FrequencyTable, SharesSumToOne) {
 // --- bytes --------------------------------------------------------------------
 
 TEST(Bytes, RoundTripIntegers) {
-  ByteWriter w;
+  std::array<std::uint8_t, 16> buf{};
+  ByteWriter w(buf);
   w.u8(0xab);
   w.u16(0x1234);
   w.u32(0xdeadbeef);
@@ -215,7 +217,8 @@ TEST(Bytes, RoundTripIntegers) {
 }
 
 TEST(Bytes, BigEndianLayout) {
-  ByteWriter w;
+  std::array<std::uint8_t, 16> buf{};
+  ByteWriter w(buf);
   w.u16(0x0102);
   EXPECT_EQ(w.data()[0], 0x01);
   EXPECT_EQ(w.data()[1], 0x02);
@@ -230,7 +233,8 @@ TEST(Bytes, TruncatedReadsFail) {
 }
 
 TEST(Bytes, SeekAndView) {
-  ByteWriter w;
+  std::array<std::uint8_t, 16> buf{};
+  ByteWriter w(buf);
   w.u16(7);
   w.u16(9);
   ByteReader r(w.data());
@@ -251,7 +255,8 @@ TEST(Bytes, SeekAndView) {
 
 TEST(Bytes, EmptyAppendIsANoOp) {
   // An empty OPT RDATA reaches the writer as a null pointer of length 0.
-  ByteWriter w;
+  std::array<std::uint8_t, 16> buf{};
+  ByteWriter w(buf);
   w.bytes(std::span<const std::uint8_t>());
   EXPECT_EQ(w.size(), 0u);
   w.u8(1);
@@ -259,8 +264,27 @@ TEST(Bytes, EmptyAppendIsANoOp) {
   EXPECT_EQ(w.size(), 1u);
 }
 
+TEST(Bytes, WriteThatDoesNotFitSetsOverflowAndWritesNothing) {
+  std::array<std::uint8_t, 6> buf{};
+  ByteWriter w(buf);
+  w.u32(0x01020304);
+  EXPECT_FALSE(w.overflowed());
+  w.u32(0x05060708);  // 4 octets into the 2 that are left
+  EXPECT_TRUE(w.overflowed());
+  EXPECT_EQ(w.size(), 4u);
+  // Every later write is refused too, even one that would fit, and the
+  // octets past the written prefix are never touched.
+  w.u8(9);
+  w.u16(0x0a0b);
+  w.bytes(std::string_view("c"));
+  w.patch_u16(0, 0xffff);
+  EXPECT_EQ(w.size(), 4u);
+  EXPECT_EQ(buf, (std::array<std::uint8_t, 6>{1, 2, 3, 4, 0, 0}));
+}
+
 TEST(Bytes, PatchU16) {
-  ByteWriter w;
+  std::array<std::uint8_t, 16> buf{};
+  ByteWriter w(buf);
   w.u16(0);
   w.u8(1);
   w.patch_u16(0, 0xbeef);

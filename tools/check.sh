@@ -38,8 +38,9 @@
 #   9. Livewire smoke: the epoll/UDP runtime for real. mecdns_livewire
 #      serves the MEC zone on an ephemeral 127.0.0.1 port (ASan build), the
 #      probe client resolves a name over the real wire and checks the A
-#      record (once lower-case, once mixed-case), and the server's teardown
-#      must report sockets_leaked=0.
+#      record (once lower-case, once mixed-case), a crafted 60,261-octet
+#      query must be answered and the probe must pass again after it, and
+#      the server's teardown must report sockets_leaked=0.
 #  10. Benchmark build: perfbench compiles src/ and tools/ itself and reads
 #      simnet::Packet, so its own unit tests and a short traced
 #      sim-mec-steady run must pass (run.py exits 1 when its build fails).
@@ -252,6 +253,28 @@ run ./build-asan/tools/mecdns_livewire --probe video.mec.test \
 # A mixed-case spelling must hit the same record (RFC 4343): the zone's
 # case-folded hash index, over the real wire.
 run ./build-asan/tools/mecdns_livewire --probe VIDEO.Mec.Test \
+    --server "127.0.0.1:$live_port" --expect-a 192.0.2.7
+# A hostile query: 60,261 octets whose 3000 SRV additionals all point at
+# one 245-octet name, 789,261 octets if re-encoded. The server must answer
+# it (and keep answering), never encoding past its 65535-octet buffer.
+python3 - "$live_port" <<'EOF'
+import socket, struct, sys
+labels = [b"a" * 63, b"b" * 63, b"c" * 63, b"d" * 42, b"mec", b"test"]
+name = b"".join(bytes([len(l)]) + l for l in labels) + b"\0"
+srv = bytes.fromhex("c00c 0021 0001 0000001e 0008 0001 0001 13c4 c00c")
+query = (struct.pack(">6H", 0x4242, 0x0100, 1, 0, 0, 3000) + name +
+         struct.pack(">2H", 33, 1) + srv * 3000)
+assert len(query) == 60261, len(query)
+s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+s.settimeout(5)
+s.sendto(query, ("127.0.0.1", int(sys.argv[1])))
+reply = s.recv(65535)
+rid, flags = struct.unpack(">2H", reply[:4])
+assert rid == 0x4242 and flags & 0x8000, reply[:4].hex()
+print("+ %d-octet hostile query answered: %d octets, rcode %d"
+      % (len(query), len(reply), flags & 0xf))
+EOF
+run ./build-asan/tools/mecdns_livewire --probe video.mec.test \
     --server "127.0.0.1:$live_port" --expect-a 192.0.2.7
 # SIGINT must shut the loop down cleanly; the exit status is the server's
 # own socket-leak verdict (nonzero if any fd survived teardown).
