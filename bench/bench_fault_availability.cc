@@ -20,7 +20,6 @@
 // percentiles and time-to-recover per (scenario, mode).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +40,7 @@
 #include "obs/timeseries.h"
 #include "util/args.h"
 #include "util/stats.h"
+#include "util/strings.h"
 
 using namespace mecdns;
 
@@ -80,20 +80,7 @@ struct Sample {
   simnet::SimTime sent;
   bool ok = false;
   double total_ms = 0.0;
-  std::string error;
 };
-
-/// "series.json" + "node-down/robust" -> "series.node-down.robust.json".
-std::string with_slug(const std::string& path, std::string name) {
-  for (char& c : name) {
-    if (c == '/') c = '.';
-  }
-  const auto dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + name;
-  }
-  return path.substr(0, dot) + "." + name + path.substr(dot);
-}
 
 /// One (scenario, mode) campaign job: the availability numbers plus the
 /// serialized time series (written to disk by the caller, in job order).
@@ -242,7 +229,6 @@ JobResult run_scenario(const std::string& name, bool robust,
                 i](const ran::UserEquipment::FetchOutcome& outcome) {
             samples[i].ok = outcome.ok;
             samples[i].total_ms = outcome.total.to_millis();
-            samples[i].error = outcome.error;
             timeseries.add("fetch.requests");
             if (outcome.ok) {
               timeseries.observe("fetch.total_ms", outcome.total.to_millis());
@@ -269,13 +255,6 @@ JobResult run_scenario(const std::string& name, bool robust,
       if (s.sent >= fault_start && s.sent < fault_end) {
         ++result.window_failures;
       }
-    }
-  }
-  for (const Sample& s : samples) {
-    if (!s.ok && std::getenv("FAULT_DEBUG") != nullptr) {
-      std::fprintf(stderr, "FAIL at %lldms: %s\n",
-                   static_cast<long long>(s.sent.to_millis()),
-                   s.error.c_str());
     }
   }
   result.success_rate = k.requests == 0
@@ -450,7 +429,7 @@ int main(int argc, char** argv) {
     const JobResult& job = outcomes[index].value;
     if (want_series && !job.series_json.empty()) {
       const std::string path =
-          with_slug(args.get_string("timeseries-out"), job.series_name);
+          util::with_slug(args.get_string("timeseries-out"), job.series_name);
       if (!obs::write_text_file(path, job.series_json)) {
         std::fprintf(stderr, "error: failed to write timeseries to %s\n",
                      path.c_str());
@@ -459,8 +438,8 @@ int main(int argc, char** argv) {
     }
     if (want_journal && !job.journal_json.empty()) {
       const std::string path =
-          with_slug(args.get_string("journal-out"),
-                    scenario + "/" + (robust ? "robust" : "fragile"));
+          util::with_slug(args.get_string("journal-out"),
+                          scenario + "/" + (robust ? "robust" : "fragile"));
       if (!obs::write_text_file(path, job.journal_json)) {
         std::fprintf(stderr, "error: failed to write journal to %s\n",
                      path.c_str());

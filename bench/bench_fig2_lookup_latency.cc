@@ -47,15 +47,6 @@ std::string cell_slug(const std::string& website,
   return out + "." + network_class;
 }
 
-/// "trace.json" + "airbnb.wired-campus" -> "trace.airbnb.wired-campus.json".
-std::string with_slug(const std::string& path, const std::string& name) {
-  const auto dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + name;
-  }
-  return path.substr(0, dot) + "." + name + path.substr(dot);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -157,7 +148,8 @@ int main(int argc, char** argv) {
     const auto& cell = out.cell;
     const std::string slug = cell_slug(cell.website, cell.network_class);
     if (want_trace) {
-      const std::string path = with_slug(args.get_string("trace-out"), slug);
+      const std::string path =
+          util::with_slug(args.get_string("trace-out"), slug);
       if (!obs::write_text_file(path, out.trace_json)) {
         std::fprintf(stderr, "error: failed to write trace to %s\n",
                      path.c_str());
@@ -166,7 +158,7 @@ int main(int argc, char** argv) {
     }
     if (want_series) {
       const std::string path =
-          with_slug(args.get_string("timeseries-out"), slug);
+          util::with_slug(args.get_string("timeseries-out"), slug);
       if (!obs::write_text_file(path, out.timeseries_json)) {
         std::fprintf(stderr, "error: failed to write timeseries to %s\n",
                      path.c_str());

@@ -18,6 +18,7 @@
 #include "core/fig5.h"
 #include "core/parallel.h"
 #include "core/roles.h"
+#include "core/throughput.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/timeseries.h"
@@ -26,48 +27,6 @@
 #include "util/strings.h"
 
 using namespace mecdns;
-
-namespace {
-
-/// Filename-safe deployment slug (matches the testbed's --deployment names).
-std::string slug(core::Fig5Deployment deployment) {
-  switch (deployment) {
-    case core::Fig5Deployment::kMecLdnsMecCdns: return "mec-mec";
-    case core::Fig5Deployment::kMecLdnsLanCdns: return "mec-lan";
-    case core::Fig5Deployment::kMecLdnsWanCdns: return "mec-wan";
-    case core::Fig5Deployment::kProviderLdns: return "provider";
-    case core::Fig5Deployment::kGoogleDns: return "google";
-    case core::Fig5Deployment::kCloudflareDns: return "cloudflare";
-  }
-  return "unknown";
-}
-
-/// "trace.json" + "mec-mec" -> "trace.mec-mec.json". Each deployment runs
-/// its own simulator, so each gets its own trace file.
-std::string with_slug(const std::string& path, const std::string& name) {
-  const auto dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + name;
-  }
-  return path.substr(0, dot) + "." + name + path.substr(dot);
-}
-
-/// Copies `src` into `dst` with every metric name prefixed by "<name>.",
-/// so one combined file can hold all six deployments side by side.
-void merge_prefixed(obs::Registry& dst, const std::string& name,
-                    const obs::Registry& src) {
-  for (const auto& [key, value] : src.counters()) {
-    dst.add(name + "." + key, value);
-  }
-  for (const auto& [key, value] : src.gauges()) {
-    dst.set_gauge(name + "." + key, value);
-  }
-  for (const auto& [key, histogram] : src.histograms()) {
-    dst.histogram(name + "." + key).merge(histogram);
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   util::ArgParser args("bench_fig5: Figure 5 deployment latency bars");
@@ -182,13 +141,13 @@ int main(int argc, char** argv) {
     const auto deployment = deployments[index];
     if (!outcome.ok) {
       std::fprintf(stderr, "error: deployment %s failed: %s\n",
-                   slug(deployment).c_str(), outcome.error.c_str());
+                   core::fig5_slug(deployment).c_str(), outcome.error.c_str());
       return 1;
     }
     const JobOutput& out = outcome.value;
     if (want_trace) {
-      const std::string path =
-          with_slug(args.get_string("trace-out"), slug(deployment));
+      const std::string path = util::with_slug(args.get_string("trace-out"),
+                                               core::fig5_slug(deployment));
       if (!obs::write_text_file(path, out.trace_json)) {
         std::fprintf(stderr, "error: failed to write trace to %s\n",
                      path.c_str());
@@ -196,8 +155,8 @@ int main(int argc, char** argv) {
       }
     }
     if (want_series) {
-      const std::string path =
-          with_slug(args.get_string("timeseries-out"), slug(deployment));
+      const std::string path = util::with_slug(
+          args.get_string("timeseries-out"), core::fig5_slug(deployment));
       if (!obs::write_text_file(path, out.timeseries_json)) {
         std::fprintf(stderr, "error: failed to write timeseries to %s\n",
                      path.c_str());
@@ -205,7 +164,7 @@ int main(int argc, char** argv) {
       }
     }
     if (want_metrics) {
-      merge_prefixed(combined, slug(deployment), out.metrics);
+      combined.merge_prefixed(core::fig5_slug(deployment), out.metrics);
     }
     const Row& row = out.row;
     std::printf("%-24s %10.1f %12.1f %12.1f %8.1f %8.1f %s\n",
@@ -269,8 +228,8 @@ int main(int argc, char** argv) {
           "\"stddev\": %.3f, \"min\": %.3f, \"max\": %.3f, \"p50\": %.3f, "
           "\"p90\": %.3f, \"p99\": %.3f, \"wireless_ms\": %.3f, "
           "\"beyond_pgw_ms\": %.3f, \"answers\": \"%s\"}%s\n",
-          slug(row.deployment).c_str(), s.count, s.mean, s.stddev, s.min,
-          s.max, s.p50, s.p90, s.p99, row.wireless, row.beyond,
+          core::fig5_slug(row.deployment).c_str(), s.count, s.mean, s.stddev,
+          s.min, s.max, s.p50, s.p90, s.p99, row.wireless, row.beyond,
           row.answers.c_str(), i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

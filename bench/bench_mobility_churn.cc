@@ -34,22 +34,11 @@
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "util/args.h"
+#include "util/strings.h"
 
 using namespace mecdns;
 
 namespace {
-
-/// "series.json" + "flash-crowd/robust" -> "series.flash-crowd.robust.json".
-std::string with_slug(const std::string& path, std::string name) {
-  for (char& c : name) {
-    if (c == '/') c = '.';
-  }
-  const auto dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + name;
-  }
-  return path.substr(0, dot) + "." + name + path.substr(dot);
-}
 
 std::string matrix_json(const std::vector<core::MobilityRunResult>& rows,
                         const core::MobilityKnobs& knobs,
@@ -230,8 +219,8 @@ int main(int argc, char** argv) {
     }
     if (want_series && !r.series_json.empty()) {
       const std::string path =
-          with_slug(args.get_string("timeseries-out"),
-                    r.scenario + "/" + r.mode);
+          util::with_slug(args.get_string("timeseries-out"),
+                          r.scenario + "/" + r.mode);
       if (!obs::write_text_file(path, r.series_json)) {
         std::fprintf(stderr, "error: failed to write timeseries to %s\n",
                      path.c_str());
@@ -239,8 +228,8 @@ int main(int argc, char** argv) {
       }
     }
     if (want_journal && !r.journal_json.empty()) {
-      const std::string path = with_slug(args.get_string("journal-out"),
-                                         r.scenario + "/" + r.mode);
+      const std::string path = util::with_slug(
+          args.get_string("journal-out"), r.scenario + "/" + r.mode);
       if (!obs::write_text_file(path, r.journal_json)) {
         std::fprintf(stderr, "error: failed to write journal to %s\n",
                      path.c_str());

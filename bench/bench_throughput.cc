@@ -27,24 +27,6 @@
 
 using namespace mecdns;
 
-namespace {
-
-/// Copies `src` into `dst` with every metric name prefixed by "<name>.".
-void merge_prefixed(obs::Registry& dst, const std::string& name,
-                    const obs::Registry& src) {
-  for (const auto& [key, value] : src.counters()) {
-    dst.add(name + "." + key, value);
-  }
-  for (const auto& [key, value] : src.gauges()) {
-    dst.set_gauge(name + "." + key, value);
-  }
-  for (const auto& [key, histogram] : src.histograms()) {
-    dst.histogram(name + "." + key).merge(histogram);
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::ArgParser args(
       "bench_throughput: load-generator throughput and per-query cost "
@@ -137,8 +119,8 @@ int main(int argc, char** argv) {
     }
     rows.push_back(outcomes[i].value.result);
     if (want_metrics) {
-      merge_prefixed(combined, rows.back().scenario,
-                     outcomes[i].value.metrics);
+      combined.merge_prefixed(rows.back().scenario,
+                              outcomes[i].value.metrics);
     }
   }
 

@@ -50,10 +50,10 @@ const util::FrequencyTable& OpaqueCdnRouter::distribution(
   return it == distributions_.end() ? kEmpty : it->second;
 }
 
-void OpaqueCdnRouter::handle(const dns::Message& query,
+void OpaqueCdnRouter::handle(const dns::Query& query,
                              const dns::QueryContext& ctx,
                              Responder&& respond) {
-  const dns::Question& q = query.question();
+  const dns::Question& q = query.question;
   if (!q.name.is_subdomain_of(domain_)) {
     respond(dns::make_response(query, dns::RCode::kRefused));
     return;

@@ -56,7 +56,7 @@ class OpaqueCdnRouter : public dns::DnsServer {
   }
 
  protected:
-  void handle(const dns::Message& query, const dns::QueryContext& ctx,
+  void handle(const dns::Query& query, const dns::QueryContext& ctx,
               Responder&& respond) override;
 
  private:

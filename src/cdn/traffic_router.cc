@@ -189,9 +189,9 @@ std::optional<CacheInfo> TrafficRouter::choose_cache(
   return std::nullopt;
 }
 
-void TrafficRouter::handle(const dns::Message& query,
+void TrafficRouter::handle(const dns::Query& query,
                            const dns::QueryContext& ctx, Responder&& respond) {
-  const dns::Question& q = query.question();
+  const dns::Question& q = query.question;
 
   if (!q.name.is_subdomain_of(config_.cdn_domain)) {
     respond(dns::make_response(query, dns::RCode::kRefused));
@@ -203,11 +203,9 @@ void TrafficRouter::handle(const dns::Message& query,
   // L-DNS's location, C-DNS returns the IP address of a cache server".
   simnet::Ipv4Address client_addr = ctx.client.addr;
   bool localized_by_ecs = false;
-  std::uint8_t ecs_source_prefix = 0;
   if (config_.use_ecs && query.edns.has_value() &&
       query.edns->client_subnet.has_value()) {
     client_addr = query.edns->client_subnet->subnet().network();
-    ecs_source_prefix = query.edns->client_subnet->source_prefix;
     localized_by_ecs = true;
     ++router_stats_.ecs_localized;
     obs::ambient_span().tag("ecs", "true");
@@ -236,13 +234,10 @@ void TrafficRouter::handle(const dns::Message& query,
   const DeliveryService* service = match_service(q.name);
   dns::Message response = dns::make_response(query);
   response.header.aa = true;
-  if (query.edns.has_value()) {
-    response.edns = dns::Edns{};
-    if (query.edns->client_subnet.has_value()) {
-      dns::ClientSubnet ecs = *query.edns->client_subnet;
-      ecs.scope_prefix = localized_by_ecs ? ecs_source_prefix : 0;
-      response.edns->client_subnet = ecs;
-    }
+  if (localized_by_ecs) {
+    // The answer is valid for the client's whole disclosed subnet.
+    response.edns->client_subnet->scope_prefix =
+        query.edns->client_subnet->source_prefix;
   }
 
   if (q.type != dns::RecordType::kA && q.type != dns::RecordType::kAny) {

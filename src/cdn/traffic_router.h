@@ -91,7 +91,6 @@ class TrafficRouter : public dns::DnsServer {
 
   CoverageZoneMap& coverage() { return coverage_; }
   GeoIpDatabase& geo() { return geo_; }
-  const Config& router_config() const { return config_; }
   void set_use_ecs(bool use) { config_.use_ecs = use; }
   void set_answer_ttl(std::uint32_t ttl) { config_.answer_ttl = ttl; }
   /// Registers a group's location for the geo fallback's distance choice.
@@ -113,7 +112,7 @@ class TrafficRouter : public dns::DnsServer {
   }
 
  protected:
-  void handle(const dns::Message& query, const dns::QueryContext& ctx,
+  void handle(const dns::Query& query, const dns::QueryContext& ctx,
               Responder&& respond) override;
 
  private:

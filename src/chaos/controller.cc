@@ -28,17 +28,6 @@ void ChaosController::inject_now(const FaultAction& action) {
   MECDNS_LOG(kInfo, "chaos")
       << (scenario_.empty() ? "" : "[" + scenario_ + "] ") << "inject "
       << what;
-  if (registry_ != nullptr) {
-    registry_->add("chaos.injections");
-    registry_->add("chaos." + kind);
-  }
-  if (trace_ != nullptr) {
-    // Instant span: injections show up as zero-width markers on a "chaos"
-    // track alongside the query tracks.
-    obs::SpanRef span = obs::begin_root_span(trace_, "chaos", what);
-    if (!scenario_.empty()) span.tag("scenario", scenario_);
-    span.end();
-  }
   if (timeseries_ != nullptr) timeseries_->annotate(kind, what);
   if (journal_ != nullptr) {
     // Custom actions follow the schedule-builder naming convention: a label

@@ -4,9 +4,8 @@
 // The controller is the execution side of the chaos layer: given a network
 // and a schedule it places one simulator event per scripted fault, applies
 // the fault through the Network's public failure knobs (or the event's
-// bound Custom action), and records every injection into the attached
-// obs::Registry (counters per fault kind) and obs::TraceSink (one instant
-// span per injection on a "chaos" track), plus the log. With an empty
+// bound Custom action), and records every injection in its injection list,
+// the attached time series and journal, and the log. With an empty
 // schedule arm() is a no-op — nothing is scheduled and no RNG is drawn, so
 // the run is bit-identical to one without the chaos layer.
 #pragma once
@@ -17,9 +16,7 @@
 
 #include "chaos/fault_schedule.h"
 #include "obs/journal.h"
-#include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "simnet/network.h"
 
 namespace mecdns::chaos {
@@ -38,13 +35,6 @@ class ChaosController {
 
   ChaosController(const ChaosController&) = delete;
   ChaosController& operator=(const ChaosController&) = delete;
-
-  /// Counters land under "chaos.<kind>" (and "chaos.injections") in
-  /// `registry`; nullptr detaches. The registry must outlive the run.
-  void set_metrics(obs::Registry* registry) { registry_ = registry; }
-
-  /// Each injection becomes an instant span (component "chaos") in `sink`.
-  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
 
   /// Each injection becomes a sim-time annotation in `series`, so fault
   /// windows line up with the per-window metrics they perturb.
@@ -75,8 +65,6 @@ class ChaosController {
 
   simnet::Network& net_;
   std::string scenario_;
-  obs::Registry* registry_ = nullptr;
-  obs::TraceSink* trace_ = nullptr;
   obs::TimeSeries* timeseries_ = nullptr;
   obs::Journal* journal_ = nullptr;
   std::vector<simnet::EventId> armed_;  ///< cancelled on destruction

@@ -140,7 +140,6 @@ class MecCdnSite {
   /// it (with router()->set_use_ecs) for the §4 ECS experiment.
   dns::ForwardPlugin* cdn_forward() { return cdn_forward_; }
   std::shared_ptr<dns::DnsCache> public_dns_cache() { return public_cache_; }
-  const Config& site_config() const { return config_; }
 
   /// The cluster-IP address of edge cache `i` (what the C-DNS answers).
   simnet::Ipv4Address cache_address(std::size_t i) const {

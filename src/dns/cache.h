@@ -78,7 +78,6 @@ class DnsCache {
   void set_serve_stale(bool enabled,
                        simnet::SimTime max_stale = simnet::SimTime::seconds(
                            86400));  // RFC 8767 §5 suggested ceiling: 1 day
-  bool serve_stale_enabled() const { return serve_stale_; }
 
   /// Looks up an entry within the stale window (expired but retained).
   /// Records are served with the RFC 8767 §4 recommended 30-second TTL.

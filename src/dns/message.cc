@@ -1,7 +1,6 @@
 #include "dns/message.h"
 
 #include <sstream>
-#include <utility>
 
 namespace mecdns::dns {
 
@@ -63,19 +62,25 @@ Message make_query(std::uint16_t id, const DnsName& name, RecordType type,
   return msg;
 }
 
-Message make_response(const Message& query, RCode rcode) {
-  return make_response(query.header, query.questions, rcode);
+Query to_query(const Message& message) {
+  return Query{message.header, message.question(), message.edns};
 }
 
-Message make_response(const Header& query_header, QuestionList questions,
-                      RCode rcode) {
+Message make_response(const Query& query, RCode rcode) {
   Message msg;
-  msg.header.id = query_header.id;
+  msg.header.id = query.header.id;
   msg.header.qr = true;
-  msg.header.opcode = query_header.opcode;
-  msg.header.rd = query_header.rd;
+  msg.header.opcode = query.header.opcode;
+  msg.header.rd = query.header.rd;
   msg.header.rcode = rcode;
-  msg.questions = std::move(questions);
+  msg.questions.push_back(query.question);
+  if (query.edns.has_value()) {
+    msg.edns = Edns{};
+    if (query.edns->client_subnet.has_value()) {
+      msg.edns->client_subnet = query.edns->client_subnet;
+      msg.edns->client_subnet->scope_prefix = 0;
+    }
+  }
   return msg;
 }
 

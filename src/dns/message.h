@@ -83,10 +83,23 @@ struct Message {
 Message make_query(std::uint16_t id, const DnsName& name, RecordType type,
                    bool recursion_desired = true);
 
-/// Builds a response skeleton echoing the query's id and question.
-Message make_response(const Message& query, RCode rcode = RCode::kNoError);
-/// The same, from the parts of a query that a deferred answer keeps.
-Message make_response(const Header& query_header, QuestionList questions,
-                      RCode rcode);
+/// What a server reads of a query: the header, the first question and the
+/// EDNS state. A decoded query's other records never reach a handler, and a
+/// deferred answer keeps this and nothing else of its query.
+struct Query {
+  Header header;
+  Question question;
+  std::optional<Edns> edns;
+};
+
+/// The Query of a decoded message (its first question, or a default
+/// Question if none).
+Query to_query(const Message& message);
+
+/// Builds a response skeleton echoing the query's id, flags and question.
+/// A query with EDNS gets an OPT record back (RFC 6891 §6.1.1) whose client
+/// subnet, if the query had one, is at scope 0: valid for every client
+/// (RFC 7871 §7.2.1) unless the responder narrows it.
+Message make_response(const Query& query, RCode rcode = RCode::kNoError);
 
 }  // namespace mecdns::dns

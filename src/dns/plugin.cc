@@ -9,57 +9,10 @@ namespace mecdns::dns {
 
 // --- ZonePlugin --------------------------------------------------------------
 
-bool ZonePlugin::serve(const Message& query, const QueryContext& /*ctx*/,
+bool ZonePlugin::serve(const Query& query, const QueryContext& /*ctx*/,
                        Respond& respond) {
-  const Question& q = query.question();
-  if (!q.name.is_subdomain_of(zone_->origin())) return false;
-  Message response = make_response(query);
-  response.header.aa = true;
-
-  DnsName qname = q.name;
-  for (int depth = 0; depth < 8; ++depth) {
-    const LookupResult result = zone_->lookup(qname, q.type);
-    switch (result.status) {
-      case LookupStatus::kSuccess:
-      case LookupStatus::kCname:
-        response.answers.insert(response.answers.end(), result.records.begin(),
-                                result.records.end());
-        if (result.status == LookupStatus::kCname) {
-          const auto* cname =
-              std::get_if<CnameRecord>(&result.records.front().rdata);
-          if (cname != nullptr &&
-              cname->target.is_subdomain_of(zone_->origin())) {
-            qname = cname->target;
-            continue;
-          }
-        }
-        respond(std::move(response));
-        return true;
-      case LookupStatus::kDelegation:
-        response.header.aa = false;
-        response.authorities.insert(response.authorities.end(),
-                                    result.records.begin(),
-                                    result.records.end());
-        response.additionals.insert(response.additionals.end(),
-                                    result.glue.begin(), result.glue.end());
-        respond(std::move(response));
-        return true;
-      case LookupStatus::kNoData:
-        response.authorities.insert(response.authorities.end(),
-                                    result.soa.begin(), result.soa.end());
-        respond(std::move(response));
-        return true;
-      case LookupStatus::kNxDomain:
-        response.header.rcode = RCode::kNxDomain;
-        response.authorities.insert(response.authorities.end(),
-                                    result.soa.begin(), result.soa.end());
-        respond(std::move(response));
-        return true;
-      case LookupStatus::kOutOfZone:
-        return false;
-    }
-  }
-  respond(make_response(query, RCode::kServFail));
+  if (!query.question.name.is_subdomain_of(zone_->origin())) return false;
+  respond(zone_answer({zone_.get(), 1}, query));
   return true;
 }
 
@@ -91,17 +44,15 @@ void ForwardPlugin::on_failover(bool servfail) {
   }
 }
 
-bool ForwardPlugin::serve(const Message& query, const QueryContext& ctx,
+bool ForwardPlugin::serve(const Query& query, const QueryContext& ctx,
                           Respond& respond) {
-  if (!query.question().name.is_subdomain_of(match_)) return false;
+  if (!query.question.name.is_subdomain_of(match_)) return false;
   ++forwarded_;
-  // The upstream gets the client's flags, question and EDNS, and nothing
-  // else: records the client put in the other sections are not the
-  // forwarder's to relay, and re-encoding them can multiply a hostile
-  // query's size (SRV targets are written uncompressed).
+  // The upstream gets the client's flags, question and EDNS: the Query,
+  // which is all the server kept of the client's message.
   Message upstream_query;
   upstream_query.header = query.header;
-  upstream_query.questions.push_back(query.question());
+  upstream_query.questions.push_back(query.question);
   upstream_query.edns = query.edns;
   if (add_ecs_ && (!upstream_query.edns.has_value() ||
                    !upstream_query.edns->client_subnet.has_value())) {
@@ -111,17 +62,13 @@ bool ForwardPlugin::serve(const Message& query, const QueryContext& ctx,
     ecs.source_prefix = ecs_prefix_;
     upstream_query.edns->client_subnet = ecs;
   }
-  auto relay = [this, client_id = query.header.id, questions = query.questions,
-                respond = std::move(respond)](util::Result<Message>&& result,
-                                              simnet::SimTime /*rtt*/) mutable {
+  // `query = query` copies into a non-const member, which moves without
+  // allocating (a plain `query` capture would be a const copy).
+  auto relay = [this, query = query, respond = std::move(respond)](
+                   util::Result<Message>&& result, simnet::SimTime /*rtt*/) {
     if (!result.ok()) {
       ++exhausted_;
-      Message failure;
-      failure.header.id = client_id;
-      failure.header.qr = true;
-      failure.header.rcode = RCode::kServFail;
-      failure.questions = std::move(questions);
-      respond(std::move(failure));
+      respond(make_response(query, RCode::kServFail));
       return;
     }
     // The callback's SimTime is the transaction RTT, not a clock reading —
@@ -133,7 +80,7 @@ bool ForwardPlugin::serve(const Message& query, const QueryContext& ctx,
                        journal_cell_, "forward: primary recovered");
     }
     Message& response = result.value();
-    response.header.id = client_id;
+    response.header.id = query.header.id;
     respond(std::move(response));
   };
   static_assert(DnsTransport::Callback::stores_inline<decltype(relay)>);
@@ -144,9 +91,9 @@ bool ForwardPlugin::serve(const Message& query, const QueryContext& ctx,
 
 // --- CachePlugin -------------------------------------------------------------
 
-bool CachePlugin::serve(const Message& query, const QueryContext& ctx,
+bool CachePlugin::serve(const Query& query, const QueryContext& ctx,
                         Respond& respond) {
-  const Question& q = query.question();
+  const Question& q = query.question;
   const simnet::SimTime now = ctx.received;
   auto cached = cache_->lookup(q.name, q.type, now);
   obs::ambient_span().tag("cache", cached.has_value() ? "hit" : "miss");
@@ -158,8 +105,9 @@ bool CachePlugin::serve(const Message& query, const QueryContext& ctx,
     respond(std::move(response));
     return true;
   }
-  auto observe = [this, header = query.header, question = q, now](
-                     Respond::Inner respond, Message&& response) {
+  auto observe = [this, query = query, now](Respond::Inner respond,
+                                            Message&& response) {
+    const Question& question = query.question;
     if (response.header.rcode == RCode::kNoError &&
         !response.answers.empty()) {
       cache_->insert(question.name, question.type, response.answers, now);
@@ -176,8 +124,7 @@ bool CachePlugin::serve(const Message& query, const QueryContext& ctx,
               cache_->lookup_stale(question.name, question.type, now)) {
         obs::ambient_span().tag("cache", "stale");
         Message rescued = make_response(
-            header, {question},
-            stale->negative ? stale->rcode : RCode::kNoError);
+            query, stale->negative ? stale->rcode : RCode::kNoError);
         rescued.answers = stale->records;
         rescued.authorities = stale->soa;
         respond(std::move(rescued));
@@ -194,7 +141,7 @@ bool CachePlugin::serve(const Message& query, const QueryContext& ctx,
 
 // --- RefusePlugin ------------------------------------------------------------
 
-bool RefusePlugin::serve(const Message& query, const QueryContext& /*ctx*/,
+bool RefusePlugin::serve(const Query& query, const QueryContext& /*ctx*/,
                          Respond& respond) {
   respond(make_response(query, RCode::kRefused));
   return true;
@@ -202,7 +149,7 @@ bool RefusePlugin::serve(const Message& query, const QueryContext& /*ctx*/,
 
 // --- PluginChain -------------------------------------------------------------
 
-void PluginChain::run(const Message& query, const QueryContext& ctx,
+void PluginChain::run(const Query& query, const QueryContext& ctx,
                       Plugin::Respond&& respond) const {
   // One span per traversed plugin, each a child of the one before, open
   // until the answer comes back through this plugin's responder wrapper —
@@ -255,7 +202,7 @@ std::uint64_t PluginChainServer::view_queries(
   return 0;
 }
 
-void PluginChainServer::handle(const Message& query, const QueryContext& ctx,
+void PluginChainServer::handle(const Query& query, const QueryContext& ctx,
                                Responder&& respond) {
   for (auto& view : views_) {
     const bool matches =

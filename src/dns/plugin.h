@@ -27,14 +27,14 @@ namespace mecdns::dns {
 /// returns false to pass the query on. A passing plugin may first wrap()
 /// `respond` to observe the downstream answer (how the cache plugin works).
 /// `query` and `ctx` live only for the call; a plugin that answers later
-/// moves `respond` away and copies only what it needs.
+/// moves `respond` away and keeps a copy of the Query.
 class Plugin {
  public:
   using Respond = DnsServer::Responder;
 
   virtual ~Plugin() = default;
   virtual std::string name() const = 0;
-  virtual bool serve(const Message& query, const QueryContext& ctx,
+  virtual bool serve(const Query& query, const QueryContext& ctx,
                      Respond& respond) = 0;
 };
 
@@ -46,7 +46,7 @@ class ZonePlugin : public Plugin {
  public:
   explicit ZonePlugin(std::shared_ptr<Zone> zone) : zone_(std::move(zone)) {}
   std::string name() const override { return "zone(" + zone_->origin().to_string() + ")"; }
-  bool serve(const Message& query, const QueryContext& ctx,
+  bool serve(const Query& query, const QueryContext& ctx,
              Respond& respond) override;
 
  private:
@@ -69,7 +69,7 @@ class ForwardPlugin : public Plugin {
                 DnsTransport& transport,
                 DnsTransport::Options options = {});
   std::string name() const override { return "forward(" + match_.to_string() + ")"; }
-  bool serve(const Message& query, const QueryContext& ctx,
+  bool serve(const Query& query, const QueryContext& ctx,
              Respond& respond) override;
 
   std::uint64_t forwarded() const { return forwarded_; }
@@ -131,7 +131,7 @@ class CachePlugin : public Plugin {
   explicit CachePlugin(std::shared_ptr<DnsCache> cache)
       : cache_(std::move(cache)) {}
   std::string name() const override { return "cache"; }
-  bool serve(const Message& query, const QueryContext& ctx,
+  bool serve(const Query& query, const QueryContext& ctx,
              Respond& respond) override;
 
  private:
@@ -144,7 +144,7 @@ class CachePlugin : public Plugin {
 class RefusePlugin : public Plugin {
  public:
   std::string name() const override { return "refuse"; }
-  bool serve(const Message& query, const QueryContext& ctx,
+  bool serve(const Query& query, const QueryContext& ctx,
              Respond& respond) override;
 };
 
@@ -162,7 +162,7 @@ class PluginChain {
 
   /// Offers the query to each plugin in order until one claims it. If none
   /// does, responds REFUSED.
-  void run(const Message& query, const QueryContext& ctx,
+  void run(const Query& query, const QueryContext& ctx,
            Plugin::Respond&& respond) const;
 
  private:
@@ -198,7 +198,7 @@ class PluginChainServer : public DnsServer {
   std::uint64_t view_queries(const std::string& view_name) const;
 
  protected:
-  void handle(const Message& query, const QueryContext& ctx,
+  void handle(const Query& query, const QueryContext& ctx,
               Responder&& respond) override;
 
  private:

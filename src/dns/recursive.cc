@@ -18,7 +18,7 @@ RecursiveResolver::RecursiveResolver(netio::Runtime& runtime,
 }
 
 std::optional<ClientSubnet> RecursiveResolver::make_ecs(
-    const Message& query, const QueryContext& ctx) const {
+    const Query& query, const QueryContext& ctx) const {
   if (config_.ecs_mode == EcsMode::kOff) return std::nullopt;
   if (query.edns.has_value() && query.edns->client_subnet.has_value()) {
     // Forward the client's own ECS (a stub or downstream forwarder sent it).
@@ -31,30 +31,20 @@ std::optional<ClientSubnet> RecursiveResolver::make_ecs(
   return ecs;
 }
 
-void RecursiveResolver::handle(const Message& query, const QueryContext& ctx,
+void RecursiveResolver::handle(const Query& query, const QueryContext& ctx,
                                Responder&& respond) {
-  const Question& q = query.question();
+  const Question& q = query.question;
 
   auto job = std::make_shared<Job>();
   job->qname = q.name;
   job->qtype = q.type;
   job->ecs = make_ecs(query, ctx);
   job->budget = std::make_shared<int>(config_.query_budget);
-  // The answer echoes the query's header fields, questions and (under
-  // EDNS) its client subnet — all the completion keeps of the query.
-  auto done = [header = query.header, questions = query.questions,
-               has_edns = query.edns.has_value(),
-               ecs = query.edns.has_value() ? query.edns->client_subnet
-                                            : std::nullopt,
-               respond = std::move(respond)](
-                  RCode rcode, std::shared_ptr<Job> finished) mutable {
-    Message response = make_response(header, std::move(questions), rcode);
+  auto done = [query = query, respond = std::move(respond)](
+                  RCode rcode, std::shared_ptr<Job> finished) {
+    Message response = make_response(query, rcode);
     response.header.ra = true;
     response.answers = std::move(finished->answers);
-    if (has_edns) {
-      response.edns = Edns{};
-      response.edns->client_subnet = ecs;
-    }
     respond(std::move(response));
   };
   static_assert(Job::Done::stores_inline<decltype(done)>);

@@ -53,7 +53,7 @@ class RecursiveResolver : public DnsServer {
   std::uint64_t upstream_queries() const { return upstream_queries_; }
 
  protected:
-  void handle(const Message& query, const QueryContext& ctx,
+  void handle(const Query& query, const QueryContext& ctx,
               Responder&& respond) override;
 
  private:
@@ -66,7 +66,7 @@ class RecursiveResolver : public DnsServer {
     int cname_hops = 0;
     std::shared_ptr<int> budget;  ///< upstream queries left, per job tree
     /// Completion: rcode + whether answers are meaningful. Holds the
-    /// client's Responder (and what the answer echoes) in place.
+    /// client's Responder and Query in place.
     using Done = util::InlineFunction<void(RCode, std::shared_ptr<Job>), 320>;
     Done done;
   };
@@ -83,7 +83,7 @@ class RecursiveResolver : public DnsServer {
   std::vector<simnet::Endpoint> candidate_servers(const DnsName& qname,
                                                   DnsName* glueless);
   void cache_response_sections(const Message& response);
-  std::optional<ClientSubnet> make_ecs(const Message& query,
+  std::optional<ClientSubnet> make_ecs(const Query& query,
                                        const QueryContext& ctx) const;
 
   Config config_;

@@ -27,17 +27,19 @@ DnsServer::~DnsServer() {
 }
 
 void DnsServer::on_packet(const simnet::Packet& packet) {
-  // The query is decoded straight into the slot that keeps it until its
-  // processing event.
-  const std::uint32_t slot = in_flight_.acquire();
-  InFlight& work = in_flight_[slot];
-  const Message& query = work.query;
-  if (!decode(packet.payload, work.query).ok() || query.header.qr ||
-      query.questions.empty()) {
+  // The whole message is decoded, so the codec accepts and rejects what it
+  // always did, but only its Query moves into the slot that keeps it until
+  // its processing event: no decoded record outlives this call.
+  Message message;
+  if (!decode(packet.payload, message).ok() || message.header.qr ||
+      message.questions.empty()) {
     ++stats_.malformed;
-    in_flight_.release(slot);
     return;
   }
+  const std::uint32_t slot = in_flight_.acquire();
+  InFlight& work = in_flight_[slot];
+  work.query = to_query(message);
+  const Query& query = work.query;
   ++stats_.queries;
   ++util::perf::counters().dns_queries_served;
 
@@ -51,7 +53,7 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
   obs::SpanRef span;
   if (simnet::current_trace_token().active()) {
     span = obs::begin_span(
-        name_, "serve " + query.questions.front().name.to_string());
+        name_, "serve " + query.question.name.to_string());
   }
   work.span = span;
 
@@ -187,9 +189,11 @@ Zone& AuthoritativeServer::add_zone(DnsName origin) {
   return zones_.back();
 }
 
-Zone* AuthoritativeServer::find_zone(const DnsName& name) {
-  Zone* best = nullptr;
-  for (auto& zone : zones_) {
+namespace {
+
+const Zone* longest_match(std::span<const Zone> zones, const DnsName& name) {
+  const Zone* best = nullptr;
+  for (const Zone& zone : zones) {
     if (!name.is_subdomain_of(zone.origin())) continue;
     if (best == nullptr ||
         zone.origin().label_count() > best->origin().label_count()) {
@@ -199,34 +203,26 @@ Zone* AuthoritativeServer::find_zone(const DnsName& name) {
   return best;
 }
 
-const Zone* AuthoritativeServer::find_zone(const DnsName& name) const {
-  return const_cast<AuthoritativeServer*>(this)->find_zone(name);
+}  // namespace
+
+Zone* AuthoritativeServer::find_zone(const DnsName& name) {
+  return const_cast<Zone*>(longest_match(zones_, name));
 }
 
-void AuthoritativeServer::handle(const Message& query, const QueryContext& ctx,
+void AuthoritativeServer::handle(const Query& query,
+                                 const QueryContext& /*ctx*/,
                                  Responder&& respond) {
-  (void)ctx;
-  const Question& q = query.question();
-  Zone* zone = find_zone(q.name);
-  if (zone == nullptr) {
-    respond(make_response(query, RCode::kRefused));
-    return;
-  }
+  respond(zone_answer(zones_, query));
+}
+
+Message zone_answer(std::span<const Zone> zones, const Query& query) {
+  const Question& q = query.question;
+  const Zone* zone = longest_match(zones, q.name);
+  if (zone == nullptr) return make_response(query, RCode::kRefused);
 
   Message response = make_response(query);
   response.header.aa = true;
-  if (query.edns.has_value()) {
-    // Echo EDNS; an authoritative server that does not use ECS reports
-    // scope 0 ("answer valid everywhere"), per RFC 7871 §7.2.1.
-    response.edns = Edns{};
-    if (query.edns->client_subnet.has_value()) {
-      ClientSubnet ecs = *query.edns->client_subnet;
-      ecs.scope_prefix = 0;
-      response.edns->client_subnet = ecs;
-    }
-  }
-
-  // Chase in-zone CNAME chains, bounded to defeat loops.
+  // Chase CNAME chains, bounded to defeat loops.
   DnsName qname = q.name;
   for (int depth = 0; depth < 8; ++depth) {
     const LookupResult result = zone->lookup(qname, q.type);
@@ -234,25 +230,16 @@ void AuthoritativeServer::handle(const Message& query, const QueryContext& ctx,
       case LookupStatus::kSuccess:
         response.answers.insert(response.answers.end(), result.records.begin(),
                                 result.records.end());
-        respond(std::move(response));
-        return;
+        return response;
       case LookupStatus::kCname: {
         response.answers.insert(response.answers.end(), result.records.begin(),
                                 result.records.end());
         const auto* cname =
             std::get_if<CnameRecord>(&result.records.front().rdata);
-        if (cname == nullptr) {
-          respond(make_response(query, RCode::kServFail));
-          return;
-        }
+        zone = cname == nullptr ? nullptr : longest_match(zones, cname->target);
+        // Target out of our authority: the client/resolver restarts there.
+        if (zone == nullptr) return response;
         qname = cname->target;
-        Zone* next_zone = find_zone(qname);
-        if (next_zone == nullptr) {
-          // Target is out of our authority: the client/resolver restarts.
-          respond(std::move(response));
-          return;
-        }
-        zone = next_zone;
         continue;
       }
       case LookupStatus::kDelegation:
@@ -262,25 +249,19 @@ void AuthoritativeServer::handle(const Message& query, const QueryContext& ctx,
                                     result.records.end());
         response.additionals.insert(response.additionals.end(),
                                     result.glue.begin(), result.glue.end());
-        respond(std::move(response));
-        return;
+        return response;
+      case LookupStatus::kNxDomain:
+        response.header.rcode = RCode::kNxDomain;
+        [[fallthrough]];
       case LookupStatus::kNoData:
         response.authorities.insert(response.authorities.end(),
                                     result.soa.begin(), result.soa.end());
-        respond(std::move(response));
-        return;
-      case LookupStatus::kNxDomain:
-        response.header.rcode = RCode::kNxDomain;
-        response.authorities.insert(response.authorities.end(),
-                                    result.soa.begin(), result.soa.end());
-        respond(std::move(response));
-        return;
+        return response;
       case LookupStatus::kOutOfZone:
-        respond(make_response(query, RCode::kRefused));
-        return;
+        return make_response(query, RCode::kRefused);
     }
   }
-  respond(make_response(query, RCode::kServFail));  // CNAME chain too deep
+  return make_response(query, RCode::kServFail);  // CNAME chain too deep
 }
 
 }  // namespace mecdns::dns

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,8 +51,8 @@ class DnsServer {
   /// Octets of the reply target every query's Responder starts as.
   static constexpr std::size_t kReplySize = 32;
   /// Buffer octets of a Responder: the reply behind one plugin wrapper the
-  /// size of the cache plugin's stays in place.
-  static constexpr std::size_t kResponderCapacity = 160;
+  /// size of the cache plugin's (which keeps the Query) stays in place.
+  static constexpr std::size_t kResponderCapacity = 176;
   /// Move-only and one-shot: the answer is handed over once, by rvalue.
   /// Plugins that observe the answer wrap() it in place.
   using Responder =
@@ -98,8 +99,9 @@ class DnsServer {
   /// Subclass hook. Call `respond` at most once, or move it away to call
   /// later, into state the server owns (it captures the server); leaving
   /// it drops the query (the client's timeout handles it, as on a real
-  /// network). `query` and `ctx` live only for the call.
-  virtual void handle(const Message& query, const QueryContext& ctx,
+  /// network). `query` and `ctx` live only for the call; an answer given
+  /// later keeps a copy of the Query.
+  virtual void handle(const Query& query, const QueryContext& ctx,
                       Responder&& respond) = 0;
 
   util::Rng& rng() { return rng_; }
@@ -113,9 +115,9 @@ class DnsServer {
   /// A received query from its arrival to the end of its processing event
   /// (through the worker FIFO, when workers are bounded). Slots are reused
   /// and never move, so the processing event captures an index, not the
-  /// query.
+  /// query. A slot keeps the Query, never the decoded message's records.
   struct InFlight {
-    Message query;
+    Query query;
     QueryContext ctx;
     Responder respond;
     obs::SpanRef span;  ///< serve span; queued work keeps its own context
@@ -172,16 +174,21 @@ class AuthoritativeServer : public DnsServer {
 
   /// The zone with the longest origin matching `name`, or nullptr.
   Zone* find_zone(const DnsName& name);
-  const Zone* find_zone(const DnsName& name) const;
 
   std::vector<Zone>& zones() { return zones_; }
 
  protected:
-  void handle(const Message& query, const QueryContext& ctx,
+  void handle(const Query& query, const QueryContext& ctx,
               Responder&& respond) override;
 
  private:
   std::vector<Zone> zones_;
 };
+
+/// The authoritative answer to `query` from `zones` (one zone, or the
+/// several an AuthoritativeServer hosts): the lookup's records in the
+/// sections its status calls for, CNAMEs chased into any zone of `zones`
+/// (8 steps, then SERVFAIL), and REFUSED when no zone holds the name.
+Message zone_answer(std::span<const Zone> zones, const Query& query);
 
 }  // namespace mecdns::dns

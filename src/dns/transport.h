@@ -59,9 +59,9 @@ class DnsTransport {
     std::function<void(std::size_t index, bool servfail)> on_failover = {};
   };
 
-  /// Buffer octets of a Callback: a forwarder's relay (a held Responder,
-  /// the client's questions and id) stays in place.
-  static constexpr std::size_t kCallbackCapacity = 288;
+  /// Buffer octets of a Callback: a forwarder's relay (a held Responder
+  /// and the client's Query) stays in place.
+  static constexpr std::size_t kCallbackCapacity = 320;
   /// Invoked exactly once per query(): with the response, handed over by
   /// rvalue, or with an error after the final timeout. `rtt` is time from
   /// first send to response. Move-only.

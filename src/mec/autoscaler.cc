@@ -1,18 +1,11 @@
 #include "mec/autoscaler.h"
 
 #include <algorithm>
-#include <string>
 
 namespace mecdns::mec {
 
 void AutoScaler::note_decision(obs::JournalKind kind, const char* what,
                                std::size_t replicas_now) {
-  if (trace_ != nullptr) {
-    obs::SpanRef span = obs::begin_root_span(trace_, "autoscaler", what);
-    span.tag("load_per_replica", std::to_string(last_load_per_replica_));
-    span.tag("replicas", std::to_string(replicas_now));
-    span.end();
-  }
   if (journal_ != nullptr) {
     journal_->record(sim_.now(), kind, journal_cell_, what, replicas_now,
                      static_cast<std::uint64_t>(last_load_per_replica_));

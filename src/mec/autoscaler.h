@@ -19,7 +19,6 @@
 #include <functional>
 
 #include "obs/journal.h"
-#include "obs/trace.h"
 #include "simnet/simulator.h"
 
 namespace mecdns::mec {
@@ -68,12 +67,6 @@ class AutoScaler {
   std::uint64_t ticks() const { return ticks_; }
   std::uint64_t scale_ups() const { return scale_ups_; }
   std::uint64_t scale_downs() const { return scale_downs_; }
-  double last_load_per_replica() const { return last_load_per_replica_; }
-
-  /// Each applied scaling decision becomes a root span on an
-  /// "autoscaler" track, tagged with the observed load and replica count
-  /// — the decision evidence, not just the action tally.
-  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
 
   /// Scale-up / scale-down decisions become journal events (a = replicas
   /// after the action, b = load per replica, rounded) attributed to
@@ -96,7 +89,6 @@ class AutoScaler {
   void note_decision(obs::JournalKind kind, const char* what,
                      std::size_t replicas_now);
 
-  obs::TraceSink* trace_ = nullptr;
   obs::Journal* journal_ = nullptr;
   int journal_cell_ = -1;
 

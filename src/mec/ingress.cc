@@ -60,7 +60,7 @@ void IngressMonitor::rebase(simnet::SimTime now) {
   base_ = base_ + simnet::SimTime::nanos(lo);
 }
 
-bool OverloadGuardPlugin::shed_one(const dns::Message& query,
+bool OverloadGuardPlugin::shed_one(const dns::Query& query,
                                    Respond& respond) {
   ++shed_;
   switch (action_) {
@@ -77,7 +77,7 @@ bool OverloadGuardPlugin::shed_one(const dns::Message& query,
   return true;
 }
 
-bool OverloadGuardPlugin::serve(const dns::Message& query,
+bool OverloadGuardPlugin::serve(const dns::Query& query,
                                 const dns::QueryContext& ctx,
                                 Respond& respond) {
   const simnet::SimTime now = ctx.received;

@@ -67,7 +67,7 @@ class OverloadGuardPlugin : public dns::Plugin {
 
   std::string name() const override { return "overload-guard"; }
   /// Admits the query (passes it on, false) or sheds it (claims it, true).
-  bool serve(const dns::Message& query, const dns::QueryContext& ctx,
+  bool serve(const dns::Query& query, const dns::QueryContext& ctx,
              Respond& respond) override;
 
   /// Recovery hysteresis, mirroring cdn::TrafficMonitor's up/down counts:
@@ -113,7 +113,7 @@ class OverloadGuardPlugin : public dns::Plugin {
 
  private:
   /// Answers (or drops) a shed query; always claims it.
-  bool shed_one(const dns::Message& query, Respond& respond);
+  bool shed_one(const dns::Query& query, Respond& respond);
 
   IngressMonitor& monitor_;
   std::size_t threshold_;

@@ -59,7 +59,6 @@ class Orchestrator {
 
   /// The public namespace zone (served by the public view's ZonePlugin).
   std::shared_ptr<dns::Zone> public_zone() { return public_zone_; }
-  const dns::DnsName& public_domain() const { return public_domain_; }
 
   const std::map<std::string, Deployment>& deployments() const {
     return deployments_;

@@ -191,6 +191,19 @@ void Registry::merge(const Registry& other) {
   }
 }
 
+void Registry::merge_prefixed(const std::string& prefix,
+                              const Registry& other) {
+  for (const auto& [name, value] : other.counters_) {
+    add(prefix + "." + name, value);
+  }
+  for (const auto& [name, value] : other.gauges_) {
+    set_gauge(prefix + "." + name, value);
+  }
+  for (const auto& [name, hist] : other.histograms_) {
+    histograms_[prefix + "." + name].merge(hist);
+  }
+}
+
 std::string Registry::to_text() const {
   std::string out;
   if (!counters_.empty()) {
@@ -297,10 +310,6 @@ bool write_text_file(const std::string& path, const std::string& body) {
   if (f == nullptr) return false;
   const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
   return std::fclose(f) == 0 && ok;
-}
-
-bool Registry::write_text(const std::string& path) const {
-  return write_text_file(path, to_text());
 }
 
 bool Registry::write_json(const std::string& path) const {

@@ -98,6 +98,9 @@ class Registry {
 
   /// Adds counters, max-combines gauges, merges histograms.
   void merge(const Registry& other);
+  /// Copies `other` in with every name prefixed by "<prefix>.", so one
+  /// registry holds several runs that share metric names side by side.
+  void merge_prefixed(const std::string& prefix, const Registry& other);
 
   bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
@@ -105,7 +108,6 @@ class Registry {
 
   std::string to_text() const;
   std::string to_json() const;
-  bool write_text(const std::string& path) const;
   bool write_json(const std::string& path) const;
 
   const std::map<std::string, std::uint64_t>& counters() const {

@@ -45,7 +45,6 @@ class TimeSeries {
                       simnet::SimTime window = simnet::SimTime::millis(500))
       : sim_(&sim), window_(window) {}
 
-  simnet::SimTime window_size() const { return window_; }
   simnet::SimTime now() const { return sim_->now(); }
 
   // --- recording (timestamped with the current sim time) -----------------

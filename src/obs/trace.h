@@ -83,7 +83,6 @@ class TraceSink {
     sampling_enabled_ = true;
     sampling_ = config;
   }
-  bool sampling_enabled() const { return sampling_enabled_; }
 
   SpanId begin(SpanId parent, std::string component, std::string name);
   void end(SpanId id);

@@ -66,6 +66,17 @@ bool ends_with_icase(std::string_view s, std::string_view suffix) {
   return true;
 }
 
+std::string with_slug(const std::string& path, std::string slug) {
+  for (char& c : slug) {
+    if (c == '/') c = '.';
+  }
+  const auto dot = path.rfind('.');
+  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
+    return path + "." + slug;
+  }
+  return path.substr(0, dot) + "." + slug + path.substr(dot);
+}
+
 std::string fmt_fixed(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);

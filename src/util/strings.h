@@ -24,6 +24,12 @@ std::string trim(std::string_view input);
 /// True if `s` ends with `suffix` (ASCII case-insensitive).
 bool ends_with_icase(std::string_view s, std::string_view suffix);
 
+/// Inserts `slug` before the extension of `path`, every '/' in the slug
+/// becoming '.': "trace.json" + "node-down/robust" ->
+/// "trace.node-down.robust.json". A path without an extension gets
+/// ".<slug>" appended. Names one artifact per scenario of a sweep.
+std::string with_slug(const std::string& path, std::string slug);
+
 /// Formats a double with fixed precision (printf "%.*f").
 std::string fmt_fixed(double value, int precision);
 

@@ -8,7 +8,6 @@
 #include "chaos/controller.h"
 #include "chaos/fault_schedule.h"
 #include "core/fig5.h"
-#include "obs/metrics.h"
 
 namespace mecdns::chaos {
 namespace {
@@ -69,8 +68,6 @@ TEST(ChaosController, AppliesNodeOutageAtScheduledTimes) {
   simnet::UdpSocket* out = net.open_socket(client, 9001, nullptr);
 
   ChaosController controller(net, "test-outage");
-  obs::Registry metrics;
-  controller.set_metrics(&metrics);
   FaultSchedule schedule;
   schedule.node_outage(SimTime::millis(100), SimTime::millis(300), server);
   controller.arm(schedule);
@@ -89,9 +86,6 @@ TEST(ChaosController, AppliesNodeOutageAtScheduledTimes) {
   EXPECT_EQ(controller.injections()[0].at, SimTime::millis(100));
   EXPECT_EQ(controller.injections()[1].kind, "node_up");
   EXPECT_EQ(controller.injections()[1].at, SimTime::millis(300));
-  EXPECT_EQ(metrics.counters().at("chaos.injections"), 2u);
-  EXPECT_EQ(metrics.counters().at("chaos.node_down"), 1u);
-  EXPECT_EQ(metrics.counters().at("chaos.node_up"), 1u);
 }
 
 TEST(ChaosController, CustomActionRunsAtItsInstant) {

@@ -1,14 +1,22 @@
 // Throughput runner: worker-count-independent byte-identical artifacts,
 // sane load metrics, and (this binary links obs/alloc_hooks.cc) the
-// counting-allocator path end to end.
+// counting-allocator path end to end, including what a server keeps of a
+// hostile query.
 #include "core/throughput.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "dns/server.h"
+#include "dns/wire.h"
 #include "obs/perf.h"
+#include "simnet/simulator.h"
+#include "srv_flood.h"
+#include "util/perfcount.h"
 
 namespace mecdns {
 namespace {
@@ -56,6 +64,57 @@ TEST(ThroughputTest, AllocCountingIsActiveInThisBinary) {
   ::operator delete(p);
   EXPECT_GE(delta.allocs, 1u);
   EXPECT_GE(delta.alloc_bytes, 256u);
+}
+
+/// Heap blocks this thread has allocated and not yet freed, as far as the
+/// counting allocator has seen.
+std::int64_t live_blocks() {
+  const util::perf::Counters& c = util::perf::counters();
+  return static_cast<std::int64_t>(c.allocs) -
+         static_cast<std::int64_t>(c.frees);
+}
+
+TEST(ServerMemoryTest, FloodedQueryLeavesNoHeapBlockInTheServer) {
+  // The server keeps a received query's header, question and EDNS, never
+  // its records: once a plain query has followed the 60,261-octet flood of
+  // 3000 SRV additionals, the heap holds what it held before the flood.
+  simnet::Simulator sim;
+  simnet::Network net(sim, util::Rng(3));
+  const auto server_addr = simnet::Ipv4Address::must_parse("10.0.0.2");
+  const simnet::NodeId client =
+      net.add_node("client", simnet::Ipv4Address::must_parse("10.0.0.1"));
+  const simnet::NodeId server_node = net.add_node("server", server_addr);
+  net.add_link(client, server_node,
+               simnet::LatencyModel::constant(simnet::SimTime::millis(1)));
+  dns::AuthoritativeServer server(
+      net.runtime(server_node), "auth",
+      simnet::LatencyModel::constant(simnet::SimTime::micros(100)));
+  const auto video = dns::DnsName::must_parse("video.mycdn.test");
+  dns::Zone& zone = server.add_zone(dns::DnsName::must_parse("mycdn.test"));
+  zone.must_add(dns::make_a(video, server_addr, 30));
+  int replies = 0;
+  simnet::UdpSocket* socket = net.open_socket(
+      client, 40000, [&replies](const simnet::Packet&) { ++replies; });
+  const auto exchange = [&](std::span<const std::uint8_t> wire) {
+    socket->send({server_addr, dns::kDnsPort}, wire);
+    sim.run();
+  };
+  const std::vector<std::uint8_t> plain =
+      dns::encode(dns::make_query(1, video, dns::RecordType::kA));
+  const std::vector<std::uint8_t> flood = dns::srv_flood(dns::encode(
+      dns::make_query(2, dns::srv_flood_name(), dns::RecordType::kA)));
+  ASSERT_EQ(flood.size(), dns::kSrvFloodOctets);
+
+  // A first exchange grows the server's slot pool, the event queue and the
+  // network's payload pool to what one query at a time needs.
+  exchange(plain);
+  const std::int64_t before = live_blocks();
+  exchange(flood);
+  exchange(plain);
+  EXPECT_EQ(live_blocks(), before);
+  EXPECT_EQ(replies, 3);
+  EXPECT_EQ(server.stats().queries, 3u);
+  net.close_socket(socket);
 }
 
 TEST(ThroughputTest, LoadRunProducesSaneMetrics) {

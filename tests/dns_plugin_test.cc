@@ -6,11 +6,13 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "dns/plugin.h"
 #include "dns/stub.h"
 #include "dns/wire.h"
+#include "mec/ingress.h"
 #include "obs/trace.h"
 #include "srv_flood.h"
 
@@ -29,7 +31,7 @@ class ObservedCache : public CachePlugin {
   ObservedCache(std::shared_ptr<DnsCache> cache,
                 std::function<void()> on_answer)
       : CachePlugin(std::move(cache)), on_answer_(std::move(on_answer)) {}
-  bool serve(const Message& query, const QueryContext& ctx,
+  bool serve(const Query& query, const QueryContext& ctx,
              Respond& respond) override {
     if (CachePlugin::serve(query, ctx, respond)) return true;
     respond = [this, respond = std::move(respond)](Message response) {
@@ -271,6 +273,173 @@ TEST_F(PluginTest, ZonePluginServesDelegationAndNegative) {
   EXPECT_EQ(missing.rcode, RCode::kNxDomain);
 }
 
+/// A query for (name, type); with `ecs`, it carries EDNS (payload 1232)
+/// with that client subnet.
+Query query_for(const DnsName& name, RecordType type,
+                std::optional<ClientSubnet> ecs = std::nullopt) {
+  Query query = to_query(make_query(0x5150, name, type));
+  if (ecs.has_value()) {
+    query.edns = Edns{};
+    query.edns->udp_payload_size = 1232;
+    query.edns->client_subnet = ecs;
+  }
+  return query;
+}
+
+/// The answer `plugin` gives `query` at once, if any.
+std::optional<Message> served(Plugin& plugin, const Query& query) {
+  std::optional<Message> answer;
+  Plugin::Respond respond = [&answer](Message&& response) {
+    answer = std::move(response);
+  };
+  plugin.serve(query, QueryContext{}, respond);
+  return answer;
+}
+
+TEST_F(PluginTest, RepliesToAnEdnsQueryCarryAnOptRecordAtScopeZero) {
+  // RFC 6891 §6.1.1: a reply to a query with EDNS carries an OPT record.
+  // None of these answers depends on the client subnet, so each reports
+  // scope 0 (RFC 7871 §7.2.1).
+  ClientSubnet ecs;
+  ecs.address = Ipv4Address::must_parse("203.0.113.0");
+  ecs.source_prefix = 24;
+  const DnsName video = DnsName::must_parse("video.mycdn.test");
+  cache_->insert(video, RecordType::kA,
+                 {make_a(video, Ipv4Address::must_parse("198.18.5.5"), 30)},
+                 SimTime::zero());
+  ZonePlugin zone(internal_zone_);
+  CachePlugin cache(cache_);
+  RefusePlugin refuse;
+  mec::IngressMonitor monitor(SimTime::seconds(1));
+  // Any rate is at or over a threshold of 0 q/s: the guard sheds everything.
+  mec::OverloadGuardPlugin guard(monitor, 0, mec::OverloadAction::kRefuse);
+  struct Case {
+    const char* what;
+    Plugin& plugin;
+    DnsName name;
+    RCode rcode;
+  };
+  const Case cases[] = {
+      {"zone", zone,
+       DnsName::must_parse("traffic-router.cdn.svc.cluster.local"),
+       RCode::kNoError},
+      {"cache hit", cache, video, RCode::kNoError},
+      {"refuse", refuse, video, RCode::kRefused},
+      {"guard shed", guard, video, RCode::kRefused},
+  };
+  for (const Case& c : cases) {
+    for (const bool with_edns : {true, false}) {
+      SCOPED_TRACE(std::string(c.what) + (with_edns ? " edns" : " plain"));
+      const std::optional<Message> answer = served(
+          c.plugin, query_for(c.name, RecordType::kA,
+                              with_edns ? std::optional(ecs) : std::nullopt));
+      ASSERT_TRUE(answer.has_value());
+      EXPECT_EQ(answer->header.rcode, c.rcode);
+      // What goes on the wire: an OPT record in the additional section.
+      const Message wire = decode(encode(*answer)).value();
+      if (!with_edns) {
+        EXPECT_FALSE(wire.edns.has_value());
+        continue;
+      }
+      ASSERT_TRUE(wire.edns.has_value());
+      ASSERT_TRUE(wire.edns->client_subnet.has_value());
+      EXPECT_EQ(wire.edns->client_subnet->subnet(), ecs.subnet());
+      EXPECT_EQ(wire.edns->client_subnet->scope_prefix, 0);
+    }
+  }
+}
+
+/// An AuthoritativeServer whose handle() a test calls directly.
+class DirectAuthoritativeServer : public AuthoritativeServer {
+ public:
+  using AuthoritativeServer::AuthoritativeServer;
+  using AuthoritativeServer::handle;
+};
+
+TEST_F(PluginTest, ZonePluginAndAuthoritativeServerAnswerAlike) {
+  const DnsName origin = DnsName::must_parse("parity.test");
+  const auto name = [](const std::string& label) {
+    return DnsName::must_parse(label + ".parity.test");
+  };
+  const auto step = [&name](int i) {
+    std::string label = "c";
+    label += std::to_string(i);
+    return name(label);
+  };
+  const auto address = [](int host) {
+    return Ipv4Address::must_parse("198.18.0." + std::to_string(host));
+  };
+  auto zone = std::make_shared<Zone>(origin);
+  DirectAuthoritativeServer auth(net_.runtime(server_node_), "auth",
+                                 LatencyModel::constant(SimTime::zero()),
+                                 5354);
+  for (Zone* z : {zone.get(), &auth.add_zone(origin)}) {
+    z->must_add(make_soa(origin, name("ns1"), 1, 30, 30));
+    z->must_add(make_a(name("www"), address(1), 30));
+    z->must_add(make_a(name("*.wild"), address(2), 30));
+    z->must_add(make_cname(name("hop1"), name("hop2"), 30));
+    z->must_add(make_cname(name("hop2"), name("www"), 30));
+    z->must_add(make_cname(name("away"), DnsName::must_parse("else.net"), 30));
+    z->must_add(make_ns(name("sub"), name("ns.sub"), 30));
+    z->must_add(make_a(name("ns.sub"), address(53), 30));
+    // c0 -> c1 -> ... -> c9: nine CNAME steps, one more than the bound.
+    for (int i = 0; i < 9; ++i) {
+      z->must_add(make_cname(step(i), step(i + 1), 30));
+    }
+    z->must_add(make_a(step(9), address(9), 30));
+  }
+  ZonePlugin plugin(zone);
+
+  struct Case {
+    const char* what;
+    DnsName name;
+    RecordType type;
+    RCode rcode;
+    std::size_t answers, authorities, additionals;
+  };
+  const Case cases[] = {
+      {"hit", name("www"), RecordType::kA, RCode::kNoError, 1, 0, 0},
+      {"wildcard", name("host.wild"), RecordType::kA, RCode::kNoError, 1, 0,
+       0},
+      {"multi-hop cname", name("hop1"), RecordType::kA, RCode::kNoError, 3,
+       0, 0},
+      {"cname leaves zone", name("away"), RecordType::kA, RCode::kNoError, 1,
+       0, 0},
+      {"delegation with glue", name("host.sub"), RecordType::kA,
+       RCode::kNoError, 0, 1, 1},
+      {"nodata", name("www"), RecordType::kTxt, RCode::kNoError, 0, 1, 0},
+      {"nxdomain", name("nope"), RecordType::kA, RCode::kNxDomain, 0, 1, 0},
+      {"chain past the bound", name("c0"), RecordType::kA, RCode::kServFail,
+       0, 0, 0},
+  };
+  ClientSubnet ecs;
+  ecs.address = Ipv4Address::must_parse("203.0.113.0");
+  for (const Case& c : cases) {
+    for (const bool with_edns : {false, true}) {
+      SCOPED_TRACE(std::string(c.what) + (with_edns ? " edns" : " plain"));
+      const Query query = query_for(
+          c.name, c.type, with_edns ? std::optional(ecs) : std::nullopt);
+      const std::optional<Message> from_plugin = served(plugin, query);
+      std::optional<Message> from_server;
+      auth.handle(query, QueryContext{}, [&from_server](Message&& response) {
+        from_server = std::move(response);
+      });
+      ASSERT_TRUE(from_plugin.has_value());
+      ASSERT_TRUE(from_server.has_value());
+      EXPECT_EQ(from_plugin->header, from_server->header);
+      EXPECT_EQ(from_plugin->header.rcode, c.rcode);
+      EXPECT_EQ(from_plugin->questions, from_server->questions);
+      EXPECT_EQ(from_plugin->answers, from_server->answers);
+      EXPECT_EQ(from_plugin->authorities, from_server->authorities);
+      EXPECT_EQ(from_plugin->additionals, from_server->additionals);
+      EXPECT_EQ(from_plugin->edns, from_server->edns);
+      EXPECT_EQ(from_plugin->answers.size(), c.answers);
+      EXPECT_EQ(from_plugin->authorities.size(), c.authorities);
+      EXPECT_EQ(from_plugin->additionals.size(), c.additionals);
+    }
+  }
+}
+
 /// A hand-driven upstream on the upstream node's port 5353: it hands each
 /// datagram to `answer` and sends back what that returns.
 class ScriptedUpstream {
@@ -321,7 +490,7 @@ TEST_F(PluginTest, ForwardRelaysOnlyTheQuestionOfAFloodedQuery) {
   ScriptedUpstream upstream(
       net_, upstream_node_, [&](std::span<const std::uint8_t> wire) {
         upstream_saw = decode(wire).value();
-        Message response = make_response(upstream_saw);
+        Message response = make_response(to_query(upstream_saw));
         response.answers.push_back(
             make_a(upstream_saw.question().name,
                    Ipv4Address::must_parse("198.18.5.5"), 30));

@@ -164,6 +164,22 @@ TEST_F(AuthServerTest, LongestZoneWins) {
   EXPECT_EQ(*result.address, Ipv4Address::must_parse("198.18.9.9"));
 }
 
+TEST_F(AuthServerTest, CnameIntoAnotherHostedZoneIsChased) {
+  Zone& net_zone = server_->add_zone(DnsName::must_parse("example.net"));
+  net_zone.must_add(make_soa(DnsName::must_parse("example.net"),
+                             DnsName::must_parse("ns1.example.net"), 1, 60,
+                             60));
+  net_zone.must_add(make_a(DnsName::must_parse("www.example.net"),
+                           Ipv4Address::must_parse("198.18.7.7"), 60));
+  server_->find_zone(DnsName::must_parse("example.com"))
+      ->must_add(make_cname(DnsName::must_parse("over.example.com"),
+                            DnsName::must_parse("www.example.net"), 60));
+  const StubResult result = resolve("over.example.com");
+  EXPECT_TRUE(result.ok);
+  EXPECT_EQ(result.response.answers.size(), 2u);
+  EXPECT_EQ(*result.address, Ipv4Address::must_parse("198.18.7.7"));
+}
+
 TEST_F(AuthServerTest, MalformedPacketCounted) {
   simnet::UdpSocket* raw = net_.open_socket(client_node_, 0, nullptr);
   constexpr std::uint8_t kJunk[] = {0x01, 0x02, 0x03};

@@ -27,11 +27,11 @@ class ScriptedServer {
       auto query = decode(p.payload);
       ASSERT_TRUE(query.ok());
       if (servfail_) {
-        socket_->send(p.src,
-                      encode(make_response(query.value(), RCode::kServFail)));
+        socket_->send(p.src, encode(make_response(to_query(query.value()),
+                                                  RCode::kServFail)));
         return;
       }
-      Message response = make_response(query.value());
+      Message response = make_response(to_query(query.value()));
       if (mangle_question_) {
         response.questions.front().name = DnsName::must_parse("evil.test");
       }
@@ -247,7 +247,7 @@ TEST_F(TransportTest, Dns0x20RejectsCaseNormalizedSpoof) {
       evil_node, kDnsPort, [&](const simnet::Packet& p) {
         auto query = decode(p.payload);
         ASSERT_TRUE(query.ok());
-        Message response = make_response(query.value());
+        Message response = make_response(to_query(query.value()));
         // Normalize case (what an off-path guesser would send).
         response.questions.front().name = DnsName::must_parse(
             util::to_lower(query.value().question().name.to_string()));

@@ -25,8 +25,8 @@ using mec::OverloadAction;
 using mec::OverloadGuardPlugin;
 using simnet::SimTime;
 
-const dns::Message kQuery =
-    dns::make_query(1, dns::DnsName::must_parse("x.test"), dns::RecordType::kA);
+const dns::Query kQuery = dns::to_query(dns::make_query(
+    1, dns::DnsName::must_parse("x.test"), dns::RecordType::kA));
 
 dns::QueryContext received_at(SimTime at) {
   dns::QueryContext ctx;

@@ -226,8 +226,8 @@ TEST(IngressMonitor, WindowOfTwoToThe32NanosIsRejected) {
 /// admits it (passes it on down the chain).
 bool admit_at(OverloadGuardPlugin& guard, SimTime at,
               dns::Plugin::Respond respond = [](dns::Message) {}) {
-  const dns::Message query = dns::make_query(
-      1, dns::DnsName::must_parse("x.test"), dns::RecordType::kA);
+  const dns::Query query = dns::to_query(dns::make_query(
+      1, dns::DnsName::must_parse("x.test"), dns::RecordType::kA));
   dns::QueryContext ctx;
   ctx.received = at;
   return !guard.serve(query, ctx, respond);
@@ -360,8 +360,8 @@ TEST(LdnsFailover, SwitchesToFallbackOnCrashAndBackOnRestart) {
       primary_node, dns::kDnsPort, [&](const simnet::Packet& p) {
         auto query = dns::decode(p.payload);
         ASSERT_TRUE(query.ok());
-        responder->send(p.src,
-                        dns::encode(dns::make_response(query.value())));
+        responder->send(p.src, dns::encode(dns::make_response(
+                                   dns::to_query(query.value()))));
       });
 
   LdnsFailover::Config config;
@@ -409,8 +409,8 @@ TEST(LdnsFailover, SingleMissedProbeDoesNotSwitch) {
       primary_node, dns::kDnsPort, [&](const simnet::Packet& p) {
         auto query = dns::decode(p.payload);
         ASSERT_TRUE(query.ok());
-        responder->send(p.src,
-                        dns::encode(dns::make_response(query.value())));
+        responder->send(p.src, dns::encode(dns::make_response(
+                                   dns::to_query(query.value()))));
       });
 
   LdnsFailover::Config config;
@@ -448,8 +448,8 @@ TEST(LdnsFailover, DestroyedFailoverLeavesNoTimerBehind) {
       primary_node, dns::kDnsPort, [&](const simnet::Packet& p) {
         auto query = dns::decode(p.payload);
         ASSERT_TRUE(query.ok());
-        responder->send(p.src,
-                        dns::encode(dns::make_response(query.value())));
+        responder->send(p.src, dns::encode(dns::make_response(
+                                   dns::to_query(query.value()))));
       });
 
   LdnsFailover::Config config;

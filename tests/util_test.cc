@@ -330,6 +330,14 @@ TEST(Strings, CaseAndTrim) {
   EXPECT_FALSE(ends_with_icase("com", "example.com"));
 }
 
+TEST(Strings, WithSlugGoesBeforeTheExtension) {
+  EXPECT_EQ(with_slug("trace.json", "mec-mec"), "trace.mec-mec.json");
+  EXPECT_EQ(with_slug("out/series.json", "node-down/robust"),
+            "out/series.node-down.robust.json");
+  EXPECT_EQ(with_slug("trace", "mec-mec"), "trace.mec-mec");
+  EXPECT_EQ(with_slug("out.d/trace", "a/b"), "out.d/trace.a.b");
+}
+
 TEST(Strings, FmtFixed) {
   EXPECT_EQ(fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_fixed(10.0, 0), "10");

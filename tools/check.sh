@@ -39,8 +39,9 @@
 #      serves the MEC zone on an ephemeral 127.0.0.1 port (ASan build), the
 #      probe client resolves a name over the real wire and checks the A
 #      record (once lower-case, once mixed-case), a crafted 60,261-octet
-#      query must be answered and the probe must pass again after it, and
-#      the server's teardown must report sockets_leaked=0.
+#      query must be answered, a query with an OPT record must get one back,
+#      the probe must pass again after them, and the server's teardown must
+#      report sockets_leaked=0.
 #  10. Benchmark build: perfbench compiles src/ and tools/ itself and reads
 #      simnet::Packet, so its own unit tests and a short traced
 #      sim-mec-steady run must pass (run.py exits 1 when its build fails).
@@ -257,6 +258,8 @@ run ./build-asan/tools/mecdns_livewire --probe VIDEO.Mec.Test \
 # A hostile query: 60,261 octets whose 3000 SRV additionals all point at
 # one 245-octet name, 789,261 octets if re-encoded. The server must answer
 # it (and keep answering), never encoding past its 65535-octet buffer.
+# Then a query with an OPT record: the reply must carry one too (RFC 6891
+# §6.1.1).
 python3 - "$live_port" <<'EOF'
 import socket, struct, sys
 labels = [b"a" * 63, b"b" * 63, b"c" * 63, b"d" * 42, b"mec", b"test"]
@@ -273,6 +276,29 @@ rid, flags = struct.unpack(">2H", reply[:4])
 assert rid == 0x4242 and flags & 0x8000, reply[:4].hex()
 print("+ %d-octet hostile query answered: %d octets, rcode %d"
       % (len(query), len(reply), flags & 0xf))
+def skip_name(msg, off):
+    while msg[off] != 0 and msg[off] & 0xc0 != 0xc0:
+        off += 1 + msg[off]
+    return off + (2 if msg[off] else 1)
+opt = b"\0" + struct.pack(">2HIH", 41, 1232, 0, 0)
+query = (struct.pack(">6H", 0x4343, 0x0100, 1, 0, 0, 1) +
+         b"\x05video\x03mec\x04test\0" + struct.pack(">2H", 1, 1) + opt)
+s.sendto(query, ("127.0.0.1", int(sys.argv[1])))
+reply = s.recv(65535)
+rid, flags, qd, an, ns, ar = struct.unpack(">6H", reply[:12])
+assert rid == 0x4343 and flags & 0x8000, reply[:4].hex()
+off = 12
+for _ in range(qd):
+    off = skip_name(reply, off) + 4
+types = []
+for _ in range(an + ns + ar):
+    off = skip_name(reply, off)
+    rtype, _, _, rdlength = struct.unpack(">2HIH", reply[off:off + 10])
+    types.append(rtype)
+    off += 10 + rdlength
+assert 41 in types[an + ns:], "no OPT record in the additional section"
+print("+ EDNS query answered with an OPT record: rcode %d, %d answers"
+      % (flags & 0xf, an))
 EOF
 run ./build-asan/tools/mecdns_livewire --probe video.mec.test \
     --server "127.0.0.1:$live_port" --expect-a 192.0.2.7

@@ -13,10 +13,12 @@
 #include "core/fig5.h"
 #include "core/parallel.h"
 #include "core/study.h"
+#include "core/throughput.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "util/args.h"
+#include "util/strings.h"
 
 using namespace mecdns;
 
@@ -81,28 +83,6 @@ void configure_sampling(const util::ArgParser& args, obs::TraceSink& trace) {
   trace.set_sampling(sampling);
 }
 
-/// Filename-safe deployment slug (the same names --deployment accepts).
-std::string deployment_slug(core::Fig5Deployment deployment) {
-  switch (deployment) {
-    case core::Fig5Deployment::kMecLdnsMecCdns: return "mec-mec";
-    case core::Fig5Deployment::kMecLdnsLanCdns: return "mec-lan";
-    case core::Fig5Deployment::kMecLdnsWanCdns: return "mec-wan";
-    case core::Fig5Deployment::kProviderLdns: return "provider";
-    case core::Fig5Deployment::kGoogleDns: return "google";
-    case core::Fig5Deployment::kCloudflareDns: return "cloudflare";
-  }
-  return "unknown";
-}
-
-/// "trace.json" + "mec-mec" -> "trace.mec-mec.json".
-std::string with_slug(const std::string& path, const std::string& name) {
-  const auto dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + name;
-  }
-  return path.substr(0, dot) + "." + name + path.substr(dot);
-}
-
 /// --experiment fig5 --deployment all: the whole six-deployment sweep as a
 /// parallel campaign — one private testbed per deployment, seeded
 /// split_mix64(seed ^ deployment_index), output merged in deployment order
@@ -154,7 +134,7 @@ int run_fig5_sweep(const util::ArgParser& args) {
           for (std::size_t i = 0; i < result.samples.size(); ++i) {
             const auto& sample = result.samples[i];
             std::snprintf(buf, sizeof(buf), "%s,%zu,%.3f,%.3f,%.3f,%s\n",
-                          deployment_slug(deployments[index]).c_str(), i,
+                          core::fig5_slug(deployments[index]).c_str(), i,
                           sample.total_ms, sample.wireless_ms,
                           sample.beyond_pgw_ms,
                           sample.address.to_string().c_str());
@@ -184,7 +164,7 @@ int run_fig5_sweep(const util::ArgParser& args) {
   }
   obs::Registry combined;
   for (std::size_t index = 0; index < outcomes.size(); ++index) {
-    const std::string slug = deployment_slug(deployments[index]);
+    const std::string slug = core::fig5_slug(deployments[index]);
     if (!outcomes[index].ok) {
       std::fprintf(stderr, "error: deployment %s failed: %s\n", slug.c_str(),
                    outcomes[index].error.c_str());
@@ -192,7 +172,8 @@ int run_fig5_sweep(const util::ArgParser& args) {
     }
     const JobOutput& out = outcomes[index].value;
     if (want_trace) {
-      const std::string path = with_slug(args.get_string("trace-out"), slug);
+      const std::string path =
+          util::with_slug(args.get_string("trace-out"), slug);
       if (!obs::write_text_file(path, out.trace_json)) {
         std::fprintf(stderr, "error: failed to write trace to %s\n",
                      path.c_str());
@@ -201,7 +182,7 @@ int run_fig5_sweep(const util::ArgParser& args) {
     }
     if (want_series) {
       const std::string path =
-          with_slug(args.get_string("timeseries-out"), slug);
+          util::with_slug(args.get_string("timeseries-out"), slug);
       if (!obs::write_text_file(path, out.timeseries_json)) {
         std::fprintf(stderr, "error: failed to write timeseries to %s\n",
                      path.c_str());
@@ -211,15 +192,7 @@ int run_fig5_sweep(const util::ArgParser& args) {
     if (want_metrics) {
       // One combined file, names prefixed per deployment (the six runs
       // share metric names).
-      for (const auto& [key, value] : out.metrics.counters()) {
-        combined.add(slug + "." + key, value);
-      }
-      for (const auto& [key, value] : out.metrics.gauges()) {
-        combined.set_gauge(slug + "." + key, value);
-      }
-      for (const auto& [key, histogram] : out.metrics.histograms()) {
-        combined.histogram(slug + "." + key).merge(histogram);
-      }
+      combined.merge_prefixed(slug, out.metrics);
     }
     std::fputs(out.summary_lines.c_str(), stdout);
   }
@@ -232,12 +205,8 @@ int run_fig5_sweep(const util::ArgParser& args) {
 }
 
 util::Result<core::Fig5Deployment> parse_deployment(const std::string& text) {
-  if (text == "mec-mec") return core::Fig5Deployment::kMecLdnsMecCdns;
-  if (text == "mec-lan") return core::Fig5Deployment::kMecLdnsLanCdns;
-  if (text == "mec-wan") return core::Fig5Deployment::kMecLdnsWanCdns;
-  if (text == "provider") return core::Fig5Deployment::kProviderLdns;
-  if (text == "google") return core::Fig5Deployment::kGoogleDns;
-  if (text == "cloudflare") return core::Fig5Deployment::kCloudflareDns;
+  core::Fig5Deployment deployment;
+  if (core::fig5_from_slug(text, deployment)) return deployment;
   return util::Err("unknown deployment '" + text +
                    "' (mec-mec|mec-lan|mec-wan|provider|google|cloudflare)");
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates every deterministic simulator artifact of a build into one
 # directory: the stdout and JSON of the figure, ECS, ablation, extension,
-# throughput, mobility-churn and fault benches, and the stdout of every
-# example. Each run has fixed flags and writes its files under relative
-# names inside <out-dir>, and nothing written depends on wall-clock time
+# throughput, mobility-churn and fault benches, the testbed CLI's fig5
+# sweep, study grid and ECS experiment, and the stdout of every example.
+# Each run has fixed flags and writes its files under relative names
+# inside <out-dir>, and nothing written depends on wall-clock time
 # (bench_throughput's stdout, whose qps_wall column does, is dropped; its
 # --json-out file is kept). Two builds that simulate identically therefore
 # produce byte-identical trees:
@@ -54,6 +55,12 @@ run mobility.txt "$build/bench/bench_mobility_churn" \
 run fault.txt "$build/bench/bench_fault_availability" \
   --workers "$workers" --json-out BENCH_fault_availability.json \
   --incidents-out BENCH_incidents.json
+run testbed_fig5.txt "$build/tools/mecdns_testbed" \
+  --experiment fig5 --deployment all --workers "$workers"
+run testbed_fig5.csv "$build/tools/mecdns_testbed" \
+  --experiment fig5 --deployment all --workers "$workers" --csv
+run testbed_study.csv "$build/tools/mecdns_testbed" --experiment study --csv
+run testbed_ecs.txt "$build/tools/mecdns_testbed" --experiment ecs
 for example in quickstart fig1_walkthrough mobile_handoff overload_fallback \
                arvr_latency_budget; do
   run "example_$example.txt" "$build/examples/$example"
