@@ -67,8 +67,6 @@ SeriesResult QueryRunner::run(const dns::DnsName& name, dns::RecordType type,
       auto handle = [this, result, measured, qname_text,
                      root](const dns::StubResult& stub_result) {
         root.tag("rcode", dns::to_string(stub_result.rcode));
-        // Failed lookups survive any trace-sampling rate (tail keep).
-        if (!stub_result.ok) root.keep();
         root.end();
         if (!measured) return;
         QuerySample sample;

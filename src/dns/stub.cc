@@ -48,8 +48,6 @@ void StubResolver::resolve_traced(const DnsName& name, Message&& query,
       span.tag("rcode", to_string(r.rcode));
       span.tag("answered_by", std::to_string(r.answered_by));
       if (!r.error.empty()) span.tag("error", r.error);
-      // Failed lookups survive any trace-sampling rate (tail keep).
-      if (!r.ok) span.keep();
       span.end();
       inner(r);
     });

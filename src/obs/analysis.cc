@@ -11,7 +11,6 @@ std::vector<SpanInfo> snapshot(const TraceSink& sink) {
   std::vector<SpanInfo> out;
   out.reserve(sink.size());
   for (const auto& span : sink.spans()) {
-    if (span.id == 0) continue;  // reclaimed by sampling
     SpanInfo info;
     info.id = span.id;
     info.parent = span.parent;

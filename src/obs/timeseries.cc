@@ -1,7 +1,6 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace mecdns::obs {
 
@@ -103,14 +102,6 @@ std::string TimeSeries::to_json() const {
   }
   out += "]}";
   return out;
-}
-
-bool TimeSeries::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace mecdns::obs

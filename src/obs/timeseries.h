@@ -80,8 +80,6 @@ class TimeSeries {
   /// Byte-stable JSON: {"window_ms":..., "windows":[{"index":...,
   /// "start_ms":..., "end_ms":..., "metrics":{...}}], "annotations":[...]}.
   std::string to_json() const;
-  /// Writes to_json() to `path`; false on I/O failure.
-  bool write_json(const std::string& path) const;
 
  private:
   Window& current();

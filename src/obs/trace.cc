@@ -14,84 +14,16 @@ const std::string* SpanRecord::tag(const std::string& key) const {
   return nullptr;
 }
 
-namespace {
-/// FNV-1a over an arbitrary byte span.
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-}  // namespace
-
-bool TraceSink::head_sampled(const std::string& name,
-                             std::size_t ordinal) const {
-  if (sampling_.head_rate >= 1.0) return true;
-  if (sampling_.head_rate <= 0.0) return false;
-  std::uint64_t hash = 14695981039346656037ull;
-  hash = fnv1a(hash, &sampling_.seed, sizeof(sampling_.seed));
-  hash = fnv1a(hash, name.data(), name.size());
-  const auto ord = static_cast<std::uint64_t>(ordinal);
-  hash = fnv1a(hash, &ord, sizeof(ord));
-  // Top 53 bits -> uniform double in [0, 1).
-  const double u =
-      static_cast<double>(hash >> 11) * (1.0 / 9007199254740992.0);
-  return u < sampling_.head_rate;
-}
-
 SpanId TraceSink::begin(SpanId parent, std::string component,
                         std::string name) {
-  std::size_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = spans_.size();
-    spans_.emplace_back();
-  }
-  SpanRecord& record = spans_[slot];
-  record = SpanRecord{};
-  record.id = next_id_++;
+  SpanRecord& record = spans_.emplace_back();
+  record.id = spans_.size();
   record.parent = parent;
   record.component = std::move(component);
   record.name = std::move(name);
   record.start = now();
   record.end = record.start;
-  if (sampling_enabled_) {
-    slot_of_[record.id] = slot;
-    if (parent == 0) {
-      ++roots_seen_;
-      PendingRoot pending;
-      pending.head_keep = head_sampled(record.name, roots_seen_);
-      pending.subtree.push_back(record.id);
-      pending_.emplace(record.id, std::move(pending));
-    } else if (const SpanId root = root_of(record.id); root != 0) {
-      if (const auto it = pending_.find(root); it != pending_.end()) {
-        it->second.subtree.push_back(record.id);
-      }
-    }
-  }
   return record.id;
-}
-
-void TraceSink::finish_root(const SpanRecord& root) {
-  const auto it = pending_.find(root.id);
-  if (it == pending_.end()) return;
-  const bool keep = it->second.head_keep || it->second.force_keep ||
-                    root.duration() >= sampling_.keep_slower_than;
-  if (!keep) {
-    for (const SpanId span : it->second.subtree) {
-      const auto slot_it = slot_of_.find(span);
-      if (slot_it == slot_of_.end()) continue;
-      spans_[slot_it->second] = SpanRecord{};  // id == 0 tombstone
-      free_.push_back(slot_it->second);
-      slot_of_.erase(slot_it);
-    }
-    ++roots_dropped_;
-  }
-  pending_.erase(it);
 }
 
 void TraceSink::end(SpanId id) {
@@ -99,7 +31,6 @@ void TraceSink::end(SpanId id) {
   if (record == nullptr) return;
   record->end = now();
   record->finished = true;
-  if (sampling_enabled_ && record->parent == 0) finish_root(*record);
 }
 
 void TraceSink::add_tag(SpanId id, std::string key, std::string value) {
@@ -108,39 +39,16 @@ void TraceSink::add_tag(SpanId id, std::string key, std::string value) {
   record->tags.push_back(SpanTag{std::move(key), std::move(value)});
 }
 
-void TraceSink::force_keep(SpanId id) {
-  if (!sampling_enabled_) return;
-  const SpanId root = root_of(id);
-  if (const auto it = pending_.find(root); it != pending_.end()) {
-    it->second.force_keep = true;
-  }
-}
-
 std::size_t TraceSink::unfinished() const {
   std::size_t n = 0;
   for (const auto& span : spans_) {
-    if (span.id != 0 && !span.finished) ++n;
+    if (!span.finished) ++n;
   }
   return n;
 }
 
-void TraceSink::clear() {
-  spans_.clear();
-  free_.clear();
-  slot_of_.clear();
-  pending_.clear();
-  next_id_ = 1;
-  roots_seen_ = 0;
-  roots_dropped_ = 0;
-}
-
 const SpanRecord* TraceSink::find(SpanId id) const {
-  if (id == 0) return nullptr;
-  if (sampling_enabled_) {
-    const auto it = slot_of_.find(id);
-    return it == slot_of_.end() ? nullptr : &spans_[it->second];
-  }
-  if (id > spans_.size()) return nullptr;
+  if (id == 0 || id > spans_.size()) return nullptr;
   return &spans_[id - 1];
 }
 
@@ -153,7 +61,7 @@ std::vector<const SpanRecord*> TraceSink::by_component(
     const std::string& component) const {
   std::vector<const SpanRecord*> out;
   for (const auto& span : spans_) {
-    if (span.id != 0 && span.component == component) out.push_back(&span);
+    if (span.component == component) out.push_back(&span);
   }
   return out;
 }
@@ -161,7 +69,7 @@ std::vector<const SpanRecord*> TraceSink::by_component(
 std::vector<const SpanRecord*> TraceSink::children_of(SpanId parent) const {
   std::vector<const SpanRecord*> out;
   for (const auto& span : spans_) {
-    if (span.id != 0 && span.parent == parent) out.push_back(&span);
+    if (span.parent == parent) out.push_back(&span);
   }
   return out;
 }
@@ -187,7 +95,6 @@ std::size_t TraceSink::depth(SpanId id) const {
 std::size_t TraceSink::max_depth() const {
   std::size_t deepest = 0;
   for (const auto& span : spans_) {
-    if (span.id == 0) continue;
     const std::size_t d = depth(span.id) + 1;
     if (d > deepest) deepest = d;
   }
@@ -208,7 +115,6 @@ std::string TraceSink::to_chrome_trace() const {
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   for (const auto& span : spans_) {
-    if (span.id == 0) continue;  // reclaimed by sampling
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
@@ -237,14 +143,6 @@ std::string TraceSink::to_chrome_trace() const {
   }
   out += "]}";
   return out;
-}
-
-bool TraceSink::write_chrome_trace(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_chrome_trace();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 SpanRef ambient_span() {

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "simnet/context.h"
@@ -51,59 +50,24 @@ struct SpanRecord {
 };
 
 /// Collects the spans of one run. Span ids are 1-based and monotonically
-/// increasing; without sampling they are indices into the record vector, so
-/// lookups are O(1) and allocation is a vector append.
-///
-/// With sampling enabled the sink stays bounded on million-query runs:
-/// every root is recorded provisionally, and when it ends the sink keeps it
-/// only if (a) it was head-sampled in — a seeded hash of the root's name
-/// and ordinal, deterministic across runs — or (b) it ran slower than the
-/// tail threshold, or (c) a component forced it kept (failed lookups).
-/// Dropped subtrees release their slots for reuse, so memory is
-/// proportional to kept + in-flight spans, not to total traffic. At
-/// head_rate 1.0 nothing is ever dropped and the recorded spans are
-/// byte-identical to an unsampled sink.
+/// increasing, and a span's id is its index in the record vector plus one,
+/// so lookups are O(1) and allocation is a vector append.
 class TraceSink {
  public:
-  struct SamplingConfig {
-    /// Probability a root is head-sampled in; >= 1.0 keeps everything.
-    double head_rate = 1.0;
-    /// Seed for the head-sampling hash: the same seed selects the same
-    /// roots on every run; different seeds select independent subsets.
-    std::uint64_t seed = 0;
-    /// Tail criterion: roots at least this slow are always kept.
-    simnet::SimTime keep_slower_than = simnet::SimTime::millis(20);
-  };
-
   /// `sim` provides the timestamps; it must outlive the sink.
   explicit TraceSink(const simnet::Simulator& sim) : sim_(&sim) {}
-
-  /// Enables sampling. Must be called before the first span is recorded.
-  void set_sampling(const SamplingConfig& config) {
-    sampling_enabled_ = true;
-    sampling_ = config;
-  }
 
   SpanId begin(SpanId parent, std::string component, std::string name);
   void end(SpanId id);
   void add_tag(SpanId id, std::string key, std::string value);
-  /// Tail override: marks `id`'s root as always-keep (failed lookups call
-  /// this so errors survive any sampling rate).
-  void force_keep(SpanId id);
 
   simnet::SimTime now() const { return sim_->now(); }
 
-  /// Raw record storage. With sampling enabled, reclaimed slots show up as
-  /// tombstones with id == 0 — iterate with a skip, as the accessors below
-  /// do.
   const std::vector<SpanRecord>& spans() const { return spans_; }
-  /// Number of live (kept or in-flight) spans.
-  std::size_t size() const { return spans_.size() - free_.size(); }
-  /// Live spans that were never end()ed — a dropped-context bug signal
-  /// after a completed run.
+  std::size_t size() const { return spans_.size(); }
+  /// Spans that were never end()ed — a dropped-context bug signal after a
+  /// completed run.
   std::size_t unfinished() const;
-  std::size_t roots_seen() const { return roots_seen_; }
-  std::size_t roots_dropped() const { return roots_dropped_; }
   const SpanRecord* find(SpanId id) const;
 
   /// All spans whose component matches (insertion order).
@@ -120,35 +84,14 @@ class TraceSink {
   /// Chrome trace-event JSON ("X" complete events, ts/dur in microseconds,
   /// one track per root span). Loadable in chrome://tracing and Perfetto.
   std::string to_chrome_trace() const;
-  /// Writes to_chrome_trace() to `path`; false on I/O failure.
-  bool write_chrome_trace(const std::string& path) const;
 
-  void clear();
+  void clear() { spans_.clear(); }
 
  private:
-  /// One provisionally-recorded root awaiting its keep/drop verdict.
-  struct PendingRoot {
-    bool head_keep = false;
-    bool force_keep = false;
-    std::vector<SpanId> subtree;  ///< every span id under this root
-  };
-
   SpanRecord* find_mutable(SpanId id);
-  /// Seeded hash decision for root number `ordinal` named `name`.
-  bool head_sampled(const std::string& name, std::size_t ordinal) const;
-  /// Applies the keep/drop verdict to a finished provisional root.
-  void finish_root(const SpanRecord& root);
 
   const simnet::Simulator* sim_;
   std::vector<SpanRecord> spans_;
-  bool sampling_enabled_ = false;
-  SamplingConfig sampling_;
-  SpanId next_id_ = 1;
-  std::vector<std::size_t> free_;                  ///< reclaimed slots
-  std::unordered_map<SpanId, std::size_t> slot_of_;  ///< sampling mode only
-  std::unordered_map<SpanId, PendingRoot> pending_;
-  std::size_t roots_seen_ = 0;
-  std::size_t roots_dropped_ = 0;
 };
 
 /// Cheap copyable handle to a span in a sink; inert when default-built.
@@ -169,11 +112,6 @@ class SpanRef {
     if (sink_ != nullptr) {
       sink_->add_tag(id_, std::string(key), std::string(value));
     }
-  }
-  /// Marks this span's root as always-keep under sampling (tail-based
-  /// retention for failures); no-op when inert or sampling is off.
-  void keep() const {
-    if (sink_ != nullptr) sink_->force_keep(id_);
   }
 
   simnet::TraceToken token() const {

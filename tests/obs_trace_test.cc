@@ -38,6 +38,11 @@ TEST_F(TraceTest, ParentChildNesting) {
   ASSERT_EQ(sink_.children_of(root).size(), 1u);
   EXPECT_EQ(sink_.children_of(root)[0]->id, child);
   ASSERT_EQ(sink_.by_component("transport").size(), 1u);
+
+  // clear() empties the sink and ids restart from 1, as in a fresh sink.
+  sink_.clear();
+  EXPECT_EQ(sink_.size(), 0u);
+  EXPECT_EQ(sink_.begin(0, "stub", "again"), 1u);
 }
 
 TEST_F(TraceTest, AmbientContextFlowsAcrossScheduledEvents) {
@@ -139,6 +144,7 @@ TEST_F(TraceTest, ChromeTraceIsWellFormed) {
   sink_.end(root);
   const SpanId open = sink_.begin(0, "stub", "unterminated");
   (void)open;
+  EXPECT_EQ(sink_.unfinished(), 1u);
 
   const std::string json = sink_.to_chrome_trace();
   EXPECT_TRUE(json_balanced(json)) << json;
