@@ -14,11 +14,20 @@
 #include "core/topology.h"
 #include "dns/plugin.h"
 #include "mec/orchestrator.h"
+#include "util/args.h"
 #include "workload/domains.h"
 
 using namespace mecdns;
 
-int main() {
+int main(int argc, char** argv) {
+  util::ArgParser args(
+      "bench_extension_table1_at_mec: E1 Table 1 domains served from the MEC");
+  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
+    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
+                 args.usage(argv[0]).c_str());
+    return 2;
+  }
+
   // --- baseline: today's cellular path (from the Figure 2 study) -----------
   core::MeasurementStudy::Config study_config;
   study_config.queries_per_cell = 30;

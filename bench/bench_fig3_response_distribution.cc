@@ -9,10 +9,19 @@
 #include <string>
 
 #include "core/study.h"
+#include "util/args.h"
 
 using namespace mecdns;
 
-int main() {
+int main(int argc, char** argv) {
+  util::ArgParser args(
+      "bench_fig3: Figure 3 distribution of DNS responses among cache pools");
+  if (auto result = args.parse(argc - 1, argv + 1); !result.ok()) {
+    std::fprintf(stderr, "%s\n%s", result.error().message.c_str(),
+                 args.usage(argv[0]).c_str());
+    return 2;
+  }
+
   core::MeasurementStudy::Config config;
   config.queries_per_cell = 60;  // more samples for stable shares
   core::MeasurementStudy study(config);

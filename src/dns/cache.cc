@@ -55,6 +55,26 @@ void DnsCache::insert_negative(const DnsName& name, RecordType type,
   store({name, type}, std::move(entry));
 }
 
+void DnsCache::insert_response(const Question& question,
+                               const Message& response, simnet::SimTime now) {
+  if (response.edns.has_value() && response.edns->client_subnet.has_value() &&
+      response.edns->client_subnet->scope_prefix > 0) {
+    return;
+  }
+  const RCode rcode = response.header.rcode;
+  if (rcode == RCode::kNoError && !response.answers.empty()) {
+    insert(question.name, question.type, response.answers, now);
+    return;
+  }
+  const bool referral = std::any_of(
+      response.authorities.begin(), response.authorities.end(),
+      [](const ResourceRecord& rr) { return rr.type == RecordType::kNs; });
+  if (rcode == RCode::kNxDomain || (rcode == RCode::kNoError && !referral)) {
+    insert_negative(question.name, question.type, rcode,
+                    response.authorities, now);
+  }
+}
+
 std::optional<CachedAnswer> DnsCache::lookup(const DnsName& name,
                                              RecordType type,
                                              simnet::SimTime now) {

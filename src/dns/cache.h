@@ -63,9 +63,14 @@ class DnsCache {
   void insert(const DnsName& name, RecordType type, RecordList records,
               simnet::SimTime now);
 
-  /// Caches a negative answer (NXDOMAIN or NODATA) for the SOA minimum TTL.
-  void insert_negative(const DnsName& name, RecordType type, RCode rcode,
-                       RecordList soa, simnet::SimTime now);
+  /// What a shared cache keeps of `response` to `question`: nothing of an
+  /// answer scoped to a client subnet (scope > 0), since entries are not
+  /// keyed by subnet (RFC 7871 §7.3); a negative entry for NXDOMAIN, and
+  /// for NOERROR with no answer and no NS in the authority section (RFC
+  /// 2308 NODATA; a referral is not NODATA); otherwise the answer records
+  /// under the question.
+  void insert_response(const Question& question, const Message& response,
+                       simnet::SimTime now);
 
   /// Looks up a live entry; returns records with decremented TTLs.
   std::optional<CachedAnswer> lookup(const DnsName& name, RecordType type,
@@ -129,6 +134,9 @@ class DnsCache {
     }
   };
 
+  /// Caches a negative answer (NXDOMAIN or NODATA) for the SOA minimum TTL.
+  void insert_negative(const DnsName& name, RecordType type, RCode rcode,
+                       RecordList soa, simnet::SimTime now);
   void evict_if_full();
   void store(Key key, Entry entry);
 

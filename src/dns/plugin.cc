@@ -59,7 +59,7 @@ bool ForwardPlugin::serve(const Query& query, const QueryContext& ctx,
     if (!upstream_query.edns.has_value()) upstream_query.edns = Edns{};
     ClientSubnet ecs;
     ecs.address = ctx.client.addr;
-    ecs.source_prefix = ecs_prefix_;
+    ecs.source_prefix = 24;
     upstream_query.edns->client_subnet = ecs;
   }
   // `query = query` copies into a non-const member, which moves without
@@ -108,28 +108,19 @@ bool CachePlugin::serve(const Query& query, const QueryContext& ctx,
   auto observe = [this, query = query, now](Respond::Inner respond,
                                             Message&& response) {
     const Question& question = query.question;
-    if (response.header.rcode == RCode::kNoError &&
-        !response.answers.empty()) {
-      cache_->insert(question.name, question.type, response.answers, now);
-    } else if (response.header.rcode == RCode::kNxDomain ||
-               (response.header.rcode == RCode::kNoError &&
-                response.answers.empty())) {
-      cache_->insert_negative(question.name, question.type,
-                              response.header.rcode, response.authorities,
-                              now);
-    } else if (response.header.rcode == RCode::kServFail) {
+    if (response.header.rcode != RCode::kServFail) {
+      cache_->insert_response(question, response, now);
+    } else if (auto stale =
+                   cache_->lookup_stale(question.name, question.type, now)) {
       // RFC 8767: the authoritative path is failing — prefer a stale
       // answer (if the cache retains one) over propagating the failure.
-      if (auto stale =
-              cache_->lookup_stale(question.name, question.type, now)) {
-        obs::ambient_span().tag("cache", "stale");
-        Message rescued = make_response(
-            query, stale->negative ? stale->rcode : RCode::kNoError);
-        rescued.answers = stale->records;
-        rescued.authorities = stale->soa;
-        respond(std::move(rescued));
-        return;
-      }
+      obs::ambient_span().tag("cache", "stale");
+      Message rescued = make_response(
+          query, stale->negative ? stale->rcode : RCode::kNoError);
+      rescued.answers = stale->records;
+      rescued.authorities = stale->soa;
+      respond(std::move(rescued));
+      return;
     }
     respond(std::move(response));
   };

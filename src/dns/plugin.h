@@ -83,13 +83,11 @@ class ForwardPlugin : public Plugin {
   /// Failovers triggered by a SERVFAIL answer (vs transport timeout).
   std::uint64_t servfail_failovers() const { return servfail_failovers_; }
 
-  /// When enabled, attach an RFC 7871 Client Subnet option (synthesized
-  /// from the client's source address, `prefix` bits) to upstream queries
-  /// that lack one — "enabling ECS support at L-DNS" in §4's experiment.
-  void set_add_ecs(bool enable, std::uint8_t prefix = 24) {
-    add_ecs_ = enable;
-    ecs_prefix_ = prefix;
-  }
+  /// When enabled, attach an RFC 7871 Client Subnet option (the client's
+  /// source address as a /24) to upstream queries that lack one —
+  /// "enabling ECS support at L-DNS" in §4's experiment. This forwarder is
+  /// the only ECS originator in the library.
+  void set_add_ecs(bool enable) { add_ecs_ = enable; }
   bool add_ecs() const { return add_ecs_; }
 
   /// Journals the *edge into* failover operation (the first query that
@@ -109,7 +107,6 @@ class ForwardPlugin : public Plugin {
 
   DnsName match_;
   bool add_ecs_ = false;
-  std::uint8_t ecs_prefix_ = 24;
   simnet::Endpoint primary_;
   DnsTransport& transport_;
   /// Shared by every transaction this plugin starts.
@@ -124,8 +121,9 @@ class ForwardPlugin : public Plugin {
   std::uint64_t servfail_failovers_ = 0;
 };
 
-/// Serves positive answers from a shared DnsCache and inserts downstream
-/// answers into it (CoreDNS `cache`).
+/// Serves answers from a shared DnsCache and stores downstream answers
+/// into it by DnsCache::insert_response's rule (CoreDNS `cache`); on a
+/// downstream SERVFAIL it answers from a stale entry, if one is kept.
 class CachePlugin : public Plugin {
  public:
   explicit CachePlugin(std::shared_ptr<DnsCache> cache)

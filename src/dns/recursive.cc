@@ -17,28 +17,14 @@ RecursiveResolver::RecursiveResolver(netio::Runtime& runtime,
       std::make_shared<const DnsTransport::Options>(config_.upstream);
 }
 
-std::optional<ClientSubnet> RecursiveResolver::make_ecs(
-    const Query& query, const QueryContext& ctx) const {
-  if (config_.ecs_mode == EcsMode::kOff) return std::nullopt;
-  if (query.edns.has_value() && query.edns->client_subnet.has_value()) {
-    // Forward the client's own ECS (a stub or downstream forwarder sent it).
-    return query.edns->client_subnet;
-  }
-  ClientSubnet ecs;
-  ecs.address = ctx.client.addr;
-  ecs.source_prefix = config_.ecs_prefix;
-  ecs.scope_prefix = 0;
-  return ecs;
-}
-
-void RecursiveResolver::handle(const Query& query, const QueryContext& ctx,
+void RecursiveResolver::handle(const Query& query,
+                               const QueryContext& /*ctx*/,
                                Responder&& respond) {
   const Question& q = query.question;
 
   auto job = std::make_shared<Job>();
   job->qname = q.name;
   job->qtype = q.type;
-  job->ecs = make_ecs(query, ctx);
   job->budget = std::make_shared<int>(config_.query_budget);
   auto done = [query = query, respond = std::move(respond)](
                   RCode rcode, std::shared_ptr<Job> finished) {
@@ -98,7 +84,6 @@ void RecursiveResolver::resolve(std::shared_ptr<Job> job) {
     auto sub = std::make_shared<Job>();
     sub->qname = glueless;
     sub->qtype = RecordType::kA;
-    sub->ecs = std::nullopt;  // infrastructure queries carry no client subnet
     sub->budget = job->budget;
     sub->done = [this, job](RCode rcode, std::shared_ptr<Job> finished) {
       if (rcode != RCode::kNoError || finished->answers.empty()) {
@@ -163,10 +148,6 @@ void RecursiveResolver::query_servers(std::shared_ptr<Job> job,
 
   Message upstream = make_query(0, job->qname, job->qtype,
                                 /*recursion_desired=*/false);
-  if (job->ecs.has_value()) {
-    upstream.edns = Edns{};
-    upstream.edns->client_subnet = job->ecs;
-  }
   const simnet::Endpoint server = servers[index];
   transport_->query(
       server, std::move(upstream), upstream_options_,
@@ -181,22 +162,15 @@ void RecursiveResolver::query_servers(std::shared_ptr<Job> job,
 }
 
 void RecursiveResolver::cache_response_sections(const Message& response) {
-  const bool scoped = response.edns.has_value() &&
-                      response.edns->client_subnet.has_value() &&
-                      response.edns->client_subnet->scope_prefix > 0;
-
-  // Group answer records into RRsets and cache them — except answers a
-  // C-DNS scoped to a client subnet, which are valid only for that client
-  // (a shared cache must not serve them to others; we conservatively skip).
-  if (!scoped) {
-    std::map<std::pair<DnsName, RecordType>, std::vector<ResourceRecord>>
-        rrsets;
-    for (const auto& rr : response.answers) {
-      rrsets[{rr.name, rr.type}].push_back(rr);
-    }
-    for (auto& [key, rrs] : rrsets) {
-      cache_.insert(key.first, key.second, std::move(rrs), now());
-    }
+  // Group answer records into RRsets under their owners, so the CNAME
+  // chase and the referral walk find each step on its own.
+  std::map<std::pair<DnsName, RecordType>, std::vector<ResourceRecord>>
+      rrsets;
+  for (const auto& rr : response.answers) {
+    rrsets[{rr.name, rr.type}].push_back(rr);
+  }
+  for (auto& [key, rrs] : rrsets) {
+    cache_.insert(key.first, key.second, std::move(rrs), now());
   }
 
   // Cache referral data: NS sets become delegation entries, glue becomes
@@ -225,18 +199,8 @@ void RecursiveResolver::on_response(std::shared_ptr<Job> job,
                                     const Message& response) {
   cache_response_sections(response);
 
-  if (response.header.rcode == RCode::kNxDomain) {
-    cache_.insert_negative(job->qname, job->qtype, RCode::kNxDomain,
-                           response.authorities, now());
-    job->done(RCode::kNxDomain, job);
-    return;
-  }
-  if (response.header.rcode != RCode::kNoError) {
-    query_servers(job, std::move(servers), index + 1);
-    return;
-  }
-
-  if (!response.answers.empty()) {
+  const RCode rcode = response.header.rcode;
+  if (rcode == RCode::kNoError && !response.answers.empty()) {
     // Look for a terminal answer or a CNAME step for the current qname.
     bool advanced = true;
     while (advanced) {
@@ -280,15 +244,15 @@ void RecursiveResolver::on_response(std::shared_ptr<Job> job,
     if (rr.type == RecordType::kNs) has_delegation = true;
     if (rr.type == RecordType::kSoa) has_soa = true;
   }
-  if (has_delegation) {
+  if (rcode == RCode::kNoError && has_delegation) {
     resolve(std::move(job));  // delegation cached above; descend
     return;
   }
-  if (has_soa || response.header.aa) {
-    // NODATA.
-    cache_.insert_negative(job->qname, job->qtype, RCode::kNoError,
-                           response.authorities, now());
-    job->done(RCode::kNoError, job);
+  if (rcode == RCode::kNxDomain ||
+      (rcode == RCode::kNoError && (has_soa || response.header.aa))) {
+    // NXDOMAIN or NODATA.
+    cache_.insert_response(Question{job->qname, job->qtype}, response, now());
+    job->done(rcode, job);
     return;
   }
   query_servers(job, std::move(servers), index + 1);

@@ -5,8 +5,8 @@
 // hierarchy, chase CNAMEs, resolve glue-less nameservers out of band, cache
 // positive and negative answers. This is the model of the "hierarchical DNS
 // deployed behind the cellular core" and of the public resolvers (Google,
-// Cloudflare) in the paper's Figure 5, and — with ECS enabled — of the
-// RFC 7871 deployments its §4 evaluates.
+// Cloudflare) in the paper's Figure 5. It sends no EDNS Client Subnet: the
+// ECS originator of §4 is the MEC L-DNS's forwarder (ForwardPlugin).
 #pragma once
 
 #include <cstdint>
@@ -21,13 +21,6 @@
 
 namespace mecdns::dns {
 
-/// How the resolver uses EDNS Client Subnet on upstream queries.
-enum class EcsMode {
-  kOff,      ///< never attach ECS
-  kForward,  ///< forward the client's ECS, or synthesize one from the
-             ///< client's source address (RFC 7871 recursive behaviour)
-};
-
 class RecursiveResolver : public DnsServer {
  public:
   struct Config {
@@ -36,8 +29,6 @@ class RecursiveResolver : public DnsServer {
     int query_budget = 24;   ///< max upstream queries per client query
     int max_cname_chain = 8;
     DnsTransport::Options upstream;
-    EcsMode ecs_mode = EcsMode::kOff;
-    std::uint8_t ecs_prefix = 24;  ///< synthesized SOURCE PREFIX-LENGTH
   };
 
   RecursiveResolver(netio::Runtime& runtime, std::string name,
@@ -46,7 +37,6 @@ class RecursiveResolver : public DnsServer {
 
   DnsCache& cache() { return cache_; }
   const Config& config() const { return config_; }
-  void set_ecs_mode(EcsMode mode) { config_.ecs_mode = mode; }
 
   /// Upstream queries issued since construction (visibility for tests and
   /// the ablation benches).
@@ -61,7 +51,6 @@ class RecursiveResolver : public DnsServer {
   struct Job {
     DnsName qname;            ///< current name being chased
     RecordType qtype = RecordType::kA;
-    std::optional<ClientSubnet> ecs;  ///< attached to upstream queries
     std::vector<ResourceRecord> answers;  ///< accumulated (CNAME chain + final)
     int cname_hops = 0;
     std::shared_ptr<int> budget;  ///< upstream queries left, per job tree
@@ -83,8 +72,6 @@ class RecursiveResolver : public DnsServer {
   std::vector<simnet::Endpoint> candidate_servers(const DnsName& qname,
                                                   DnsName* glueless);
   void cache_response_sections(const Message& response);
-  std::optional<ClientSubnet> make_ecs(const Query& query,
-                                       const QueryContext& ctx) const;
 
   Config config_;
   DnsCache cache_;

@@ -58,11 +58,12 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
   work.span = span;
 
   // RFC 1035 §4.2.1 / RFC 6891: the client's receive buffer is 512 octets
-  // unless it advertised more via EDNS.
-  const std::uint16_t payload_limit =
+  // unless it advertised more via EDNS. 0 marks a client that sent no OPT
+  // record.
+  const std::uint16_t edns_limit =
       query.edns.has_value()
           ? std::max<std::uint16_t>(512, query.edns->udp_payload_size)
-          : 512;
+          : 0;
 
   // The responder captures where to send the reply. handle() may hold it
   // across its own upstream queries or a timer, but only in state this
@@ -70,7 +71,7 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
   // it dies with the server, uncalled. Address, port and the 16-bit
   // payload limit share one 8-byte word.
   auto reply = [this, addr = packet.src.addr, port = packet.src.port,
-                payload_limit, span](Message&& response) {
+                edns_limit, span](Message&& response) {
     ServerStats& stats = stats_;
     ++stats.responses;
     switch (response.header.rcode) {
@@ -80,11 +81,16 @@ void DnsServer::on_packet(const simnet::Packet& packet) {
       default: break;
     }
     span.tag("rcode", to_string(response.header.rcode));
+    // RFC 6891 §7: a client that sent no OPT record gets none back, not even
+    // one a relayed upstream answer carries. Plugins that observe the
+    // answer (the cache reads its ECS scope) have already seen it.
+    if (edns_limit == 0) response.edns.reset();
     // The reply is sent straight from the encoder's buffer (the socket
     // copies into a pooled buffer / the real wire) — no per-response
     // vector.
     std::span<const std::uint8_t> wire = encode_view(response);
-    if (wire.empty() || wire.size() > payload_limit) {
+    if (wire.empty() ||
+        wire.size() > std::max<std::size_t>(512, edns_limit)) {
       // Truncate per RFC 2181 §9: set TC and drop the record sections; the
       // client re-queries with a larger EDNS buffer (or TCP, not modelled).
       // A response too large to encode at all (empty wire) is the same

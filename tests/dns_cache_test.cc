@@ -18,6 +18,19 @@ std::vector<ResourceRecord> soa_with_minimum(std::uint32_t minimum,
                    DnsName::must_parse("ns1.example.com"), 1, minimum, ttl)};
 }
 
+const Question kGone{DnsName::must_parse("gone.example.com"), RecordType::kA};
+
+/// A response with `rcode` and the given answer and authority sections.
+Message response(RCode rcode, RecordList answers,
+                 std::vector<ResourceRecord> authorities = {}) {
+  Message msg;
+  msg.header.qr = true;
+  msg.header.rcode = rcode;
+  msg.answers = std::move(answers);
+  for (auto& rr : authorities) msg.authorities.push_back(std::move(rr));
+  return msg;
+}
+
 TEST(DnsCache, HitWithinTtl) {
   DnsCache cache;
   cache.insert(DnsName::must_parse("www.example.com"), RecordType::kA,
@@ -78,28 +91,32 @@ TEST(DnsCache, RrsetUsesMinimumTtl) {
 }
 
 TEST(DnsCache, NegativeCachingUsesSoaMinimum) {
-  DnsCache cache;
-  // RFC 2308: negative TTL = min(SOA TTL, SOA.minimum) = min(3600, 30) = 30.
-  cache.insert_negative(DnsName::must_parse("gone.example.com"),
-                        RecordType::kA, RCode::kNxDomain,
-                        soa_with_minimum(30, 3600), SimTime::seconds(0));
-  const auto hit = cache.lookup(DnsName::must_parse("gone.example.com"),
-                                RecordType::kA, SimTime::seconds(29));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->negative);
-  EXPECT_EQ(hit->rcode, RCode::kNxDomain);
-  EXPECT_FALSE(cache
-                   .lookup(DnsName::must_parse("gone.example.com"),
-                           RecordType::kA, SimTime::seconds(31))
-                   .has_value());
+  // NXDOMAIN, and NOERROR with only an SOA (NODATA), are stored negative.
+  for (const RCode rcode : {RCode::kNxDomain, RCode::kNoError}) {
+    SCOPED_TRACE(to_string(rcode));
+    DnsCache cache;
+    // RFC 2308: negative TTL = min(SOA TTL, SOA.minimum) = min(3600, 30).
+    cache.insert_response(
+        kGone, response(rcode, {}, soa_with_minimum(30, 3600)),
+        SimTime::seconds(0));
+    const auto hit = cache.lookup(DnsName::must_parse("gone.example.com"),
+                                  RecordType::kA, SimTime::seconds(29));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->negative);
+    EXPECT_EQ(hit->rcode, rcode);
+    EXPECT_FALSE(cache
+                     .lookup(DnsName::must_parse("gone.example.com"),
+                             RecordType::kA, SimTime::seconds(31))
+                     .has_value());
+  }
 }
 
 TEST(DnsCache, NegativeTtlCappedBySoaRecordTtl) {
   DnsCache cache;
   // min(SOA TTL=20, minimum=3600) = 20.
-  cache.insert_negative(DnsName::must_parse("gone.example.com"),
-                        RecordType::kA, RCode::kNxDomain,
-                        soa_with_minimum(3600, 20), SimTime::seconds(0));
+  cache.insert_response(
+      kGone, response(RCode::kNxDomain, {}, soa_with_minimum(3600, 20)),
+      SimTime::seconds(0));
   EXPECT_TRUE(cache
                   .lookup(DnsName::must_parse("gone.example.com"),
                           RecordType::kA, SimTime::seconds(19))
@@ -112,9 +129,44 @@ TEST(DnsCache, NegativeTtlCappedBySoaRecordTtl) {
 
 TEST(DnsCache, NegativeWithoutSoaNotCached) {
   DnsCache cache;
-  cache.insert_negative(DnsName::must_parse("gone.example.com"),
-                        RecordType::kA, RCode::kNxDomain, {},
+  cache.insert_response(kGone, response(RCode::kNxDomain, {}),
                         SimTime::seconds(0));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(DnsCache, InsertResponseKeepsOnlyAnswersForEveryClient) {
+  // RFC 7871 §7.3: entries are not keyed by subnet, so an answer scoped to
+  // one /24 must not be served to every client; scope 0 is valid for all.
+  for (const std::uint8_t scope : {0, 24}) {
+    SCOPED_TRACE(scope);
+    Message answer =
+        response(RCode::kNoError, {a_record("www.example.com", 60)});
+    ClientSubnet ecs;
+    ecs.address = simnet::Ipv4Address::must_parse("203.0.113.0");
+    ecs.source_prefix = 24;
+    ecs.scope_prefix = scope;
+    answer.edns = Edns{};
+    answer.edns->client_subnet = ecs;
+    DnsCache cache;
+    const Question www{DnsName::must_parse("www.example.com"),
+                       RecordType::kA};
+    cache.insert_response(www, answer, SimTime::seconds(0));
+    const auto hit = cache.lookup(www.name, www.type, SimTime::seconds(1));
+    EXPECT_EQ(hit.has_value(), scope == 0);
+  }
+}
+
+TEST(DnsCache, InsertResponseDoesNotStoreAReferral) {
+  // NOERROR, no answer, NS in the authority section: a referral, not
+  // NODATA, even with an SOA alongside.
+  DnsCache cache;
+  std::vector<ResourceRecord> authorities = soa_with_minimum(30, 3600);
+  authorities.push_back(make_ns(DnsName::must_parse("gone.example.com"),
+                                DnsName::must_parse("ns1.gone.example.com"),
+                                30));
+  cache.insert_response(
+      kGone, response(RCode::kNoError, {}, std::move(authorities)),
+      SimTime::seconds(0));
   EXPECT_EQ(cache.size(), 0u);
 }
 

@@ -1,12 +1,12 @@
-// End-to-end ECS (RFC 7871) through a shared recursive resolver: two
-// clients in different subnets query the same CDN name via one resolver;
-// with ECS the router localizes each to its own cache group, and the
-// resolver must not serve one client's scoped answer to the other.
+// End-to-end ECS (RFC 7871) through the MEC L-DNS shape of §4: two clients
+// in different subnets query the same CDN name through one plugin-chain
+// server (cache -> forward with ECS on -> ECS-aware Traffic Router). With
+// ECS the router localizes each to its own cache group, and the shared
+// cache must not serve one client's scoped answer to the other.
 #include <gtest/gtest.h>
 
 #include "cdn/traffic_router.h"
-#include "dns/hierarchy.h"
-#include "dns/recursive.h"
+#include "dns/plugin.h"
 #include "dns/stub.h"
 
 namespace mecdns::dns {
@@ -20,18 +20,9 @@ using simnet::SimTime;
 class EcsEndToEndTest : public ::testing::Test {
  protected:
   EcsEndToEndTest() : net_(sim_, util::Rng(131)) {
-    backbone_ = net_.add_node("backbone", Ipv4Address::must_parse("192.0.2.1"));
-    hierarchy_ = std::make_unique<PublicDnsHierarchy>(
-        net_, backbone_, LatencyModel::constant(SimTime::millis(5)),
-        LatencyModel::constant(SimTime::micros(300)));
-    hierarchy_->ensure_tld("test", Ipv4Address::must_parse("199.7.50.1"),
-                           LatencyModel::constant(SimTime::millis(5)));
-
     // ECS-aware Traffic Router: east clients -> east cache, west -> west.
     const auto router_addr = Ipv4Address::must_parse("198.51.100.53");
     const simnet::NodeId router_node = net_.add_node("cdns", router_addr);
-    net_.add_link(router_node, backbone_,
-                  LatencyModel::constant(SimTime::millis(5)));
     cdn::TrafficRouter::Config rc;
     rc.cdn_domain = DnsName::must_parse("cdn.test");
     rc.answer_ttl = 300;  // long TTL: caching WOULD leak without scoping
@@ -49,29 +40,31 @@ class EcsEndToEndTest : public ::testing::Test {
     router_->coverage().set_default_group("east");
     router_->add_delivery_service(cdn::DeliveryService{
         "vod", DnsName::must_parse("vod.cdn.test"), {"east", "west"}});
-    hierarchy_->delegate_to(DnsName::must_parse("cdn.test"),
-                            DnsName::must_parse("ns1.cdn.test"), router_addr);
 
-    // Shared resolver with ECS forwarding.
-    const auto resolver_addr = Ipv4Address::must_parse("10.53.0.53");
-    const simnet::NodeId resolver_node =
-        net_.add_node("resolver", resolver_addr);
-    net_.add_link(resolver_node, backbone_,
-                  LatencyModel::constant(SimTime::millis(2)));
-    RecursiveResolver::Config config;
-    config.root_servers = hierarchy_->root_hints();
-    config.ecs_mode = EcsMode::kForward;
-    resolver_ = std::make_unique<RecursiveResolver>(
-        net_.runtime(resolver_node), "resolver",
-        LatencyModel::constant(SimTime::micros(300)), config);
+    // Shared L-DNS: cache, then the CDN domain forwarded with ECS on.
+    const simnet::NodeId ldns_node =
+        net_.add_node("ldns", Ipv4Address::must_parse("10.53.0.53"));
+    net_.add_link(ldns_node, router_node,
+                  LatencyModel::constant(SimTime::millis(5)));
+    ldns_ = std::make_unique<PluginChainServer>(
+        net_.runtime(ldns_node), "ldns",
+        LatencyModel::constant(SimTime::micros(300)));
+    PluginChain& pub = ldns_->add_default_view("public");
+    pub.add(std::make_unique<CachePlugin>(std::make_shared<DnsCache>()));
+    auto forward = std::make_unique<ForwardPlugin>(
+        DnsName::must_parse("cdn.test"),
+        std::vector<Endpoint>{{router_addr, kDnsPort}}, ldns_->transport());
+    forward->set_add_ecs(true);
+    forward_ = forward.get();
+    pub.add(std::move(forward));
 
     east_client_ = net_.add_node("east-client",
                                  Ipv4Address::must_parse("10.10.0.2"));
     west_client_ = net_.add_node("west-client",
                                  Ipv4Address::must_parse("10.20.0.2"));
-    net_.add_link(east_client_, resolver_node,
+    net_.add_link(east_client_, ldns_node,
                   LatencyModel::constant(SimTime::millis(1)));
-    net_.add_link(west_client_, resolver_node,
+    net_.add_link(west_client_, ldns_node,
                   LatencyModel::constant(SimTime::millis(1)));
   }
 
@@ -88,12 +81,11 @@ class EcsEndToEndTest : public ::testing::Test {
 
   simnet::Simulator sim_;
   simnet::Network net_;
-  simnet::NodeId backbone_;
   simnet::NodeId east_client_;
   simnet::NodeId west_client_;
-  std::unique_ptr<PublicDnsHierarchy> hierarchy_;
   std::unique_ptr<cdn::TrafficRouter> router_;
-  std::unique_ptr<RecursiveResolver> resolver_;
+  std::unique_ptr<PluginChainServer> ldns_;
+  ForwardPlugin* forward_ = nullptr;
 };
 
 TEST_F(EcsEndToEndTest, EachSubnetGetsItsOwnCache) {
@@ -107,16 +99,16 @@ TEST_F(EcsEndToEndTest, EachSubnetGetsItsOwnCache) {
 
 TEST_F(EcsEndToEndTest, ScopedAnswersAreNotCachedAcrossSubnets) {
   resolve_from(east_client_);
-  const auto upstream_after_east = resolver_->upstream_queries();
+  const auto upstream_after_east = forward_->forwarded();
   // The west client's query MUST go upstream again: the east answer was
   // scoped (scope_prefix > 0) and may not be reused.
   const StubResult west = resolve_from(west_client_);
-  EXPECT_GT(resolver_->upstream_queries(), upstream_after_east);
+  EXPECT_GT(forward_->forwarded(), upstream_after_east);
   EXPECT_EQ(*west.address, Ipv4Address::must_parse("198.18.2.1"));
 }
 
 TEST_F(EcsEndToEndTest, WithoutEcsBothSubnetsShareTheResolverView) {
-  resolver_->set_ecs_mode(EcsMode::kOff);
+  forward_->set_add_ecs(false);
   router_->set_use_ecs(false);
   const StubResult east = resolve_from(east_client_);
   const StubResult west = resolve_from(west_client_);
@@ -125,16 +117,14 @@ TEST_F(EcsEndToEndTest, WithoutEcsBothSubnetsShareTheResolverView) {
   // Resolver-based localization: both land wherever the resolver's address
   // maps (default group), and the second answer comes from the cache.
   EXPECT_EQ(*east.address, *west.address);
-  const auto upstream_after = resolver_->upstream_queries();
+  const auto upstream_after = forward_->forwarded();
   resolve_from(west_client_);
-  EXPECT_EQ(resolver_->upstream_queries(), upstream_after);  // cached
+  EXPECT_EQ(forward_->forwarded(), upstream_after);  // cached
 }
 
 TEST_F(EcsEndToEndTest, ClientSuppliedEcsIsForwardedAndEchoed) {
-  // A client that sends its own ECS (RFC 7871 stub behaviour): the resolver
-  // forwards it verbatim upstream and echoes it in the answer. Note a
-  // client that sends no EDNS gets no EDNS back — the synthesized upstream
-  // option stays between resolver and authoritative.
+  // A client that sends its own ECS (RFC 7871 stub behaviour): the
+  // forwarder passes it upstream verbatim and the answer echoes it.
   StubResolver stub(net_.runtime(west_client_),
                     Endpoint{Ipv4Address::must_parse("10.53.0.53"),
                              kDnsPort});
@@ -156,6 +146,7 @@ TEST_F(EcsEndToEndTest, ClientSuppliedEcsIsForwardedAndEchoed) {
 }
 
 TEST_F(EcsEndToEndTest, NoEdnsInAnswerWhenClientSentNone) {
+  // The /24 the forwarder synthesized stays between it and the router.
   const StubResult east = resolve_from(east_client_);
   ASSERT_TRUE(east.ok);
   EXPECT_FALSE(east.response.edns.has_value());

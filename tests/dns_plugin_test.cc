@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "cdn/traffic_router.h"
 #include "dns/plugin.h"
 #include "dns/stub.h"
 #include "dns/wire.h"
@@ -223,23 +224,40 @@ TEST_F(PluginTest, EmptyChainRefuses) {
 }
 
 TEST_F(PluginTest, ForwardPluginAddsEcsWhenConfigured) {
+  // An ECS-aware router beside the upstream authoritative: the client's
+  // /24 maps to the edge group, anything else (the forwarder's own
+  // address) to the default.
+  cdn::TrafficRouter::Config rc;
+  rc.cdn_domain = DnsName::must_parse("mycdn.test");
+  rc.use_ecs = true;
+  cdn::TrafficRouter router(net_.runtime(upstream_node_), "cdns",
+                            LatencyModel::constant(SimTime::micros(300)), rc,
+                            5300);
+  router.add_cache("edge", cdn::CacheInfo{
+      "edge-0", Ipv4Address::must_parse("198.18.5.5"), true});
+  router.add_cache("far", cdn::CacheInfo{
+      "far-0", Ipv4Address::must_parse("198.18.9.9"), true});
+  router.coverage().add(simnet::Cidr::must_parse("203.0.113.0/24"), "edge");
+  router.coverage().set_default_group("far");
+  router.add_delivery_service(cdn::DeliveryService{
+      "video", DnsName::must_parse("video.mycdn.test"), {"edge", "far"}});
+
   PluginChain& pub = server_->add_default_view("public");
   auto forward = std::make_unique<ForwardPlugin>(
       DnsName::must_parse("mycdn.test"),
-      std::vector<Endpoint>{{Ipv4Address::must_parse("198.51.100.53"),
-                             kDnsPort}},
+      std::vector<Endpoint>{{Ipv4Address::must_parse("198.51.100.53"), 5300}},
       server_->transport());
-  forward->set_add_ecs(true, 24);
+  forward->set_add_ecs(true);
   pub.add(std::move(forward));
 
   const StubResult result = resolve_from(external_client_, "video.mycdn.test");
-  EXPECT_TRUE(result.ok);
-  // The upstream authoritative echoes ECS with scope 0; the forward relays
-  // it back, so the client sees the subnet that was synthesized for it.
-  ASSERT_TRUE(result.response.edns.has_value());
-  ASSERT_TRUE(result.response.edns->client_subnet.has_value());
-  EXPECT_EQ(result.response.edns->client_subnet->subnet().to_string(),
-            "203.0.113.0/24");
+  ASSERT_TRUE(result.ok);
+  // The router saw the client's synthesized /24 and localized on it.
+  EXPECT_EQ(router.router_stats().ecs_localized, 1u);
+  EXPECT_EQ(*result.address, Ipv4Address::must_parse("198.18.5.5"));
+  // The client sent no EDNS, so it gets no OPT record back (RFC 6891 §7):
+  // the synthesized subnet stays between the forwarder and the router.
+  EXPECT_FALSE(result.response.edns.has_value());
 }
 
 TEST_F(PluginTest, ForwardPluginServfailsWhenUpstreamDead) {

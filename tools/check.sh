@@ -11,6 +11,9 @@
 #      (make_shared<bool> / make_shared<T*>) under src/. It looks for c-ares in the conda prefix (the active one, or
 #      ~/miniconda), so the codec's differential test against c-ares runs
 #      where c-ares is installed; without it that one test is not built.
+#      Then every bench but bench_micro (google-benchmark's own flags) must
+#      reject an unknown flag with exit code 2 rather than run its default
+#      campaign.
 #   4. Observability gate: fig2 with trace/metrics/timeseries outputs,
 #      mecdns_report over each artifact, and a self-diff of two identical
 #      runs (any nonzero diff means the bench lost determinism).
@@ -86,6 +89,16 @@ run cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror \
     -DCMAKE_PREFIX_PATH="${CONDA_PREFIX:-$HOME/miniconda}"
 run cmake --build build -j "$jobs"
 run ctest --test-dir build --output-on-failure -j "$jobs" --timeout 120
+for bench in build/bench/bench_*; do
+  [[ "$bench" == */bench_micro ]] && continue
+  status=0
+  "$bench" --no-such-flag > /dev/null 2>&1 || status=$?
+  if [[ "$status" -ne 2 ]]; then
+    echo "error: $bench --no-such-flag exited $status, not 2" >&2
+    exit 1
+  fi
+done
+echo "+ every bench rejects an unknown flag (exit 2)"
 
 echo "=== 4/11: observability pipeline + determinism self-diff ==="
 obs_dir="$(mktemp -d)"
