@@ -9,11 +9,8 @@
 // study rerun in a world where these CDNs are MEC-CDNs.
 #include <cstdio>
 
-#include "cdn/traffic_router.h"
 #include "core/study.h"
 #include "core/topology.h"
-#include "dns/plugin.h"
-#include "mec/orchestrator.h"
 #include "util/args.h"
 #include "workload/domains.h"
 
@@ -38,66 +35,22 @@ int main(int argc, char** argv) {
   simnet::Network net(sim, util::Rng(31337));
   const auto lte = core::topology::add_ran(net, "lte", ran::lte());
 
-  mec::Orchestrator orchestrator(net, {});
-  net.add_link(lte->pgw(), orchestrator.cluster().gateway(),
-               simnet::LatencyModel::constant(
-                   simnet::SimTime::millis(core::topology::kPgwToMecMs)));
-
-  // C-DNS authoritative for *all* of the sites' CDN domains: one router,
-  // delivery services rooted at the real (unchanged) domain names.
-  const simnet::NodeId tr_node = orchestrator.cluster().add_worker("router");
-  const mec::Deployment tr_dep =
-      orchestrator.deploy("traffic-router", "cdn", tr_node, 53);
-  cdn::TrafficRouter::Config trc;
-  trc.cdn_domain = dns::DnsName::root();  // scope: whatever is deployed here
-  trc.answer_ttl = 0;
-  cdn::TrafficRouter router(net.runtime(tr_node), "mec-cdns",
-                            simnet::LatencyModel::normal(
-                                simnet::SimTime::millis(2.6),
-                                simnet::SimTime::micros(300),
-                                simnet::SimTime::millis(1)),
-                            trc, dns::kDnsPort, tr_dep.cluster_ip);
-  router.coverage().set_default_group("mec-edge");
-
-  const simnet::NodeId cache_node =
-      orchestrator.cluster().add_worker("cache-0");
-  const mec::Deployment cache_dep =
-      orchestrator.deploy("edge-cache-0", "cdn", cache_node, 20);
-  cdn::CacheServer cache(net.runtime(cache_node), "edge-cache-0", {},
-                         cdn::kContentPort, cache_dep.cluster_ip);
-  router.add_cache("mec-edge",
-                   cdn::CacheInfo{"edge-cache-0", cache_dep.cluster_ip, true});
+  // One MEC-CDN site whose C-DNS is authoritative for *all* of the sites'
+  // CDN domains: the root as its CDN apex, so the L-DNS forwards every
+  // public query to the collocated C-DNS, and one delivery service rooted
+  // at each real (unchanged) domain name.
+  core::MecCdnSite::Config config;
+  config.cdn_domain = dns::DnsName::root();
+  config.answer_ttl = 0;
+  config.ldns_processing = core::topology::server_processing(2.4);
+  config.cdns_processing = core::topology::server_processing(2.6);
+  const auto site = core::topology::add_site(net, *lte, std::move(config));
   for (const auto& entry : workload::table1_domains()) {
-    router.add_delivery_service(cdn::DeliveryService{
-        entry.website, dns::DnsName::must_parse(entry.cdn_domain),
-        {"mec-edge"}});
+    site->add_delivery_service(entry.cdn_domain, {}, /*warm_caches=*/false);
   }
 
-  // MEC L-DNS: internal view + a public view forwarding everything at the
-  // first hop to the collocated C-DNS.
-  const simnet::NodeId dns_node = orchestrator.cluster().add_worker("infra");
-  const mec::Deployment dns_dep =
-      orchestrator.deploy("kube-dns", "kube-system", dns_node, 10);
-  dns::PluginChainServer ldns(net.runtime(dns_node), "mec-coredns",
-                              simnet::LatencyModel::normal(
-                                  simnet::SimTime::millis(2.4),
-                                  simnet::SimTime::micros(300),
-                                  simnet::SimTime::millis(1)),
-                              dns::kDnsPort, dns_dep.cluster_ip);
-  dns::PluginChain& internal = ldns.add_view(
-      "internal", {orchestrator.cluster().config().node_cidr,
-                   orchestrator.cluster().config().service_cidr});
-  internal.add(std::make_unique<dns::ZonePlugin>(
-      orchestrator.registry().zone()));
-  internal.add(std::make_unique<dns::RefusePlugin>());
-  dns::PluginChain& pub = ldns.add_default_view("public");
-  pub.add(std::make_unique<dns::ForwardPlugin>(
-      dns::DnsName::root(),
-      std::vector<simnet::Endpoint>{{tr_dep.cluster_ip, dns::kDnsPort}},
-      ldns.transport()));
-
   ran::UserEquipment ue(net, *lte, "ue", core::topology::ue_address(),
-                        simnet::Endpoint{dns_dep.cluster_ip, dns::kDnsPort});
+                        site->ldns_endpoint());
 
   std::printf("=== E1: Table 1 domains served from the MEC (paper: no "
               "domain-name restrictions) ===\n");

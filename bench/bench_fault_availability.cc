@@ -178,8 +178,7 @@ JobResult run_scenario(const std::string& name, bool robust,
     // Probes originate at the cluster gateway — the orchestrator's vantage.
     // (The P-GW would NAT-drop probe replies: its downlink path discards
     // packets to the public address with no translation entry.)
-    const simnet::NodeId vantage =
-        testbed.site().orchestrator().cluster().gateway();
+    const simnet::NodeId vantage = testbed.site().gateway();
     cdn::TrafficMonitor::Config mc;
     mc.rounds = static_cast<std::size_t>(
         (horizon - t0).to_millis() / mc.probe_interval.to_millis());

@@ -75,10 +75,6 @@ class CacheServer {
   bool cached(const Url& url) const { return index_.count(url) != 0; }
   std::uint64_t used_bytes() const { return used_bytes_; }
 
-  void set_parent(std::optional<simnet::Endpoint> parent) {
-    config_.parent = parent;
-  }
-
   /// Drops every cached object (chaos cache-content wipe): subsequent
   /// requests miss and re-fetch from the parent. Stats are preserved.
   void wipe();

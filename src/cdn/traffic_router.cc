@@ -91,14 +91,6 @@ bool TrafficRouter::has_delivery_service(const std::string& id) const {
                      [&](const DeliveryService& s) { return s.id == id; });
 }
 
-void TrafficRouter::remove_delivery_service(const std::string& id) {
-  services_.erase(std::remove_if(services_.begin(), services_.end(),
-                                 [&](const DeliveryService& s) {
-                                   return s.id == id;
-                                 }),
-                  services_.end());
-}
-
 const DeliveryService* TrafficRouter::match_service(
     const dns::DnsName& qname) const {
   const DeliveryService* best = nullptr;

@@ -87,7 +87,6 @@ class TrafficRouter : public dns::DnsServer {
                          bool healthy);
   void add_delivery_service(DeliveryService service);
   bool has_delivery_service(const std::string& id) const;
-  void remove_delivery_service(const std::string& id);
 
   CoverageZoneMap& coverage() { return coverage_; }
   GeoIpDatabase& geo() { return geo_; }

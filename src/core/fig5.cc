@@ -82,7 +82,7 @@ void Fig5Testbed::build() {
   }
   site_ = topology::add_site(*net_, *ran_,
                              topology::fig5_site(config_, external_cdns));
-  net_->add_link(site_->orchestrator().cluster().gateway(), lan_cdns_node,
+  net_->add_link(site_->gateway(), lan_cdns_node,
                  LatencyModel::constant(SimTime::millis(topology::kLanCdnsMs)));
 
   // LAN C-DNS: same routing scope as the in-cluster router, one LAN hop out.
@@ -116,10 +116,9 @@ void Fig5Testbed::build() {
   // The WAN router serves both worlds: queries arriving from the MEC
   // complex (scenario 3, or ECS disclosing the mobile gateway's subnet)
   // route to the MEC edge caches; everything else goes to the cloud tier.
-  const auto& cluster_cfg = site_->orchestrator().cluster().config();
   const simnet::Cidr pgw_subnet(pgw_public, 24);
-  wan_cdns_->coverage().add(cluster_cfg.node_cidr, kEdgeGroup);
-  wan_cdns_->coverage().add(cluster_cfg.service_cidr, kEdgeGroup);
+  wan_cdns_->coverage().add(site_->node_cidr(), kEdgeGroup);
+  wan_cdns_->coverage().add(site_->service_cidr(), kEdgeGroup);
   wan_cdns_->coverage().add(pgw_subnet, kEdgeGroup);
   wan_cdns_->coverage().set_default_group(kCloudGroup);
   lan_cdns_->coverage().add(pgw_subnet, kEdgeGroup);

@@ -7,10 +7,27 @@
 namespace mecdns::core {
 
 namespace {
-/// kube-dns traditionally gets service host .10 (10.96.0.10).
+/// kube-dns traditionally gets service host .10 (10.96.0.10); edge caches
+/// take the first free hosts above it.
 constexpr std::uint32_t kCoreDnsServiceHost = 10;
 /// Fixed cluster IP host for the Traffic Router service.
 constexpr std::uint32_t kRouterServiceHost = 53;
+/// Node host .1 is the gateway; workers take the first free hosts above it.
+constexpr std::uint32_t kFirstWorkerHost = 2;
+
+/// The cluster's internal service-discovery domain.
+constexpr const char* kClusterDomain = "cluster.local";
+/// Origin of the public (mobile-facing) app namespace. CDN domains are not
+/// hosted here — they are stub-domain-forwarded to the C-DNS; this zone
+/// carries the *other* MEC applications' public names.
+constexpr const char* kPublicDomain = "apps.mec.test";
+/// TTL of a service's cluster.local A record.
+constexpr std::uint32_t kServiceTtl = 30;
+
+// Intra-cluster fabric, one way: Normal(150 us, 40 us) floored at 30 us.
+constexpr simnet::SimTime kFabricMean = simnet::SimTime::micros(150);
+constexpr simnet::SimTime kFabricStddev = simnet::SimTime::micros(40);
+constexpr simnet::SimTime kFabricFloor = simnet::SimTime::micros(30);
 
 constexpr const char* kEdgeGroup = "mec-edge";
 
@@ -19,27 +36,55 @@ constexpr std::uint64_t kEdgeCacheCapacityBytes = 256ull * 1024 * 1024;
 /// How long the L-DNS public-view cache keeps expired entries to serve
 /// stale (RFC 8767) when Config::serve_stale is on.
 constexpr simnet::SimTime kServeStaleWindow = simnet::SimTime::seconds(3600);
+
+/// The first address of `cidr` at or above host `from` that no node owns;
+/// nullopt when the block is used up (its last address is the broadcast).
+std::optional<simnet::Ipv4Address> first_free(const simnet::Network& net,
+                                              const simnet::Cidr& cidr,
+                                              std::uint32_t from) {
+  for (std::uint64_t host = from; host + 1 < cidr.size(); ++host) {
+    const simnet::Ipv4Address addr =
+        cidr.host(static_cast<std::uint32_t>(host));
+    if (net.find_node(addr) == simnet::kInvalidNode) return addr;
+  }
+  return std::nullopt;
+}
+
+/// Service host `host` of `cidr`, for the fixed cluster IPs.
+simnet::Ipv4Address fixed_host(const simnet::Cidr& cidr, std::uint32_t host) {
+  if (host + std::uint64_t{1} >= cidr.size()) {
+    throw std::out_of_range("service CIDR " + cidr.to_string() +
+                            " has no host " + std::to_string(host));
+  }
+  return cidr.host(host);
+}
+
+std::shared_ptr<dns::Zone> make_zone(const std::string& origin,
+                                     const std::string& primary) {
+  const auto apex = dns::DnsName::must_parse(origin);
+  auto zone = std::make_shared<dns::Zone>(apex);
+  zone->must_add(dns::make_soa(
+      apex, dns::DnsName::must_parse(primary + "." + origin), 1, 30, 30));
+  return zone;
+}
 }  // namespace
 
 MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
-    : net_(net), config_(std::move(config)) {
-  orchestrator_ =
-      std::make_unique<mec::Orchestrator>(net_, config_.orchestrator);
-  mec::MecCluster& cluster = orchestrator_->cluster();
+    : net_(net), config_(std::move(config)),
+      internal_zone_(make_zone(kClusterDomain, "kube-dns")),
+      public_zone_(make_zone(kPublicDomain, "mec-dns")) {
+  gateway_ = net_.add_node(config_.name + "-gw", config_.node_cidr.host(1));
 
   // --- CoreDNS (MEC L-DNS) -------------------------------------------------
-  ldns_node_ = cluster.add_worker("infra");
-  const mec::Deployment coredns = orchestrator_->deploy(
-      "kube-dns", "kube-system", ldns_node_, kCoreDnsServiceHost);
-  ldns_ip_ = coredns.cluster_ip;
+  ldns_node_ = add_worker("infra");
+  ldns_ip_ = fixed_host(config_.service_cidr, kCoreDnsServiceHost);
+  add_service("kube-dns", "kube-system", ldns_node_, ldns_ip_);
 
   // --- C-DNS (Traffic Router) ----------------------------------------------
-  simnet::NodeId router_node = simnet::kInvalidNode;
   if (!config_.external_cdns.has_value()) {
-    router_node = cluster.add_worker("router");
-    const mec::Deployment tr = orchestrator_->deploy(
-        "traffic-router", "cdn", router_node, kRouterServiceHost);
-    cdns_ip_ = tr.cluster_ip;
+    const simnet::NodeId router_node = add_worker("router");
+    cdns_ip_ = fixed_host(config_.service_cidr, kRouterServiceHost);
+    add_service("traffic-router", "cdn", router_node, cdns_ip_);
 
     cdn::TrafficRouter::Config rc;
     rc.cdn_domain = config_.cdn_domain;
@@ -56,28 +101,15 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
     // The edge router's scope is only this site: everything it is asked
     // about resolves to the MEC cache group.
     router_->coverage().set_default_group(kEdgeGroup);
-    router_->coverage().add(cluster.config().node_cidr, kEdgeGroup);
-    router_->coverage().add(cluster.config().service_cidr, kEdgeGroup);
+    router_->coverage().add(config_.node_cidr, kEdgeGroup);
+    router_->coverage().add(config_.service_cidr, kEdgeGroup);
   }
 
   // --- edge caches -----------------------------------------------------------
   for (std::size_t i = 0; i < kEdgeCaches; ++i) {
-    const std::string cache_name = "edge-cache-" + std::to_string(i);
-    const simnet::NodeId worker = cluster.add_worker(cache_name);
-    const mec::Deployment dep =
-        orchestrator_->deploy(cache_name, "cdn", worker);
-    cache_ips_.push_back(dep.cluster_ip);
-
-    cdn::CacheServer::Config cc;
-    cc.capacity_bytes = kEdgeCacheCapacityBytes;
-    cc.parent = config_.origin;
-    caches_.push_back(std::make_unique<cdn::CacheServer>(
-        net_.runtime(worker), cache_name, std::move(cc), cdn::kContentPort,
-        dep.cluster_ip));
-    cache_active_.push_back(true);
-    if (router_ != nullptr) {
-      router_->add_cache(kEdgeGroup,
-                         cdn::CacheInfo{cache_name, dep.cluster_ip, true});
+    if (deploy_edge_cache() == nullptr) {
+      throw std::length_error("MEC cluster " + config_.name +
+                              " has no addresses for its edge caches");
     }
   }
 
@@ -96,10 +128,8 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
   // Internal view: VNF service discovery, exactly what the orchestrator's
   // DNS existed for. Matched by cluster-internal source addresses.
   dns::PluginChain& internal = ldns_->add_view(
-      "internal",
-      {cluster.config().node_cidr, cluster.config().service_cidr});
-  internal.add(std::make_unique<dns::ZonePlugin>(
-      orchestrator_->registry().zone()));
+      "internal", {config_.node_cidr, config_.service_cidr});
+  internal.add(std::make_unique<dns::ZonePlugin>(internal_zone_));
   if (config_.provider_ldns.has_value()) {
     internal.add(std::make_unique<dns::ForwardPlugin>(
         dns::DnsName::root(),
@@ -115,7 +145,7 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
   dns::PluginChain& pub = ldns_->add_default_view("public");
   if (config_.overload_threshold_qps > 0) {
     auto guard = std::make_unique<mec::OverloadGuardPlugin>(
-        orchestrator_->ingress(), config_.overload_threshold_qps,
+        ingress_, config_.overload_threshold_qps,
         config_.overload_action);
     guard->set_recovery_windows(config_.overload_recovery_windows);
     if (config_.overload_queue_limit > 0) {
@@ -139,7 +169,7 @@ MecCdnSite::MecCdnSite(simnet::Network& net, Config config)
   if (config_.enable_ecs) cdn_forward->set_add_ecs(true);
   cdn_forward_ = cdn_forward.get();
   pub.add(std::move(cdn_forward));
-  pub.add(std::make_unique<dns::ZonePlugin>(orchestrator_->public_zone()));
+  pub.add(std::make_unique<dns::ZonePlugin>(public_zone_));
   if (config_.provider_ldns.has_value()) {
     pub.add(std::make_unique<dns::ForwardPlugin>(
         dns::DnsName::root(),
@@ -174,7 +204,6 @@ void MecCdnSite::add_delivery_service(const std::string& id,
 }
 
 cdn::CacheServer* MecCdnSite::add_edge_cache() {
-  mec::MecCluster& cluster = orchestrator_->cluster();
   // Reactivate the lowest-index retired replica first: its node, address
   // and (still warm) cache contents are already in place.
   for (std::size_t i = 0; i < caches_.size(); ++i) {
@@ -185,19 +214,50 @@ cdn::CacheServer* MecCdnSite::add_edge_cache() {
     }
     return caches_[i].get();
   }
+  return deploy_edge_cache();
+}
 
+simnet::NodeId MecCdnSite::add_worker(const std::string& role) {
+  const auto addr = first_free(net_, config_.node_cidr, kFirstWorkerHost);
+  if (!addr.has_value()) {
+    throw std::length_error("node CIDR " + config_.node_cidr.to_string() +
+                            " exhausted");
+  }
+  const simnet::NodeId node = net_.add_node(config_.name + "-" + role, *addr);
+  net_.add_link(gateway_, node,
+                simnet::LatencyModel::normal(kFabricMean, kFabricStddev,
+                                             kFabricFloor));
+  return node;
+}
+
+void MecCdnSite::add_service(const std::string& service,
+                             const std::string& ns, simnet::NodeId worker,
+                             simnet::Ipv4Address cluster_ip) {
+  net_.add_address(worker, cluster_ip);
+  internal_zone_->must_add(dns::make_a(
+      dns::DnsName::must_parse(service + "." + ns + ".svc." + kClusterDomain),
+      cluster_ip, kServiceTtl));
+}
+
+cdn::CacheServer* MecCdnSite::deploy_edge_cache() {
+  const auto cluster_ip =
+      first_free(net_, config_.service_cidr, kCoreDnsServiceHost);
+  if (!cluster_ip.has_value() ||
+      !first_free(net_, config_.node_cidr, kFirstWorkerHost).has_value()) {
+    return nullptr;
+  }
   const std::string cache_name =
       "edge-cache-" + std::to_string(caches_.size());
-  const simnet::NodeId worker = cluster.add_worker(cache_name);
-  const mec::Deployment dep = orchestrator_->deploy(cache_name, "cdn", worker);
-  cache_ips_.push_back(dep.cluster_ip);
+  const simnet::NodeId worker = add_worker(cache_name);
+  add_service(cache_name, "cdn", worker, *cluster_ip);
+  cache_ips_.push_back(*cluster_ip);
 
   cdn::CacheServer::Config cc;
   cc.capacity_bytes = kEdgeCacheCapacityBytes;
   cc.parent = config_.origin;
   caches_.push_back(std::make_unique<cdn::CacheServer>(
       net_.runtime(worker), cache_name, std::move(cc), cdn::kContentPort,
-      dep.cluster_ip));
+      *cluster_ip));
   cache_active_.push_back(true);
   cdn::CacheServer* cache = caches_.back().get();
   for (const auto& catalog : warmed_catalogs_) {
@@ -205,7 +265,7 @@ cdn::CacheServer* MecCdnSite::add_edge_cache() {
   }
   if (router_ != nullptr) {
     router_->add_cache(kEdgeGroup,
-                       cdn::CacheInfo{cache_name, dep.cluster_ip, true});
+                       cdn::CacheInfo{cache_name, *cluster_ip, true});
   }
   return cache;
 }

@@ -1,10 +1,14 @@
 // MecCdnSite: the paper's proposed system, assembled.
 //
-// One MEC location hosting:
-//  * a Kubernetes-like cluster (mec::Orchestrator) with CoreDNS as the
-//    split-namespace MEC L-DNS (dns::PluginChainServer with an "internal"
-//    view for VNF service discovery and a "public" view for mobile
-//    clients),
+// One MEC location hosting a Kubernetes-like cluster that the site places
+// itself — the orchestrator of §3 P1, which already knows every name the
+// MEC L-DNS must answer:
+//  * a gateway node and workers on a fast fabric, each service at a stable
+//    cluster IP from the service CIDR and named in the internal
+//    "cluster.local" zone,
+//  * CoreDNS as the split-namespace MEC L-DNS (dns::PluginChainServer with
+//    an "internal" view for VNF service discovery and a "public" view for
+//    mobile clients),
 //  * the CDN's request router C-DNS (cdn::TrafficRouter) at a fixed cluster
 //    IP, chained behind the L-DNS by a stub-domain forward — P2's
 //    "combines the L-DNS lookup with a C-DNS lookup carried out at the
@@ -27,8 +31,8 @@
 #include "cdn/cache_server.h"
 #include "cdn/traffic_router.h"
 #include "dns/plugin.h"
+#include "dns/zone.h"
 #include "mec/ingress.h"
-#include "mec/orchestrator.h"
 #include "obs/metrics.h"
 
 namespace mecdns::core {
@@ -39,7 +43,12 @@ class MecCdnSite {
   static constexpr std::size_t kEdgeCaches = 2;
 
   struct Config {
-    mec::Orchestrator::Config orchestrator;
+    /// Cluster name: node names are "<name>-gw", "<name>-infra", ...
+    std::string name = "mec";
+    /// Node (host) addresses; .1 is the gateway.
+    simnet::Cidr node_cidr = simnet::Cidr::must_parse("10.240.0.0/24");
+    /// Cluster-IP (Service) range, like kube-proxy's service CIDR.
+    simnet::Cidr service_cidr = simnet::Cidr::must_parse("10.96.0.0/16");
 
     /// CDN apex served at this site, e.g. "mycdn.ciab.test".
     dns::DnsName cdn_domain = dns::DnsName::must_parse("mycdn.ciab.test");
@@ -75,7 +84,7 @@ class MecCdnSite {
 
     /// What the guard answers when shedding. kServFail composes with the
     /// client transport's SERVFAIL failover for one-RTT fallback to the
-    /// provider; kDrop forces the client timeout ladder.
+    /// provider.
     mec::OverloadAction overload_action = mec::OverloadAction::kRefuse;
 
     /// L-DNS service capacity: worker concurrency + bounded FIFO. 0 workers
@@ -127,8 +136,17 @@ class MecCdnSite {
   /// The C-DNS cluster IP (in-cluster deployments only).
   simnet::Endpoint cdns_endpoint() const;
 
+  // --- the cluster -----------------------------------------------------------
+  /// The node external traffic enters through (link it to the P-GW / LAN).
+  simnet::NodeId gateway() const { return gateway_; }
+  const simnet::Cidr& node_cidr() const { return config_.node_cidr; }
+  const simnet::Cidr& service_cidr() const { return config_.service_cidr; }
+  /// The public app namespace "apps.mec.test", served by the public view
+  /// after the CDN forward; MEC apps become visible to mobile clients by
+  /// being written here.
+  std::shared_ptr<dns::Zone> public_zone() { return public_zone_; }
+
   // --- component access ----------------------------------------------------
-  mec::Orchestrator& orchestrator() { return *orchestrator_; }
   dns::PluginChainServer& ldns() { return *ldns_; }
   /// The cluster worker the L-DNS runs on.
   simnet::NodeId ldns_node() const { return ldns_node_; }
@@ -155,7 +173,8 @@ class MecCdnSite {
   /// Adds an edge cache replica: reactivates the lowest-index retired one,
   /// or deploys a fresh server (warmed with every catalog that was warmed
   /// at deploy time) and registers it with the in-cluster C-DNS. Returns
-  /// nullptr only if the cluster is out of addresses.
+  /// nullptr, changing nothing, if the cluster is out of node or service
+  /// addresses.
   cdn::CacheServer* add_edge_cache();
   /// Retires the highest-index active replica (deregisters it from the
   /// ring; the server object stays for later reactivation). Refuses to
@@ -170,9 +189,27 @@ class MecCdnSite {
                       const std::string& prefix = "site.") const;
 
  private:
+  /// Adds worker "<name>-<role>" at the first free node address, one fabric
+  /// hop behind the gateway. Throws std::length_error when the node CIDR is
+  /// used up.
+  simnet::NodeId add_worker(const std::string& role);
+  /// Binds `cluster_ip` to `worker` and names it
+  /// "<service>.<ns>.svc.cluster.local" in the internal zone.
+  void add_service(const std::string& service, const std::string& ns,
+                   simnet::NodeId worker, simnet::Ipv4Address cluster_ip);
+  /// Deploys edge cache caches_.size() at the first free cluster IP, warmed
+  /// with warmed_catalogs_ and registered with the in-cluster C-DNS;
+  /// nullptr when the cluster is out of node or service addresses.
+  cdn::CacheServer* deploy_edge_cache();
+
   simnet::Network& net_;
   Config config_;
-  std::unique_ptr<mec::Orchestrator> orchestrator_;
+  simnet::NodeId gateway_ = simnet::kInvalidNode;
+  /// Internal service discovery ("cluster.local"), served by the internal
+  /// view.
+  std::shared_ptr<dns::Zone> internal_zone_;
+  std::shared_ptr<dns::Zone> public_zone_;
+  mec::IngressMonitor ingress_;
   std::unique_ptr<dns::PluginChainServer> ldns_;
   std::unique_ptr<cdn::TrafficRouter> router_;
   std::vector<std::unique_ptr<cdn::CacheServer>> caches_;

@@ -206,7 +206,7 @@ std::unique_ptr<MecCdnSite> add_site(simnet::Network& net,
                                      const ran::RanSegment& ran,
                                      MecCdnSite::Config site) {
   auto mec = std::make_unique<MecCdnSite>(net, std::move(site));
-  net.add_link(ran.pgw(), mec->orchestrator().cluster().gateway(),
+  net.add_link(ran.pgw(), mec->gateway(),
                LatencyModel::constant(SimTime::millis(kPgwToMecMs)));
   return mec;
 }
@@ -221,11 +221,9 @@ Cell add_cell(simnet::Network& net, std::uint16_t index,
   if (backbone != simnet::kInvalidNode) {
     link_to_backbone(net, *cell.ran, backbone);
   }
-  site.orchestrator.cluster.name = "mec-" + std::to_string(index);
-  site.orchestrator.cluster.node_cidr =
-      simnet::Cidr::must_parse(prefix + ".64.0/24");
-  site.orchestrator.cluster.service_cidr =
-      simnet::Cidr::must_parse(prefix + ".128.0/20");
+  site.name = "mec-" + std::to_string(index);
+  site.node_cidr = simnet::Cidr::must_parse(prefix + ".64.0/24");
+  site.service_cidr = simnet::Cidr::must_parse(prefix + ".128.0/20");
   cell.site = add_site(net, *cell.ran, std::move(site));
   return cell;
 }

@@ -63,17 +63,9 @@ void IngressMonitor::rebase(simnet::SimTime now) {
 bool OverloadGuardPlugin::shed_one(const dns::Query& query,
                                    Respond& respond) {
   ++shed_;
-  switch (action_) {
-    case OverloadAction::kRefuse:
-      respond(dns::make_response(query, dns::RCode::kRefused));
-      break;
-    case OverloadAction::kServFail:
-      respond(dns::make_response(query, dns::RCode::kServFail));
-      break;
-    case OverloadAction::kDrop:
-      // Never respond; the client's timeout/fallback path handles it.
-      break;
-  }
+  respond(dns::make_response(query, action_ == OverloadAction::kServFail
+                                         ? dns::RCode::kServFail
+                                         : dns::RCode::kRefused));
   return true;
 }
 

@@ -51,7 +51,6 @@ class IngressMonitor {
 /// What the guard does with traffic above the threshold.
 enum class OverloadAction {
   kRefuse,  ///< answer REFUSED; multicast/fallback clients use provider L-DNS
-  kDrop,    ///< silently drop; clients time out onto their fallback
   /// Answer SERVFAIL: DnsTransport fails a SERVFAIL over to the next
   /// fallback server, so clients with a provider fallback fail over within
   /// one RTT instead of waiting out the timeout ladder — the overload-safe
@@ -94,8 +93,8 @@ class OverloadGuardPlugin : public dns::Plugin {
   /// with a deterministic answer instead of being served. A saturated FIFO
   /// means the backlog is already rotting toward client timeouts; cheap
   /// sheds drain it orders of magnitude faster than full service would,
-  /// and (with kServFail/kRefuse) tell the client immediately rather than
-  /// letting the overflow drop them silently.
+  /// and tell the client immediately rather than letting the overflow drop
+  /// them silently.
   void set_queue_probe(std::function<std::size_t()> probe,
                        std::size_t limit) {
     queue_probe_ = std::move(probe);
@@ -112,7 +111,7 @@ class OverloadGuardPlugin : public dns::Plugin {
   }
 
  private:
-  /// Answers (or drops) a shed query; always claims it.
+  /// Answers a shed query per the action; always claims it.
   bool shed_one(const dns::Query& query, Respond& respond);
 
   IngressMonitor& monitor_;

@@ -92,7 +92,13 @@ TEST_F(CacheServerTest, UnknownContentIs404) {
 }
 
 TEST_F(CacheServerTest, NoParentMeans404OnMiss) {
-  cache_->set_parent(std::nullopt);
+  // Replace the fixture's cache with one whose Config::parent is unset.
+  cache_.reset();
+  CacheServer::Config config;
+  config.capacity_bytes = 4096;
+  config.service_time = LatencyModel::constant(SimTime::micros(200));
+  cache_ = std::make_unique<CacheServer>(net_.runtime(cache_node_), "edge",
+                                         config);
   const ContentResponse response = get("v.test/seg0000");
   EXPECT_EQ(response.status, 404);
   EXPECT_EQ(origin_->requests(), 0u);

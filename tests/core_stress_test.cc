@@ -30,16 +30,16 @@ TEST(Stress, ConcurrentMixedClientsThroughOneLdns) {
   catalog.add_series(dns::DnsName::must_parse("video.demo1.mycdn.ciab.test"),
                      "segment", 8, 1 << 16);
   site.add_delivery_service("demo1", catalog);
-  site.orchestrator().publish(
-      dns::DnsName::must_parse("hud.apps.mec.test"),
-      Ipv4Address::must_parse("10.96.0.77"));
+  site.public_zone()->must_add(
+      dns::make_a(dns::DnsName::must_parse("hud.apps.mec.test"),
+                  Ipv4Address::must_parse("10.96.0.77"), 30));
 
   // 6 external (mobile-side) clients and 2 internal VNFs.
   constexpr int kExternal = 6;
   constexpr int kInternal = 2;
   constexpr int kQueriesEach = 50;
   std::vector<std::unique_ptr<dns::StubResolver>> stubs;
-  const simnet::NodeId gateway = site.orchestrator().cluster().gateway();
+  const simnet::NodeId gateway = site.gateway();
   for (int i = 0; i < kExternal; ++i) {
     const simnet::NodeId node = net.add_node(
         "mobile-" + std::to_string(i),
@@ -50,14 +50,16 @@ TEST(Stress, ConcurrentMixedClientsThroughOneLdns) {
         net.runtime(node), site.ldns_endpoint()));
   }
   for (int i = 0; i < kInternal; ++i) {
-    const simnet::NodeId node =
-        site.orchestrator().cluster().add_worker("vnf-" + std::to_string(i));
+    // A VNF inside the cluster: a node-CIDR address behind the gateway.
+    const auto host = static_cast<std::uint32_t>(200 + i);
+    const simnet::NodeId node = net.add_node("vnf-" + std::to_string(i),
+                                             site.node_cidr().host(host));
+    net.add_link(node, gateway, LatencyModel::constant(SimTime::micros(150)));
     stubs.push_back(std::make_unique<dns::StubResolver>(
         net.runtime(node), site.ldns_endpoint()));
   }
 
-  const auto& service_cidr =
-      site.orchestrator().cluster().config().service_cidr;
+  const auto& service_cidr = site.service_cidr();
   int answered = 0;
   int correct = 0;
   util::Rng rng(99);

@@ -80,8 +80,8 @@ TEST(OverloadControls, ServFailShedAnswersImmediately) {
     };
     guard.serve(kQuery, received_at(SimTime::millis(i)), respond);
   }
-  // Unlike kDrop, every shed produces an answer — the fast failover
-  // signal DnsTransport's SERVFAIL failover consumes.
+  // Every shed produces an answer — the fast failover signal
+  // DnsTransport's SERVFAIL failover consumes.
   EXPECT_EQ(responses, 2);
   EXPECT_EQ(last, dns::RCode::kServFail);
 }

@@ -1,5 +1,5 @@
-// MEC orchestration tests: cluster IPs, service registry, orchestrator
-// deployments and the ingress overload machinery.
+// MEC control-plane tests: the ingress overload machinery and the L-DNS
+// failover health-checker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,11 +9,8 @@
 #include <vector>
 
 #include "dns/wire.h"
-#include "mec/cluster.h"
 #include "mec/failover.h"
 #include "mec/ingress.h"
-#include "mec/orchestrator.h"
-#include "mec/registry.h"
 #include "util/rng.h"
 
 namespace mecdns::mec {
@@ -21,112 +18,6 @@ namespace {
 
 using simnet::Ipv4Address;
 using simnet::SimTime;
-
-class ClusterTest : public ::testing::Test {
- protected:
-  ClusterTest() : net_(sim_, util::Rng(3)), cluster_(net_, {}) {}
-
-  simnet::Simulator sim_;
-  simnet::Network net_;
-  MecCluster cluster_;
-};
-
-TEST_F(ClusterTest, WorkersJoinFabric) {
-  const simnet::NodeId w1 = cluster_.add_worker("infra");
-  const simnet::NodeId w2 = cluster_.add_worker("cache-0");
-  EXPECT_EQ(cluster_.worker_count(), 2u);
-  // Workers are reachable from the gateway (and each other via it).
-  EXPECT_TRUE(net_.route_cost(cluster_.gateway(), w1).has_value());
-  EXPECT_TRUE(net_.route_cost(w1, w2).has_value());
-}
-
-TEST_F(ClusterTest, ServiceIpAllocation) {
-  const Ipv4Address ip1 = cluster_.allocate_service_ip();
-  const Ipv4Address ip2 = cluster_.allocate_service_ip();
-  EXPECT_NE(ip1, ip2);
-  EXPECT_TRUE(cluster_.config().service_cidr.contains(ip1));
-
-  const Ipv4Address fixed = cluster_.allocate_service_ip(53);
-  EXPECT_EQ(fixed, Ipv4Address::must_parse("10.96.0.53"));
-  EXPECT_THROW(cluster_.allocate_service_ip(53), std::invalid_argument);
-  EXPECT_THROW(cluster_.allocate_service_ip(0), std::out_of_range);
-}
-
-TEST_F(ClusterTest, ExposedServiceIpIsRoutable) {
-  const simnet::NodeId worker = cluster_.add_worker("dns");
-  const Ipv4Address cluster_ip = cluster_.allocate_service_ip(10);
-  cluster_.expose_service_ip(worker, cluster_ip);
-  EXPECT_EQ(net_.find_node(cluster_ip), worker);
-}
-
-TEST(Registry, ServiceRecordsAppearAndDisappear) {
-  ServiceRegistry registry(dns::DnsName::must_parse("cluster.local"));
-  EXPECT_EQ(registry.service_name("kube-dns", "kube-system"),
-            dns::DnsName::must_parse("kube-dns.kube-system.svc.cluster.local"));
-
-  registry.register_service("kube-dns", "kube-system",
-                            Ipv4Address::must_parse("10.96.0.10"));
-  EXPECT_TRUE(registry.has_service("kube-dns", "kube-system"));
-  EXPECT_EQ(registry.service_count(), 1u);
-
-  const auto result = registry.zone()->lookup(
-      registry.service_name("kube-dns", "kube-system"), dns::RecordType::kA);
-  ASSERT_EQ(result.status, dns::LookupStatus::kSuccess);
-  EXPECT_EQ(std::get<dns::ARecord>(result.records[0].rdata).address,
-            Ipv4Address::must_parse("10.96.0.10"));
-
-  // Re-registration updates in place.
-  registry.register_service("kube-dns", "kube-system",
-                            Ipv4Address::must_parse("10.96.0.11"));
-  EXPECT_EQ(registry.service_count(), 1u);
-
-  registry.deregister_service("kube-dns", "kube-system");
-  EXPECT_FALSE(registry.has_service("kube-dns", "kube-system"));
-  EXPECT_EQ(registry.service_count(), 0u);
-}
-
-TEST(Orchestrator, DeployWiresIpDnsAndRouting) {
-  simnet::Simulator sim;
-  simnet::Network net(sim, util::Rng(5));
-  Orchestrator orchestrator(net, {});
-  const simnet::NodeId worker = orchestrator.cluster().add_worker("w0");
-
-  const Deployment dep =
-      orchestrator.deploy("traffic-router", "cdn", worker, 53);
-  EXPECT_EQ(dep.cluster_ip, Ipv4Address::must_parse("10.96.0.53"));
-  EXPECT_EQ(net.find_node(dep.cluster_ip), worker);
-  EXPECT_TRUE(orchestrator.registry().has_service("traffic-router", "cdn"));
-  EXPECT_EQ(orchestrator.deployments().size(), 1u);
-
-  orchestrator.undeploy("traffic-router", "cdn");
-  EXPECT_FALSE(orchestrator.registry().has_service("traffic-router", "cdn"));
-  EXPECT_TRUE(orchestrator.deployments().empty());
-}
-
-TEST(Orchestrator, PublishPopulatesPublicNamespace) {
-  simnet::Simulator sim;
-  simnet::Network net(sim, util::Rng(5));
-  Orchestrator orchestrator(net, {});
-  const auto domain = dns::DnsName::must_parse("ar-app.apps.mec.test");
-  orchestrator.publish(domain, Ipv4Address::must_parse("10.96.0.80"));
-
-  const auto result =
-      orchestrator.public_zone()->lookup(domain, dns::RecordType::kA);
-  ASSERT_EQ(result.status, dns::LookupStatus::kSuccess);
-
-  // Publish again: replaces, not duplicates.
-  orchestrator.publish(domain, Ipv4Address::must_parse("10.96.0.81"));
-  const auto replaced =
-      orchestrator.public_zone()->lookup(domain, dns::RecordType::kA);
-  ASSERT_EQ(replaced.records.size(), 1u);
-  EXPECT_EQ(std::get<dns::ARecord>(replaced.records[0].rdata).address,
-            Ipv4Address::must_parse("10.96.0.81"));
-
-  orchestrator.unpublish(domain);
-  EXPECT_EQ(orchestrator.public_zone()->lookup(domain, dns::RecordType::kA)
-                .status,
-            dns::LookupStatus::kNxDomain);
-}
 
 // --- ingress monitoring ---------------------------------------------------------
 
@@ -265,25 +156,6 @@ TEST(OverloadGuard, RecoversWhenWindowSlides) {
   EXPECT_EQ(admitted, 2);
   admit(SimTime::seconds(2));  // window slid: admitted again
   EXPECT_EQ(admitted, 3);
-}
-
-TEST(OverloadGuard, DropModeNeverResponds) {
-  IngressMonitor monitor(SimTime::seconds(1));
-  OverloadGuardPlugin guard(monitor, 1, OverloadAction::kDrop);
-  int responses = 0;
-  int admitted = 0;
-  int claimed = 0;
-  for (int i = 0; i < 3; ++i) {
-    if (admit_at(guard, SimTime::millis(i),
-                 [&](dns::Message) { ++responses; })) {
-      ++admitted;
-    } else {
-      ++claimed;  // a drop claims the query: nothing after the guard runs
-    }
-  }
-  EXPECT_EQ(admitted, 1);
-  EXPECT_EQ(claimed, 2);
-  EXPECT_EQ(responses, 0);  // shed queries are silently dropped
 }
 
 TEST(OverloadGuard, RecoveryHysteresisHoldsShedUntilQuiet) {

@@ -4,8 +4,8 @@
 
 #include "dns/message.h"
 #include "dns/zone.h"
-#include "mec/cluster.h"
 #include "simnet/latency.h"
+#include "simnet/network.h"
 #include "util/log.h"
 
 namespace mecdns {
@@ -61,17 +61,6 @@ TEST(Logging, ThresholdGatesOutput) {
   MECDNS_LOG(kInfo, "test") << "this is dropped";
   MECDNS_LOG(kError, "test") << "this is emitted";
   util::set_log_level(util::LogLevel::kOff);
-}
-
-TEST(Cluster, WorkerAccessors) {
-  simnet::Simulator sim;
-  simnet::Network net(sim, util::Rng(1));
-  mec::MecCluster cluster(net, {});
-  const simnet::NodeId w0 = cluster.add_worker("a");
-  const simnet::NodeId w1 = cluster.add_worker("b");
-  EXPECT_EQ(cluster.worker(0), w0);
-  EXPECT_EQ(cluster.worker(1), w1);
-  EXPECT_EQ(net.node_name(w1), "mec-b");
 }
 
 TEST(Network, NodeNamesAndLookup) {

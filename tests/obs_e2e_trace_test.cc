@@ -29,7 +29,7 @@ class ObsE2eTest : public ::testing::Test {
     site_ = std::make_unique<MecCdnSite>(net_, config);
 
     client_ = net_.add_node("mobile", Ipv4Address::must_parse("203.0.113.1"));
-    net_.add_link(client_, site_->orchestrator().cluster().gateway(),
+    net_.add_link(client_, site_->gateway(),
                   LatencyModel::constant(SimTime::millis(1)));
 
     cdn::ContentCatalog catalog;
